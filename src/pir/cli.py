@@ -18,13 +18,7 @@ from .config import ReviewConfig
 from .detection import detect_bruteforce
 from .errors import ConfigInvalidError, ReviewError, StageFailureError
 from .llm_gateway import GATEWAY_MODES
-from .log_ingest import (
-    flatten_to_csv,
-    load_csv,
-    normalize_auth_events,
-    parse_event_xml,
-    validate_evtx_container,
-)
+from .log_ingest import flatten_to_csv, load_evidence, normalize_auth_events
 from .orchestrator import (
     ingest_policy_file,
     load_checkpoint,
@@ -69,26 +63,10 @@ def _output_dir(args, config: ReviewConfig | None) -> Path:
 
 
 def _load_records(config: ReviewConfig):
-    """Evidence-file dispatch shared by the ingest and detect commands."""
-    records = []
-    for path in config.evidence_paths:
-        if not path.is_file():
-            raise ConfigInvalidError(f"evidence path not found: {path}")
-        suffix = path.suffix.lower()
-        if suffix == ".evtx":
-            summary = validate_evtx_container(path.read_bytes(), path.name)
-            logger.info(
-                "container %s: %d chunk(s), %d declared record(s)",
-                path.name,
-                summary.chunk_count,
-                summary.declared_record_count,
-            )
-        elif suffix == ".xml":
-            records.extend(parse_event_xml(path.read_text(encoding="utf-8"), source=path.stem))
-        elif suffix == ".csv":
-            records.extend(load_csv(path.read_text(encoding="utf-8")))
-        else:
-            raise ConfigInvalidError(f"unsupported evidence suffix: {path}")
+    """Evidence records for the ingest and detect commands; notes go to the log."""
+    records, notes = load_evidence(config.evidence_paths)
+    for note in notes:
+        logger.info("%s", note)
     return records
 
 

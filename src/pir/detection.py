@@ -266,14 +266,6 @@ def oracle_detect(
     return findings
 
 
-def summarize_finding(finding: BehaviorFinding, gateway: "Gateway") -> str:
-    """Narrative summary of one finding; every citation the model emits must
-    resolve to the finding's own records or the text is replaced by the
-    deterministic fallback."""
-    result = narrative_for_finding(finding, gateway)
-    return result.text
-
-
 def fallback_summary(finding: BehaviorFinding) -> str:
     """Deterministic summary used when the gateway is disabled or degraded."""
     first, last = finding.evidence[0], finding.evidence[-1]

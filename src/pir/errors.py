@@ -34,6 +34,18 @@ class CsvSchemaError(ReviewError):
     """Flattened-event CSV has an unexpected header or a bad cell value."""
 
 
+class DuplicateRecordRefError(ReviewError):
+    """Two evidence records share a record_ref, so a citation of it would be
+    ambiguous."""
+
+    def __init__(self, record_ref: str, first_source: str, second_source: str):
+        super().__init__(
+            f"record ref {record_ref!r} appears in {first_source} and again "
+            f"in {second_source}"
+        )
+        self.record_ref = record_ref
+
+
 # --- detection ------------------------------------------------------------
 
 class UnsortedInputError(ReviewError):

@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -403,7 +402,6 @@ class GatewaySettings:
     api_key: str | None = None
     timeout_seconds: float = 30.0
     max_retries: int = 2
-    max_concurrency: int = 2
 
     def __post_init__(self) -> None:
         if self.mode not in GATEWAY_MODES:
@@ -425,7 +423,7 @@ class GatewaySettings:
 
 
 class Gateway:
-    """One gateway per review run; shareable across threads.
+    """One gateway per review run, called from one thread.
 
     A non-default ``transport`` callable (request body dict -> response text)
     replaces the HTTP layer, which is how tests and the fixture recorder stay
@@ -439,7 +437,6 @@ class Gateway:
     ):
         self.settings = settings
         self._transport = transport
-        self._sem = threading.Semaphore(settings.max_concurrency)
 
     # -- cache ------------------------------------------------------------
 
@@ -502,8 +499,7 @@ class Gateway:
                 )
                 time.sleep(delay)
             try:
-                with self._sem:
-                    return transport(request_body)
+                return transport(request_body)
             except TransientTransportError as exc:
                 last_error = exc
         raise GatewayUnavailableError(

@@ -9,7 +9,8 @@ Three input paths feed the review with the same normalized records:
 
 Every record carries a stable ``record_ref`` of the form
 ``<source_file>#<ordinal>`` (ordinals are 1-based document positions) so
-downstream findings and reports can cite it.
+downstream findings and reports can cite it; :func:`load_evidence` rejects
+evidence sets in which two records share one.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime
+from pathlib import Path
 
 from .canon import format_instant, parse_instant
 from .errors import (
+    ConfigInvalidError,
     CsvSchemaError,
+    DuplicateRecordRefError,
     MalformedContainerError,
     MissingSystemFieldError,
     XmlSyntaxError,
@@ -92,7 +96,8 @@ class EventRecord:
 
 @dataclass
 class AuthEvent:
-    """Normalized view of a 4624/4625 record."""
+    """Normalized view of a 4624/4625 record; never stored, always
+    re-derived from the records by normalize_auth_events."""
 
     record_ref: str
     outcome: str  # "Failure" (4625) or "Success" (4624)
@@ -100,27 +105,6 @@ class AuthEvent:
     source_ip: str | None
     logon_type: int | None
     timestamp_utc: datetime
-
-    def to_dict(self) -> dict:
-        return {
-            "record_ref": self.record_ref,
-            "outcome": self.outcome,
-            "account": self.account,
-            "source_ip": self.source_ip,
-            "logon_type": self.logon_type,
-            "timestamp_utc": format_instant(self.timestamp_utc),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AuthEvent":
-        return cls(
-            record_ref=d["record_ref"],
-            outcome=d["outcome"],
-            account=d["account"],
-            source_ip=d.get("source_ip"),
-            logon_type=d.get("logon_type"),
-            timestamp_utc=parse_instant(d["timestamp_utc"]),
-        )
 
 
 def validate_evtx_container(data: bytes, file_path: str = "<bytes>") -> ContainerSummary:
@@ -199,6 +183,15 @@ def _parse_root(text: str) -> ET.Element:
             ) from first
 
 
+def _names_zone(time_text: str) -> bool:
+    """True when an ISO-8601 timestamp ends in ``Z`` or a numeric offset.
+
+    Past the date's first ten characters, a sign can only start an offset.
+    """
+    clock = time_text.strip()[10:]
+    return clock.endswith(("Z", "z")) or "+" in clock or "-" in clock
+
+
 def parse_event_xml(text: str, source: str = "<string>") -> list[EventRecord]:
     """Parse Windows event-export XML into records, in document order.
 
@@ -262,7 +255,7 @@ def parse_event_xml(text: str, source: str = "<string>") -> list[EventRecord]:
             raise MissingSystemFieldError(
                 f"{ref}: TimeCreated {time_text!r} is not a parseable timestamp"
             ) from None
-        if "+" not in time_text and not time_text.rstrip().endswith(("Z", "z")):
+        if not _names_zone(time_text):
             logger.warning("%s: offset-free timestamp %r assumed UTC", ref, time_text)
 
         fields: dict[str, str] = {}
@@ -406,3 +399,42 @@ def normalize_auth_events(records: list[EventRecord]) -> tuple[list[AuthEvent], 
         )
     events.sort(key=lambda e: (e.timestamp_utc, e.record_ref))
     return events, skipped
+
+
+def load_evidence(paths: list[Path]) -> tuple[list[EventRecord], list[str]]:
+    """Read evidence files in order into records plus notes for the review.
+
+    XML and CSV files yield records; an EVTX file yields notes on its framing
+    only. Raises ConfigInvalidError for a missing file or an unsupported
+    suffix, and DuplicateRecordRefError when two records share a record_ref.
+    """
+    records: list[EventRecord] = []
+    notes: list[str] = []
+    source_of: dict[str, Path] = {}
+    for path in paths:
+        if not path.is_file():
+            raise ConfigInvalidError(f"evidence path not found: {path}")
+        suffix = path.suffix.lower()
+        if suffix == ".evtx":
+            summary = validate_evtx_container(path.read_bytes(), path.name)
+            notes.append(
+                f"container {path.name}: {summary.chunk_count} chunk(s), "
+                f"{summary.declared_record_count} declared record(s); framing "
+                f"validated, records not decoded"
+            )
+            notes.extend(f"container {path.name}: {w}" for w in summary.warnings)
+            continue
+        if suffix == ".xml":
+            loaded = parse_event_xml(path.read_text(encoding="utf-8"), source=path.stem)
+        elif suffix == ".csv":
+            loaded = load_csv(path.read_text(encoding="utf-8"))
+        else:
+            raise ConfigInvalidError(f"unsupported evidence suffix: {path}")
+        for record in loaded:
+            if record.record_ref in source_of:
+                raise DuplicateRecordRefError(
+                    record.record_ref, str(source_of[record.record_ref]), str(path)
+                )
+            source_of[record.record_ref] = path
+        records.extend(loaded)
+    return records, notes

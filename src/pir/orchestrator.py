@@ -4,6 +4,8 @@ Stages run strictly in order: ProcessEvidence, MapAttack, RetrievePolicies,
 ValidatePolicies, GenerateReport. Each stage extends a copy of the incoming
 state and never rewrites fields owned by earlier stages; run_review persists
 a canonical JSON checkpoint after every stage under <output>/state/.
+A checkpoint stores each fact once: the auth events and the report are
+re-derived when it is loaded, which re-checks citation closure.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .detection import (
     narrative_for_finding,
 )
 from .errors import (
-    ConfigInvalidError,
     ReviewError,
     StageFailureError,
     StageOrderViolationError,
@@ -42,14 +43,7 @@ from .gap_analysis import (
     select_effective,
 )
 from .llm_gateway import Gateway, GatewaySettings, MODE_DISABLED, NarrativeResult, Transcript
-from .log_ingest import (
-    AuthEvent,
-    EventRecord,
-    load_csv,
-    normalize_auth_events,
-    parse_event_xml,
-    validate_evtx_container,
-)
+from .log_ingest import AuthEvent, EventRecord, load_evidence, normalize_auth_events
 from .policy_index import (
     DOC_KIND_BASELINE,
     DOC_KIND_ORGANISATION,
@@ -162,8 +156,6 @@ class ReviewState:
             "run_id": self.run_id,
             "config_digest": self.config_digest,
             "records": [r.to_dict() for r in self.records],
-            "auth_events": [e.to_dict() for e in self.auth_events],
-            "skipped_auth_records": self.skipped_auth_records,
             "findings": [f.to_dict() for f in self.findings],
             "finding_summaries": list(self.finding_summaries),
             "mappings": [m.to_dict() for m in self.mappings],
@@ -178,7 +170,9 @@ class ReviewState:
             "notes": list(self.notes),
             "degradation_notes": list(self.degradation_notes),
             "incident_summary": self.incident_summary,
-            "report": self.report.to_dict() if self.report else None,
+            "report_generated_at": (
+                format_instant(self.report.generated_at) if self.report else None
+            ),
         }
 
     @classmethod
@@ -197,12 +191,14 @@ class ReviewState:
                     rank=int(h["rank"]),
                 )
             )
-        return cls(
+        records = [EventRecord.from_dict(x) for x in d["records"]]
+        auth_events, skipped = normalize_auth_events(records)
+        state = cls(
             run_id=d["run_id"],
             config_digest=d["config_digest"],
-            records=[EventRecord.from_dict(x) for x in d["records"]],
-            auth_events=[AuthEvent.from_dict(x) for x in d["auth_events"]],
-            skipped_auth_records=int(d["skipped_auth_records"]),
+            records=records,
+            auth_events=auth_events,
+            skipped_auth_records=skipped,
             findings=[BehaviorFinding.from_dict(x) for x in d["findings"]],
             finding_summaries=list(d["finding_summaries"]),
             mappings=[TechniqueMapping.from_dict(x) for x in d["mappings"]],
@@ -219,10 +215,12 @@ class ReviewState:
             notes=list(d["notes"]),
             degradation_notes=list(d["degradation_notes"]),
             incident_summary=d.get("incident_summary"),
-            report=(
-                reporting.ReviewReport.from_dict(d["report"]) if d["report"] else None
-            ),
         )
+        if d["report_generated_at"]:
+            state.report = reporting.build_report(
+                state, generated_at=parse_instant(d["report_generated_at"])
+            )
+        return state
 
 
 def state_digest(state: ReviewState) -> str:
@@ -234,10 +232,7 @@ def state_digest(state: ReviewState) -> str:
         entry["finished"] = None
     for t in d["transcripts"]:
         t["latency_ms"] = 0
-    if d["report"]:
-        d["report"]["generated_at"] = None
-        for t in d["report"]["transcripts"]:
-            t["latency_ms"] = 0
+    d["report_generated_at"] = None
     return digest_of(d)
 
 
@@ -245,7 +240,7 @@ def field_digests(state: ReviewState) -> dict[str, str]:
     """Per-field digests (volatile fields excluded) for append-only checks."""
     d = state.to_dict()
     d.pop("stage_log")
-    d.pop("report")
+    d.pop("report_generated_at")
     out = {}
     for key, value in d.items():
         if key == "transcripts":
@@ -287,23 +282,9 @@ def _absorb(state: ReviewState, result: NarrativeResult) -> None:
 
 def _stage_process_evidence(state: ReviewState, deps: StageDeps):
     config = deps.config
-    for path in config.evidence_paths:
-        suffix = path.suffix.lower()
-        if suffix == ".evtx":
-            summary = validate_evtx_container(path.read_bytes(), path.name)
-            state.notes.append(
-                f"container {path.name}: {summary.chunk_count} chunk(s), "
-                f"{summary.declared_record_count} declared record(s); framing "
-                f"validated, records not decoded"
-            )
-            for warning in summary.warnings:
-                state.notes.append(f"container {path.name}: {warning}")
-            continue
-        text = path.read_text(encoding="utf-8")
-        if suffix == ".xml":
-            state.records.extend(parse_event_xml(text, source=path.stem))
-        else:
-            state.records.extend(load_csv(text))
+    records, notes = load_evidence(config.evidence_paths)
+    state.records.extend(records)
+    state.notes.extend(notes)
 
     auth_events, skipped = normalize_auth_events(state.records)
     state.auth_events = auth_events
@@ -354,9 +335,11 @@ def _stage_retrieve_policies(state: ReviewState, deps: StageDeps):
     for path in config.baseline_policy_paths:
         state.policy_documents.append(ingest_policy_file(path, DOC_KIND_BASELINE))
 
+    index = build_index(state.policy_documents)
+    index_path = state_dir(config.output_dir) / "policy_index.json"
+    index_path.write_text(index.to_json(), encoding="utf-8")
     if not state.mappings:
         return STATUS_OK, "no technique mapping; retrieval skipped"
-    index = build_index(state.policy_documents)
     query = technique_query(state.mappings[0], deps.catalog)
     state.retrieval_query = query
     state.retrieval = retrieve(index, query, config.retrieval_k)
@@ -513,10 +496,15 @@ def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
     return new_state
 
 
+def state_dir(output_dir: Path) -> Path:
+    """<output>/state, created on first use; holds checkpoints and the index."""
+    path = output_dir / "state"
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def save_checkpoint(state: ReviewState, output_dir: Path, stage: str) -> Path:
-    state_dir = output_dir / "state"
-    state_dir.mkdir(parents=True, exist_ok=True)
-    path = state_dir / f"{stage}.json"
+    path = state_dir(output_dir) / f"{stage}.json"
     path.write_text(canon_dumps(state.to_dict()) + "\n", encoding="utf-8")
     return path
 
@@ -543,19 +531,18 @@ def run_review(config: ReviewConfig, transport=None) -> ReviewState:
             save_checkpoint(exc.partial_state, config.output_dir, stage)
             raise
         save_checkpoint(state, config.output_dir, stage)
-        if stage == "RetrievePolicies" and state.policy_documents:
-            index = build_index(state.policy_documents)
-            index_path = config.output_dir / "state" / "policy_index.json"
-            index_path.write_text(index.to_json(), encoding="utf-8")
 
     write_report_files(state, config.output_dir)
     return state
 
 
 def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path]:
+    """Render the state's report in both formats; a state from before
+    GenerateReport has none, so one is built for the current time."""
+    report = state.report or reporting.build_report(state, generated_at=utc_now())
     output_dir.mkdir(parents=True, exist_ok=True)
     json_path = output_dir / "report.json"
     md_path = output_dir / "report.md"
-    json_path.write_text(reporting.render_json(state), encoding="utf-8")
-    md_path.write_text(reporting.render_markdown(state), encoding="utf-8")
+    json_path.write_text(reporting.render_json(report), encoding="utf-8")
+    md_path.write_text(reporting.render_markdown(report), encoding="utf-8")
     return json_path, md_path

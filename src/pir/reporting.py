@@ -4,7 +4,8 @@ The JSON form is byte-deterministic for identical state (sorted keys, fixed
 float precision, defined array orders), so replay runs can be compared by
 digest. Every conclusion row in the trace ledger must resolve against the
 ingested evidence and policy clauses; an unresolvable citation aborts
-rendering rather than shipping an audit artifact with dangling references.
+build_report, and with it the loading of a final checkpoint, rather than
+shipping an audit artifact with dangling references.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import typing
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .canon import canon_dumps, digest_of, format_instant, parse_instant
+from .canon import canon_dumps, digest_of, format_instant
 from .detection import BehaviorFinding
 from .errors import UnresolvedReferenceError
 from .llm_gateway import EVT_MARKER, POL_MARKER, Transcript
@@ -68,16 +69,6 @@ class TraceRow:
             "confidence": self.confidence,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TraceRow":
-        return cls(
-            conclusion_id=d["conclusion_id"],
-            conclusion_kind=d["conclusion_kind"],
-            event_refs=list(d["event_refs"]),
-            clause_refs=list(d["clause_refs"]),
-            confidence=d.get("confidence"),
-        )
-
 
 @dataclass
 class ReviewReport:
@@ -112,26 +103,6 @@ class ReviewReport:
             "degradation_notes": list(self.degradation_notes),
             "notes": list(self.notes),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReviewReport":
-        return cls(
-            run_id=d["run_id"],
-            config_digest=d["config_digest"],
-            generated_at=parse_instant(d["generated_at"]),
-            incident_summary=d["incident_summary"],
-            findings=[BehaviorFinding.from_dict(x) for x in d["findings"]],
-            finding_summaries=list(d["finding_summaries"]),
-            technique_section=[
-                TechniqueMapping.from_dict(x) for x in d["technique_section"]
-            ],
-            gaps_section=[PolicyGap.from_dict(x) for x in d["gaps_section"]],
-            trace_ledger=[TraceRow.from_dict(x) for x in d["trace_ledger"]],
-            evidence_appendix=[dict(x) for x in d["evidence_appendix"]],
-            transcripts=[Transcript.from_dict(x) for x in d["transcripts"]],
-            degradation_notes=list(d["degradation_notes"]),
-            notes=list(d.get("notes", [])),
-        )
 
 
 def conclusion_ids(state: "ReviewState") -> dict[str, list[str]]:
@@ -263,19 +234,8 @@ def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
     )
 
 
-def render_json(state: "ReviewState") -> str:
-    """Canonical JSON text of the report (trailing newline included).
-
-    The document is always re-derived from the state so citation closure is
-    enforced even when re-rendering a checkpoint; the recorded generation
-    time is reused, which keeps clean re-renders byte-identical.
-    """
-    if state.report is not None:
-        report = build_report(state, generated_at=state.report.generated_at)
-    else:
-        from .canon import utc_now
-
-        report = build_report(state, generated_at=utc_now())
+def render_json(report: ReviewReport) -> str:
+    """Canonical JSON text of the report (trailing newline included)."""
     return canon_dumps(report.to_dict()) + "\n"
 
 
@@ -353,19 +313,8 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def render_markdown(state: "ReviewState") -> str:
-    """Human-readable rendering; fixed section order, same content as JSON.
-
-    Like render_json, the document is re-derived from the state so a
-    tampered checkpoint cannot bypass citation closure.
-    """
-    if state.report is not None:
-        report = build_report(state, generated_at=state.report.generated_at)
-    else:
-        from .canon import utc_now
-
-        report = build_report(state, generated_at=utc_now())
-
+def render_markdown(report: ReviewReport) -> str:
+    """Human-readable rendering; fixed section order, same content as JSON."""
     lines: list[str] = []
     lines.append("# Post-Incident Review")
     lines.append("")

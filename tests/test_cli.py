@@ -100,6 +100,40 @@ def test_detect_matches_recorded_truth(tmp_path, capsys):
     assert findings[0]["success_record"] == truth["success_record_ref"]
 
 
+def test_review_rejects_evidence_that_repeats_a_record_ref(tmp_path, capsys):
+    # the fixture XML plus its own ingested CSV names every record twice
+    code, *_ = run_cli(capsys, "ingest", "--config", CONFIG, "--output", str(tmp_path))
+    assert code == 0
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for key in ("evidence_paths", "org_policy_paths", "baseline_policy_paths"):
+        raw[key] = [str(FIXTURES / p) for p in raw[key]]
+    raw["evidence_paths"].append(str(tmp_path / "records.csv"))
+    raw["gateway"]["cache_dir"] = str(FIXTURES / "llm_cache")
+    raw["output_dir"] = str(tmp_path / "out")
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+
+    code, _out, err = run_cli(capsys, "review", "--config", str(tmp_path / "config.json"))
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["stage"] == "ProcessEvidence"
+    assert payload["cause"] == "DuplicateRecordRefError"
+    assert "'bruteforce_scenario#1'" in payload["detail"]
+    assert "bruteforce_scenario.xml" in payload["detail"]
+    assert "records.csv" in payload["detail"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_ingest_with_missing_evidence_exits_3(tmp_path, capsys):
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    raw["evidence_paths"] = [str(tmp_path / "absent.xml")]
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    code, _out, err = run_cli(
+        capsys, "ingest", "--config", str(tmp_path / "config.json"), "--output", str(tmp_path)
+    )
+    assert code == 3
+    assert "not found" in json.loads(err.strip().splitlines()[-1])["detail"]
+
+
 # --- index -------------------------------------------------------------------------
 
 

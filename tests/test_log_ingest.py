@@ -1,7 +1,11 @@
+import logging
+
 import pytest
 
 from pir.errors import (
+    ConfigInvalidError,
     CsvSchemaError,
+    DuplicateRecordRefError,
     MalformedContainerError,
     MissingSystemFieldError,
     XmlSyntaxError,
@@ -9,6 +13,7 @@ from pir.errors import (
 from pir.log_ingest import (
     flatten_to_csv,
     load_csv,
+    load_evidence,
     normalize_auth_events,
     parse_event_xml,
     validate_evtx_container,
@@ -141,6 +146,23 @@ def test_offset_bearing_timestamp_converted_to_utc():
     assert r.timestamp_utc.isoformat() == "2026-06-01T12:00:00+00:00"
 
 
+@pytest.mark.parametrize(
+    "time_text, warns",
+    [
+        ("2026-06-01T12:00:00Z", False),
+        ("2026-06-01T14:00:00+02:00", False),
+        ("2026-06-01T07:00:00-05:00", False),
+        ("2026-06-01T12:00:00", True),
+    ],
+)
+def test_only_offset_free_timestamps_warn(time_text, warns, caplog):
+    text = event_xml([{"event_id": 4625, "time": time_text}])
+    with caplog.at_level(logging.WARNING, logger="pir.log_ingest"):
+        [r] = parse_event_xml(text, source="s")
+    assert r.timestamp_utc.isoformat() == "2026-06-01T12:00:00+00:00"
+    assert any("assumed UTC" in m for m in caplog.messages) == warns
+
+
 # --- CSV ----------------------------------------------------------------------
 
 
@@ -267,3 +289,43 @@ def test_placeholder_ip_normalized_to_none():
     assert events[0].source_ip is None
     assert events[1].source_ip == "10.1.2.3"
     assert events[1].logon_type is None
+
+
+# --- evidence sets ------------------------------------------------------------------
+
+
+def test_load_evidence_reads_each_format_in_order(tmp_path):
+    xml = tmp_path / "host.xml"
+    xml.write_text(event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z"}]))
+    csv_path = tmp_path / "flat.csv"
+    csv_path.write_text(flatten_to_csv([make_record(1, source="other")]))
+    evtx = tmp_path / "raw.evtx"
+    evtx.write_bytes(evtx_bytes(1, declared_chunks=2))
+    records, notes = load_evidence([xml, evtx, csv_path])
+    assert [r.record_ref for r in records] == ["host#1", "other#1"]
+    assert notes == [
+        "container raw.evtx: 1 chunk(s), 0 declared record(s); framing "
+        "validated, records not decoded",
+        "container raw.evtx: header declares 2 chunk(s) but 1 valid chunk "
+        "signature(s) found",
+    ]
+
+
+def test_load_evidence_rejects_missing_file_and_unknown_suffix(tmp_path):
+    with pytest.raises(ConfigInvalidError, match="not found"):
+        load_evidence([tmp_path / "absent.xml"])
+    odd = tmp_path / "events.json"
+    odd.write_text("[]")
+    with pytest.raises(ConfigInvalidError, match="unsupported evidence suffix"):
+        load_evidence([odd])
+
+
+def test_load_evidence_rejects_duplicate_record_refs(tmp_path):
+    xml = tmp_path / "host.xml"
+    xml.write_text(event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z"}]))
+    copy = tmp_path / "copy.csv"
+    copy.write_text(flatten_to_csv(parse_event_xml(xml.read_text(), source="host")))
+    with pytest.raises(DuplicateRecordRefError) as err:
+        load_evidence([xml, copy])
+    assert err.value.record_ref == "host#1"
+    assert str(xml) in str(err.value) and str(copy) in str(err.value)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from pir import orchestrator, policy_index, reporting
+from pir.canon import format_instant
 from pir.config import ReviewConfig
 from pir.errors import StageFailureError, StageOrderViolationError
 from pir.orchestrator import (
@@ -15,10 +17,11 @@ from pir.orchestrator import (
     run_stage,
     save_checkpoint,
     state_digest,
+    write_report_files,
 )
 from pir.scenario_gen import ScenarioSpec, generate
 
-from conftest import FIXTURES
+from conftest import FIXTURES, event_xml
 
 
 def fresh_state(config):
@@ -28,7 +31,6 @@ def fresh_state(config):
 def volatile_free(state):
     d = state.to_dict()
     d.pop("stage_log")
-    d.pop("report")
     d["transcripts"] = [dict(t, latency_ms=0) for t in d["transcripts"]]
     return d
 
@@ -96,7 +98,6 @@ def test_field_digests_expose_rewrites(demo_config):
     before = field_digests(state)
     after = field_digests(run_stage(state, "MapAttack", deps))
     assert after["records"] == before["records"]
-    assert after["auth_events"] == before["auth_events"]
     assert after["findings"] == before["findings"]
     assert after["mappings"] != before["mappings"]
 
@@ -222,6 +223,72 @@ def test_checkpoint_round_trip(demo_config):
     from pir.canon import canon_dumps
 
     assert canon_dumps(loaded.to_dict()) == canon_dumps(state.to_dict())
+
+
+def test_checkpoint_rederives_auth_events_and_report(fixture_config_raw, tmp_path):
+    # an extra 4625 without TargetUserName makes skipped_auth_records nonzero
+    extra = tmp_path / "nameless.xml"
+    extra.write_text(
+        event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z"}]),
+        encoding="utf-8",
+    )
+    raw = dict(
+        fixture_config_raw,
+        evidence_paths=[*fixture_config_raw["evidence_paths"], str(extra)],
+    )
+    config = ReviewConfig.from_dict(
+        raw,
+        FIXTURES,
+        overrides={"output_dir": str(tmp_path / "out"), "gateway_mode": "disabled"},
+    )
+    state = run_review(config)
+    assert state.skipped_auth_records == 1
+
+    path = config.output_dir / "state" / "GenerateReport.json"
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    assert "auth_events" not in saved
+    assert "skipped_auth_records" not in saved
+    assert "report" not in saved
+    assert saved["report_generated_at"] == format_instant(state.report.generated_at)
+
+    loaded = load_checkpoint(path)
+    assert loaded.auth_events == state.auth_events
+    assert loaded.skipped_auth_records == state.skipped_auth_records
+    assert loaded.report.to_dict() == state.report.to_dict()
+
+
+def test_earlier_checkpoint_renders_a_freshly_built_report(demo_config, tmp_path):
+    state = run_review(demo_config)
+    loaded = load_checkpoint(demo_config.output_dir / "state" / "ValidatePolicies.json")
+    assert loaded.report is None
+    assert loaded.auth_events == state.auth_events
+
+    json_path, md_path = write_report_files(loaded, tmp_path / "early")
+    doc = json.loads(json_path.read_text(encoding="utf-8"))
+    assert doc["incident_summary"] == ""
+    assert doc["trace_ledger"] == [r.to_dict() for r in state.report.trace_ledger]
+    assert "## Trace Ledger" in md_path.read_text(encoding="utf-8")
+
+
+def test_review_builds_report_and_index_once(demo_config, monkeypatch):
+    calls = {"build_report": 0, "build_index": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        reporting, "build_report", counted("build_report", reporting.build_report)
+    )
+    index_counter = counted("build_index", policy_index.build_index)
+    monkeypatch.setattr(policy_index, "build_index", index_counter)
+    monkeypatch.setattr(orchestrator, "build_index", index_counter)
+
+    run_review(demo_config)
+    assert calls == {"build_report": 1, "build_index": 1}
 
 
 def test_save_checkpoint_is_canonical(demo_config, tmp_path):

@@ -1,20 +1,21 @@
 import copy
 import json
+import re
+import shutil
 from datetime import timedelta
 
 import pytest
 
-from pir.canon import utc_now
+from pir.canon import sha256_hex, utc_now
 from pir.config import ReviewConfig
 from pir.errors import UnresolvedReferenceError
 from pir.llm_gateway import GroundingReport, Transcript
 from pir.orchestrator import run_review
 from pir.reporting import (
-    ReviewReport,
-    TraceRow,
     build_report,
     build_trace_ledger,
     collect_citations,
+    json_report_digest,
     render_json,
     render_markdown,
     report_digest,
@@ -83,11 +84,6 @@ def test_conclusion_without_references_is_rejected(state):
         build_trace_ledger(state)
 
 
-def test_trace_row_round_trips():
-    row = TraceRow("gap-001", "gap", ["src#1"], ["org:5-5"], "High")
-    assert TraceRow.from_dict(row.to_dict()) == row
-
-
 # --- narrative closure ---------------------------------------------------------------
 
 
@@ -139,17 +135,11 @@ def test_report_structure(state):
     assert report.to_dict()["schema_version"] == 1
 
 
-def test_report_round_trips_through_dict(state):
-    report = build_report(state, generated_at=utc_now())
-    clone = ReviewReport.from_dict(report.to_dict())
-    assert clone.to_dict() == report.to_dict()
-
-
 def test_render_json_is_deterministic_for_a_state(state):
     # the state carries a report (GenerateReport ran), so no fresh clock is read
     assert state.report is not None
-    assert render_json(state) == render_json(state)
-    assert render_json(state).endswith("\n")
+    assert render_json(state.report) == render_json(state.report)
+    assert render_json(state.report).endswith("\n")
 
 
 def test_report_digest_masks_the_clock(state):
@@ -164,7 +154,7 @@ def test_report_digest_masks_the_clock(state):
 
 
 def test_collect_citations_walks_structure_and_markers(state):
-    doc = json.loads(render_json(state))
+    doc = json.loads(render_json(state.report))
     refs, clauses = collect_citations(doc)
     [finding] = state.findings
     assert set(finding.evidence) <= set(refs)
@@ -188,7 +178,7 @@ def test_verify_citation_closure_reports_missing():
 
 
 def test_markdown_sections_in_fixed_order(state):
-    md = render_markdown(state)
+    md = render_markdown(state.report)
     positions = [
         md.index("## Incident Summary"),
         md.index("## Technique Attribution"),
@@ -211,7 +201,7 @@ def test_markdown_no_gap_statement(fixture_config_raw, tmp_path):
     )
     state = run_review(config)
     assert state.gaps == []
-    md = render_markdown(state)
+    md = render_markdown(state.report)
     assert "No policy gaps identified against baseline." in md
 
 
@@ -225,7 +215,39 @@ def test_markdown_lists_degradation_notes(fixture_config_raw, tmp_path):
         },
     )
     state = run_review(config)
-    md = render_markdown(state)
+    md = render_markdown(state.report)
     section = md.split("## Degradation Notes")[1]
     assert "gateway disabled" in section
     assert "None: no narrative fell back to deterministic text." not in section
+
+
+# --- pinned fixture outputs ---------------------------------------------------------------
+
+# Digests of the committed fixtures' reports, taken before the report was
+# built once per run and checkpoints stopped embedding it: report.json by
+# json_report_digest, report.md by sha256 with its Generated line masked.
+# The config digest (and so the run id) covers the config's own relative
+# paths, so the review runs on a copy of the fixtures with no overrides.
+PINNED_REPORTS = {
+    "review_config.json": (
+        "da84a007299b10fb9b6b693113a3b2a2527124ffb420993dfea693c8853d5676",
+        "5d603e90e5d1ba3dc2f82fff716cdfd5000890b89293220bd51c8039780d6c2e",
+    ),
+    "review_config_nogap.json": (
+        "d2d21b24869bbffcd3feba2174508f8723b8e19de38a1a54c84e8a80de640e54",
+        "e1d7ba9050386639e20dddbc7dcda33e89cf4eb72b8871a8c068688a302b0c50",
+    ),
+}
+
+
+@pytest.mark.parametrize("config_name", sorted(PINNED_REPORTS))
+def test_fixture_reports_match_pinned_digests(config_name, tmp_path):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    config = ReviewConfig.from_file(tmp_path / "fixtures" / config_name)
+    run_review(config)
+    report_json = (config.output_dir / "report.json").read_text(encoding="utf-8")
+    report_md = (config.output_dir / "report.md").read_text(encoding="utf-8")
+    masked_md = re.sub(r"^- Generated: .*$", "- Generated: <masked>", report_md, flags=re.M)
+    assert (json_report_digest(report_json), sha256_hex(masked_md)) == PINNED_REPORTS[
+        config_name
+    ]
