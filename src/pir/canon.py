@@ -1,9 +1,11 @@
 """Canonical serialization helpers shared across the pipeline.
 
-All digests, cache keys, and report bytes go through these functions so
-identical state always produces identical bytes: keys sorted, no
-insignificant whitespace, floats rounded to 6 decimals, UTF-8, and
-timestamps rendered as UTC ISO-8601 with a trailing ``Z``.
+All digests, cache keys, checkpoints and report bytes go through these
+functions so identical state always produces identical bytes: keys sorted,
+no insignificant whitespace, UTF-8, and timestamps rendered as UTC ISO-8601
+with a trailing ``Z``. Floats are written as given (Python's shortest
+round-tripping form); a computed float is rounded where it is serialised,
+as ``RetrievalHit.to_dict`` rounds BM25 scores to 6 decimals.
 """
 
 from __future__ import annotations
@@ -14,21 +16,9 @@ import re
 from datetime import datetime, timezone
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 6)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def canon_dumps(obj) -> str:
     """Serialize to the canonical JSON form used for digests and reports."""
-    return json.dumps(
-        _round_floats(obj), sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def sha256_hex(data: bytes | str) -> str:

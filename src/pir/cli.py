@@ -19,13 +19,8 @@ from .detection import detect_bruteforce
 from .errors import ConfigInvalidError, ReviewError, StageFailureError
 from .llm_gateway import GATEWAY_MODES
 from .log_ingest import flatten_to_csv, load_evidence, normalize_auth_events
-from .orchestrator import (
-    ingest_policy_file,
-    load_checkpoint,
-    run_review,
-    write_report_files,
-)
-from .policy_index import DOC_KIND_BASELINE, DOC_KIND_ORGANISATION, build_index
+from .orchestrator import load_checkpoint, run_review, write_report_files
+from .policy_index import build_index, load_policy_documents
 from .scenario_gen import ScenarioSpec, generate
 
 logger = logging.getLogger(__name__)
@@ -119,12 +114,8 @@ def cmd_index(args) -> int:
     config = _require_config(args)
     if not config.org_policy_paths and not config.baseline_policy_paths:
         raise ConfigInvalidError("config lists no policy documents to index")
-    documents = [
-        ingest_policy_file(p, DOC_KIND_ORGANISATION) for p in config.org_policy_paths
-    ]
-    documents.extend(
-        ingest_policy_file(p, DOC_KIND_BASELINE)
-        for p in config.baseline_policy_paths
+    documents = load_policy_documents(
+        config.org_policy_paths, config.baseline_policy_paths
     )
     index = build_index(documents)
     out_dir = _output_dir(args, config)

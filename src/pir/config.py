@@ -34,7 +34,6 @@ class ReviewConfig:
     cache_dir: Path = Path("llm_cache")
     catalog_path: Path | None = None
     refine_subtechniques: bool = False
-    summarize_findings: bool = True
     digest: str = ""
 
     @classmethod
@@ -97,7 +96,6 @@ class ReviewConfig:
                 else None
             ),
             refine_subtechniques=bool(effective.get("refine_subtechniques", False)),
-            summarize_findings=bool(effective.get("summarize_findings", True)),
             digest=digest_of(effective),
         )
         return config

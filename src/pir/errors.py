@@ -120,6 +120,11 @@ class StageOrderViolationError(ReviewError):
     """A stage was invoked before its predecessors completed."""
 
 
+class RecordsFileError(ReviewError):
+    """A checkpoint's records file is missing or does not match its
+    records_digest, or a state with records has no digest to save."""
+
+
 class StageFailureError(ReviewError):
     """A pipeline stage raised; carries the stage name, the cause, and the
     partial state accumulated up to the failure."""

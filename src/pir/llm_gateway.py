@@ -50,6 +50,7 @@ ENV_API_KEY = "PIR_LLM_API_KEY"
 ENV_MODEL = "PIR_LLM_MODEL"
 
 RETRY_BACKOFF_SECONDS = (1.0, 4.0)
+HTTP_TIMEOUT_SECONDS = 30.0
 
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 EVT_MARKER = re.compile(r"\[EVT:([^\]\s]+)\]")
@@ -73,23 +74,6 @@ class GenerationParams:
             raise ValueError(f"top_p must be in (0,1], got {self.top_p}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
-
-    def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "top_p": self.top_p,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenerationParams":
-        return cls(
-            model_id=d.get("model_id", "gpt-4o"),
-            temperature=float(d.get("temperature", 0.0)),
-            max_tokens=int(d.get("max_tokens", 1024)),
-            top_p=float(d.get("top_p", 1.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -400,8 +384,6 @@ class GatewaySettings:
     cache_dir: Path = Path("llm_cache")
     endpoint: str | None = None
     api_key: str | None = None
-    timeout_seconds: float = 30.0
-    max_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.mode not in GATEWAY_MODES:
@@ -476,9 +458,7 @@ class Gateway:
                     f"no endpoint configured; set {ENV_ENDPOINT}"
                 )
             transport = http_transport(
-                self.settings.endpoint,
-                self.settings.api_key,
-                self.settings.timeout_seconds,
+                self.settings.endpoint, self.settings.api_key, HTTP_TIMEOUT_SECONDS
             )
         p = self.settings.params
         request_body = {
@@ -489,11 +469,8 @@ class Gateway:
             "max_tokens": p.max_tokens,
         }
         last_error: Exception | None = None
-        for attempt in range(self.settings.max_retries + 1):
+        for attempt, delay in enumerate((0.0, *RETRY_BACKOFF_SECONDS)):
             if attempt > 0:
-                delay = RETRY_BACKOFF_SECONDS[
-                    min(attempt - 1, len(RETRY_BACKOFF_SECONDS) - 1)
-                ]
                 logger.warning(
                     "gateway retry %d after %.0f s: %s", attempt, delay, last_error
                 )
@@ -503,7 +480,7 @@ class Gateway:
             except TransientTransportError as exc:
                 last_error = exc
         raise GatewayUnavailableError(
-            f"gateway unavailable after {self.settings.max_retries} retries: "
+            f"gateway unavailable after {len(RETRY_BACKOFF_SECONDS)} retries: "
             f"{last_error}"
         )
 
@@ -568,7 +545,6 @@ class Gateway:
         record_refs,
         clause_ids,
         fallback: str,
-        require_markers: bool = True,
     ) -> NarrativeResult:
         """Grounded narration: model text is used only when every citation
         resolves; otherwise the deterministic fallback takes its place."""
@@ -580,12 +556,7 @@ class Gateway:
                 note=f"gateway disabled; deterministic {template_id} text used",
             )
         transcript = self.complete(template_id, bindings)
-        report = validate_grounding(
-            transcript.response,
-            record_refs,
-            clause_ids,
-            require_markers=require_markers,
-        )
+        report = validate_grounding(transcript.response, record_refs, clause_ids)
         transcript.grounding = report
         if report.passed:
             return NarrativeResult(

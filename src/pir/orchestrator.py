@@ -4,13 +4,16 @@ Stages run strictly in order: ProcessEvidence, MapAttack, RetrievePolicies,
 ValidatePolicies, GenerateReport. Each stage extends a copy of the incoming
 state and never rewrites fields owned by earlier stages; run_review persists
 a canonical JSON checkpoint after every stage under <output>/state/.
-A checkpoint stores each fact once: the auth events and the report are
-re-derived when it is loaded, which re-checks citation closure.
+A checkpoint stores each fact once. ProcessEvidence writes the records to
+state/records.json and every checkpoint names that file's sha256 as its
+records_digest; the auth events and the report are re-derived when a
+checkpoint is loaded, which re-checks citation closure.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -18,15 +21,11 @@ from pathlib import Path
 
 from . import reporting
 from .attack_catalog import Catalog, TechniqueMapping, justify_mapping, load_catalog, load_default_catalog, map_finding
-from .canon import canon_dumps, digest_of, format_instant, parse_instant, utc_now
+from .canon import canon_dumps, digest_of, format_instant, parse_instant, sha256_hex, utc_now
 from .config import ReviewConfig
-from .detection import (
-    BehaviorFinding,
-    detect_bruteforce,
-    fallback_summary,
-    narrative_for_finding,
-)
+from .detection import BehaviorFinding, detect_bruteforce, narrative_for_finding
 from .errors import (
+    RecordsFileError,
     ReviewError,
     StageFailureError,
     StageOrderViolationError,
@@ -42,7 +41,7 @@ from .gap_analysis import (
     load_default_rules,
     select_effective,
 )
-from .llm_gateway import Gateway, GatewaySettings, MODE_DISABLED, NarrativeResult, Transcript
+from .llm_gateway import Gateway, GatewaySettings, NarrativeResult, Transcript
 from .log_ingest import AuthEvent, EventRecord, load_evidence, normalize_auth_events
 from .policy_index import (
     DOC_KIND_BASELINE,
@@ -50,6 +49,7 @@ from .policy_index import (
     PolicyDocument,
     RetrievalHit,
     build_index,
+    load_policy_documents,
     retrieve,
     technique_query,
 )
@@ -67,6 +67,8 @@ STAGES = (
 STATUS_OK = "ok"
 STATUS_SKIPPED = "skipped"
 STATUS_FAILED = "failed"
+
+RECORDS_FILE = "records.json"
 
 
 @dataclass
@@ -104,6 +106,7 @@ class ReviewState:
     run_id: str
     config_digest: str
     records: list[EventRecord] = field(default_factory=list)
+    records_digest: str | None = None
     auth_events: list[AuthEvent] = field(default_factory=list)
     skipped_auth_records: int = 0
     findings: list[BehaviorFinding] = field(default_factory=list)
@@ -155,7 +158,7 @@ class ReviewState:
         return {
             "run_id": self.run_id,
             "config_digest": self.config_digest,
-            "records": [r.to_dict() for r in self.records],
+            "records_digest": self.records_digest,
             "findings": [f.to_dict() for f in self.findings],
             "finding_summaries": list(self.finding_summaries),
             "mappings": [m.to_dict() for m in self.mappings],
@@ -176,7 +179,8 @@ class ReviewState:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ReviewState":
+    def from_dict(cls, d: dict, records: list[EventRecord]) -> "ReviewState":
+        """Rebuild a state from a checkpoint dict and its records."""
         clause_by_id = {}
         docs = [PolicyDocument.from_dict(x) for x in d["policy_documents"]]
         for doc in docs:
@@ -191,12 +195,12 @@ class ReviewState:
                     rank=int(h["rank"]),
                 )
             )
-        records = [EventRecord.from_dict(x) for x in d["records"]]
         auth_events, skipped = normalize_auth_events(records)
         state = cls(
             run_id=d["run_id"],
             config_digest=d["config_digest"],
             records=records,
+            records_digest=d["records_digest"],
             auth_events=auth_events,
             skipped_auth_records=skipped,
             findings=[BehaviorFinding.from_dict(x) for x in d["findings"]],
@@ -284,6 +288,7 @@ def _stage_process_evidence(state: ReviewState, deps: StageDeps):
     config = deps.config
     records, notes = load_evidence(config.evidence_paths)
     state.records.extend(records)
+    state.records_digest = write_records(state.records, config.output_dir)
     state.notes.extend(notes)
 
     auth_events, skipped = normalize_auth_events(state.records)
@@ -300,12 +305,9 @@ def _stage_process_evidence(state: ReviewState, deps: StageDeps):
         state.notes.append("no qualifying behaviour detected in evidence")
 
     for finding in state.findings:
-        if config.summarize_findings:
-            result = narrative_for_finding(finding, deps.gateway)
-            state.finding_summaries.append(result.text)
-            _absorb(state, result)
-        else:
-            state.finding_summaries.append(fallback_summary(finding))
+        result = narrative_for_finding(finding, deps.gateway)
+        state.finding_summaries.append(result.text)
+        _absorb(state, result)
     return STATUS_OK, None
 
 
@@ -328,13 +330,9 @@ def _stage_map_attack(state: ReviewState, deps: StageDeps):
 
 def _stage_retrieve_policies(state: ReviewState, deps: StageDeps):
     config = deps.config
-    for path in config.org_policy_paths:
-        state.policy_documents.append(
-            ingest_policy_file(path, DOC_KIND_ORGANISATION)
-        )
-    for path in config.baseline_policy_paths:
-        state.policy_documents.append(ingest_policy_file(path, DOC_KIND_BASELINE))
-
+    state.policy_documents.extend(
+        load_policy_documents(config.org_policy_paths, config.baseline_policy_paths)
+    )
     index = build_index(state.policy_documents)
     index_path = state_dir(config.output_dir) / "policy_index.json"
     index_path.write_text(index.to_json(), encoding="utf-8")
@@ -439,12 +437,6 @@ def _stage_generate_report(state: ReviewState, deps: StageDeps):
     return STATUS_OK, None
 
 
-def ingest_policy_file(path: Path, kind: str) -> PolicyDocument:
-    from .policy_index import ingest_document
-
-    return ingest_document(path.stem, kind, path.read_text(encoding="utf-8"))
-
-
 _STAGE_FUNCS = {
     "ProcessEvidence": _stage_process_evidence,
     "MapAttack": _stage_map_attack,
@@ -497,22 +489,46 @@ def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
 
 
 def state_dir(output_dir: Path) -> Path:
-    """<output>/state, created on first use; holds checkpoints and the index."""
+    """<output>/state, created on first use; holds the checkpoints, the
+    records and the index."""
     path = output_dir / "state"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
+def write_records(records: list[EventRecord], output_dir: Path) -> str:
+    """Write the records as canonical JSON to <output>/state/records.json;
+    returns the sha256 of the bytes written."""
+    data = (canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
+    (state_dir(output_dir) / RECORDS_FILE).write_bytes(data)
+    return sha256_hex(data)
+
+
 def save_checkpoint(state: ReviewState, output_dir: Path, stage: str) -> Path:
+    if state.records and state.records_digest is None:
+        raise RecordsFileError(f"{stage}: the state holds records but no records_digest")
     path = state_dir(output_dir) / f"{stage}.json"
     path.write_text(canon_dumps(state.to_dict()) + "\n", encoding="utf-8")
     return path
 
 
 def load_checkpoint(path: Path) -> ReviewState:
-    import json
-
-    return ReviewState.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Load a checkpoint with the records.json beside it, which must match
+    the checkpoint's records_digest."""
+    path = Path(path)
+    d = json.loads(path.read_text(encoding="utf-8"))
+    records = []
+    if d["records_digest"]:
+        records_path = path.parent / RECORDS_FILE
+        if not records_path.is_file():
+            raise RecordsFileError(f"records file not found: {records_path}")
+        data = records_path.read_bytes()
+        if sha256_hex(data) != d["records_digest"]:
+            raise RecordsFileError(
+                f"{records_path} does not match the checkpoint's records_digest"
+            )
+        records = [EventRecord.from_dict(x) for x in json.loads(data)]
+    return ReviewState.from_dict(d, records)
 
 
 def run_review(config: ReviewConfig, transport=None) -> ReviewState:

@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 from .canon import sha256_hex
 from .errors import ConfigInvalidError, EmptyDocumentError, EmptyQueryError
@@ -124,7 +125,7 @@ class RetrievalHit:
         return {
             "clause_id": self.clause.clause_id,
             "doc_id": self.clause.doc_id,
-            "score": self.score,
+            "score": round(self.score, 6),
             "rank": self.rank,
         }
 
@@ -204,6 +205,25 @@ def ingest_document(doc_id: str, kind: str, text: str) -> PolicyDocument:
         clauses=clauses,
         source_digest=sha256_hex(text),
     )
+
+
+def load_policy_documents(
+    org_paths: list[Path], baseline_paths: list[Path]
+) -> list[PolicyDocument]:
+    """Ingest the organisation files, then the baseline files; each file's
+    stem is its doc_id. Raises ConfigInvalidError for a missing file."""
+    documents = []
+    for kind, paths in (
+        (DOC_KIND_ORGANISATION, org_paths),
+        (DOC_KIND_BASELINE, baseline_paths),
+    ):
+        for path in paths:
+            if not path.is_file():
+                raise ConfigInvalidError(f"policy path not found: {path}")
+            documents.append(
+                ingest_document(path.stem, kind, path.read_text(encoding="utf-8"))
+            )
+    return documents
 
 
 class Index:

@@ -105,14 +105,6 @@ class ReviewReport:
         }
 
 
-def conclusion_ids(state: "ReviewState") -> dict[str, list[str]]:
-    return {
-        KIND_FINDING: [f"finding-{i + 1:03d}" for i in range(len(state.findings))],
-        KIND_MAPPING: [f"mapping-{i + 1:03d}" for i in range(len(state.mappings))],
-        KIND_GAP: [f"gap-{i + 1:03d}" for i in range(len(state.gaps))],
-    }
-
-
 def build_trace_ledger(state: "ReviewState") -> list[TraceRow]:
     """One row per finding, mapping, and gap; every reference must resolve.
 

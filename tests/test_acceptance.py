@@ -127,7 +127,7 @@ def test_criterion_3_replay_determinism(tmp_path, criterion):
 # --- 4. grounding enforcement ---------------------------------------------------------
 
 
-def test_criterion_4_grounding_enforcement(tmp_path, criterion):
+def test_criterion_4_grounding_enforcement(tmp_path, capfd, criterion):
     from pir.cli import main
 
     with criterion(4, "fabricated citations degrade or fail loudly"):
@@ -144,12 +144,14 @@ def test_criterion_4_grounding_enforcement(tmp_path, criterion):
         assert state.degradation_notes
         assert (tmp_path / "bad" / "report.json").is_file()
 
-        # (b) fabrication inside state itself: nonzero exit, no report
+        # (b) fabrication inside state itself: nonzero exit, no report; the
+        # poisoned copy sits beside the records.json its checkpoint names
         checkpoint = tmp_path / "bad" / "state" / "GenerateReport.json"
         doc = json.loads(checkpoint.read_text(encoding="utf-8"))
         doc["gaps"][0]["evidence_clauses"].append("org_policy:99-99")
-        poisoned = tmp_path / "poisoned.json"
+        poisoned = tmp_path / "bad" / "state" / "poisoned.json"
         poisoned.write_text(json.dumps(doc), encoding="utf-8")
+        capfd.readouterr()
         code = main(
             [
                 "render",
@@ -161,6 +163,9 @@ def test_criterion_4_grounding_enforcement(tmp_path, criterion):
         )
         assert code != 0
         assert not (tmp_path / "rendered" / "report.json").exists()
+        err = capfd.readouterr().err
+        assert "UnresolvedReferenceError" in err
+        assert "org_policy:99-99" in err
 
 
 # --- 5. citation closure ---------------------------------------------------------------

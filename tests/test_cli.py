@@ -265,6 +265,34 @@ def test_render_reproduces_review_outputs(tmp_path, capsys):
     assert (rerender / "report.md").read_bytes() == original_md
 
 
+@pytest.mark.parametrize("damage", ["missing", "edited"])
+def test_render_fails_closed_without_its_records(tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+    assert code == 0
+    records = out / "state" / "records.json"
+    if damage == "missing":
+        records.unlink()
+    else:
+        data = records.read_bytes()
+        assert b'"event_id":4625' in data
+        records.write_bytes(data.replace(b'"event_id":4625', b'"event_id":4624', 1))
+
+    rendered = tmp_path / "rendered"
+    code, _out, err = run_cli(
+        capsys,
+        "render",
+        "--state",
+        str(out / "state" / "GenerateReport.json"),
+        "--output",
+        str(rendered),
+    )
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "RecordsFileError"
+    assert not (rendered / "report.json").exists()
+    assert not (rendered / "report.md").exists()
+
+
 def test_render_without_inputs_exits_3(capsys):
     code, _out, err = run_cli(capsys, "render")
     assert code == 3

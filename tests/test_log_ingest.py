@@ -1,6 +1,11 @@
 import logging
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from pir.detection import DetectorParams, detect_bruteforce
 
 from pir.errors import (
     ConfigInvalidError,
@@ -18,6 +23,7 @@ from pir.log_ingest import (
     parse_event_xml,
     validate_evtx_container,
 )
+from pir.scenario_gen import ScenarioSpec, generate
 
 from conftest import evtx_bytes, event_xml, make_record
 
@@ -329,3 +335,35 @@ def test_load_evidence_rejects_duplicate_record_refs(tmp_path):
         load_evidence([xml, copy])
     assert err.value.record_ref == "host#1"
     assert str(xml) in str(err.value) and str(copy) in str(err.value)
+
+
+def _findings(records):
+    events, _skipped = normalize_auth_events(records)
+    return [f.to_dict() for f in detect_bruteforce(events, DetectorParams())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    noise=st.integers(0, 30),
+    cut_fraction=st.floats(0.0, 1.0),
+)
+def test_a_stream_split_into_two_csv_files_loads_as_one(seed, noise, cut_fraction):
+    spec = ScenarioSpec(seed=seed, noise_events=noise, noise_accounts=("jdoe", "svc"))
+    xml, _truth = generate(spec, source_name="host")
+    whole = parse_event_xml(xml, source="host")
+    cut = round(cut_fraction * len(whole))
+    with tempfile.TemporaryDirectory() as tmp:
+        xml_path, head, tail = Path(tmp, "host.xml"), Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        xml_path.write_text(xml, encoding="utf-8")
+        head.write_text(flatten_to_csv(whole[:cut]), encoding="utf-8")
+        tail.write_text(flatten_to_csv(whole[cut:]), encoding="utf-8")
+
+        records, _notes = load_evidence([head, tail])
+        assert records == whole
+        findings = _findings(whole)
+        assert findings and _findings(records) == findings
+
+        # the XML and any non-empty part of its CSV name the same refs
+        with pytest.raises(DuplicateRecordRefError):
+            load_evidence([xml_path, head if cut else tail])

@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 
 from pir import orchestrator, policy_index, reporting
-from pir.canon import format_instant
+from pir.canon import digest_of, format_instant, sha256_hex
 from pir.config import ReviewConfig
-from pir.errors import StageFailureError, StageOrderViolationError
+from pir.errors import RecordsFileError, StageFailureError, StageOrderViolationError
 from pir.orchestrator import (
     STAGES,
     ReviewState,
@@ -21,7 +22,7 @@ from pir.orchestrator import (
 )
 from pir.scenario_gen import ScenarioSpec, generate
 
-from conftest import FIXTURES, event_xml
+from conftest import FIXTURES, event_xml, make_record
 
 
 def fresh_state(config):
@@ -97,7 +98,7 @@ def test_field_digests_expose_rewrites(demo_config):
     state = run_stage(fresh_state(demo_config), "ProcessEvidence", deps)
     before = field_digests(state)
     after = field_digests(run_stage(state, "MapAttack", deps))
-    assert after["records"] == before["records"]
+    assert after["records_digest"] == before["records_digest"]
     assert after["findings"] == before["findings"]
     assert after["mappings"] != before["mappings"]
 
@@ -289,6 +290,47 @@ def test_review_builds_report_and_index_once(demo_config, monkeypatch):
 
     run_review(demo_config)
     assert calls == {"build_report": 1, "build_index": 1}
+
+
+def test_records_are_stored_once_in_records_json(demo_config):
+    state = run_review(demo_config)
+    state_dir = demo_config.output_dir / "state"
+    texts = {p.name: p.read_text(encoding="utf-8") for p in state_dir.iterdir()}
+    assert sorted(texts) == sorted(
+        [*(f"{stage}.json" for stage in STAGES), "policy_index.json", "records.json"]
+    )
+    records_text = texts.pop("records.json")
+    digest = sha256_hex(records_text.encode("utf-8"))
+    assert json.loads(records_text) == [r.to_dict() for r in state.records]
+
+    # checkpoints name the records file by digest and cite refs, never records
+    cited = {ref for f in state.findings for ref in f.evidence}
+    cited.update(f.success_record for f in state.findings if f.success_record)
+    assert state.record_refs() - cited  # some records are cited nowhere
+    for stage in STAGES:
+        saved = json.loads(texts[f"{stage}.json"])
+        assert "records" not in saved
+        assert saved["records_digest"] == digest
+    for name, text in texts.items():
+        assert set(re.findall(r"[\w.-]+#\d+", text)) <= cited, name
+
+
+def test_checkpoint_of_records_without_digest_is_refused(demo_config, tmp_path):
+    state = fresh_state(demo_config)
+    state.records.append(make_record(1))
+    with pytest.raises(RecordsFileError, match="no records_digest"):
+        save_checkpoint(state, tmp_path, "ProcessEvidence")
+    assert not (tmp_path / "state" / "ProcessEvidence.json").exists()
+
+
+def test_retrieval_serialises_to_pinned_bytes(demo_config):
+    # Taken when canon_dumps still rounded every float it met; the BM25
+    # scores are now rounded in RetrievalHit.to_dict alone.
+    pinned = "e352787ffaeb62ce5e7210e1bd7f38bd00c818dee21d24e930dadd338039efe8"
+    state = run_review(demo_config)
+    assert digest_of(state.to_dict()["retrieval"]) == pinned
+    loaded = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
+    assert digest_of(loaded.to_dict()["retrieval"]) == pinned
 
 
 def test_save_checkpoint_is_canonical(demo_config, tmp_path):

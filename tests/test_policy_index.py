@@ -13,6 +13,7 @@ from pir.policy_index import (
     Index,
     build_index,
     ingest_document,
+    load_policy_documents,
     retrieve,
     technique_query,
     tokenize,
@@ -77,6 +78,19 @@ def test_whitespace_only_document_rejected():
 def test_unknown_document_kind_rejected():
     with pytest.raises(ConfigInvalidError):
         ingest_document("pol", "Vendor", "Some text.\n")
+
+
+def test_load_policy_documents_reads_org_then_baseline(tmp_path):
+    (tmp_path / "base.md").write_text("# Baseline\n\nLockout after 5 attempts.\n")
+    (tmp_path / "org.txt").write_text("Lockout after 10 attempts.\n")
+    docs = load_policy_documents([tmp_path / "org.txt"], [tmp_path / "base.md"])
+    assert [(d.doc_id, d.kind) for d in docs] == [
+        ("org", DOC_KIND_ORGANISATION),
+        ("base", DOC_KIND_BASELINE),
+    ]
+    assert docs[1].clauses[0].clause_id == "base:3-3"
+    with pytest.raises(ConfigInvalidError, match="not found"):
+        load_policy_documents([tmp_path / "absent.md"], [])
 
 
 _WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=2, max_size=8)
