@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 
 import pytest
 
@@ -8,6 +9,7 @@ from pir.canon import digest_of, format_instant, sha256_hex
 from pir.config import ReviewConfig
 from pir.errors import RecordsFileError, StageFailureError, StageOrderViolationError
 from pir.orchestrator import (
+    RECORDS_FILE,
     STAGES,
     ReviewState,
     build_deps,
@@ -331,6 +333,85 @@ def test_retrieval_serialises_to_pinned_bytes(demo_config):
     assert digest_of(state.to_dict()["retrieval"]) == pinned
     loaded = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
     assert digest_of(loaded.to_dict()["retrieval"]) == pinned
+
+
+# Digests of the state/ files a review of the committed fixtures writes, taken
+# before the record types shared one codec: records.json and policy_index.json
+# by sha256 of their bytes, each <Stage>.json by digest_of its JSON with the
+# stage clock and report_generated_at masked. The review runs on a copy of the
+# fixtures with no overrides, as test_fixture_reports_match_pinned_digests does.
+PINNED_STATE_FILES = {
+    "review_config.json": {
+        "records.json": (
+            "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
+        ),
+        "policy_index.json": (
+            "39093e7df4c8a4710adfba82e9b4dae0c4b0deef363556046734fcc4510c3760"
+        ),
+        "ProcessEvidence.json": (
+            "0ec90b21109b0f3a6f3a61bb35f5c7939ac8a54d5fd325d535277e57f3fdc5b5"
+        ),
+        "MapAttack.json": (
+            "034bde28a225ea195d1060c369f83b03f87e469ac3af696cd2b339ef86cbb020"
+        ),
+        "RetrievePolicies.json": (
+            "c15afe2a84d4d749f374443cabb35d428d2992feb99a430c0a45be1fdb5510da"
+        ),
+        "ValidatePolicies.json": (
+            "6aa66d57d85194dd10e07dac0608ccc18938c8d34f1baf72cff6665758002090"
+        ),
+        "GenerateReport.json": (
+            "6a025f15194fac09636a04339bf988e4e802c69859a0764c13b93534ce05726f"
+        ),
+    },
+    "review_config_nogap.json": {
+        "records.json": (
+            "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
+        ),
+        "policy_index.json": (
+            "cc22ae79a59c90ebb631d2a6f0664d4c849fa69c3576c5aa8f8d3c7c2cb38bcb"
+        ),
+        "ProcessEvidence.json": (
+            "6c967d32d92d24491e87f2972fa27f0636eab569d9fa8c8530bcdb0e2519b5b0"
+        ),
+        "MapAttack.json": (
+            "b2453d89bf609ac153a88d2aa222ba379e4eeae71a258ffd578f6519dd9df49d"
+        ),
+        "RetrievePolicies.json": (
+            "c580bb729244bfc8c11d682ccb1b4b43a118fa84cad219068e33d92442397d5f"
+        ),
+        "ValidatePolicies.json": (
+            "4ed513fd0130a1cb1fb5fff295f433332629f4150b874b338ebd6a2fea5449c5"
+        ),
+        "GenerateReport.json": (
+            "5497197600bd2b14234298be903d56ecdf36f34532684ba0154e1de6d37a4193"
+        ),
+    },
+}
+
+
+def masked_checkpoint_digest(text: str) -> str:
+    d = json.loads(text)
+    for entry in d["stage_log"]:
+        entry["started"] = entry["finished"] = None
+    d["report_generated_at"] = None
+    return digest_of(d)
+
+
+@pytest.mark.parametrize("config_name", sorted(PINNED_STATE_FILES))
+def test_fixture_state_files_match_pinned_digests(config_name, tmp_path):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    config = ReviewConfig.from_file(tmp_path / "fixtures" / config_name)
+    run_review(config)
+    state_dir = config.output_dir / "state"
+    digests = {
+        name: sha256_hex((state_dir / name).read_bytes())
+        for name in (RECORDS_FILE, "policy_index.json")
+    }
+    for stage in STAGES:
+        text = (state_dir / f"{stage}.json").read_text(encoding="utf-8")
+        digests[f"{stage}.json"] = masked_checkpoint_digest(text)
+    assert digests == PINNED_STATE_FILES[config_name]
 
 
 def test_save_checkpoint_is_canonical(demo_config, tmp_path):
