@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .canon import format_instant
+from .canon import Canonical, format_instant
 from .errors import CatalogMissingTechniqueError, CatalogSchemaError
 
 if TYPE_CHECKING:
@@ -35,18 +35,9 @@ class TechniqueEntry:
     description: str
     indicator_tags: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "technique_id": self.technique_id,
-            "name": self.name,
-            "tactic": self.tactic,
-            "description": self.description,
-            "indicator_tags": list(self.indicator_tags),
-        }
-
 
 @dataclass
-class TechniqueMapping:
+class TechniqueMapping(Canonical):
     finding_ref: int
     technique_id: str
     technique_name: str
@@ -54,29 +45,6 @@ class TechniqueMapping:
     rationale: str
     evidence: list[str]
     deterministic: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "finding_ref": self.finding_ref,
-            "technique_id": self.technique_id,
-            "technique_name": self.technique_name,
-            "tactic": self.tactic,
-            "rationale": self.rationale,
-            "evidence": list(self.evidence),
-            "deterministic": self.deterministic,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TechniqueMapping":
-        return cls(
-            finding_ref=int(d["finding_ref"]),
-            technique_id=d["technique_id"],
-            technique_name=d["technique_name"],
-            tactic=d["tactic"],
-            rationale=d["rationale"],
-            evidence=list(d["evidence"]),
-            deterministic=bool(d["deterministic"]),
-        )
 
 
 class Catalog:

@@ -1,4 +1,4 @@
-"""Canonical serialization helpers shared across the pipeline.
+"""Canonical serialization shared across the pipeline.
 
 All digests, cache keys, checkpoints and report bytes go through these
 functions so identical state always produces identical bytes: keys sorted,
@@ -6,13 +6,38 @@ no insignificant whitespace, UTF-8, and timestamps rendered as UTC ISO-8601
 with a trailing ``Z``. Floats are written as given (Python's shortest
 round-tripping form); a computed float is rounded where it is serialised,
 as ``RetrievalHit.to_dict`` rounds BM25 scores to 6 decimals.
+
+Record types written to JSON inherit :class:`Canonical`, whose
+``to_dict``/``from_dict`` follow from the dataclass fields and their type
+hints; ``RetrievalHit``, ``Index`` and ``ReviewState`` keep their own code,
+and ``ReviewState`` uses :func:`encode_fields`/:func:`decode_fields` for the
+fields it stores unchanged. A record's JSON form is an object with one key
+per field, named as the field, and each value is converted by its type:
+
+* ``datetime`` goes through :func:`format_instant` / :func:`parse_instant`,
+* a nested record uses its own ``to_dict`` / ``from_dict``,
+* ``list[T]`` converts each item by ``T``; ``tuple[T, ...]`` is written as a
+  list and read back as a tuple,
+* ``X | None`` writes and reads ``None`` as ``null`` and converts other values
+  by ``X``,
+* anything else (str, int, float, bool, plain dicts, other unions) is taken
+  as JSON holds it.
+
+``from_dict`` converts what needs it and calls the class with the rest as
+keyword arguments, so an unknown key, or a missing key whose field has no
+default, raises TypeError. The dict ``to_dict`` returns shares unconverted
+values (lists, dicts) with the record and must not be mutated in place.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import re
+import types
+import typing
 from datetime import datetime, timezone
 
 
@@ -70,3 +95,72 @@ def format_instant(dt: datetime) -> str:
 
 def utc_now() -> datetime:
     return datetime.now(timezone.utc).replace(microsecond=0)
+
+
+# --- record codec -------------------------------------------------------------
+
+
+def _converters(tp) -> tuple | None:
+    """(encode, decode) for values of type ``tp``, or None when JSON holds
+    them as they are."""
+    origin = typing.get_origin(tp)
+    args = typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        inner = [a for a in args if a is not type(None)]
+        return _converters(inner[0]) if len(inner) == 1 else None
+    if tp is datetime:
+        return format_instant, parse_instant
+    if isinstance(tp, type) and issubclass(tp, Canonical):
+        return tp.to_dict, tp.from_dict
+    if origin in (list, tuple):
+        item = _converters(args[0])
+        if item is None:
+            return (list, tuple) if origin is tuple else None
+        encode, decode = item
+        return (lambda v: [encode(x) for x in v]), (lambda v: origin(map(decode, v)))
+    return None
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, typing.Callable, typing.Callable], ...]:
+    """(field, encode, decode) for each field of ``cls`` that JSON cannot hold
+    as it is. Worked out on first use, when every module it names is loaded."""
+    hints = typing.get_type_hints(cls)
+    plan = []
+    for f in dataclasses.fields(cls):
+        conv = _converters(hints[f.name])
+        if conv is not None:
+            plan.append((f.name, *conv))
+    return tuple(plan)
+
+
+def encode_fields(cls: type, d: dict) -> dict:
+    """Convert in place the values in ``d`` of the fields of ``cls`` that
+    need it; keys that are not fields, or are missing, are left alone."""
+    for name, encode, _ in _plan(cls):
+        value = d.get(name)
+        if value is not None:
+            d[name] = encode(value)
+    return d
+
+
+def decode_fields(cls: type, d: dict) -> dict:
+    """Inverse of :func:`encode_fields`, on a copy of ``d``."""
+    d = dict(d)
+    for name, _, decode in _plan(cls):
+        value = d.get(name)
+        if value is not None:
+            d[name] = decode(value)
+    return d
+
+
+class Canonical:
+    """Mixin for dataclasses: the JSON form follows from the fields (see the
+    module docstring)."""
+
+    def to_dict(self) -> dict:
+        return encode_fields(type(self), self.__dict__.copy())
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**decode_fields(cls, d))

@@ -20,6 +20,22 @@ from .llm_gateway import ENV_MODEL, GATEWAY_MODES, MODE_REPLAY, GenerationParams
 EVIDENCE_SUFFIXES = (".evtx", ".xml", ".csv")
 POLICY_SUFFIXES = (".md", ".txt")
 
+CONFIG_KEYS = frozenset(
+    {
+        "evidence_paths",
+        "org_policy_paths",
+        "baseline_policy_paths",
+        "output_dir",
+        "detector",
+        "retrieval_k",
+        "gateway_mode",
+        "gateway",
+        "catalog_path",
+        "refine_subtechniques",
+    }
+)
+GATEWAY_KEYS = frozenset({"model_id", "temperature", "max_tokens", "top_p", "cache_dir"})
+
 
 @dataclass
 class ReviewConfig:
@@ -41,7 +57,10 @@ class ReviewConfig:
         cls, raw: dict, base_dir: Path, overrides: dict | None = None
     ) -> "ReviewConfig":
         """Build a config from parsed JSON; ``overrides`` maps field names
-        (output_dir, gateway_mode) to values that win over the file."""
+        (output_dir, gateway_mode) to values that win over the file.
+
+        Raises ConfigInvalidError naming any unknown key, top-level or under
+        ``gateway`` or ``detector``."""
         effective = dict(raw)
         for key, value in (overrides or {}).items():
             if value is not None:
@@ -60,6 +79,10 @@ class ReviewConfig:
         gw = effective.get("gateway", {})
         if not isinstance(gw, dict):
             raise ConfigInvalidError("config field 'gateway' must be an object")
+        unknown = sorted(effective.keys() - CONFIG_KEYS)
+        unknown += sorted(f"gateway.{k}" for k in gw.keys() - GATEWAY_KEYS)
+        if unknown:
+            raise ConfigInvalidError(f"unknown config key(s): {', '.join(unknown)}")
         model_id = gw.get("model_id") or os.environ.get(ENV_MODEL) or "gpt-4o"
         try:
             detector = DetectorParams.from_dict(effective.get("detector", {}))
@@ -72,7 +95,7 @@ class ReviewConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigInvalidError(f"invalid parameter in config: {exc}") from exc
 
-        mode = effective.get("gateway_mode") or gw.get("mode", MODE_REPLAY)
+        mode = effective.get("gateway_mode") or MODE_REPLAY
         output = effective.get("output_dir")
         if not output:
             raise ConfigInvalidError("config requires output_dir")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import TYPE_CHECKING
 
-from .canon import format_instant, parse_instant
+from .canon import Canonical, format_instant
 from .errors import UnsortedInputError
 from .log_ingest import AuthEvent
 
@@ -32,7 +32,7 @@ _US = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(Canonical):
     """Detection thresholds; the defaults follow common lockout-policy
     conventions and are configuration, not ground truth."""
 
@@ -42,6 +42,14 @@ class DetectorParams:
     success_grace_seconds: int = 60
 
     def __post_init__(self) -> None:
+        for name in ("min_failures", "window_seconds", "success_grace_seconds"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.require_success, bool):
+            raise TypeError(
+                f"require_success must be true or false, got {self.require_success!r}"
+            )
         if self.min_failures < 2:
             raise ValueError(f"min_failures must be >= 2, got {self.min_failures}")
         if self.window_seconds < 1:
@@ -51,26 +59,9 @@ class DetectorParams:
                 f"success_grace_seconds must be >= 1, got {self.success_grace_seconds}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "min_failures": self.min_failures,
-            "window_seconds": self.window_seconds,
-            "require_success": self.require_success,
-            "success_grace_seconds": self.success_grace_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorParams":
-        return cls(
-            min_failures=int(d.get("min_failures", 5)),
-            window_seconds=int(d.get("window_seconds", 120)),
-            require_success=bool(d.get("require_success", False)),
-            success_grace_seconds=int(d.get("success_grace_seconds", 60)),
-        )
-
 
 @dataclass
-class BehaviorFinding:
+class BehaviorFinding(Canonical):
     """One suspected brute-force episode with its citable evidence.
 
     ``evidence`` lists the counted Failure records only; the triggering
@@ -87,33 +78,6 @@ class BehaviorFinding:
     evidence: list[str]
     params_used: DetectorParams
     distinct_source_ips: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "account": self.account,
-            "window_start": format_instant(self.window_start),
-            "window_end": format_instant(self.window_end),
-            "failure_count": self.failure_count,
-            "success_record": self.success_record,
-            "evidence": list(self.evidence),
-            "params_used": self.params_used.to_dict(),
-            "distinct_source_ips": self.distinct_source_ips,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BehaviorFinding":
-        return cls(
-            kind=d["kind"],
-            account=d["account"],
-            window_start=parse_instant(d["window_start"]),
-            window_end=parse_instant(d["window_end"]),
-            failure_count=int(d["failure_count"]),
-            success_record=d.get("success_record"),
-            evidence=list(d["evidence"]),
-            params_used=DetectorParams.from_dict(d["params_used"]),
-            distinct_source_ips=int(d["distinct_source_ips"]),
-        )
 
 
 def _check_sorted(events: list[AuthEvent]) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
+from .canon import Canonical
 from .errors import ConfigInvalidError, NoBaselineError
 from .policy_index import PolicyClause
 
@@ -110,7 +111,7 @@ _BOOLEAN_PATTERNS: dict[str, tuple[re.Pattern[str], re.Pattern[str]]] = {
 
 
 @dataclass
-class ControlParameter:
+class ControlParameter(Canonical):
     control: str
     value: int | float | bool
     unit: str
@@ -125,28 +126,9 @@ class ControlParameter:
         if not self.unit:
             raise ValueError(f"numeric control {self.control} requires a unit")
 
-    def to_dict(self) -> dict:
-        return {
-            "control": self.control,
-            "value": self.value,
-            "unit": self.unit,
-            "clause_ref": self.clause_ref,
-            "extraction": self.extraction,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ControlParameter":
-        return cls(
-            control=d["control"],
-            value=d["value"],
-            unit=d["unit"],
-            clause_ref=d["clause_ref"],
-            extraction=d["extraction"],
-        )
-
 
 @dataclass
-class PolicyGap:
+class PolicyGap(Canonical):
     control: str
     technique_id: str
     org_value: ControlParameter | None
@@ -158,45 +140,6 @@ class PolicyGap:
     remediation: str
     evidence_events: list[str]
     evidence_clauses: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "control": self.control,
-            "technique_id": self.technique_id,
-            "org_value": self.org_value.to_dict() if self.org_value else None,
-            "baseline_value": (
-                self.baseline_value.to_dict() if self.baseline_value else None
-            ),
-            "gap_kind": self.gap_kind,
-            "severity": self.severity,
-            "confidence": self.confidence,
-            "rationale": self.rationale,
-            "remediation": self.remediation,
-            "evidence_events": list(self.evidence_events),
-            "evidence_clauses": list(self.evidence_clauses),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyGap":
-        return cls(
-            control=d["control"],
-            technique_id=d["technique_id"],
-            org_value=(
-                ControlParameter.from_dict(d["org_value"]) if d["org_value"] else None
-            ),
-            baseline_value=(
-                ControlParameter.from_dict(d["baseline_value"])
-                if d["baseline_value"]
-                else None
-            ),
-            gap_kind=d["gap_kind"],
-            severity=d["severity"],
-            confidence=d.get("confidence"),
-            rationale=d["rationale"],
-            remediation=d["remediation"],
-            evidence_events=list(d["evidence_events"]),
-            evidence_clauses=list(d["evidence_clauses"]),
-        )
 
 
 @dataclass(frozen=True)

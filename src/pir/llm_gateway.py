@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .canon import canon_dumps, sha256_hex
+from .canon import Canonical, canon_dumps, sha256_hex
 from .errors import (
     ConfigInvalidError,
     GatewayDisabledError,
@@ -212,28 +212,11 @@ TEMPLATES: dict[str, PromptTemplate] = {
 
 
 @dataclass
-class GroundingReport:
+class GroundingReport(Canonical):
     markers_found: list[str]
     resolved: list[str]
     unresolved: list[str]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "markers_found": list(self.markers_found),
-            "resolved": list(self.resolved),
-            "unresolved": list(self.unresolved),
-            "passed": self.passed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundingReport":
-        return cls(
-            markers_found=list(d["markers_found"]),
-            resolved=list(d["resolved"]),
-            unresolved=list(d["unresolved"]),
-            passed=bool(d["passed"]),
-        )
 
 
 def validate_grounding(
@@ -264,7 +247,7 @@ def validate_grounding(
 
 
 @dataclass
-class Transcript:
+class Transcript(Canonical):
     transcript_id: str
     stage: str
     template_id: str
@@ -274,35 +257,6 @@ class Transcript:
     grounding: GroundingReport | None = None
     degraded: bool = False
     latency_ms: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "transcript_id": self.transcript_id,
-            "stage": self.stage,
-            "template_id": self.template_id,
-            "rendered_prompt": self.rendered_prompt,
-            "response": self.response,
-            "mode": self.mode,
-            "grounding": self.grounding.to_dict() if self.grounding else None,
-            "degraded": self.degraded,
-            "latency_ms": self.latency_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Transcript":
-        return cls(
-            transcript_id=d["transcript_id"],
-            stage=d["stage"],
-            template_id=d["template_id"],
-            rendered_prompt=d["rendered_prompt"],
-            response=d["response"],
-            mode=d["mode"],
-            grounding=(
-                GroundingReport.from_dict(d["grounding"]) if d["grounding"] else None
-            ),
-            degraded=bool(d["degraded"]),
-            latency_ms=int(d["latency_ms"]),
-        )
 
 
 @dataclass

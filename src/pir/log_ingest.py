@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
-from .canon import format_instant, parse_instant
+from .canon import Canonical, format_instant, parse_instant
 from .errors import (
     ConfigInvalidError,
     CsvSchemaError,
@@ -62,7 +62,7 @@ class ContainerSummary:
 
 
 @dataclass
-class EventRecord:
+class EventRecord(Canonical):
     """One parsed log record; the evidence atom everything else cites."""
 
     record_ref: str
@@ -71,27 +71,6 @@ class EventRecord:
     channel: str
     provider: str
     fields: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "record_ref": self.record_ref,
-            "event_id": self.event_id,
-            "timestamp_utc": format_instant(self.timestamp_utc),
-            "channel": self.channel,
-            "provider": self.provider,
-            "fields": dict(self.fields),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EventRecord":
-        return cls(
-            record_ref=d["record_ref"],
-            event_id=int(d["event_id"]),
-            timestamp_utc=parse_instant(d["timestamp_utc"]),
-            channel=d["channel"],
-            provider=d["provider"],
-            fields=dict(d.get("fields", {})),
-        )
 
 
 @dataclass

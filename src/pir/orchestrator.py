@@ -21,7 +21,17 @@ from pathlib import Path
 
 from . import reporting
 from .attack_catalog import Catalog, TechniqueMapping, justify_mapping, load_catalog, load_default_catalog, map_finding
-from .canon import canon_dumps, digest_of, format_instant, parse_instant, sha256_hex, utc_now
+from .canon import (
+    Canonical,
+    canon_dumps,
+    decode_fields,
+    digest_of,
+    encode_fields,
+    format_instant,
+    parse_instant,
+    sha256_hex,
+    utc_now,
+)
 from .config import ReviewConfig
 from .detection import BehaviorFinding, detect_bruteforce, narrative_for_finding
 from .errors import (
@@ -72,31 +82,12 @@ RECORDS_FILE = "records.json"
 
 
 @dataclass
-class StageRecord:
+class StageRecord(Canonical):
     stage: str
     started: datetime
     finished: datetime | None = None
     status: str = STATUS_OK
     note: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "started": format_instant(self.started),
-            "finished": format_instant(self.finished) if self.finished else None,
-            "status": self.status,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StageRecord":
-        return cls(
-            stage=d["stage"],
-            started=parse_instant(d["started"]),
-            finished=parse_instant(d["finished"]) if d["finished"] else None,
-            status=d["status"],
-            note=d.get("note"),
-        )
 
 
 @dataclass
@@ -123,7 +114,7 @@ class ReviewState:
     notes: list[str] = field(default_factory=list)
     degradation_notes: list[str] = field(default_factory=list)
     incident_summary: str | None = None
-    report: "reporting.ReviewReport | None" = None
+    report: reporting.ReviewReport | None = None
 
     def copy(self) -> "ReviewState":
         """Shallow copy with fresh list containers (items are shared; earlier
@@ -155,76 +146,50 @@ class ReviewState:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config_digest": self.config_digest,
-            "records_digest": self.records_digest,
-            "findings": [f.to_dict() for f in self.findings],
-            "finding_summaries": list(self.finding_summaries),
-            "mappings": [m.to_dict() for m in self.mappings],
-            "policy_documents": [d.to_dict() for d in self.policy_documents],
-            "retrieval_query": self.retrieval_query,
-            "retrieval": [h.to_dict() for h in self.retrieval],
-            "org_params": [p.to_dict() for p in self.org_params],
-            "baseline_params": [p.to_dict() for p in self.baseline_params],
-            "gaps": [g.to_dict() for g in self.gaps],
-            "transcripts": [t.to_dict() for t in self.transcripts],
-            "stage_log": [s.to_dict() for s in self.stage_log],
-            "notes": list(self.notes),
-            "degradation_notes": list(self.degradation_notes),
-            "incident_summary": self.incident_summary,
-            "report_generated_at": (
-                format_instant(self.report.generated_at) if self.report else None
-            ),
-        }
+        d = encode_fields(ReviewState, {k: getattr(self, k) for k in _CODEC_FIELDS})
+        d["retrieval"] = [h.to_dict() for h in self.retrieval]
+        d["report_generated_at"] = (
+            format_instant(self.report.generated_at) if self.report else None
+        )
+        return d
 
     @classmethod
     def from_dict(cls, d: dict, records: list[EventRecord]) -> "ReviewState":
         """Rebuild a state from a checkpoint dict and its records."""
-        clause_by_id = {}
-        docs = [PolicyDocument.from_dict(x) for x in d["policy_documents"]]
-        for doc in docs:
-            for clause in doc.clauses:
-                clause_by_id[clause.clause_id] = clause
-        hits = []
-        for h in d["retrieval"]:
-            hits.append(
-                RetrievalHit(
-                    clause=clause_by_id[h["clause_id"]],
-                    score=float(h["score"]),
-                    rank=int(h["rank"]),
-                )
+        kwargs = decode_fields(cls, {k: d[k] for k in _CODEC_FIELDS})
+        clause_by_id = {
+            c.clause_id: c for doc in kwargs["policy_documents"] for c in doc.clauses
+        }
+        kwargs["retrieval"] = [
+            RetrievalHit(
+                clause=clause_by_id[h["clause_id"]],
+                score=float(h["score"]),
+                rank=int(h["rank"]),
             )
+            for h in d["retrieval"]
+        ]
         auth_events, skipped = normalize_auth_events(records)
         state = cls(
-            run_id=d["run_id"],
-            config_digest=d["config_digest"],
             records=records,
-            records_digest=d["records_digest"],
             auth_events=auth_events,
             skipped_auth_records=skipped,
-            findings=[BehaviorFinding.from_dict(x) for x in d["findings"]],
-            finding_summaries=list(d["finding_summaries"]),
-            mappings=[TechniqueMapping.from_dict(x) for x in d["mappings"]],
-            policy_documents=docs,
-            retrieval_query=d.get("retrieval_query"),
-            retrieval=hits,
-            org_params=[ControlParameter.from_dict(x) for x in d["org_params"]],
-            baseline_params=[
-                ControlParameter.from_dict(x) for x in d["baseline_params"]
-            ],
-            gaps=[PolicyGap.from_dict(x) for x in d["gaps"]],
-            transcripts=[Transcript.from_dict(x) for x in d["transcripts"]],
-            stage_log=[StageRecord.from_dict(x) for x in d["stage_log"]],
-            notes=list(d["notes"]),
-            degradation_notes=list(d["degradation_notes"]),
-            incident_summary=d.get("incident_summary"),
+            **kwargs,
         )
         if d["report_generated_at"]:
             state.report = reporting.build_report(
                 state, generated_at=parse_instant(d["report_generated_at"])
             )
         return state
+
+
+# A checkpoint stores every ReviewState field as the codec writes it, except
+# these: the records, auth events and report are re-derived on load, the
+# retrieval hits are stored by clause id and the report by its generated_at.
+_CODEC_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(ReviewState)
+    if f.name not in {"records", "auth_events", "skipped_auth_records", "retrieval", "report"}
+)
 
 
 def state_digest(state: ReviewState) -> str:

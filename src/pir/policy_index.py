@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .canon import sha256_hex
+from .canon import Canonical, sha256_hex
 from .errors import ConfigInvalidError, EmptyDocumentError, EmptyQueryError
 
 BM25_K1 = 1.2
@@ -57,7 +57,7 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class PolicyClause:
+class PolicyClause(Canonical):
     doc_id: str
     clause_id: str
     section_heading: str | None
@@ -65,54 +65,14 @@ class PolicyClause:
     line_end: int
     text: str
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "clause_id": self.clause_id,
-            "section_heading": self.section_heading,
-            "line_start": self.line_start,
-            "line_end": self.line_end,
-            "text": self.text,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyClause":
-        return cls(
-            doc_id=d["doc_id"],
-            clause_id=d["clause_id"],
-            section_heading=d.get("section_heading"),
-            line_start=int(d["line_start"]),
-            line_end=int(d["line_end"]),
-            text=d["text"],
-        )
-
 
 @dataclass
-class PolicyDocument:
+class PolicyDocument(Canonical):
     doc_id: str
     title: str
     kind: str
     clauses: list[PolicyClause]
     source_digest: str
-
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "title": self.title,
-            "kind": self.kind,
-            "clauses": [c.to_dict() for c in self.clauses],
-            "source_digest": self.source_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyDocument":
-        return cls(
-            doc_id=d["doc_id"],
-            title=d["title"],
-            kind=d["kind"],
-            clauses=[PolicyClause.from_dict(c) for c in d["clauses"]],
-            source_digest=d["source_digest"],
-        )
 
 
 @dataclass
@@ -260,27 +220,6 @@ class Index:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Index":
-        d = json.loads(text)
-        version = d.get("schema_version")
-        if version != INDEX_SCHEMA_VERSION:
-            raise ConfigInvalidError(
-                f"unsupported index schema_version {version!r}; "
-                f"expected {INDEX_SCHEMA_VERSION}"
-            )
-        return cls(
-            documents=d["documents"],
-            clauses={
-                cid: PolicyClause.from_dict(c) for cid, c in d["clauses"].items()
-            },
-            postings={
-                term: {cid: int(tf) for cid, tf in hits.items()}
-                for term, hits in d["postings"].items()
-            },
-            clause_lengths={cid: int(n) for cid, n in d["clause_lengths"].items()},
-        )
 
 
 def build_index(docs: list[PolicyDocument]) -> Index:

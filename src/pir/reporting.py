@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .canon import canon_dumps, digest_of, format_instant
+from .canon import Canonical, canon_dumps, digest_of, format_instant
 from .detection import BehaviorFinding
 from .errors import UnresolvedReferenceError
 from .llm_gateway import EVT_MARKER, POL_MARKER, Transcript
@@ -51,7 +51,7 @@ _CLAUSE_REF_KEYS = frozenset(
 
 
 @dataclass
-class TraceRow:
+class TraceRow(Canonical):
     """One conclusion with the references that support it."""
 
     conclusion_id: str
@@ -60,18 +60,9 @@ class TraceRow:
     clause_refs: list[str]
     confidence: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "conclusion_id": self.conclusion_id,
-            "conclusion_kind": self.conclusion_kind,
-            "event_refs": list(self.event_refs),
-            "clause_refs": list(self.clause_refs),
-            "confidence": self.confidence,
-        }
-
 
 @dataclass
-class ReviewReport:
+class ReviewReport(Canonical):
     run_id: str
     config_digest: str
     generated_at: datetime
@@ -85,24 +76,7 @@ class ReviewReport:
     transcripts: list[Transcript]
     degradation_notes: list[str]
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "config_digest": self.config_digest,
-            "generated_at": format_instant(self.generated_at),
-            "incident_summary": self.incident_summary,
-            "findings": [f.to_dict() for f in self.findings],
-            "finding_summaries": list(self.finding_summaries),
-            "technique_section": [m.to_dict() for m in self.technique_section],
-            "gaps_section": [g.to_dict() for g in self.gaps_section],
-            "trace_ledger": [r.to_dict() for r in self.trace_ledger],
-            "evidence_appendix": [dict(row) for row in self.evidence_appendix],
-            "transcripts": [t.to_dict() for t in self.transcripts],
-            "degradation_notes": list(self.degradation_notes),
-            "notes": list(self.notes),
-        }
+    schema_version: int = REPORT_SCHEMA_VERSION
 
 
 def build_trace_ledger(state: "ReviewState") -> list[TraceRow]:

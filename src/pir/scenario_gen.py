@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
-from .canon import format_instant, parse_instant
+from .canon import Canonical, format_instant
 
 ATTACKER_IP = "203.0.113.77"
 SUCCESS_DELAY_SECONDS = 5
@@ -22,7 +22,7 @@ _DEFAULT_START = datetime(2026, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Canonical):
     seed: int = 1
     target_account: str = "administrator"
     failure_count: int = 6
@@ -46,38 +46,9 @@ class ScenarioSpec:
         if self.noise_events > 0 and not self.noise_accounts:
             raise ValueError("noise_events > 0 requires noise_accounts")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "target_account": self.target_account,
-            "failure_count": self.failure_count,
-            "failure_spacing_seconds": self.failure_spacing_seconds,
-            "include_success": self.include_success,
-            "noise_events": self.noise_events,
-            "noise_accounts": list(self.noise_accounts),
-            "start_time": format_instant(self.start_time),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        return cls(
-            seed=int(d.get("seed", 1)),
-            target_account=d.get("target_account", "administrator"),
-            failure_count=int(d.get("failure_count", 6)),
-            failure_spacing_seconds=int(d.get("failure_spacing_seconds", 10)),
-            include_success=bool(d.get("include_success", True)),
-            noise_events=int(d.get("noise_events", 0)),
-            noise_accounts=tuple(d.get("noise_accounts", ())),
-            start_time=(
-                parse_instant(d["start_time"])
-                if "start_time" in d
-                else _DEFAULT_START
-            ),
-        )
-
 
 @dataclass
-class GroundTruth:
+class GroundTruth(Canonical):
     """What the generator injected, for checking detector output against."""
 
     account: str
@@ -87,29 +58,6 @@ class GroundTruth:
     success_expected: bool
     injected_record_refs: list[str] = field(default_factory=list)
     success_record_ref: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "account": self.account,
-            "window_start": format_instant(self.window_start),
-            "window_end": format_instant(self.window_end),
-            "failure_count": self.failure_count,
-            "success_expected": self.success_expected,
-            "injected_record_refs": list(self.injected_record_refs),
-            "success_record_ref": self.success_record_ref,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        return cls(
-            account=d["account"],
-            window_start=parse_instant(d["window_start"]),
-            window_end=parse_instant(d["window_end"]),
-            failure_count=int(d["failure_count"]),
-            success_expected=bool(d["success_expected"]),
-            injected_record_refs=list(d["injected_record_refs"]),
-            success_record_ref=d.get("success_record_ref"),
-        )
 
 
 def _event_xml(

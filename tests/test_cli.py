@@ -67,6 +67,38 @@ def test_review_replay_miss_exits_2_with_stage_context(tmp_path, capsys):
     assert payload["cause"] == "ReplayMissError"
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "refine_subtechnique", True),  # misspelt refine_subtechniques
+        ("gateway", "temprature", 0.5),
+        ("gateway", "mode", "disabled"),  # gateway_mode is the one mode key
+        ("detector", "min_failure", 3),
+        ("detector", "require_success", "false"),
+        ("detector", "min_failures", "5"),
+        ("detector", "window_seconds", True),
+    ],
+)
+def test_review_rejects_unknown_keys_and_mistyped_detector_values(
+    tmp_path, capsys, section, key, value
+):
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for field in ("evidence_paths", "org_policy_paths", "baseline_policy_paths"):
+        raw[field] = [str(FIXTURES / p) for p in raw[field]]
+    raw["gateway"]["cache_dir"] = str(FIXTURES / "llm_cache")
+    raw["output_dir"] = str(tmp_path / "out")
+    (raw[section] if section else raw)[key] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+
+    code, _out, err = run_cli(capsys, "review", "--config", str(config_path))
+    assert code == 3
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigInvalidError"
+    assert key in payload["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["review", "--gateway-mode", "sometimes"])

@@ -10,7 +10,6 @@ from pir.errors import ConfigInvalidError, EmptyDocumentError, EmptyQueryError
 from pir.policy_index import (
     DOC_KIND_BASELINE,
     DOC_KIND_ORGANISATION,
-    Index,
     build_index,
     ingest_document,
     load_policy_documents,
@@ -145,23 +144,6 @@ def test_rebuild_produces_identical_json():
     a = build_index(two_doc_corpus()).to_json()
     b = build_index(two_doc_corpus()).to_json()
     assert a == b
-
-
-def test_index_round_trips_through_json():
-    index = build_index(two_doc_corpus())
-    clone = Index.from_json(index.to_json())
-    assert clone.to_json() == index.to_json()
-    query = "alpha gamma"
-    assert [h.to_dict() for h in retrieve(clone, query, 3)] == [
-        h.to_dict() for h in retrieve(index, query, 3)
-    ]
-
-
-def test_unknown_schema_version_rejected():
-    index = build_index(two_doc_corpus())
-    text = index.to_json().replace('"schema_version": 1', '"schema_version": 99')
-    with pytest.raises(ConfigInvalidError):
-        Index.from_json(text)
 
 
 # --- retrieval -----------------------------------------------------------------
