@@ -36,6 +36,20 @@ CONFIG_KEYS = frozenset(
 )
 GATEWAY_KEYS = frozenset({"model_id", "temperature", "max_tokens", "top_p", "cache_dir"})
 
+_NUMBER = (int, float)
+_TYPE_NAMES = {bool: "true or false", int: "an integer", _NUMBER: "a number"}
+
+
+def _typed(key: str, value, kind):
+    """``value`` of config field ``key`` if it has the JSON type ``kind``;
+    ``true`` and ``false`` count as booleans only, never as numbers."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigInvalidError(
+            f"config field {key!r} must be {_TYPE_NAMES[kind]}, "
+            f"got {json.dumps(value)}"
+        )
+    return value
+
 
 @dataclass
 class ReviewConfig:
@@ -59,12 +73,14 @@ class ReviewConfig:
         """Build a config from parsed JSON; ``overrides`` maps field names
         (output_dir, gateway_mode) to values that win over the file.
 
+        The ``output_dir`` override moves the output alone: the config
+        digest, and with it the run id, covers the file's own ``output_dir``.
+
         Raises ConfigInvalidError naming any unknown key, top-level or under
-        ``gateway`` or ``detector``."""
-        effective = dict(raw)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                effective[key] = value
+        ``gateway`` or ``detector``, or any value of the wrong JSON type."""
+        overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+        output = overrides.pop("output_dir", None) or raw.get("output_dir")
+        effective = {**raw, **overrides}
 
         def _path(p) -> Path:
             candidate = Path(p)
@@ -86,22 +102,23 @@ class ReviewConfig:
         model_id = gw.get("model_id") or os.environ.get(ENV_MODEL) or "gpt-4o"
         try:
             detector = DetectorParams.from_dict(effective.get("detector", {}))
+            temperature = _typed("gateway.temperature", gw.get("temperature", 0.0), _NUMBER)
             generation = GenerationParams(
                 model_id=model_id,
-                temperature=float(gw.get("temperature", 0.0)),
-                max_tokens=int(gw.get("max_tokens", 1024)),
-                top_p=float(gw.get("top_p", 1.0)),
+                temperature=float(temperature),
+                max_tokens=_typed("gateway.max_tokens", gw.get("max_tokens", 1024), int),
+                top_p=float(_typed("gateway.top_p", gw.get("top_p", 1.0), _NUMBER)),
             )
         except (ValueError, TypeError) as exc:
             raise ConfigInvalidError(f"invalid parameter in config: {exc}") from exc
 
         mode = effective.get("gateway_mode") or MODE_REPLAY
-        output = effective.get("output_dir")
         if not output:
             raise ConfigInvalidError("config requires output_dir")
 
-        # The digest covers the effective configuration (file + overrides) so
-        # identical runs share a run id; raw values keep it machine-portable.
+        # The digest covers the file plus the gateway_mode override, so the
+        # same review shares a run id wherever it writes; raw values keep it
+        # machine-portable.
         effective["gateway"] = {**gw, "model_id": model_id, "mode": mode}
         config = cls(
             evidence_paths=_paths("evidence_paths"),
@@ -109,7 +126,7 @@ class ReviewConfig:
             baseline_policy_paths=_paths("baseline_policy_paths"),
             output_dir=_path(output),
             detector=detector,
-            retrieval_k=int(effective.get("retrieval_k", 8)),
+            retrieval_k=_typed("retrieval_k", effective.get("retrieval_k", 8), int),
             gateway_mode=mode,
             generation=generation,
             cache_dir=_path(gw.get("cache_dir", "llm_cache")),
@@ -118,7 +135,9 @@ class ReviewConfig:
                 if effective.get("catalog_path")
                 else None
             ),
-            refine_subtechniques=bool(effective.get("refine_subtechniques", False)),
+            refine_subtechniques=_typed(
+                "refine_subtechniques", effective.get("refine_subtechniques", False), bool
+            ),
             digest=digest_of(effective),
         )
         return config

@@ -4,7 +4,8 @@ Three input paths feed the review with the same normalized records:
 
 * raw ``.evtx`` files get an integrity check only (header magic and chunk
   census; record bodies are binary XML and are deliberately not decoded),
-* XML exports in the standard Windows event schema are parsed fully,
+* XML exports in the standard Windows event schema are parsed fully, as a
+  stream,
 * flattened CSV (as produced by :func:`flatten_to_csv`) round-trips back.
 
 Every record carries a stable ``record_ref`` of the form
@@ -18,10 +19,16 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import re
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
+from itertools import chain
 from pathlib import Path
+from typing import TextIO
+from xml.parsers import expat
 
 from .canon import Canonical, format_instant, parse_instant
 from .errors import (
@@ -141,25 +148,54 @@ def validate_evtx_container(data: bytes, file_path: str = "<bytes>") -> Containe
     )
 
 
-def _local(tag: str) -> str:
-    """Strip any XML namespace from a tag name."""
-    return tag.rsplit("}", 1)[-1]
+# XML evidence is fed to the parser this many characters at a time.
+CHUNK_CHARS = 64 * 1024
+
+# Every document is parsed inside this synthetic root, so exports that
+# concatenate <Event> elements with no root of their own parse as they are.
+# It is fed right after any leading BOM and XML declaration.
+_WRAPPER_START, _WRAPPER_END = "<Events>", "</Events>"
+_DECLARATION = re.compile(r"\ufeff?(?:<\?xml\s.*?\?>)?", re.S)
 
 
-def _parse_root(text: str) -> ET.Element:
-    try:
-        return ET.fromstring(text)
-    except ET.ParseError as first:
-        # Windows exports often concatenate <Event> elements with no root.
-        try:
-            return ET.fromstring(f"<Events>{text}</Events>")
-        except ET.ParseError:
-            line, column = first.position
-            raise XmlSyntaxError(
-                f"malformed event XML at line {line}, column {column}: {first}",
-                line=line,
-                column=column,
-            ) from first
+def _pieces(document: str | TextIO) -> Iterator[str]:
+    """The document's text in pieces of at most CHUNK_CHARS characters."""
+    if isinstance(document, str):
+        return (
+            document[start : start + CHUNK_CHARS]
+            for start in range(0, len(document), CHUNK_CHARS)
+        )
+    return iter(partial(document.read, CHUNK_CHARS), "")
+
+
+def _split_prolog(pieces: Iterator[str]) -> tuple[str, str]:
+    """Read from ``pieces`` until a leading BOM and XML declaration are
+    known; return them and the rest of the text read so far."""
+    head = ""
+    for piece in pieces:
+        head += piece
+        # seven characters tell "<?xml " (after a BOM) from anything else
+        declared = head.lstrip("\ufeff").startswith("<?xml")
+        if len(head) > 6 and ("?>" in head or not declared):
+            break
+    end = _DECLARATION.match(head).end()
+    return head[:end], head[end:]
+
+
+def _syntax_error(exc: ET.ParseError, prolog: str) -> XmlSyntaxError:
+    """Translate a parse error's position from the wrapped text back into
+    the original: only columns after the wrapper, on its line, move."""
+    line, column = exc.position
+    wrapper_line = 1 + prolog.count("\n")
+    wrapper_column = len(prolog) - (prolog.rfind("\n") + 1)
+    if line == wrapper_line and column >= wrapper_column:
+        column = max(wrapper_column, column - len(_WRAPPER_START))
+    return XmlSyntaxError(
+        f"malformed event XML at line {line}, column {column}: "
+        f"{expat.ErrorString(exc.code)}",
+        line=line,
+        column=column,
+    )
 
 
 def _names_zone(time_text: str) -> bool:
@@ -171,94 +207,111 @@ def _names_zone(time_text: str) -> bool:
     return clock.endswith(("Z", "z")) or "+" in clock or "-" in clock
 
 
-def parse_event_xml(text: str, source: str = "<string>") -> list[EventRecord]:
+def parse_event_xml(document: str | TextIO, source: str = "<string>") -> list[EventRecord]:
     """Parse Windows event-export XML into records, in document order.
 
+    ``document`` is the XML text or an open text file; either is parsed
+    incrementally, CHUNK_CHARS characters at a time, and each Event element
+    is discarded once its record is built. The export may have one root
+    element or none (concatenated Event elements).
+
     ``source`` names the originating file; ordinals are assigned by position
-    so ``record_ref`` is ``<source>#<n>`` with n starting at 1. EventData
+    so ``record_ref`` is ``<source>#<n>`` with n starting at 1. Records are
+    numbered as their Event end tags are read, so an Event nested inside
+    another is a record of its own and takes the lower ordinal. EventData
     ``Data`` elements flatten into ``fields`` keyed by their Name attribute.
 
-    Raises XmlSyntaxError on malformed markup and MissingSystemFieldError
-    when an Event lacks a usable EventID or TimeCreated (records are never
-    silently dropped).
+    Raises XmlSyntaxError, with the line and column in the original text, on
+    malformed markup and MissingSystemFieldError when an Event lacks a
+    usable EventID or TimeCreated (records are never silently dropped).
     """
-    if not text.strip():
-        return []
-    root = _parse_root(text)
-    if _local(root.tag) == "Event":
-        event_elems = [root]
-    else:
-        event_elems = [el for el in root.iter() if _local(el.tag) == "Event"]
-
+    pieces = _pieces(document)
+    prolog, head = _split_prolog(pieces)
+    parser = ET.XMLPullParser(events=("end",))
+    local: dict[str, str] = {}  # tag -> tag without namespace, per parse
     records: list[EventRecord] = []
-    for ordinal, event in enumerate(event_elems, start=1):
-        ref = f"{source}#{ordinal}"
-        system = None
-        for child in event:
-            if _local(child.tag) == "System":
-                system = child
-                break
-        if system is None:
-            raise MissingSystemFieldError(f"{ref}: Event has no System section")
-
-        event_id_text: str | None = None
-        time_text: str | None = None
-        channel = ""
-        provider = ""
-        for child in system:
-            name = _local(child.tag)
-            if name == "EventID":
-                event_id_text = (child.text or "").strip()
-            elif name == "TimeCreated":
-                time_text = child.attrib.get("SystemTime")
-            elif name == "Channel":
-                channel = (child.text or "").strip()
-            elif name == "Provider":
-                provider = child.attrib.get("Name", "").strip()
-
-        if not event_id_text:
-            raise MissingSystemFieldError(f"{ref}: EventID absent")
-        try:
-            event_id = int(event_id_text)
-        except ValueError:
-            raise MissingSystemFieldError(
-                f"{ref}: EventID {event_id_text!r} is not an integer"
-            ) from None
-        if event_id < 0:
-            raise MissingSystemFieldError(f"{ref}: EventID {event_id} is negative")
-        if not time_text:
-            raise MissingSystemFieldError(f"{ref}: TimeCreated/@SystemTime absent")
-        try:
-            timestamp = parse_instant(time_text)
-        except ValueError:
-            raise MissingSystemFieldError(
-                f"{ref}: TimeCreated {time_text!r} is not a parseable timestamp"
-            ) from None
-        if not _names_zone(time_text):
-            logger.warning("%s: offset-free timestamp %r assumed UTC", ref, time_text)
-
-        fields: dict[str, str] = {}
-        for child in event:
-            if _local(child.tag) != "EventData":
-                continue
-            for data in child:
-                if _local(data.tag) != "Data":
-                    continue
-                name = data.attrib.get("Name")
-                if name:
-                    fields[name] = data.text or ""
-
-        records.append(
-            EventRecord(
-                record_ref=ref,
-                event_id=event_id,
-                timestamp_utc=timestamp,
-                channel=channel,
-                provider=provider,
-                fields=fields,
-            )
-        )
+    try:
+        for piece in chain((prolog + _WRAPPER_START + head,), pieces, (_WRAPPER_END,)):
+            parser.feed(piece)
+            for _event, elem in parser.read_events():
+                name = local.get(elem.tag)
+                if name is None:
+                    name = local[elem.tag] = elem.tag.rsplit("}", 1)[-1]
+                if name == "Event":
+                    records.append(_event_record(elem, f"{source}#{len(records) + 1}", local))
+                    elem.clear()
+        parser.close()
+    except ET.ParseError as exc:
+        raise _syntax_error(exc, prolog) from exc
     return records
+
+
+def _event_record(event: ET.Element, ref: str, local: dict[str, str]) -> EventRecord:
+    """Build the record of one complete Event element; every tag in it has
+    already been entered in ``local``."""
+    system = None
+    for child in event:
+        if local[child.tag] == "System":
+            system = child
+            break
+    if system is None:
+        raise MissingSystemFieldError(f"{ref}: Event has no System section")
+
+    event_id_text: str | None = None
+    time_text: str | None = None
+    channel = ""
+    provider = ""
+    for child in system:
+        name = local[child.tag]
+        if name == "EventID":
+            event_id_text = (child.text or "").strip()
+        elif name == "TimeCreated":
+            time_text = child.attrib.get("SystemTime")
+        elif name == "Channel":
+            channel = (child.text or "").strip()
+        elif name == "Provider":
+            provider = child.attrib.get("Name", "").strip()
+
+    if not event_id_text:
+        raise MissingSystemFieldError(f"{ref}: EventID absent")
+    try:
+        event_id = int(event_id_text)
+    except ValueError:
+        raise MissingSystemFieldError(
+            f"{ref}: EventID {event_id_text!r} is not an integer"
+        ) from None
+    if event_id < 0:
+        raise MissingSystemFieldError(f"{ref}: EventID {event_id} is negative")
+    if not time_text:
+        raise MissingSystemFieldError(f"{ref}: TimeCreated/@SystemTime absent")
+    try:
+        timestamp = parse_instant(time_text)
+    except ValueError:
+        raise MissingSystemFieldError(
+            f"{ref}: TimeCreated {time_text!r} is not a parseable timestamp"
+        ) from None
+    if not _names_zone(time_text):
+        logger.warning("%s: offset-free timestamp %r assumed UTC", ref, time_text)
+
+    fields: dict[str, str] = {}
+    for child in event:
+        if local[child.tag] != "EventData":
+            continue
+        for data in child:
+            if local[data.tag] != "Data":
+                continue
+            name = data.attrib.get("Name")
+            if name:
+                fields[name] = data.text or ""
+
+    return EventRecord(
+        record_ref=ref,
+        event_id=event_id,
+        timestamp_utc=timestamp,
+        channel=channel,
+        provider=provider,
+        fields=fields,
+    )
 
 
 def flatten_to_csv(records: list[EventRecord]) -> str:
@@ -284,13 +337,16 @@ def flatten_to_csv(records: list[EventRecord]) -> str:
     return out.getvalue()
 
 
-def load_csv(text: str) -> list[EventRecord]:
+def load_csv(document: str | TextIO) -> list[EventRecord]:
     """Rebuild records from flattened CSV; empty cells become absent fields.
+
+    ``document`` is the CSV text or a text file opened with ``newline=""``,
+    which is read row by row.
 
     Raises CsvSchemaError when the fixed header prefix is wrong or a cell
     violates its column type.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(document) if isinstance(document, str) else document)
     try:
         header = next(reader)
     except StopIteration:
@@ -403,12 +459,15 @@ def load_evidence(paths: list[Path]) -> tuple[list[EventRecord], list[str]]:
             )
             notes.extend(f"container {path.name}: {w}" for w in summary.warnings)
             continue
-        if suffix == ".xml":
-            loaded = parse_event_xml(path.read_text(encoding="utf-8"), source=path.stem)
-        elif suffix == ".csv":
-            loaded = load_csv(path.read_text(encoding="utf-8"))
-        else:
+        if suffix not in (".xml", ".csv"):
             raise ConfigInvalidError(f"unsupported evidence suffix: {path}")
+        # newline="" hands line ends to the parsers untranslated: the csv
+        # module needs that for quoted fields, and XML normalises them itself.
+        with path.open(encoding="utf-8", newline="") as stream:
+            if suffix == ".xml":
+                loaded = parse_event_xml(stream, source=path.stem)
+            else:
+                loaded = load_csv(stream)
         for record in loaded:
             if record.record_ref in source_of:
                 raise DuplicateRecordRefError(

@@ -1,14 +1,22 @@
-"""The traced benchmark run (perfbench/run.py --trace 1) rebinds pir names
-listed in perfbench/spans.py; a rename in pir must not leave one dangling."""
+"""The benchmark in perfbench/ drives pir from outside: the traced run
+(perfbench/run.py --trace 1) rebinds pir names listed in perfbench/spans.py,
+and perfbench/workloads.py sets up the reviews it times. A rename in pir must
+not leave a name dangling, and a small bulk-replay review must keep giving
+the same deterministic results."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
 from pir import orchestrator
+from pir.canon import canon_dumps, sha256_hex
+from pir.detection import DetectorParams, oracle_detect
+from pir.reporting import json_report_digest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_traced_functions_and_methods_exist():
@@ -23,3 +31,38 @@ def test_traced_functions_and_methods_exist():
 
 def test_traced_stages_are_the_pipeline_stages():
     assert tuple(orchestrator._STAGE_FUNCS) == spans.STAGES
+
+
+# Taken at the commit before XML evidence was parsed as a stream: the sha256
+# of state/records.json and the report digest with transcript latencies
+# masked, as perfbench/run.py checks it, for seed 1 at 1,000 noise records.
+SMOKE_RECORDS = 1_011
+SMOKE_DIGESTS = (
+    "d625e27b802c26fcc3ec711f17f5c2cab3290f3e688a36df49b77239ef086337",
+    "d88dd8f8bce577650a6120c73ae9d267a2293b88788a90b875e8a2b49b20bef0",
+)
+
+
+def test_small_bulk_replay_review_gives_pinned_results(tmp_path, monkeypatch):
+    # bulk-replay at a tenth of its noise; gated on counts and digests only,
+    # never on seconds
+    monkeypatch.setattr(workloads, "BULK_NOISE_EVENTS", 1_000)
+    manifest = workloads.set_up("bulk-replay", 1, tmp_path)
+    config = workloads.review_config(tmp_path, manifest["evidence"], "replay")
+    with spans.installed(spans.Tracer("smoke")) as tracer:
+        state = orchestrator.run_review(config)
+
+    assert len(state.records) == manifest["records"] == SMOKE_RECORDS
+    assert tracer.counts["log_ingest.records_out"] == SMOKE_RECORDS
+    oracle = oracle_detect(state.auth_events, DetectorParams.from_dict(workloads.DETECTOR))
+    assert state.findings
+    assert [f.to_dict() for f in state.findings] == [f.to_dict() for f in oracle]
+
+    report = json.loads((config.output_dir / "report.json").read_text(encoding="utf-8"))
+    for transcript in report["transcripts"]:
+        transcript["latency_ms"] = 0
+    digests = (
+        sha256_hex((config.output_dir / "state" / "records.json").read_bytes()),
+        json_report_digest(canon_dumps(report)),
+    )
+    assert digests == SMOKE_DIGESTS

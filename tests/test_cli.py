@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from pir import orchestrator
 from pir.cli import main
 from pir.log_ingest import load_csv
 
-from conftest import FIXTURES
+from conftest import BASE_TIME, FIXTURES
 
 CONFIG = str(FIXTURES / "review_config.json")
 
@@ -77,6 +78,10 @@ def test_review_replay_miss_exits_2_with_stage_context(tmp_path, capsys):
         ("detector", "require_success", "false"),
         ("detector", "min_failures", "5"),
         ("detector", "window_seconds", True),
+        (None, "refine_subtechniques", "false"),
+        (None, "retrieval_k", "16"),
+        ("gateway", "max_tokens", True),
+        ("gateway", "temperature", "0.5"),
     ],
 )
 def test_review_rejects_unknown_keys_and_mistyped_detector_values(
@@ -97,6 +102,18 @@ def test_review_rejects_unknown_keys_and_mistyped_detector_values(
     assert payload["error"] == "ConfigInvalidError"
     assert key in payload["detail"]
     assert not (tmp_path / "out").exists()
+
+
+def test_review_output_flag_leaves_the_report_unchanged(tmp_path, capsys, monkeypatch):
+    # fix the clock, so any difference between the two reports is the output path's
+    monkeypatch.setattr(orchestrator, "utc_now", lambda: BASE_TIME)
+    reports = []
+    for name in ("a", "b/nested"):
+        out = tmp_path / name
+        code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+        assert code == 0
+        reports.append(((out / "report.json").read_bytes(), (out / "report.md").read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_usage_error_exits_2(capsys):

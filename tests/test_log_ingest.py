@@ -1,10 +1,16 @@
+import io
 import logging
+import random
+import re
 import tempfile
+import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pir.canon import parse_instant
 from pir.detection import DetectorParams, detect_bruteforce
 
 from pir.errors import (
@@ -16,6 +22,7 @@ from pir.errors import (
     XmlSyntaxError,
 )
 from pir.log_ingest import (
+    EventRecord,
     flatten_to_csv,
     load_csv,
     load_evidence,
@@ -169,6 +176,151 @@ def test_only_offset_free_timestamps_warn(time_text, warns, caplog):
     assert any("assumed UTC" in m for m in caplog.messages) == warns
 
 
+def oracle_parse(text: str, source: str) -> list[EventRecord]:
+    """Tree-walk reference for parse_event_xml on well-formed exports with no
+    nested Events: build the whole tree, then read every Event in it."""
+    body = re.sub(r"^\ufeff?(<\?xml[^>]*\?>)?", "", text)
+    root = ET.fromstring(f"<Events>{body}</Events>")
+
+    def local(element):
+        return element.tag.rsplit("}", 1)[-1]
+
+    events = [e for e in root.iter() if local(e) == "Event"]
+    records = []
+    for n, event in enumerate(events, start=1):
+        [system] = [c for c in event if local(c) == "System"]
+        system_fields = {local(c): c for c in system}
+        records.append(
+            EventRecord(
+                record_ref=f"{source}#{n}",
+                event_id=int(system_fields["EventID"].text),
+                timestamp_utc=parse_instant(system_fields["TimeCreated"].get("SystemTime")),
+                channel=(system_fields["Channel"].text or "").strip(),
+                provider=system_fields["Provider"].get("Name", "").strip(),
+                fields={
+                    d.get("Name"): d.text or ""
+                    for c in event
+                    if local(c) == "EventData"
+                    for d in c
+                    if local(d) == "Data" and d.get("Name")
+                },
+            )
+        )
+    return records
+
+
+class RaggedReader(io.TextIOBase):
+    """A text stream whose reads return pieces of random length, as a slow
+    pipe or socket may."""
+
+    def __init__(self, text: str, rng: random.Random, longest: int):
+        self._text, self._at, self._rng, self._longest = text, 0, rng, longest
+
+    def readable(self):
+        return True
+
+    def read(self, size=-1):
+        size = len(self._text) if size is None or size < 0 else size
+        end = self._at + min(size, self._rng.randint(1, self._longest))
+        piece, self._at = self._text[self._at : end], min(end, len(self._text))
+        return piece
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    noise=st.integers(0, 25),
+    declaration=st.booleans(),
+    root=st.booleans(),
+    bom=st.booleans(),
+    longest=st.sampled_from([7, 300, 70_000]),
+    piece_seed=st.integers(0, 2**32),
+)
+def test_streaming_parse_equals_tree_walk_oracle(
+    seed, noise, declaration, root, bom, longest, piece_seed
+):
+    xml, _truth = generate(
+        ScenarioSpec(seed=seed, noise_events=noise, noise_accounts=("jdoe", "svc")),
+        source_name="host",
+    )
+    decl_line, root_open, *events, root_close = xml.rstrip("\n").split("\n")
+    assert decl_line.startswith("<?xml ")
+    assert (root_open, root_close) == ("<Events>", "</Events>")
+    lines = events if not root else [root_open, *events, root_close]
+    text = ("\ufeff" if bom else "") + "\n".join(
+        [decl_line, *lines] if declaration else lines
+    )
+    expected = oracle_parse(text, "host")
+    assert len(expected) == noise + 7  # six failures and a success
+    assert parse_event_xml(text, source="host") == expected
+    stream = RaggedReader(text, random.Random(piece_seed), longest)
+    assert parse_event_xml(stream, source="host") == expected
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        # line 1, after a declaration: the column counts from the file's start
+        ('<?xml version="1.0"?><Event><System></Event>', 1, 38),
+        # root-less export, second Event broken on line 3
+        (
+            "<Event><System><EventID>1</EventID>"
+            '<TimeCreated SystemTime="2026-06-01T12:00:00Z"/></System></Event>\n'
+            "<!-- next -->\n"
+            "<Event><System></Event>",
+            3,
+            17,
+        ),
+    ],
+)
+def test_syntax_error_position_points_into_the_original_text(text, line, column):
+    with pytest.raises(XmlSyntaxError) as err:
+        parse_event_xml(text, source="s")
+    assert (err.value.line, err.value.column) == (line, column)
+    assert f"line {line}, column {column}" in str(err.value)
+    # the position is the name in the end tag that does not match
+    assert text.splitlines()[line - 1][column:] == "Event>"
+
+
+def test_nested_event_is_a_record_numbered_before_its_container():
+    ns = 'xmlns="http://schemas.microsoft.com/win/2004/08/events/event"'
+    text = (
+        f"<Events><Event {ns}>"
+        "<System><EventID>4625</EventID>"
+        '<TimeCreated SystemTime="2026-06-01T12:00:00Z"/></System>'
+        '<EventData><Data Name="TargetUserName">outer</Data>'
+        "<Event><System><EventID>4624</EventID>"
+        '<TimeCreated SystemTime="2026-06-01T12:00:05Z"/></System>'
+        '<EventData><Data Name="TargetUserName">inner</Data></EventData>'
+        "</Event></EventData></Event></Events>"
+    )
+    inner, outer = parse_event_xml(text, source="s")
+    assert (inner.record_ref, inner.event_id, inner.fields) == (
+        "s#1", 4624, {"TargetUserName": "inner"}
+    )
+    assert (outer.record_ref, outer.event_id, outer.fields) == (
+        "s#2", 4625, {"TargetUserName": "outer"}
+    )
+
+
+def test_load_evidence_parse_memory_does_not_grow_with_the_file(tmp_path):
+    spec = ScenarioSpec(seed=3, noise_events=20_000, noise_accounts=("jdoe", "svc"))
+    xml, _truth = generate(spec, source_name="big")
+    path = tmp_path / "big.xml"
+    path.write_text(xml, encoding="utf-8")
+    del xml
+    tracemalloc.start()
+    try:
+        records, _notes = load_evidence([path])
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_007
+    # what the parse held beyond the records it returned; a tree of this
+    # whole 11.5 MB document holds over 100 MB
+    assert peak - retained < 4_000_000
+
+
 # --- CSV ----------------------------------------------------------------------
 
 
@@ -315,6 +467,14 @@ def test_load_evidence_reads_each_format_in_order(tmp_path):
         "container raw.evtx: header declares 2 chunk(s) but 1 valid chunk "
         "signature(s) found",
     ]
+
+
+def test_load_evidence_keeps_line_ends_inside_quoted_csv_fields(tmp_path):
+    record = make_record(1, fields={"Msg": 'say "hi"\r\nthen\rthen\nend', "Plain": "v"})
+    path = tmp_path / "flat.csv"
+    path.write_text(flatten_to_csv([record]), encoding="utf-8", newline="")
+    records, _notes = load_evidence([path])
+    assert records == [record]
 
 
 def test_load_evidence_rejects_missing_file_and_unknown_suffix(tmp_path):
