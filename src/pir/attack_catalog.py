@@ -24,7 +24,6 @@ TECHNIQUE_ID_PATTERN = re.compile(r"^T\d{4}(\.\d{3})?$")
 
 TECHNIQUE_BRUTE_FORCE = "T1110"
 TECHNIQUE_PASSWORD_GUESSING = "T1110.001"
-TECHNIQUE_PASSWORD_SPRAYING = "T1110.003"
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,7 @@ def justify_mapping(
     mapping: TechniqueMapping, finding: "BehaviorFinding", gateway: "Gateway"
 ):
     """Grounded narrative justification; falls back to the rule rationale."""
-    refs = list(mapping.evidence)
-    if finding.success_record:
-        refs.append(finding.success_record)
+    refs = finding.cited_refs()
     return gateway.narrate(
         "mapping_justification",
         {

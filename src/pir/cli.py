@@ -82,9 +82,8 @@ def cmd_ingest(args) -> int:
     if not config.evidence_paths:
         raise ConfigInvalidError("config lists no evidence_paths")
     records = _load_records(config)
-    out_dir = _output_dir(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "records.csv"
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    out_path = config.output_dir / "records.csv"
     out_path.write_text(flatten_to_csv(records), encoding="utf-8", newline="")
     print(f"ingested {len(records)} record(s) into {out_path}")
     return EXIT_OK
@@ -97,9 +96,8 @@ def cmd_detect(args) -> int:
     records = _load_records(config)
     events, skipped = normalize_auth_events(records)
     findings = detect_bruteforce(events, config.detector)
-    out_dir = _output_dir(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "findings.json"
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    out_path = config.output_dir / "findings.json"
     out_path.write_text(
         canon_dumps([f.to_dict() for f in findings]) + "\n", encoding="utf-8"
     )
@@ -118,9 +116,8 @@ def cmd_index(args) -> int:
         config.org_policy_paths, config.baseline_policy_paths
     )
     index = build_index(documents)
-    out_dir = _output_dir(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "policy_index.json"
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    out_path = config.output_dir / "policy_index.json"
     out_path.write_text(index.to_json(), encoding="utf-8")
     print(
         f"indexed {len(index.clauses)} clause(s) from {len(documents)} "

@@ -15,7 +15,7 @@ from pathlib import Path
 from .canon import digest_of
 from .detection import DetectorParams
 from .errors import ConfigInvalidError
-from .llm_gateway import ENV_MODEL, GATEWAY_MODES, MODE_REPLAY, GenerationParams
+from .llm_gateway import ENV_MODEL, MODE_REPLAY, GenerationParams
 
 EVIDENCE_SUFFIXES = (".evtx", ".xml", ".csv")
 POLICY_SUFFIXES = (".md", ".txt")
@@ -37,7 +37,7 @@ CONFIG_KEYS = frozenset(
 GATEWAY_KEYS = frozenset({"model_id", "temperature", "max_tokens", "top_p", "cache_dir"})
 
 _NUMBER = (int, float)
-_TYPE_NAMES = {bool: "true or false", int: "an integer", _NUMBER: "a number"}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", _NUMBER: "a number", str: "a string"}
 
 
 def _typed(key: str, value, kind):
@@ -82,26 +82,29 @@ class ReviewConfig:
         output = overrides.pop("output_dir", None) or raw.get("output_dir")
         effective = {**raw, **overrides}
 
-        def _path(p) -> Path:
-            candidate = Path(p)
+        def _path(key, p) -> Path:
+            candidate = Path(_typed(key, p, str))
             return candidate if candidate.is_absolute() else base_dir / candidate
 
         def _paths(key) -> list[Path]:
             vals = effective.get(key, [])
             if not isinstance(vals, list):
                 raise ConfigInvalidError(f"config field {key!r} must be a list")
-            return [_path(v) for v in vals]
+            return [_path(f"{key}[{i}]", v) for i, v in enumerate(vals)]
 
-        gw = effective.get("gateway", {})
-        if not isinstance(gw, dict):
-            raise ConfigInvalidError("config field 'gateway' must be an object")
+        gw, det = effective.get("gateway", {}), effective.get("detector", {})
+        for key, value in (("gateway", gw), ("detector", det)):
+            if not isinstance(value, dict):
+                raise ConfigInvalidError(f"config field {key!r} must be an object")
         unknown = sorted(effective.keys() - CONFIG_KEYS)
         unknown += sorted(f"gateway.{k}" for k in gw.keys() - GATEWAY_KEYS)
         if unknown:
             raise ConfigInvalidError(f"unknown config key(s): {', '.join(unknown)}")
-        model_id = gw.get("model_id") or os.environ.get(ENV_MODEL) or "gpt-4o"
+        model_id = _typed(
+            "gateway.model_id", gw.get("model_id") or os.environ.get(ENV_MODEL) or "gpt-4o", str
+        )
         try:
-            detector = DetectorParams.from_dict(effective.get("detector", {}))
+            detector = DetectorParams.from_dict(det)
             temperature = _typed("gateway.temperature", gw.get("temperature", 0.0), _NUMBER)
             generation = GenerationParams(
                 model_id=model_id,
@@ -112,7 +115,7 @@ class ReviewConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigInvalidError(f"invalid parameter in config: {exc}") from exc
 
-        mode = effective.get("gateway_mode") or MODE_REPLAY
+        mode = _typed("gateway_mode", effective.get("gateway_mode") or MODE_REPLAY, str)
         if not output:
             raise ConfigInvalidError("config requires output_dir")
 
@@ -124,14 +127,14 @@ class ReviewConfig:
             evidence_paths=_paths("evidence_paths"),
             org_policy_paths=_paths("org_policy_paths"),
             baseline_policy_paths=_paths("baseline_policy_paths"),
-            output_dir=_path(output),
+            output_dir=_path("output_dir", output),
             detector=detector,
             retrieval_k=_typed("retrieval_k", effective.get("retrieval_k", 8), int),
             gateway_mode=mode,
             generation=generation,
-            cache_dir=_path(gw.get("cache_dir", "llm_cache")),
+            cache_dir=_path("gateway.cache_dir", gw.get("cache_dir", "llm_cache")),
             catalog_path=(
-                _path(effective["catalog_path"])
+                _path("catalog_path", effective["catalog_path"])
                 if effective.get("catalog_path")
                 else None
             ),
@@ -165,11 +168,6 @@ class ReviewConfig:
             raise ConfigInvalidError("config lists no baseline_policy_paths")
         if self.retrieval_k < 1:
             raise ConfigInvalidError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
-        if self.gateway_mode not in GATEWAY_MODES:
-            raise ConfigInvalidError(
-                f"gateway mode must be one of {GATEWAY_MODES}, "
-                f"got {self.gateway_mode!r}"
-            )
 
         for p in self.evidence_paths:
             if not p.is_file():

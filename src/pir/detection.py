@@ -79,6 +79,13 @@ class BehaviorFinding(Canonical):
     params_used: DetectorParams
     distinct_source_ips: int
 
+    def cited_refs(self) -> list[str]:
+        """Every record a conclusion about this finding may cite: the counted
+        failures, then the success record when there is one."""
+        if self.success_record:
+            return [*self.evidence, self.success_record]
+        return list(self.evidence)
+
 
 def _check_sorted(events: list[AuthEvent]) -> None:
     for a, b in zip(events, events[1:]):
@@ -250,9 +257,7 @@ def fallback_summary(finding: BehaviorFinding) -> str:
 
 def narrative_for_finding(finding: BehaviorFinding, gateway: "Gateway"):
     """Gateway round-trip for a finding summary; returns a NarrativeResult."""
-    refs = list(finding.evidence)
-    if finding.success_record:
-        refs.append(finding.success_record)
+    refs = finding.cited_refs()
     success_line = (
         f"yes, record {finding.success_record}" if finding.success_record else "none"
     )

@@ -36,7 +36,6 @@ CONTROLS = (
 )
 
 EXTRACTION_DETERMINISTIC = "Deterministic"
-EXTRACTION_LLM_ASSISTED = "LlmAssisted"
 
 GAP_INSUFFICIENT = "Insufficient"
 GAP_MISSING = "Missing"
@@ -282,30 +281,24 @@ def _severity(
 
 
 def compare_controls(
-    org: list[ControlParameter],
-    baseline: list[ControlParameter],
+    effective_org: dict[str, ControlParameter],
+    effective_base: dict[str, ControlParameter],
     mapping: "TechniqueMapping",
     evidence_events: list[str],
-    rules: ComparisonRules | None = None,
+    rules: ComparisonRules,
 ) -> list[PolicyGap]:
     """Compare org controls against baseline for the mapped technique.
 
-    Only controls relevant to the technique are compared. org weaker than
+    Both sides are the per-control values select_effective chose. Only
+    controls relevant to the technique are compared. org weaker than
     baseline yields Insufficient; org absent while baseline present yields
     Missing; org-only controls are not gaps. Gaps carry empty rationale and
     confidence; draft_rationale and assign_confidence fill them in.
     """
     if not evidence_events:
         raise ValueError("gap analysis is incident-driven; evidence_events is empty")
-    if not baseline:
+    if not effective_base:
         raise NoBaselineError("no baseline control parameters to compare against")
-    if rules is None:
-        rules = load_default_rules()
-
-    effective_org, org_warn = select_effective(org, rules)
-    effective_base, base_warn = select_effective(baseline, rules)
-    for warning in org_warn + base_warn:
-        logger.warning("%s", warning)
 
     relevant = rules.relevant_controls(mapping.technique_id)
     if not relevant:
@@ -379,19 +372,12 @@ def assign_confidence(gap: PolicyGap, min_evidence: int = 5) -> PolicyGap:
     """Total confidence rule.
 
     Missing gaps rest on baseline text alone, so confidence is Low. High
-    needs both sides deterministically extracted and at least ``min_evidence``
-    incident records (the detector threshold); anything else is Medium.
+    needs at least ``min_evidence`` incident records (the detector
+    threshold); anything else is Medium.
     """
     if gap.gap_kind == GAP_MISSING:
         gap.confidence = "Low"
-        return gap
-    both_deterministic = (
-        gap.org_value is not None
-        and gap.baseline_value is not None
-        and gap.org_value.extraction == EXTRACTION_DETERMINISTIC
-        and gap.baseline_value.extraction == EXTRACTION_DETERMINISTIC
-    )
-    if both_deterministic and len(gap.evidence_events) >= min_evidence:
+    elif len(gap.evidence_events) >= min_evidence:
         gap.confidence = "High"
     else:
         gap.confidence = "Medium"

@@ -75,6 +75,15 @@ class GenerationParams:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
 
+    def decoding(self) -> dict:
+        """The decoding parameters as sent to the model, hashed into
+        transcript ids and stored in cache entries."""
+        return {
+            "temperature": self.temperature,
+            "max_tokens": self.max_tokens,
+            "top_p": self.top_p,
+        }
+
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -219,13 +228,7 @@ class GroundingReport(Canonical):
     passed: bool
 
 
-def validate_grounding(
-    response: str,
-    record_refs,
-    clause_ids,
-    *,
-    require_markers: bool = True,
-) -> GroundingReport:
+def validate_grounding(response: str, record_refs, clause_ids) -> GroundingReport:
     """Resolve every [EVT:]/[POL:] marker in the response against the given
     scope; evidence-bearing text with zero markers fails."""
     record_refs = set(record_refs)
@@ -237,7 +240,7 @@ def validate_grounding(
         markers.setdefault(m.group(0), m.group(1) in clause_ids)
     resolved = [mk for mk, ok in markers.items() if ok]
     unresolved = [mk for mk, ok in markers.items() if not ok]
-    passed = not unresolved and (bool(markers) or not require_markers)
+    passed = bool(markers) and not unresolved
     return GroundingReport(
         markers_found=list(markers),
         resolved=resolved,
@@ -277,11 +280,7 @@ def transcript_id_for(
             {
                 "template_id": template_id,
                 "rendered_prompt": rendered_prompt,
-                "params": {
-                    "temperature": params.temperature,
-                    "max_tokens": params.max_tokens,
-                    "top_p": params.top_p,
-                },
+                "params": params.decoding(),
                 "model_id": params.model_id,
             }
         )
@@ -418,9 +417,7 @@ class Gateway:
         request_body = {
             "model": p.model_id,
             "messages": [{"role": "user", "content": rendered_prompt}],
-            "temperature": p.temperature,
-            "top_p": p.top_p,
-            "max_tokens": p.max_tokens,
+            **p.decoding(),
         }
         last_error: Exception | None = None
         for attempt, delay in enumerate((0.0, *RETRY_BACKOFF_SECONDS)):
@@ -451,43 +448,31 @@ class Gateway:
         tid = transcript_id_for(template_id, rendered, self.settings.params)
 
         if self.settings.mode == MODE_REPLAY:
-            entry = self._read_cache(tid)
-            return Transcript(
-                transcript_id=tid,
-                stage=template.stage,
-                template_id=template_id,
-                rendered_prompt=rendered,
-                response=entry["response"],
-                mode="Replay",
-                latency_ms=0,
-            )
-
-        start = time.monotonic()
-        response = self._live_response(rendered)
-        latency_ms = int((time.monotonic() - start) * 1000)
-        if self.settings.mode == MODE_RECORD:
-            self._write_cache(
-                {
-                    "transcript_id": tid,
-                    "template_id": template_id,
-                    "stage": template.stage,
-                    "model_id": self.settings.params.model_id,
-                    "params": {
-                        "temperature": self.settings.params.temperature,
-                        "max_tokens": self.settings.params.max_tokens,
-                        "top_p": self.settings.params.top_p,
-                    },
-                    "rendered_prompt": rendered,
-                    "response": response,
-                }
-            )
+            response = self._read_cache(tid)["response"]
+            mode, latency_ms = "Replay", 0
+        else:
+            start = time.monotonic()
+            response = self._live_response(rendered)
+            mode, latency_ms = "Live", int((time.monotonic() - start) * 1000)
+            if self.settings.mode == MODE_RECORD:
+                self._write_cache(
+                    {
+                        "transcript_id": tid,
+                        "template_id": template_id,
+                        "stage": template.stage,
+                        "model_id": self.settings.params.model_id,
+                        "params": self.settings.params.decoding(),
+                        "rendered_prompt": rendered,
+                        "response": response,
+                    }
+                )
         return Transcript(
             transcript_id=tid,
             stage=template.stage,
             template_id=template_id,
             rendered_prompt=rendered,
             response=response,
-            mode="Live",
+            mode=mode,
             latency_ms=latency_ms,
         )
 

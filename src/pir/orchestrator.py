@@ -117,24 +117,10 @@ class ReviewState:
     report: reporting.ReviewReport | None = None
 
     def copy(self) -> "ReviewState":
-        """Shallow copy with fresh list containers (items are shared; earlier
-        stages' items are never mutated)."""
+        """Shallow copy with a fresh container for every list field (items are
+        shared; earlier stages' items are never mutated)."""
         return dataclasses.replace(
-            self,
-            records=list(self.records),
-            auth_events=list(self.auth_events),
-            findings=list(self.findings),
-            finding_summaries=list(self.finding_summaries),
-            mappings=list(self.mappings),
-            policy_documents=list(self.policy_documents),
-            retrieval=list(self.retrieval),
-            org_params=list(self.org_params),
-            baseline_params=list(self.baseline_params),
-            gaps=list(self.gaps),
-            transcripts=list(self.transcripts),
-            stage_log=list(self.stage_log),
-            notes=list(self.notes),
-            degradation_notes=list(self.degradation_notes),
+            self, **{k: list(v) for k, v in vars(self).items() if isinstance(v, list)}
         )
 
     def record_refs(self) -> set[str]:
@@ -203,19 +189,6 @@ def state_digest(state: ReviewState) -> str:
         t["latency_ms"] = 0
     d["report_generated_at"] = None
     return digest_of(d)
-
-
-def field_digests(state: ReviewState) -> dict[str, str]:
-    """Per-field digests (volatile fields excluded) for append-only checks."""
-    d = state.to_dict()
-    d.pop("stage_log")
-    d.pop("report_generated_at")
-    out = {}
-    for key, value in d.items():
-        if key == "transcripts":
-            value = [dict(t, latency_ms=0) for t in value]
-        out[key] = digest_of(value)
-    return out
 
 
 @dataclass
@@ -328,21 +301,17 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps):
     state.baseline_params = extract_control_parameters(baseline_clauses)
 
     rules = load_default_rules()
-    for params in (state.org_params, state.baseline_params):
-        _, warnings = select_effective(params, rules)
-        state.notes.extend(warnings)
+    effective_org, org_warnings = select_effective(state.org_params, rules)
+    effective_base, base_warnings = select_effective(state.baseline_params, rules)
+    for warning in org_warnings + base_warnings:
+        logger.warning("%s", warning)
+        state.notes.append(warning)
 
     all_gaps: list[PolicyGap] = []
     for mapping in state.mappings:
         finding = state.findings[mapping.finding_ref]
         all_gaps.extend(
-            compare_controls(
-                state.org_params,
-                state.baseline_params,
-                mapping,
-                finding.evidence,
-                rules,
-            )
+            compare_controls(effective_org, effective_base, mapping, finding.evidence, rules)
         )
     gaps = dedupe_gaps(all_gaps)
     for gap in gaps:
@@ -360,11 +329,7 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps):
 def _stage_generate_report(state: ReviewState, deps: StageDeps):
     fallback = reporting.deterministic_incident_summary(state)
     if state.findings:
-        refs: list[str] = []
-        for finding in state.findings:
-            refs.extend(finding.evidence)
-            if finding.success_record:
-                refs.append(finding.success_record)
+        refs = [ref for finding in state.findings for ref in finding.cited_refs()]
         clause_ids: list[str] = []
         for gap in state.gaps:
             for cid in gap.evidence_clauses:

@@ -86,11 +86,8 @@ def build_trace_ledger(state: "ReviewState") -> list[TraceRow]:
     """
     rows: list[TraceRow] = []
     for i, finding in enumerate(state.findings):
-        refs = list(finding.evidence)
-        if finding.success_record:
-            refs.append(finding.success_record)
         rows.append(
-            TraceRow(f"finding-{i + 1:03d}", KIND_FINDING, refs, [], None)
+            TraceRow(f"finding-{i + 1:03d}", KIND_FINDING, finding.cited_refs(), [], None)
         )
     for i, mapping in enumerate(state.mappings):
         rows.append(
@@ -205,15 +202,8 @@ def render_json(report: ReviewReport) -> str:
     return canon_dumps(report.to_dict()) + "\n"
 
 
-def report_digest(report: ReviewReport) -> str:
-    """Digest of the report with the clock field masked."""
-    doc = report.to_dict()
-    doc["generated_at"] = None
-    return digest_of(doc)
-
-
 def json_report_digest(text: str) -> str:
-    """Same masking applied to an already-rendered report.json."""
+    """Digest of a rendered report.json with the clock field masked."""
     doc = json.loads(text)
     doc["generated_at"] = None
     return digest_of(doc)

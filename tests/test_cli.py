@@ -82,6 +82,13 @@ def test_review_replay_miss_exits_2_with_stage_context(tmp_path, capsys):
         (None, "retrieval_k", "16"),
         ("gateway", "max_tokens", True),
         ("gateway", "temperature", "0.5"),
+        ("gateway", "cache_dir", 5),
+        ("gateway", "model_id", 5),
+        (None, "evidence_paths", [5]),
+        (None, "catalog_path", 5),
+        (None, "detector", []),
+        (None, "gateway_mode", 5),
+        (None, "output_dir", 5),
     ],
 )
 def test_review_rejects_unknown_keys_and_mistyped_detector_values(

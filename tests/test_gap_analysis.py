@@ -47,6 +47,14 @@ def param(control, value, *, clause="pol:1-1", unit=None, extraction="Determinis
     )
 
 
+def compare(org, baseline, mapping, evidence):
+    """compare_controls over the strictest value per control, as ValidatePolicies
+    passes them."""
+    effective_org, _ = select_effective(org, RULES)
+    effective_base, _ = select_effective(baseline, RULES)
+    return compare_controls(effective_org, effective_base, mapping, evidence, RULES)
+
+
 def mapping_fixture():
     events = [make_auth(i + 1, seconds=i * 10) for i in range(5)]
     [finding] = detect_bruteforce(events, DetectorParams())
@@ -167,7 +175,7 @@ def test_weaker_org_controls_yield_insufficient_gaps():
         param("LockoutThreshold", 5, clause="base:1-1"),
         param("PasswordMaxAgeDays", 90, clause="base:2-2"),
     ]
-    gaps = compare_controls(org, base, mapping_fixture(), EVIDENCE, RULES)
+    gaps = compare(org, base, mapping_fixture(), EVIDENCE)
     by_control = {g.control: g for g in gaps}
     assert set(by_control) == {"LockoutThreshold", "PasswordMaxAgeDays"}
 
@@ -185,12 +193,8 @@ def test_weaker_org_controls_yield_insufficient_gaps():
 def test_severity_ratio_boundary():
     base = [param("LockoutThreshold", 5, clause="base:1-1")]
     mapping = mapping_fixture()
-    [just_below] = compare_controls(
-        [param("LockoutThreshold", 9)], base, mapping, EVIDENCE, RULES
-    )
-    [at_ratio] = compare_controls(
-        [param("LockoutThreshold", 10)], base, mapping, EVIDENCE, RULES
-    )
+    [just_below] = compare([param("LockoutThreshold", 9)], base, mapping, EVIDENCE)
+    [at_ratio] = compare([param("LockoutThreshold", 10)], base, mapping, EVIDENCE)
     assert just_below.severity == "Medium"
     assert at_ratio.severity == "High"
 
@@ -198,12 +202,12 @@ def test_severity_ratio_boundary():
 def test_equal_controls_yield_no_gap():
     org = [param("LockoutThreshold", 5)]
     base = [param("LockoutThreshold", 5, clause="base:1-1")]
-    assert compare_controls(org, base, mapping_fixture(), EVIDENCE, RULES) == []
+    assert compare(org, base, mapping_fixture(), EVIDENCE) == []
 
 
 def test_missing_control_reported_only_when_baseline_has_it():
     base = [param("MfaRequired", True, clause="base:3-3")]
-    [gap] = compare_controls([], base, mapping_fixture(), EVIDENCE, RULES)
+    [gap] = compare([], base, mapping_fixture(), EVIDENCE)
     assert gap.gap_kind == "Missing"
     assert gap.org_value is None
     assert gap.severity == "High"
@@ -212,33 +216,33 @@ def test_missing_control_reported_only_when_baseline_has_it():
     # org-only controls are not gaps
     org_only = [param("LockoutThreshold", 5)]
     base_other = [param("MfaRequired", True, clause="base:3-3")]
-    gaps = compare_controls(org_only, base_other, mapping_fixture(), EVIDENCE, RULES)
+    gaps = compare(org_only, base_other, mapping_fixture(), EVIDENCE)
     assert [g.control for g in gaps] == ["MfaRequired"]
 
 
 def test_no_baseline_is_an_error():
     with pytest.raises(NoBaselineError):
-        compare_controls([param("LockoutThreshold", 10)], [], mapping_fixture(), EVIDENCE, RULES)
+        compare([param("LockoutThreshold", 10)], [], mapping_fixture(), EVIDENCE)
 
 
 def test_empty_incident_evidence_is_an_error():
     base = [param("LockoutThreshold", 5, clause="base:1-1")]
     with pytest.raises(ValueError):
-        compare_controls([], base, mapping_fixture(), [], RULES)
+        compare([], base, mapping_fixture(), [])
 
 
 def test_unmapped_technique_compares_nothing():
     mapping = mapping_fixture()
     mapping.technique_id = "T9999"
     base = [param("LockoutThreshold", 5, clause="base:1-1")]
-    assert compare_controls([], base, mapping, EVIDENCE, RULES) == []
+    assert compare([], base, mapping, EVIDENCE) == []
 
 
 def test_subtechnique_inherits_parent_relevance():
     mapping = mapping_fixture()
     mapping.technique_id = "T1110.001"
     base = [param("LockoutThreshold", 5, clause="base:1-1")]
-    [gap] = compare_controls([param("LockoutThreshold", 10)], base, mapping, EVIDENCE, RULES)
+    [gap] = compare([param("LockoutThreshold", 10)], base, mapping, EVIDENCE)
     assert gap.technique_id == "T1110.001"
 
 
@@ -248,7 +252,7 @@ def test_gaps_sorted_by_control_then_technique():
         param("PasswordMaxAgeDays", 90, clause="base:2-2"),
         param("LockoutThreshold", 5, clause="base:1-1"),
     ]
-    gaps = compare_controls(org, base, mapping_fixture(), EVIDENCE, RULES)
+    gaps = compare(org, base, mapping_fixture(), EVIDENCE)
     assert [g.control for g in gaps] == sorted(g.control for g in gaps)
 
 
@@ -291,8 +295,8 @@ def test_duplicate_equal_values_do_not_warn():
 def test_dedupe_unions_evidence():
     base = param("LockoutThreshold", 5, clause="base:1-1")
     mapping = mapping_fixture()
-    [g1] = compare_controls([param("LockoutThreshold", 10)], [base], mapping, ["src#1"], RULES)
-    [g2] = compare_controls([param("LockoutThreshold", 10)], [base], mapping, ["src#2", "src#1"], RULES)
+    [g1] = compare([param("LockoutThreshold", 10)], [base], mapping, ["src#1"])
+    [g2] = compare([param("LockoutThreshold", 10)], [base], mapping, ["src#2", "src#1"])
     merged = dedupe_gaps([g1, g2])
     assert len(merged) == 1
     assert merged[0].evidence_events == ["src#1", "src#2"]
@@ -304,9 +308,7 @@ def test_dedupe_unions_evidence():
 
 def make_gap(**overrides):
     base = param("LockoutThreshold", 5, clause="base:1-1")
-    [gap] = compare_controls(
-        [param("LockoutThreshold", 10)], [base], mapping_fixture(), EVIDENCE, RULES
-    )
+    [gap] = compare([param("LockoutThreshold", 10)], [base], mapping_fixture(), EVIDENCE)
     return dataclasses.replace(gap, **overrides)
 
 
@@ -317,9 +319,6 @@ def test_confidence_rules():
         assign_confidence(make_gap(gap_kind="Missing", org_value=None)).confidence
         == "Low"
     )
-    llm_side = make_gap()
-    llm_side.org_value = dataclasses.replace(llm_side.org_value, extraction="LlmAssisted")
-    assert assign_confidence(llm_side, min_evidence=5).confidence == "Medium"
 
 
 @settings(max_examples=60, deadline=None)

@@ -260,10 +260,6 @@ def test_grounding_fails_on_fabricated_ref():
 
 def test_grounding_fails_on_markerless_claims():
     assert validate_grounding("All good.", ["src#1"], []).passed is False
-    assert (
-        validate_grounding("All good.", ["src#1"], [], require_markers=False).passed
-        is True
-    )
 
 
 def test_duplicate_markers_counted_once():

@@ -1,20 +1,22 @@
+import dataclasses
 import json
+import logging
 import re
 import shutil
 
 import pytest
 
-from pir import orchestrator, policy_index, reporting
+from pir import gap_analysis, orchestrator, policy_index, reporting
 from pir.canon import digest_of, format_instant, sha256_hex
 from pir.config import ReviewConfig
 from pir.errors import RecordsFileError, StageFailureError, StageOrderViolationError
+from pir.gap_analysis import select_effective
 from pir.orchestrator import (
     RECORDS_FILE,
     STAGES,
     ReviewState,
     build_deps,
     check_stage_order,
-    field_digests,
     load_checkpoint,
     run_review,
     run_stage,
@@ -95,14 +97,21 @@ def test_stages_only_append_to_state(demo_config):
         state = next_state
 
 
-def test_field_digests_expose_rewrites(demo_config):
-    deps = build_deps(demo_config)
-    state = run_stage(fresh_state(demo_config), "ProcessEvidence", deps)
-    before = field_digests(state)
-    after = field_digests(run_stage(state, "MapAttack", deps))
-    assert after["records_digest"] == before["records_digest"]
-    assert after["findings"] == before["findings"]
-    assert after["mappings"] != before["mappings"]
+def test_copy_gives_every_list_field_a_fresh_container(demo_config):
+    # a subclass stands in for a list field added to ReviewState later
+    @dataclasses.dataclass
+    class Extended(ReviewState):
+        later_field: list[str] = dataclasses.field(default_factory=list)
+
+    state = Extended(**vars(run_review(demo_config)), later_field=["x"])
+    copied = state.copy()
+    list_fields = [k for k, v in vars(state).items() if isinstance(v, list)]
+    assert len(list_fields) == 15
+    for name in list_fields:
+        original, fresh = getattr(state, name), getattr(copied, name)
+        assert fresh is not original, name
+        assert len(fresh) == len(original)
+        assert all(a is b for a, b in zip(fresh, original)), name
 
 
 # --- ordering ------------------------------------------------------------------------
@@ -213,6 +222,49 @@ def test_disabled_gateway_degrades_every_narrative(fixture_config_raw, tmp_path)
     assert len(state.degradation_notes) == 5
     assert len(state.gaps) == 2
     assert state.report.degradation_notes == state.degradation_notes
+
+
+# --- effective controls ------------------------------------------------------------------
+
+
+def test_each_policy_conflict_is_logged_and_noted_once(
+    fixture_config_raw, tmp_path, caplog, monkeypatch
+):
+    evidence = []
+    for name, account in (("host_a", "administrator"), ("host_b", "jdoe")):
+        xml, _truth = generate(ScenarioSpec(target_account=account), source_name=name)
+        (tmp_path / f"{name}.xml").write_text(xml, encoding="utf-8")
+        evidence.append(str(tmp_path / f"{name}.xml"))
+    org = tmp_path / "org_policy.md"
+    org.write_text(
+        (FIXTURES / "policies" / "org_policy.md").read_text(encoding="utf-8")
+        + "\nPrivileged accounts are locked after 3 failed logon attempts.\n",
+        encoding="utf-8",
+    )
+    raw = dict(fixture_config_raw, evidence_paths=evidence, org_policy_paths=[str(org)])
+    config = ReviewConfig.from_dict(
+        raw,
+        FIXTURES,
+        overrides={"output_dir": str(tmp_path / "out"), "gateway_mode": "disabled"},
+    )
+    calls = []
+
+    def counted_select_effective(params, rules):
+        calls.append(params)
+        return select_effective(params, rules)
+
+    # count calls made through either module's name for it
+    for module in (orchestrator, gap_analysis):
+        monkeypatch.setattr(module, "select_effective", counted_select_effective)
+    with caplog.at_level(logging.WARNING):
+        state = run_review(config)
+    assert len(state.mappings) == 2
+    assert len(calls) == 2  # once per side, not once per mapping
+    conflicts = [n for n in state.notes if n.startswith("conflicting values")]
+    assert len(conflicts) == 1
+    assert "LockoutThreshold" in conflicts[0]
+    logged = [r.getMessage() for r in caplog.records]
+    assert [m for m in logged if m.startswith("conflicting values")] == conflicts
 
 
 # --- checkpoints ----------------------------------------------------------------------
