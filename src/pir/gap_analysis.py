@@ -349,21 +349,25 @@ def compare_controls(
 
 
 def dedupe_gaps(gaps: list[PolicyGap]) -> list[PolicyGap]:
-    """Merge gaps that share (control, technique_id), unioning evidence."""
-    merged: dict[tuple[str, str], PolicyGap] = {}
+    """Merge gaps that share (control, technique_id), unioning evidence in
+    first-seen order."""
+    # per key: the kept gap and the refs and clause ids it already holds
+    merged: dict[tuple[str, str], tuple[PolicyGap, set[str], set[str]]] = {}
     for gap in gaps:
         key = (gap.control, gap.technique_id)
-        kept = merged.get(key)
-        if kept is None:
-            merged[key] = gap
+        if key not in merged:
+            merged[key] = (gap, set(gap.evidence_events), set(gap.evidence_clauses))
             continue
-        for ref in gap.evidence_events:
-            if ref not in kept.evidence_events:
-                kept.evidence_events.append(ref)
-        for cid in gap.evidence_clauses:
-            if cid not in kept.evidence_clauses:
-                kept.evidence_clauses.append(cid)
-    out = list(merged.values())
+        kept, seen_refs, seen_clauses = merged[key]
+        for into, seen, items in (
+            (kept.evidence_events, seen_refs, gap.evidence_events),
+            (kept.evidence_clauses, seen_clauses, gap.evidence_clauses),
+        ):
+            for item in items:
+                if item not in seen:
+                    seen.add(item)
+                    into.append(item)
+    out = [kept for kept, _, _ in merged.values()]
     out.sort(key=lambda g: (g.control, g.technique_id))
     return out
 

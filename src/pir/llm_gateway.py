@@ -90,16 +90,10 @@ class PromptTemplate:
     template_id: str
     stage: str
     body: str
-    required_placeholders: tuple[str, ...]
 
 
 def render(template: PromptTemplate, bindings: dict[str, str]) -> str:
     """Deterministic placeholder substitution; nothing else."""
-    missing = [p for p in template.required_placeholders if p not in bindings]
-    if missing:
-        raise MissingPlaceholderError(
-            f"template {template.template_id} missing bindings: {', '.join(missing)}"
-        )
     rendered = _PLACEHOLDER.sub(
         lambda m: bindings.get(m.group(1), m.group(0)), template.body
     )
@@ -138,14 +132,6 @@ TEMPLATES: dict[str, PromptTemplate] = {
                 "Subsequent successful logon: {{success_line}}\n"
                 "Available record refs: {{evidence_refs}}"
             ),
-            required_placeholders=(
-                "account",
-                "failure_count",
-                "window_start",
-                "window_end",
-                "success_line",
-                "evidence_refs",
-            ),
         ),
         PromptTemplate(
             template_id="mapping_justification",
@@ -159,14 +145,6 @@ TEMPLATES: dict[str, PromptTemplate] = {
                 "Account: {{account}}\n"
                 "Failed logon count: {{failure_count}}\n"
                 "Available record refs: {{evidence_refs}}"
-            ),
-            required_placeholders=(
-                "technique_id",
-                "technique_name",
-                "tactic",
-                "account",
-                "failure_count",
-                "evidence_refs",
             ),
         ),
         PromptTemplate(
@@ -186,14 +164,6 @@ TEMPLATES: dict[str, PromptTemplate] = {
                 "Available record refs: {{event_refs}}\n"
                 "Available clause refs: {{clause_refs}}"
             ),
-            required_placeholders=(
-                "control",
-                "gap_kind",
-                "org_summary",
-                "baseline_summary",
-                "event_refs",
-                "clause_refs",
-            ),
         ),
         PromptTemplate(
             template_id="incident_summary",
@@ -207,13 +177,6 @@ TEMPLATES: dict[str, PromptTemplate] = {
                 "Policy gaps: {{gap_digest}}\n"
                 "Available record refs: {{event_refs}}\n"
                 "Available clause refs: {{clause_refs}}"
-            ),
-            required_placeholders=(
-                "findings_digest",
-                "technique_digest",
-                "gap_digest",
-                "event_refs",
-                "clause_refs",
             ),
         ),
     )

@@ -2,10 +2,13 @@
 
 The JSON form is byte-deterministic for identical state (sorted keys, fixed
 float precision, defined array orders), so replay runs can be compared by
-digest. Every conclusion row in the trace ledger must resolve against the
-ingested evidence and policy clauses; an unresolvable citation aborts
-build_report, and with it the loading of a final checkpoint, rather than
-shipping an audit artifact with dangling references.
+digest. Citation closure has one rule, :func:`collect_citations`: the
+reference keys below plus the citation markers in any string, outside the
+``_EXEMPT_KEYS`` sections. build_report applies it to the report it has just
+built, as any reader of a report.json can. A citation that does not resolve
+against the ingested evidence and policy clauses aborts build_report, and
+with it the loading of a final checkpoint, rather than shipping an audit
+artifact with dangling references.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ KIND_FINDING = "finding"
 KIND_MAPPING = "mapping"
 KIND_GAP = "gap"
 
-# Dict keys whose string (or list-of-string) values are structural citations,
-# used by the re-parse closure check over a rendered report.
+# Dict keys whose string (or list-of-string) values are structural citations.
+# With the markers in strings they are the closure rule, for build_report and
+# for a re-read report.json alike.
 _RECORD_REF_KEYS = frozenset(
     {
         "event_refs",
@@ -48,6 +52,10 @@ _RECORD_REF_KEYS = frozenset(
 _CLAUSE_REF_KEYS = frozenset(
     {"clause_refs", "evidence_clauses", "clause_ids", "clause_ref", "clause_id"}
 )
+# Sections that cite nothing. Transcripts and degradation notes are the audit
+# trail and may quote rejected model output; the evidence appendix is the set
+# of records citations are checked against.
+_EXEMPT_KEYS = frozenset({"transcripts", "degradation_notes", "evidence_appendix"})
 
 
 @dataclass
@@ -80,7 +88,7 @@ class ReviewReport(Canonical):
 
 
 def build_trace_ledger(state: "ReviewState") -> list[TraceRow]:
-    """One row per finding, mapping, and gap; every reference must resolve.
+    """One row per finding, mapping, and gap; every row must cite something.
 
     Rows come back sorted by (conclusion_kind, conclusion_id).
     """
@@ -105,72 +113,24 @@ def build_trace_ledger(state: "ReviewState") -> list[TraceRow]:
                 gap.confidence,
             )
         )
-
-    known_refs = state.record_refs()
-    known_clauses = state.clause_ids()
     for row in rows:
         if not row.event_refs and not row.clause_refs:
             raise UnresolvedReferenceError(
                 f"{row.conclusion_id} carries no supporting references"
             )
-        for ref in row.event_refs:
-            if ref not in known_refs:
-                raise UnresolvedReferenceError(
-                    f"{row.conclusion_id} cites unknown record ref {ref!r}"
-                )
-        for cid in row.clause_refs:
-            if cid not in known_clauses:
-                raise UnresolvedReferenceError(
-                    f"{row.conclusion_id} cites unknown clause id {cid!r}"
-                )
     rows.sort(key=lambda r: (r.conclusion_kind, r.conclusion_id))
     return rows
 
 
-def _scan_narrative(
-    label: str, text: str, known_refs: set[str], known_clauses: set[str]
-) -> None:
-    for ref in EVT_MARKER.findall(text or ""):
-        if ref not in known_refs:
-            raise UnresolvedReferenceError(
-                f"{label} cites unknown record ref {ref!r}"
-            )
-    for cid in POL_MARKER.findall(text or ""):
-        if cid not in known_clauses:
-            raise UnresolvedReferenceError(
-                f"{label} cites unknown clause id {cid!r}"
-            )
-
-
 def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
-    """Assemble the report document, enforcing citation closure over the
-    ledger and every accepted narrative.
+    """Assemble the report document and check it with
+    :func:`verify_citation_closure`, the check a re-read report.json gets.
 
-    Transcripts are exempt from enforcement: a degraded transcript records
-    the rejected model output, fabricated citations included, as the audit
-    trail of why the fallback text was used.
+    The sections in ``_EXEMPT_KEYS`` are not checked: a degraded transcript
+    and its degradation note record the rejected model output, fabricated
+    citations included, as the audit trail of why the fallback text was used.
     """
     ledger = build_trace_ledger(state)
-
-    known_refs = state.record_refs()
-    known_clauses = state.clause_ids()
-    _scan_narrative(
-        "incident summary", state.incident_summary or "", known_refs, known_clauses
-    )
-    for i, summary in enumerate(state.finding_summaries):
-        _scan_narrative(f"finding-{i + 1:03d} summary", summary, known_refs, known_clauses)
-    for i, mapping in enumerate(state.mappings):
-        _scan_narrative(
-            f"mapping-{i + 1:03d} rationale", mapping.rationale, known_refs, known_clauses
-        )
-    for i, gap in enumerate(state.gaps):
-        _scan_narrative(
-            f"gap-{i + 1:03d} rationale", gap.rationale, known_refs, known_clauses
-        )
-        _scan_narrative(
-            f"gap-{i + 1:03d} remediation", gap.remediation, known_refs, known_clauses
-        )
-
     appendix = [
         {
             "record_ref": r.record_ref,
@@ -180,7 +140,7 @@ def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
         }
         for r in state.records
     ]
-    return ReviewReport(
+    report = ReviewReport(
         run_id=state.run_id,
         config_digest=state.config_digest,
         generated_at=generated_at,
@@ -195,6 +155,14 @@ def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
         degradation_notes=list(state.degradation_notes),
         notes=list(state.notes),
     )
+    missing = verify_citation_closure(
+        report.to_dict(), state.record_refs(), state.clause_ids()
+    )
+    if missing:
+        raise UnresolvedReferenceError(
+            f"report cites unknown references: {', '.join(missing)}"
+        )
+    return report
 
 
 def render_json(report: ReviewReport) -> str:
@@ -210,8 +178,9 @@ def json_report_digest(text: str) -> str:
 
 
 def collect_citations(doc) -> tuple[list[str], list[str]]:
-    """Every record ref and clause id cited anywhere in a parsed report:
-    structural reference fields plus citation markers inside any string."""
+    """Every record ref and clause id cited in a report document, outside the
+    ``_EXEMPT_KEYS`` sections: structural reference fields plus citation
+    markers inside any string."""
     refs: dict[str, None] = {}
     clauses: dict[str, None] = {}
 
@@ -226,6 +195,8 @@ def collect_citations(doc) -> tuple[list[str], list[str]]:
     def walk(node) -> None:
         if isinstance(node, dict):
             for key, value in node.items():
+                if key in _EXEMPT_KEYS:
+                    continue
                 if key in _RECORD_REF_KEYS:
                     take(refs, value)
                 elif key in _CLAUSE_REF_KEYS:

@@ -349,6 +349,27 @@ def test_render_fails_closed_without_its_records(tmp_path, capsys, damage):
     assert not (rendered / "report.md").exists()
 
 
+@pytest.mark.parametrize("side", ["org_value", "baseline_value"])
+def test_render_fails_closed_on_a_fabricated_control_clause_ref(tmp_path, capsys, side):
+    out = tmp_path / "out"
+    code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+    assert code == 0
+    checkpoint = out / "state" / "GenerateReport.json"
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    doc["gaps"][0][side]["clause_ref"] = "org_policy:99-99"
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+
+    rendered = tmp_path / "rendered"
+    code, _out, err = run_cli(
+        capsys, "render", "--state", str(checkpoint), "--output", str(rendered)
+    )
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "UnresolvedReferenceError"
+    assert "org_policy:99-99" in payload["detail"]
+    assert not (rendered / "report.json").exists()
+
+
 def test_render_without_inputs_exits_3(capsys):
     code, _out, err = run_cli(capsys, "render")
     assert code == 3

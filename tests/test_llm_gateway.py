@@ -15,6 +15,7 @@ from pir.errors import (
 )
 from pir.llm_gateway import (
     TEMPLATES,
+    _PLACEHOLDER,
     Gateway,
     GatewaySettings,
     GenerationParams,
@@ -49,9 +50,10 @@ def echo_transport(request_body):
 @pytest.mark.parametrize("template_id", sorted(TEMPLATES))
 def test_every_template_renders_with_full_bindings(template_id):
     template = TEMPLATES[template_id]
-    bindings = {p: f"<{p}>" for p in template.required_placeholders}
+    names = _PLACEHOLDER.findall(template.body)
+    bindings = {p: f"<{p}>" for p in names}
     rendered = render(template, bindings)
-    for p in template.required_placeholders:
+    for p in names:
         assert f"<{p}>" in rendered
     assert "{{" not in rendered
 

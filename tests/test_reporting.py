@@ -68,13 +68,20 @@ def test_ledger_covers_every_conclusion(state):
 def test_fabricated_clause_ref_fails_the_ledger(state):
     state.gaps[0].evidence_clauses.append("org_policy:99-99")
     with pytest.raises(UnresolvedReferenceError, match="org_policy:99-99"):
-        build_trace_ledger(state)
+        build_report(state, generated_at=utc_now())
 
 
 def test_fabricated_record_ref_fails_the_ledger(state):
     state.mappings[0].evidence.append("ghost#1")
     with pytest.raises(UnresolvedReferenceError, match="ghost#1"):
-        build_trace_ledger(state)
+        build_report(state, generated_at=utc_now())
+
+
+@pytest.mark.parametrize("side", ["org_value", "baseline_value"])
+def test_fabricated_control_clause_ref_fails_the_report(state, side):
+    getattr(state.gaps[0], side).clause_ref = "org_policy:99-99"
+    with pytest.raises(UnresolvedReferenceError, match="org_policy:99-99"):
+        build_report(state, generated_at=utc_now())
 
 
 def test_conclusion_without_references_is_rejected(state):
@@ -119,6 +126,18 @@ def test_degraded_transcripts_are_exempt_from_closure(state):
     )
     report = build_report(state, generated_at=utc_now())
     assert report.transcripts[-1].response.startswith("Fabricated")
+
+
+def test_degraded_review_report_passes_the_closure_check(tmp_path):
+    # its degradation note quotes the rejected marker, an audit record
+    raw = json.loads((FIXTURES / "review_config_bad_citation.json").read_text())
+    config = ReviewConfig.from_dict(
+        raw, FIXTURES, overrides={"output_dir": str(tmp_path)}
+    )
+    state = run_review(config)
+    assert state.degradation_notes
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert verify_citation_closure(doc, state.record_refs(), state.clause_ids()) == []
 
 
 # --- report document -------------------------------------------------------------------
