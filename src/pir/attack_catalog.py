@@ -172,7 +172,6 @@ def justify_mapping(
     mapping: TechniqueMapping, finding: "BehaviorFinding", gateway: "Gateway"
 ):
     """Grounded narrative justification; falls back to the rule rationale."""
-    refs = finding.cited_refs()
     return gateway.narrate(
         "mapping_justification",
         {
@@ -181,9 +180,8 @@ def justify_mapping(
             "tactic": mapping.tactic,
             "account": finding.account,
             "failure_count": str(finding.failure_count),
-            "evidence_refs": ", ".join(refs),
         },
-        record_refs=refs,
+        record_refs=finding.cited_refs(),
         clause_ids=(),
         fallback=mapping.rationale,
     )

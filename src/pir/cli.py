@@ -38,23 +38,19 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _require_config(args) -> ReviewConfig:
+def _config(args, required: bool = True) -> ReviewConfig | None:
+    """The --config file with the --output and --gateway-mode overrides
+    applied; None when no --config is given and ``required`` is false."""
     if not args.config:
-        raise ConfigInvalidError("this command requires --config")
+        if required:
+            raise ConfigInvalidError("this command requires --config")
+        return None
     overrides = {}
     if args.output:
         overrides["output_dir"] = str(Path(args.output).resolve())
     if args.gateway_mode:
         overrides["gateway_mode"] = args.gateway_mode
     return ReviewConfig.from_file(Path(args.config), overrides=overrides)
-
-
-def _output_dir(args, config: ReviewConfig | None) -> Path:
-    if args.output:
-        return Path(args.output).resolve()
-    if config is not None:
-        return config.output_dir
-    raise ConfigInvalidError("this command requires --output or --config")
 
 
 def _load_records(config: ReviewConfig):
@@ -66,7 +62,7 @@ def _load_records(config: ReviewConfig):
 
 
 def cmd_review(args) -> int:
-    config = _require_config(args)
+    config = _config(args)
     state = run_review(config)
     json_path = config.output_dir / "report.json"
     print(
@@ -78,7 +74,7 @@ def cmd_review(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = _require_config(args)
+    config = _config(args)
     if not config.evidence_paths:
         raise ConfigInvalidError("config lists no evidence_paths")
     records = _load_records(config)
@@ -90,7 +86,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config = _require_config(args)
+    config = _config(args)
     if not config.evidence_paths:
         raise ConfigInvalidError("config lists no evidence_paths")
     records = _load_records(config)
@@ -109,7 +105,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_index(args) -> int:
-    config = _require_config(args)
+    config = _config(args)
     if not config.org_policy_paths and not config.baseline_policy_paths:
         raise ConfigInvalidError("config lists no policy documents to index")
     documents = load_policy_documents(
@@ -127,9 +123,13 @@ def cmd_index(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
-    config = ReviewConfig.from_file(Path(args.config)) if args.config else None
-    out_dir = _output_dir(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config = _config(args, required=False)
+    if config is not None:
+        out_dir = config.output_dir
+    elif args.output:
+        out_dir = Path(args.output).resolve()
+    else:
+        raise ConfigInvalidError("gen-scenario requires --output or --config")
     try:
         spec = ScenarioSpec(
             seed=args.seed,
@@ -148,6 +148,7 @@ def cmd_gen_scenario(args) -> int:
     except ValueError as exc:
         raise ConfigInvalidError(str(exc)) from exc
     xml, truth = generate(spec, source_name=args.name)
+    out_dir.mkdir(parents=True, exist_ok=True)
     xml_path = out_dir / f"{args.name}.xml"
     truth_path = out_dir / f"{args.name}.truth.json"
     xml_path.write_text(xml, encoding="utf-8")
@@ -165,22 +166,20 @@ def cmd_gen_scenario(args) -> int:
 
 
 def cmd_render(args) -> int:
-    config = ReviewConfig.from_file(Path(args.config)) if args.config else None
-    if args.state:
+    config = _config(args, required=False)
+    if config is not None:
+        if args.state:
+            raise ConfigInvalidError("render takes --state or --config, not both")
+        out_dir = config.output_dir
+        state_path = out_dir / "state" / "GenerateReport.json"
+    elif args.state:
         state_path = Path(args.state)
-    elif config is not None:
-        state_path = config.output_dir / "state" / "GenerateReport.json"
+        out_dir = Path(args.output).resolve() if args.output else state_path.parent.parent
     else:
         raise ConfigInvalidError("render requires --state or --config")
     if not state_path.is_file():
         raise ConfigInvalidError(f"checkpoint not found: {state_path}")
     state = load_checkpoint(state_path)
-    if args.output:
-        out_dir = Path(args.output).resolve()
-    elif config is not None:
-        out_dir = config.output_dir
-    else:
-        out_dir = state_path.parent.parent
     json_path, md_path = write_report_files(state, out_dir)
     print(f"rendered {json_path} and {md_path}")
     return EXIT_OK

@@ -159,7 +159,7 @@ class ReviewConfig:
         return cls.from_dict(raw, path.parent, overrides)
 
     def validate(self) -> None:
-        """Check paths and uniqueness rules before any stage runs."""
+        """Check paths and uniqueness rules, then create the output dir."""
         if not self.evidence_paths:
             raise ConfigInvalidError("config lists no evidence_paths")
         if not self.org_policy_paths:
@@ -183,8 +183,6 @@ class ReviewConfig:
                 raise ConfigInvalidError(
                     f"policy path {p} must end in one of {POLICY_SUFFIXES}"
                 )
-        if self.catalog_path is not None and not self.catalog_path.is_file():
-            raise ConfigInvalidError(f"catalog path not found: {self.catalog_path}")
         if self.gateway_mode == MODE_REPLAY and not self.cache_dir.is_dir():
             raise ConfigInvalidError(
                 f"replay mode needs an existing cache dir: {self.cache_dir}"

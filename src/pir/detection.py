@@ -257,7 +257,6 @@ def fallback_summary(finding: BehaviorFinding) -> str:
 
 def narrative_for_finding(finding: BehaviorFinding, gateway: "Gateway"):
     """Gateway round-trip for a finding summary; returns a NarrativeResult."""
-    refs = finding.cited_refs()
     success_line = (
         f"yes, record {finding.success_record}" if finding.success_record else "none"
     )
@@ -269,9 +268,8 @@ def narrative_for_finding(finding: BehaviorFinding, gateway: "Gateway"):
             "window_start": format_instant(finding.window_start),
             "window_end": format_instant(finding.window_end),
             "success_line": success_line,
-            "evidence_refs": ", ".join(refs),
         },
-        record_refs=refs,
+        record_refs=finding.cited_refs(),
         clause_ids=(),
         fallback=fallback_summary(finding),
     )

@@ -223,11 +223,7 @@ def extract_control_parameters(
 
 
 def _stricter(a: ControlParameter, b: ControlParameter, direction: str) -> ControlParameter:
-    if direction == "lower_is_stricter":
-        return a if a.value <= b.value else b
-    if direction == "higher_is_stricter":
-        return a if a.value >= b.value else b
-    return a if bool(a.value) >= bool(b.value) else b
+    return b if is_weaker(a.value, b.value, direction) else a
 
 
 def select_effective(
@@ -456,8 +452,6 @@ def draft_rationale(
             "gap_kind": gap.gap_kind,
             "org_summary": _fmt_value(gap.org_value),
             "baseline_summary": _fmt_value(gap.baseline_value),
-            "event_refs": ", ".join(gap.evidence_events),
-            "clause_refs": ", ".join(gap.evidence_clauses),
         },
         record_refs=gap.evidence_events,
         clause_ids=gap.evidence_clauses,

@@ -161,7 +161,7 @@ TEMPLATES: dict[str, PromptTemplate] = {
                 "Gap kind: {{gap_kind}}\n"
                 "Organisation position: {{org_summary}}\n"
                 "Baseline requirement: {{baseline_summary}}\n"
-                "Available record refs: {{event_refs}}\n"
+                "Available record refs: {{evidence_refs}}\n"
                 "Available clause refs: {{clause_refs}}"
             ),
         ),
@@ -175,7 +175,7 @@ TEMPLATES: dict[str, PromptTemplate] = {
                 "Behaviour findings: {{findings_digest}}\n"
                 "Technique attributions: {{technique_digest}}\n"
                 "Policy gaps: {{gap_digest}}\n"
-                "Available record refs: {{event_refs}}\n"
+                "Available record refs: {{evidence_refs}}\n"
                 "Available clause refs: {{clause_refs}}"
             ),
         ),
@@ -304,7 +304,7 @@ class GatewaySettings:
     def __post_init__(self) -> None:
         if self.mode not in GATEWAY_MODES:
             raise ConfigInvalidError(
-                f"gateway mode must be one of {GATEWAY_MODES}, got {self.mode!r}"
+                f"gateway_mode must be one of {GATEWAY_MODES}, got {self.mode!r}"
             )
         self.cache_dir = Path(self.cache_dir)
 
@@ -449,7 +449,8 @@ class Gateway:
         fallback: str,
     ) -> NarrativeResult:
         """Grounded narration: model text is used only when every citation
-        resolves; otherwise the deterministic fallback takes its place."""
+        resolves; otherwise the deterministic fallback takes its place. The
+        prompt lists the scope as ``evidence_refs`` and ``clause_refs``."""
         if self.settings.mode == MODE_DISABLED:
             return NarrativeResult(
                 text=fallback,
@@ -457,6 +458,11 @@ class Gateway:
                 transcript=None,
                 note=f"gateway disabled; deterministic {template_id} text used",
             )
+        bindings = {
+            **bindings,
+            "evidence_refs": ", ".join(record_refs),
+            "clause_refs": ", ".join(clause_ids) or "none",
+        }
         transcript = self.complete(template_id, bindings)
         report = validate_grounding(transcript.response, record_refs, clause_ids)
         transcript.grounding = report

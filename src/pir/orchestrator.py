@@ -35,6 +35,7 @@ from .canon import (
 from .config import ReviewConfig
 from .detection import BehaviorFinding, detect_bruteforce, narrative_for_finding
 from .errors import (
+    ConfigInvalidError,
     RecordsFileError,
     ReviewError,
     StageFailureError,
@@ -65,14 +66,6 @@ from .policy_index import (
 )
 
 logger = logging.getLogger(__name__)
-
-STAGES = (
-    "ProcessEvidence",
-    "MapAttack",
-    "RetrievePolicies",
-    "ValidatePolicies",
-    "GenerateReport",
-)
 
 STATUS_OK = "ok"
 STATUS_SKIPPED = "skipped"
@@ -206,6 +199,8 @@ def build_deps(config: ReviewConfig, transport=None) -> StageDeps:
     )
     gateway = Gateway(settings, transport=transport)
     if config.catalog_path is not None:
+        if not config.catalog_path.is_file():
+            raise ConfigInvalidError(f"catalog path not found: {config.catalog_path}")
         catalog = load_catalog(config.catalog_path.read_text(encoding="utf-8"))
     else:
         catalog = load_default_catalog()
@@ -351,8 +346,6 @@ def _stage_generate_report(state: ReviewState, deps: StageDeps):
                     for g in state.gaps
                 )
                 or "none identified",
-                "event_refs": ", ".join(refs),
-                "clause_refs": ", ".join(clause_ids) or "none",
             },
             record_refs=refs,
             clause_ids=clause_ids,
@@ -374,6 +367,8 @@ _STAGE_FUNCS = {
     "ValidatePolicies": _stage_validate_policies,
     "GenerateReport": _stage_generate_report,
 }
+
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def check_stage_order(stage_log: list[StageRecord], stage: str) -> None:
@@ -463,9 +458,10 @@ def load_checkpoint(path: Path) -> ReviewState:
 
 def run_review(config: ReviewConfig, transport=None) -> ReviewState:
     """Run the whole pipeline, checkpointing each stage, and write the
-    report files into the configured output directory."""
-    config.validate()
+    report files into the configured output directory; nothing is written
+    before the deps and the config pass their checks."""
     deps = build_deps(config, transport=transport)
+    config.validate()
     state = ReviewState(
         run_id=f"run-{config.digest[:12]}", config_digest=config.digest
     )

@@ -133,12 +133,12 @@ def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
     ledger = build_trace_ledger(state)
     appendix = [
         {
-            "record_ref": r.record_ref,
-            "event_id": r.event_id,
-            "timestamp_utc": format_instant(r.timestamp_utc),
-            "digest": digest_of(r.to_dict()),
+            "record_ref": d["record_ref"],
+            "event_id": d["event_id"],
+            "timestamp_utc": d["timestamp_utc"],
+            "digest": digest_of(d),
         }
-        for r in state.records
+        for d in (r.to_dict() for r in state.records)
     ]
     report = ReviewReport(
         run_id=state.run_id,

@@ -88,6 +88,7 @@ def test_review_replay_miss_exits_2_with_stage_context(tmp_path, capsys):
         (None, "catalog_path", 5),
         (None, "detector", []),
         (None, "gateway_mode", 5),
+        (None, "gateway_mode", "sometimes"),
         (None, "output_dir", 5),
     ],
 )
@@ -319,6 +320,28 @@ def test_render_reproduces_review_outputs(tmp_path, capsys):
     assert code == 0
     assert (rerender / "report.json").read_bytes() == original_json
     assert (rerender / "report.md").read_bytes() == original_md
+
+
+def test_render_with_config_reads_and_writes_the_output_override(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+    assert code == 0
+    reports = [(out / name).read_bytes() for name in ("report.json", "report.md")]
+    for name in ("report.json", "report.md"):
+        (out / name).unlink()
+
+    code, stdout, _err = run_cli(capsys, "render", "--config", CONFIG, "--output", str(out))
+    assert code == 0
+    assert str(out / "report.json") in stdout
+    assert [(out / name).read_bytes() for name in ("report.json", "report.md")] == reports
+
+
+def test_render_rejects_state_together_with_config(tmp_path, capsys):
+    code, _out, err = run_cli(
+        capsys, "render", "--config", CONFIG, "--state", str(tmp_path / "s.json")
+    )
+    assert code == 3
+    assert "not both" in json.loads(err.strip().splitlines()[-1])["detail"]
 
 
 @pytest.mark.parametrize("damage", ["missing", "edited"])
