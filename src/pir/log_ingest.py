@@ -17,6 +17,7 @@ evidence sets in which two records share one.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import logging
 import re
@@ -224,7 +225,23 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>") -> list[Ev
     Raises XmlSyntaxError, with the line and column in the original text, on
     malformed markup and MissingSystemFieldError when an Event lacks a
     usable EventID or TimeCreated (records are never silently dropped).
+
+    The cyclic garbage collector is paused while the parse runs, as timeit
+    pauses it: the parse allocates about a dozen short-lived Elements per
+    record, which would set off collections, and makes no reference cycles,
+    since an Element holds no parent pointer. A caller that had disabled the
+    collector finds it still disabled.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_records(document, source)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _parse_records(document: str | TextIO, source: str) -> list[EventRecord]:
     pieces = _pieces(document)
     prolog, head = _split_prolog(pieces)
     parser = ET.XMLPullParser(events=("end",))

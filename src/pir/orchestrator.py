@@ -4,10 +4,12 @@ Stages run strictly in order: ProcessEvidence, MapAttack, RetrievePolicies,
 ValidatePolicies, GenerateReport. Each stage extends a copy of the incoming
 state and never rewrites fields owned by earlier stages; run_review persists
 a canonical JSON checkpoint after every stage under <output>/state/.
-A checkpoint stores each fact once. ProcessEvidence writes the records to
-state/records.json and every checkpoint names that file's sha256 as its
-records_digest; the auth events and the report are re-derived when a
-checkpoint is loaded, which re-checks citation closure.
+A checkpoint stores each fact once. ProcessEvidence encodes each record
+once, writes the records to state/records.json and keeps each record's
+sha256 for the report's evidence appendix; every checkpoint names the file's
+sha256 as its records_digest. Loading a checkpoint checks the file against
+that digest and takes the per-record digests from the file's own bytes; the
+auth events and the report are re-derived, which re-checks citation closure.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .canon import (
 from .config import ReviewConfig
 from .detection import BehaviorFinding, detect_bruteforce, narrative_for_finding
 from .errors import (
+    CatalogSchemaError,
     ConfigInvalidError,
     RecordsFileError,
     ReviewError,
@@ -91,6 +94,8 @@ class ReviewState:
     config_digest: str
     records: list[EventRecord] = field(default_factory=list)
     records_digest: str | None = None
+    # sha256 of each record's canonical JSON, in record order; derived
+    record_digests: tuple[str, ...] = ()
     auth_events: list[AuthEvent] = field(default_factory=list)
     skipped_auth_records: int = 0
     findings: list[BehaviorFinding] = field(default_factory=list)
@@ -133,8 +138,11 @@ class ReviewState:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict, records: list[EventRecord]) -> "ReviewState":
-        """Rebuild a state from a checkpoint dict and its records."""
+    def from_dict(
+        cls, d: dict, records: list[EventRecord], record_digests: tuple[str, ...]
+    ) -> "ReviewState":
+        """Rebuild a state from a checkpoint dict, its records and their
+        digests."""
         kwargs = decode_fields(cls, {k: d[k] for k in _CODEC_FIELDS})
         clause_by_id = {
             c.clause_id: c for doc in kwargs["policy_documents"] for c in doc.clauses
@@ -150,6 +158,7 @@ class ReviewState:
         auth_events, skipped = normalize_auth_events(records)
         state = cls(
             records=records,
+            record_digests=record_digests,
             auth_events=auth_events,
             skipped_auth_records=skipped,
             **kwargs,
@@ -162,12 +171,21 @@ class ReviewState:
 
 
 # A checkpoint stores every ReviewState field as the codec writes it, except
-# these: the records, auth events and report are re-derived on load, the
-# retrieval hits are stored by clause id and the report by its generated_at.
+# these: the records and their digests, the auth events and the report are
+# re-derived on load, the retrieval hits are stored by clause id and the
+# report by its generated_at.
 _CODEC_FIELDS = tuple(
     f.name
     for f in dataclasses.fields(ReviewState)
-    if f.name not in {"records", "auth_events", "skipped_auth_records", "retrieval", "report"}
+    if f.name
+    not in {
+        "records",
+        "record_digests",
+        "auth_events",
+        "skipped_auth_records",
+        "retrieval",
+        "report",
+    }
 )
 
 
@@ -201,7 +219,10 @@ def build_deps(config: ReviewConfig, transport=None) -> StageDeps:
     if config.catalog_path is not None:
         if not config.catalog_path.is_file():
             raise ConfigInvalidError(f"catalog path not found: {config.catalog_path}")
-        catalog = load_catalog(config.catalog_path.read_text(encoding="utf-8"))
+        try:
+            catalog = load_catalog(config.catalog_path.read_text(encoding="utf-8"))
+        except CatalogSchemaError as exc:
+            raise ConfigInvalidError(f"catalog {config.catalog_path}: {exc}") from exc
     else:
         catalog = load_default_catalog()
     return StageDeps(config=config, gateway=gateway, catalog=catalog)
@@ -221,7 +242,9 @@ def _stage_process_evidence(state: ReviewState, deps: StageDeps):
     config = deps.config
     records, notes = load_evidence(config.evidence_paths)
     state.records.extend(records)
-    state.records_digest = write_records(state.records, config.output_dir)
+    state.records_digest, state.record_digests = write_records(
+        state.records, config.output_dir
+    )
     state.notes.extend(notes)
 
     auth_events, skipped = normalize_auth_events(state.records)
@@ -421,12 +444,44 @@ def state_dir(output_dir: Path) -> Path:
     return path
 
 
-def write_records(records: list[EventRecord], output_dir: Path) -> str:
-    """Write the records as canonical JSON to <output>/state/records.json;
-    returns the sha256 of the bytes written."""
-    data = (canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
+def write_records(
+    records: list[EventRecord], output_dir: Path
+) -> tuple[str, tuple[str, ...]]:
+    """Write the records as canonical JSON to <output>/state/records.json,
+    encoding each record once; returns the sha256 of the bytes written and
+    the sha256 of each record's piece of them.
+
+    The file is the canonical JSON of the record list: the pieces joined by
+    commas inside brackets, as canon_dumps writes a list."""
+    pieces = [canon_dumps(r.to_dict()).encode("utf-8") for r in records]
+    data = b"[" + b",".join(pieces) + b"]\n"
     (state_dir(output_dir) / RECORDS_FILE).write_bytes(data)
-    return sha256_hex(data)
+    return sha256_hex(data), tuple(sha256_hex(piece) for piece in pieces)
+
+
+def read_records(path: Path, digest: str) -> tuple[list[EventRecord], tuple[str, ...]]:
+    """Read a records.json that write_records wrote, after checking its bytes
+    against ``digest``; returns the records and the sha256 of each record's
+    piece of the file, the digests write_records returned."""
+    if not path.is_file():
+        raise RecordsFileError(f"records file not found: {path}")
+    data = path.read_bytes()
+    if sha256_hex(data) != digest:
+        raise RecordsFileError(f"{path} does not match the checkpoint's records_digest")
+    text = data.decode("utf-8")
+    del data
+    decode = json.JSONDecoder().raw_decode
+    records: list[EventRecord] = []
+    digests: list[str] = []
+    pos, last = 1, len(text) - 2  # just past "[", and at the closing "]"
+    while pos < last:
+        item, end = decode(text, pos)
+        if text[end] not in ",]":
+            raise RecordsFileError(f"{path} is not a canonical JSON array")
+        records.append(EventRecord.from_dict(item))
+        digests.append(sha256_hex(text[pos:end]))
+        pos = end + 1
+    return records, tuple(digests)
 
 
 def save_checkpoint(state: ReviewState, output_dir: Path, stage: str) -> Path:
@@ -442,18 +497,10 @@ def load_checkpoint(path: Path) -> ReviewState:
     the checkpoint's records_digest."""
     path = Path(path)
     d = json.loads(path.read_text(encoding="utf-8"))
-    records = []
+    records, digests = [], ()
     if d["records_digest"]:
-        records_path = path.parent / RECORDS_FILE
-        if not records_path.is_file():
-            raise RecordsFileError(f"records file not found: {records_path}")
-        data = records_path.read_bytes()
-        if sha256_hex(data) != d["records_digest"]:
-            raise RecordsFileError(
-                f"{records_path} does not match the checkpoint's records_digest"
-            )
-        records = [EventRecord.from_dict(x) for x in json.loads(data)]
-    return ReviewState.from_dict(d, records)
+        records, digests = read_records(path.parent / RECORDS_FILE, d["records_digest"])
+    return ReviewState.from_dict(d, records, digests)
 
 
 def run_review(config: ReviewConfig, transport=None) -> ReviewState:

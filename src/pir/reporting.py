@@ -129,16 +129,19 @@ def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
     The sections in ``_EXEMPT_KEYS`` are not checked: a degraded transcript
     and its degradation note record the rejected model output, fabricated
     citations included, as the audit trail of why the fallback text was used.
+
+    Each evidence appendix row takes its digest from ``state.record_digests``;
+    a state with more or fewer digests than records raises ValueError.
     """
     ledger = build_trace_ledger(state)
     appendix = [
         {
-            "record_ref": d["record_ref"],
-            "event_id": d["event_id"],
-            "timestamp_utc": d["timestamp_utc"],
-            "digest": digest_of(d),
+            "record_ref": r.record_ref,
+            "event_id": r.event_id,
+            "timestamp_utc": format_instant(r.timestamp_utc),
+            "digest": digest,
         }
-        for d in (r.to_dict() for r in state.records)
+        for r, digest in zip(state.records, state.record_digests, strict=True)
     ]
     report = ReviewReport(
         run_id=state.run_id,

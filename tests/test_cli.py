@@ -112,6 +112,26 @@ def test_review_rejects_unknown_keys_and_mistyped_detector_values(
     assert not (tmp_path / "out").exists()
 
 
+def test_review_with_a_malformed_catalog_exits_3(tmp_path, capsys):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"technique_id": "T1110"}]), encoding="utf-8")
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for field in ("evidence_paths", "org_policy_paths", "baseline_policy_paths"):
+        raw[field] = [str(FIXTURES / p) for p in raw[field]]
+    raw["gateway"]["cache_dir"] = str(FIXTURES / "llm_cache")
+    raw["catalog_path"] = str(catalog)
+    raw["output_dir"] = str(tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+
+    code, _out, err = run_cli(capsys, "review", "--config", str(config_path))
+    assert code == 3
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigInvalidError"
+    assert str(catalog) in payload["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_review_output_flag_leaves_the_report_unchanged(tmp_path, capsys, monkeypatch):
     # fix the clock, so any difference between the two reports is the output path's
     monkeypatch.setattr(orchestrator, "utc_now", lambda: BASE_TIME)

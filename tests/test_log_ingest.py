@@ -1,3 +1,4 @@
+import gc
 import io
 import logging
 import random
@@ -319,6 +320,56 @@ def test_load_evidence_parse_memory_does_not_grow_with_the_file(tmp_path):
     # what the parse held beyond the records it returned; a tree of this
     # whole 11.5 MB document holds over 100 MB
     assert peak - retained < 4_000_000
+
+
+def test_load_evidence_runs_no_garbage_collection_during_the_parse(tmp_path):
+    # Gen-0 collections start every 700 net allocations, and the parse
+    # allocates about a dozen Elements per record: unpaused, this parse sets
+    # off over a hundred collections, one of them full. Paused, the only one
+    # is the young collection the collector runs over the kept records once
+    # it is re-enabled.
+    spec = ScenarioSpec(seed=5, noise_events=3_000, noise_accounts=("jdoe",))
+    xml, _truth = generate(spec, source_name="host")
+    path = tmp_path / "host.xml"
+    path.write_text(xml, encoding="utf-8")
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()  # start every generation's count from zero
+    gc.callbacks.append(count)
+    try:
+        records, _notes = load_evidence([path])
+    finally:
+        gc.callbacks.remove(count)
+    assert len(records) == 3_007
+    assert collections in ([], [0])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z"}]), None),
+        ("<Events><Event></Events>", XmlSyntaxError),
+        (event_xml([{"time": "2026-06-01T12:00:00Z"}]), MissingSystemFieldError),
+    ],
+)
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_restores_the_garbage_collector_state(text, error, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert len(parse_event_xml(text, source="s")) == 1
+        else:
+            with pytest.raises(error):
+                parse_event_xml(text, source="s")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # --- CSV ----------------------------------------------------------------------

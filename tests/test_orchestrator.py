@@ -3,14 +3,20 @@ import json
 import logging
 import re
 import shutil
+import sys
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pir import gap_analysis, orchestrator, policy_index, reporting
+from pir import canon, gap_analysis, orchestrator, policy_index, reporting
 from pir.canon import digest_of, format_instant, sha256_hex
 from pir.config import ReviewConfig
 from pir.errors import RecordsFileError, StageFailureError, StageOrderViolationError
 from pir.gap_analysis import select_effective
+from pir.log_ingest import EventRecord
 from pir.orchestrator import (
     RECORDS_FILE,
     STAGES,
@@ -18,10 +24,12 @@ from pir.orchestrator import (
     build_deps,
     check_stage_order,
     load_checkpoint,
+    read_records,
     run_review,
     run_stage,
     save_checkpoint,
     state_digest,
+    write_records,
     write_report_files,
 )
 from pir.scenario_gen import ScenarioSpec, generate
@@ -367,6 +375,103 @@ def test_records_are_stored_once_in_records_json(demo_config):
         assert saved["records_digest"] == digest
     for name, text in texts.items():
         assert set(re.findall(r"[\w.-]+#\d+", text)) <= cited, name
+
+
+RECORD_KEYS = {f.name for f in dataclasses.fields(EventRecord)}
+
+
+def count_record_encodings(monkeypatch) -> dict[str, int]:
+    """Count EventRecord.to_dict calls, and digest_of calls on a record's
+    dict through any pir module's name for digest_of."""
+    counts = {"to_dict": 0, "digest_of": 0}
+    to_dict, digest = EventRecord.to_dict, canon.digest_of
+
+    def counted_to_dict(self):
+        counts["to_dict"] += 1
+        return to_dict(self)
+
+    def counted_digest(obj):
+        if isinstance(obj, dict) and set(obj) == RECORD_KEYS:
+            counts["digest_of"] += 1
+        return digest(obj)
+
+    monkeypatch.setattr(EventRecord, "to_dict", counted_to_dict)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pir.") and getattr(module, "digest_of", None) is digest:
+            monkeypatch.setattr(module, "digest_of", counted_digest)
+    return counts
+
+
+def test_review_encodes_each_record_once(demo_config, monkeypatch):
+    counts = count_record_encodings(monkeypatch)
+    state = run_review(demo_config)
+    assert state.records
+    assert counts == {"to_dict": len(state.records), "digest_of": 0}
+    assert len(state.record_digests) == len(state.records)
+
+
+def test_rerender_encodes_no_record(demo_config, monkeypatch, tmp_path):
+    run_review(demo_config)
+    counts = count_record_encodings(monkeypatch)
+    state = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
+    write_report_files(state, tmp_path / "rendered")
+    assert state.records
+    assert counts == {"to_dict": 0, "digest_of": 0}
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_RECORDS = st.lists(
+    st.builds(
+        EventRecord,
+        record_ref=_TEXT,
+        event_id=st.integers(min_value=0, max_value=2**31),
+        timestamp_utc=st.datetimes(
+            min_value=datetime(1970, 1, 1), timezones=st.just(timezone.utc)
+        ),
+        channel=_TEXT,
+        provider=_TEXT,
+        fields=st.dictionaries(_TEXT, _TEXT, max_size=4),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_RECORDS)
+@example(records=[])
+@example(
+    records=[
+        EventRecord(
+            record_ref="hôte#1",
+            event_id=4625,
+            timestamp_utc=datetime(2026, 6, 1, tzinfo=timezone.utc),
+            channel="Sécurité",
+            provider="Überwachung",
+            fields={"TargetUserName": "管理者", "Note": 'naïve "quote" \\ \n'},
+        )
+    ]
+)
+def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        file_digest, written = write_records(records, Path(tmp))
+        path = Path(tmp) / "state" / RECORDS_FILE
+        data = path.read_bytes()
+        loaded, read = read_records(path, file_digest)
+    assert data == (canon.canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
+    if not records:
+        assert data == b"[]\n"
+    assert loaded == records
+    assert written == read == tuple(digest_of(r.to_dict()) for r in records)
+
+
+def test_read_records_refuses_records_not_joined_by_commas(tmp_path):
+    # a records.json written by hand, with a checkpoint naming its digest
+    piece = canon.canon_dumps(make_record(1).to_dict())
+    data = f"[{piece} {piece}]\n".encode("utf-8")
+    path = tmp_path / RECORDS_FILE
+    path.write_bytes(data)
+    with pytest.raises(RecordsFileError, match="not a canonical JSON array"):
+        read_records(path, sha256_hex(data))
 
 
 def test_checkpoint_of_records_without_digest_is_refused(demo_config, tmp_path):

@@ -153,6 +153,16 @@ def test_report_structure(state):
     assert report.to_dict()["schema_version"] == 1
 
 
+@pytest.mark.parametrize("digests", ["one short", "one over"])
+def test_report_refuses_digests_that_do_not_match_the_records(state, digests):
+    if digests == "one short":
+        state.record_digests = state.record_digests[:-1]
+    else:
+        state.record_digests = (*state.record_digests, "0" * 64)
+    with pytest.raises(ValueError, match="zip"):
+        build_report(state, generated_at=utc_now())
+
+
 def test_render_json_is_deterministic_for_a_state(state):
     # the state carries a report (GenerateReport ran), so no fresh clock is read
     assert state.report is not None
