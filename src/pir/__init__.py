@@ -11,7 +11,7 @@ from .detection import BehaviorFinding, DetectorParams, detect_bruteforce, oracl
 from .errors import ReviewError
 from .llm_gateway import Gateway, GatewaySettings, Transcript
 from .orchestrator import ReviewState, run_review, run_stage
-from .reporting import ReviewReport, build_trace_ledger
+from .reporting import build_trace_ledger
 from .scenario_gen import GroundTruth, ScenarioSpec, generate
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "GroundTruth",
     "ReviewConfig",
     "ReviewError",
-    "ReviewReport",
     "ReviewState",
     "ScenarioSpec",
     "Transcript",

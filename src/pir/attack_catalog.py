@@ -46,25 +46,8 @@ class TechniqueMapping(Canonical):
     deterministic: bool
 
 
-class Catalog:
-    """Immutable technique lookup built by load_catalog."""
-
-    def __init__(self, entries: list[TechniqueEntry]):
-        self.entries = list(entries)
-        self._by_id = {e.technique_id: e for e in entries}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, technique_id: str) -> bool:
-        return technique_id in self._by_id
-
-    def get(self, technique_id: str) -> TechniqueEntry | None:
-        return self._by_id.get(technique_id)
-
-
-def load_catalog(text: str) -> Catalog:
-    """Parse and validate a catalog JSON array.
+def load_catalog(text: str) -> dict[str, TechniqueEntry]:
+    """Parse and validate a catalog JSON array into {technique_id: entry}.
 
     Raises CatalogSchemaError on malformed JSON, bad ids, duplicates, or a
     sub-technique whose parent is not in the same catalog.
@@ -76,8 +59,7 @@ def load_catalog(text: str) -> Catalog:
     if not isinstance(raw, list):
         raise CatalogSchemaError("catalog must be a JSON array of technique objects")
 
-    entries: list[TechniqueEntry] = []
-    seen: set[str] = set()
+    catalog: dict[str, TechniqueEntry] = {}
     for pos, item in enumerate(raw):
         if not isinstance(item, dict):
             raise CatalogSchemaError(f"catalog entry {pos} is not an object")
@@ -98,23 +80,22 @@ def load_catalog(text: str) -> Catalog:
                 f"technique id {entry.technique_id!r} does not match "
                 f"T<4 digits>[.<3 digits>]"
             )
-        if entry.technique_id in seen:
+        if entry.technique_id in catalog:
             raise CatalogSchemaError(f"duplicate technique id {entry.technique_id!r}")
-        seen.add(entry.technique_id)
-        entries.append(entry)
+        catalog[entry.technique_id] = entry
 
-    for entry in entries:
-        if "." in entry.technique_id:
-            parent = entry.technique_id.split(".", 1)[0]
-            if parent not in seen:
+    for technique_id in catalog:
+        if "." in technique_id:
+            parent = technique_id.split(".", 1)[0]
+            if parent not in catalog:
                 raise CatalogSchemaError(
-                    f"sub-technique {entry.technique_id} has no parent {parent} "
+                    f"sub-technique {technique_id} has no parent {parent} "
                     f"in catalog"
                 )
-    return Catalog(entries)
+    return catalog
 
 
-def load_default_catalog() -> Catalog:
+def load_default_catalog() -> dict[str, TechniqueEntry]:
     text = (
         resources.files("pir").joinpath("data/attack_catalog.json").read_text("utf-8")
     )
@@ -123,7 +104,7 @@ def load_default_catalog() -> Catalog:
 
 def map_finding(
     finding: "BehaviorFinding",
-    catalog: Catalog,
+    catalog: dict[str, TechniqueEntry],
     *,
     finding_ref: int = 0,
     refine: bool = False,

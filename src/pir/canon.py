@@ -87,14 +87,11 @@ def parse_instant(value: str) -> datetime:
 
 
 def format_instant(dt: datetime) -> str:
-    """Render an aware datetime as canonical UTC ISO-8601 (``Z`` suffix)."""
+    """Render an aware datetime as canonical UTC ISO-8601 (four-digit year,
+    ``Z`` suffix), which :func:`parse_instant` reads back for every year."""
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    dt = dt.astimezone(timezone.utc)
-    base = dt.strftime("%Y-%m-%dT%H:%M:%S")
-    if dt.microsecond:
-        base += ".%06d" % dt.microsecond
-    return base + "Z"
+    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 def utc_now() -> datetime:

@@ -261,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalidError as exc:
         _emit_error(exc)
         return EXIT_CONFIG_INVALID
-    except StageFailureError as exc:
-        _emit_error(exc)
-        return EXIT_STAGE_FAILURE
     except ReviewError as exc:
         _emit_error(exc)
         return EXIT_STAGE_FAILURE

@@ -125,6 +125,10 @@ class RecordsFileError(ReviewError):
     records_digest, or a state with records has no digest to save."""
 
 
+class MalformedCheckpointError(ReviewError):
+    """A checkpoint file does not decode into a review state."""
+
+
 class StageFailureError(ReviewError):
     """A pipeline stage raised; carries the stage name, the cause, and the
     partial state accumulated up to the failure."""

@@ -460,6 +460,7 @@ def draft_rationale(
     m = _RATIONALE_SPLIT.search(result.text)
     if m is None:
         result.degraded = True
+        result.transcript.degraded = True
         result.note = (
             f"gap narrative for {gap.control} lacked RATIONALE/REMEDIATION "
             f"structure; deterministic text used"

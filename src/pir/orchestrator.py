@@ -22,14 +22,13 @@ from datetime import datetime
 from pathlib import Path
 
 from . import reporting
-from .attack_catalog import Catalog, TechniqueMapping, justify_mapping, load_catalog, load_default_catalog, map_finding
+from .attack_catalog import TechniqueEntry, TechniqueMapping, justify_mapping, load_catalog, load_default_catalog, map_finding
 from .canon import (
     Canonical,
     canon_dumps,
     decode_fields,
     digest_of,
     encode_fields,
-    format_instant,
     parse_instant,
     sha256_hex,
     utc_now,
@@ -39,6 +38,7 @@ from .detection import BehaviorFinding, detect_bruteforce, narrative_for_finding
 from .errors import (
     CatalogSchemaError,
     ConfigInvalidError,
+    MalformedCheckpointError,
     RecordsFileError,
     ReviewError,
     StageFailureError,
@@ -112,7 +112,7 @@ class ReviewState:
     notes: list[str] = field(default_factory=list)
     degradation_notes: list[str] = field(default_factory=list)
     incident_summary: str | None = None
-    report: reporting.ReviewReport | None = None
+    report: dict | None = None
 
     def copy(self) -> "ReviewState":
         """Shallow copy with a fresh container for every list field (items are
@@ -132,9 +132,7 @@ class ReviewState:
     def to_dict(self) -> dict:
         d = encode_fields(ReviewState, {k: getattr(self, k) for k in _CODEC_FIELDS})
         d["retrieval"] = [h.to_dict() for h in self.retrieval]
-        d["report_generated_at"] = (
-            format_instant(self.report.generated_at) if self.report else None
-        )
+        d["report_generated_at"] = self.report["generated_at"] if self.report else None
         return d
 
     @classmethod
@@ -206,7 +204,7 @@ def state_digest(state: ReviewState) -> str:
 class StageDeps:
     config: ReviewConfig
     gateway: Gateway
-    catalog: Catalog
+    catalog: dict[str, TechniqueEntry]
 
 
 def build_deps(config: ReviewConfig, transport=None) -> StageDeps:
@@ -494,13 +492,17 @@ def save_checkpoint(state: ReviewState, output_dir: Path, stage: str) -> Path:
 
 def load_checkpoint(path: Path) -> ReviewState:
     """Load a checkpoint with the records.json beside it, which must match
-    the checkpoint's records_digest."""
+    the checkpoint's records_digest; a checkpoint that does not decode into a
+    state raises MalformedCheckpointError."""
     path = Path(path)
-    d = json.loads(path.read_text(encoding="utf-8"))
-    records, digests = [], ()
-    if d["records_digest"]:
-        records, digests = read_records(path.parent / RECORDS_FILE, d["records_digest"])
-    return ReviewState.from_dict(d, records, digests)
+    try:
+        d = json.loads(path.read_text(encoding="utf-8"))
+        records, digests = [], ()
+        if d["records_digest"]:
+            records, digests = read_records(path.parent / RECORDS_FILE, d["records_digest"])
+        return ReviewState.from_dict(d, records, digests)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def run_review(config: ReviewConfig, transport=None) -> ReviewState:

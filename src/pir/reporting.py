@@ -2,28 +2,27 @@
 
 The JSON form is byte-deterministic for identical state (sorted keys, fixed
 float precision, defined array orders), so replay runs can be compared by
-digest. Citation closure has one rule, :func:`collect_citations`: the
-reference keys below plus the citation markers in any string, outside the
-``_EXEMPT_KEYS`` sections. build_report applies it to the report it has just
-built, as any reader of a report.json can. A citation that does not resolve
-against the ingested evidence and policy clauses aborts build_report, and
-with it the loading of a final checkpoint, rather than shipping an audit
-artifact with dangling references.
+digest. build_report builds the report once, as the plain dict that is its
+JSON document; render_json dumps exactly that dict and render_markdown reads
+it, so the document that passes the closure check is the one written.
+Citation closure has one rule, :func:`collect_citations`: the reference keys
+below plus the citation markers in any string, outside the ``_EXEMPT_KEYS``
+sections. build_report applies it to that document, as any reader of a
+report.json can. A citation that does not resolve against the ingested
+evidence and policy clauses aborts build_report, and with it the loading of a
+final checkpoint, rather than shipping an audit artifact with dangling
+references.
 """
 
 from __future__ import annotations
 
 import json
 import typing
-from dataclasses import dataclass, field
 from datetime import datetime
 
-from .canon import Canonical, canon_dumps, digest_of, format_instant
-from .detection import BehaviorFinding
+from .canon import canon_dumps, digest_of, format_instant
 from .errors import UnresolvedReferenceError
-from .llm_gateway import EVT_MARKER, POL_MARKER, Transcript
-from .attack_catalog import TechniqueMapping
-from .gap_analysis import PolicyGap
+from .llm_gateway import EVT_MARKER, POL_MARKER
 
 if typing.TYPE_CHECKING:
     from .orchestrator import ReviewState
@@ -33,6 +32,9 @@ REPORT_SCHEMA_VERSION = 1
 KIND_FINDING = "finding"
 KIND_MAPPING = "mapping"
 KIND_GAP = "gap"
+_LEDGER_KEYS = (
+    "conclusion_id", "conclusion_kind", "event_refs", "clause_refs", "confidence"
+)
 
 # Dict keys whose string (or list-of-string) values are structural citations.
 # With the markers in strings they are the closure rule, for build_report and
@@ -58,72 +60,41 @@ _CLAUSE_REF_KEYS = frozenset(
 _EXEMPT_KEYS = frozenset({"transcripts", "degradation_notes", "evidence_appendix"})
 
 
-@dataclass
-class TraceRow(Canonical):
-    """One conclusion with the references that support it."""
-
-    conclusion_id: str
-    conclusion_kind: str
-    event_refs: list[str]
-    clause_refs: list[str]
-    confidence: str | None = None
-
-
-@dataclass
-class ReviewReport(Canonical):
-    run_id: str
-    config_digest: str
-    generated_at: datetime
-    incident_summary: str
-    findings: list[BehaviorFinding]
-    finding_summaries: list[str]
-    technique_section: list[TechniqueMapping]
-    gaps_section: list[PolicyGap]
-    trace_ledger: list[TraceRow]
-    evidence_appendix: list[dict]
-    transcripts: list[Transcript]
-    degradation_notes: list[str]
-    notes: list[str] = field(default_factory=list)
-    schema_version: int = REPORT_SCHEMA_VERSION
-
-
-def build_trace_ledger(state: "ReviewState") -> list[TraceRow]:
+def build_trace_ledger(state: "ReviewState") -> list[dict]:
     """One row per finding, mapping, and gap; every row must cite something.
 
     Rows come back sorted by (conclusion_kind, conclusion_id).
     """
-    rows: list[TraceRow] = []
-    for i, finding in enumerate(state.findings):
-        rows.append(
-            TraceRow(f"finding-{i + 1:03d}", KIND_FINDING, finding.cited_refs(), [], None)
+    rows = [
+        (f"finding-{i + 1:03d}", KIND_FINDING, finding.cited_refs(), [], None)
+        for i, finding in enumerate(state.findings)
+    ]
+    rows.extend(
+        (f"mapping-{i + 1:03d}", KIND_MAPPING, list(mapping.evidence), [], None)
+        for i, mapping in enumerate(state.mappings)
+    )
+    rows.extend(
+        (
+            f"gap-{i + 1:03d}",
+            KIND_GAP,
+            list(gap.evidence_events),
+            list(gap.evidence_clauses),
+            gap.confidence,
         )
-    for i, mapping in enumerate(state.mappings):
-        rows.append(
-            TraceRow(
-                f"mapping-{i + 1:03d}", KIND_MAPPING, list(mapping.evidence), [], None
-            )
-        )
-    for i, gap in enumerate(state.gaps):
-        rows.append(
-            TraceRow(
-                f"gap-{i + 1:03d}",
-                KIND_GAP,
-                list(gap.evidence_events),
-                list(gap.evidence_clauses),
-                gap.confidence,
-            )
-        )
-    for row in rows:
-        if not row.event_refs and not row.clause_refs:
+        for i, gap in enumerate(state.gaps)
+    )
+    for conclusion_id, _, event_refs, clause_refs, _ in rows:
+        if not event_refs and not clause_refs:
             raise UnresolvedReferenceError(
-                f"{row.conclusion_id} carries no supporting references"
+                f"{conclusion_id} carries no supporting references"
             )
-    rows.sort(key=lambda r: (r.conclusion_kind, r.conclusion_id))
-    return rows
+    rows.sort(key=lambda r: (r[1], r[0]))
+    return [dict(zip(_LEDGER_KEYS, row)) for row in rows]
 
 
-def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
-    """Assemble the report document and check it with
+def build_report(state: "ReviewState", generated_at: datetime) -> dict:
+    """Build the report document, the dict that :func:`render_json` dumps
+    and :func:`render_markdown` reads, and check it with
     :func:`verify_citation_closure`, the check a re-read report.json gets.
 
     The sections in ``_EXEMPT_KEYS`` are not checked: a degraded transcript
@@ -131,36 +102,35 @@ def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
     citations included, as the audit trail of why the fallback text was used.
 
     Each evidence appendix row takes its digest from ``state.record_digests``;
-    a state with more or fewer digests than records raises ValueError.
+    a state with more or fewer digests than records raises ValueError. The
+    document shares lists with the state's items, which no stage mutates
+    once it has run.
     """
-    ledger = build_trace_ledger(state)
-    appendix = [
-        {
-            "record_ref": r.record_ref,
-            "event_id": r.event_id,
-            "timestamp_utc": format_instant(r.timestamp_utc),
-            "digest": digest,
-        }
-        for r, digest in zip(state.records, state.record_digests, strict=True)
-    ]
-    report = ReviewReport(
-        run_id=state.run_id,
-        config_digest=state.config_digest,
-        generated_at=generated_at,
-        incident_summary=state.incident_summary or "",
-        findings=list(state.findings),
-        finding_summaries=list(state.finding_summaries),
-        technique_section=list(state.mappings),
-        gaps_section=list(state.gaps),
-        trace_ledger=ledger,
-        evidence_appendix=appendix,
-        transcripts=list(state.transcripts),
-        degradation_notes=list(state.degradation_notes),
-        notes=list(state.notes),
-    )
-    missing = verify_citation_closure(
-        report.to_dict(), state.record_refs(), state.clause_ids()
-    )
+    report = {
+        "run_id": state.run_id,
+        "config_digest": state.config_digest,
+        "generated_at": format_instant(generated_at),
+        "incident_summary": state.incident_summary or "",
+        "findings": [f.to_dict() for f in state.findings],
+        "finding_summaries": list(state.finding_summaries),
+        "technique_section": [m.to_dict() for m in state.mappings],
+        "gaps_section": [g.to_dict() for g in state.gaps],
+        "trace_ledger": build_trace_ledger(state),
+        "evidence_appendix": [
+            {
+                "record_ref": r.record_ref,
+                "event_id": r.event_id,
+                "timestamp_utc": format_instant(r.timestamp_utc),
+                "digest": digest,
+            }
+            for r, digest in zip(state.records, state.record_digests, strict=True)
+        ],
+        "transcripts": [t.to_dict() for t in state.transcripts],
+        "degradation_notes": list(state.degradation_notes),
+        "notes": list(state.notes),
+        "schema_version": REPORT_SCHEMA_VERSION,
+    }
+    missing = verify_citation_closure(report, state.record_refs(), state.clause_ids())
     if missing:
         raise UnresolvedReferenceError(
             f"report cites unknown references: {', '.join(missing)}"
@@ -168,9 +138,9 @@ def build_report(state: "ReviewState", generated_at: datetime) -> ReviewReport:
     return report
 
 
-def render_json(report: ReviewReport) -> str:
+def render_json(report: dict) -> str:
     """Canonical JSON text of the report (trailing newline included)."""
-    return canon_dumps(report.to_dict()) + "\n"
+    return canon_dumps(report) + "\n"
 
 
 def json_report_digest(text: str) -> str:
@@ -243,27 +213,27 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def render_markdown(report: ReviewReport) -> str:
+def render_markdown(report: dict) -> str:
     """Human-readable rendering; fixed section order, same content as JSON."""
     lines: list[str] = []
     lines.append("# Post-Incident Review")
     lines.append("")
-    lines.append(f"- Run: `{report.run_id}`")
-    lines.append(f"- Generated: {format_instant(report.generated_at)}")
-    lines.append(f"- Config digest: `{report.config_digest}`")
+    lines.append(f"- Run: `{report['run_id']}`")
+    lines.append(f"- Generated: {report['generated_at']}")
+    lines.append(f"- Config digest: `{report['config_digest']}`")
     lines.append("")
 
     lines.append("## Incident Summary")
     lines.append("")
-    lines.append(report.incident_summary)
+    lines.append(report["incident_summary"])
     lines.append("")
-    if report.findings:
+    if report["findings"]:
         for i, (finding, summary) in enumerate(
-            zip(report.findings, report.finding_summaries)
+            zip(report["findings"], report["finding_summaries"])
         ):
             lines.append(
-                f"### finding-{i + 1:03d}: {finding.kind} "
-                f"('{finding.account}', {finding.failure_count} failures)"
+                f"### finding-{i + 1:03d}: {finding['kind']} "
+                f"('{finding['account']}', {finding['failure_count']} failures)"
             )
             lines.append("")
             lines.append(summary)
@@ -277,14 +247,14 @@ def render_markdown(report: ReviewReport) -> str:
 
     lines.append("## Technique Attribution")
     lines.append("")
-    if report.technique_section:
-        for i, mapping in enumerate(report.technique_section):
+    if report["technique_section"]:
+        for i, mapping in enumerate(report["technique_section"]):
             lines.append(
-                f"### mapping-{i + 1:03d}: {mapping.technique_id} "
-                f"{mapping.technique_name} (tactic: {mapping.tactic})"
+                f"### mapping-{i + 1:03d}: {mapping['technique_id']} "
+                f"{mapping['technique_name']} (tactic: {mapping['tactic']})"
             )
             lines.append("")
-            lines.append(mapping.rationale)
+            lines.append(mapping["rationale"])
             lines.append("")
     else:
         lines.append("No technique attribution: nothing to map.")
@@ -292,16 +262,16 @@ def render_markdown(report: ReviewReport) -> str:
 
     lines.append("## Policy Gap Findings")
     lines.append("")
-    if report.gaps_section:
-        for i, gap in enumerate(report.gaps_section):
+    if report["gaps_section"]:
+        for i, gap in enumerate(report["gaps_section"]):
             lines.append(
-                f"### gap-{i + 1:03d}: {gap.control} ({gap.gap_kind}, "
-                f"severity {gap.severity})"
+                f"### gap-{i + 1:03d}: {gap['control']} ({gap['gap_kind']}, "
+                f"severity {gap['severity']})"
             )
             lines.append("")
-            lines.append(f"- Confidence: {gap.confidence}")
-            lines.append(f"- Rationale: {gap.rationale}")
-            lines.append(f"- Remediation: {gap.remediation}")
+            lines.append(f"- Confidence: {gap['confidence']}")
+            lines.append(f"- Rationale: {gap['rationale']}")
+            lines.append(f"- Remediation: {gap['remediation']}")
             lines.append("")
     else:
         lines.append("No policy gaps identified against baseline.")
@@ -309,19 +279,19 @@ def render_markdown(report: ReviewReport) -> str:
 
     lines.append("## Trace Ledger")
     lines.append("")
-    if report.trace_ledger:
+    if report["trace_ledger"]:
         lines.extend(
             _md_table(
                 ["Conclusion", "Kind", "Event refs", "Clause refs", "Confidence"],
                 [
                     [
-                        row.conclusion_id,
-                        row.conclusion_kind,
-                        ", ".join(row.event_refs) or "-",
-                        ", ".join(row.clause_refs) or "-",
-                        row.confidence or "-",
+                        row["conclusion_id"],
+                        row["conclusion_kind"],
+                        ", ".join(row["event_refs"]) or "-",
+                        ", ".join(row["clause_refs"]) or "-",
+                        row["confidence"] or "-",
                     ]
-                    for row in report.trace_ledger
+                    for row in report["trace_ledger"]
                 ],
             )
         )
@@ -331,7 +301,7 @@ def render_markdown(report: ReviewReport) -> str:
 
     lines.append("## Evidence Appendix")
     lines.append("")
-    if report.evidence_appendix:
+    if report["evidence_appendix"]:
         lines.extend(
             _md_table(
                 ["Record ref", "Event ID", "Timestamp (UTC)", "Digest"],
@@ -342,7 +312,7 @@ def render_markdown(report: ReviewReport) -> str:
                         row["timestamp_utc"],
                         row["digest"][:16],
                     ]
-                    for row in report.evidence_appendix
+                    for row in report["evidence_appendix"]
                 ],
             )
         )
@@ -352,8 +322,8 @@ def render_markdown(report: ReviewReport) -> str:
 
     lines.append("## Degradation Notes")
     lines.append("")
-    if report.degradation_notes:
-        for note in report.degradation_notes:
+    if report["degradation_notes"]:
+        for note in report["degradation_notes"]:
             lines.append(f"- {note}")
     else:
         lines.append("None: no narrative fell back to deterministic text.")

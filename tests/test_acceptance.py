@@ -304,8 +304,8 @@ def test_criterion_8_degraded_mode_completeness(tmp_path, criterion):
         assert disabled.degradation_notes  # every narrative fell back
 
         # ledgers agree row for row (narratives are not part of the ledger)
-        replay_rows = [r.to_dict() for r in replay.report.trace_ledger]
-        disabled_rows = [r.to_dict() for r in disabled.report.trace_ledger]
+        replay_rows = replay.report["trace_ledger"]
+        disabled_rows = disabled.report["trace_ledger"]
         assert replay_rows == disabled_rows
 
         # gaps agree outside the narrative fields; no extraction here is

@@ -66,3 +66,10 @@ def test_small_bulk_replay_review_gives_pinned_results(tmp_path, monkeypatch):
         json_report_digest(canon_dumps(report)),
     )
     assert digests == SMOKE_DIGESTS
+
+    # the rerender workload: the final checkpoint renders the recorded reports
+    state = orchestrator.load_checkpoint(tmp_path / manifest["checkpoint"])
+    orchestrator.write_report_files(state, tmp_path / "rendered")
+    for name in manifest["reports"]:
+        rendered = tmp_path / "rendered" / Path(name).name
+        assert rendered.read_bytes() == (tmp_path / name).read_bytes()

@@ -6,7 +6,7 @@ from pir import orchestrator
 from pir.cli import main
 from pir.log_ingest import load_csv
 
-from conftest import BASE_TIME, FIXTURES
+from conftest import BASE_TIME, FIXTURES, event_xml
 
 CONFIG = str(FIXTURES / "review_config.json")
 
@@ -410,6 +410,72 @@ def test_render_fails_closed_on_a_fabricated_control_clause_ref(tmp_path, capsys
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "UnresolvedReferenceError"
     assert "org_policy:99-99" in payload["detail"]
+    assert not (rendered / "report.json").exists()
+
+
+def test_render_reads_back_a_timestamp_before_year_1000(tmp_path, capsys):
+    early = tmp_path / "early.xml"
+    early.write_text(
+        event_xml([{"event_id": 4625, "time": "0999-06-01T12:00:00Z"}]),
+        encoding="utf-8",
+    )
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for key in ("evidence_paths", "org_policy_paths", "baseline_policy_paths"):
+        raw[key] = [str(FIXTURES / p) for p in raw[key]]
+    raw["evidence_paths"].append(str(early))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code, *_ = run_cli(
+        capsys, "review", "--config", str(config_path), "--output", str(out),
+        "--gateway-mode", "disabled",
+    )
+    assert code == 0
+    reports = [(out / name).read_bytes() for name in ("report.json", "report.md")]
+    assert b'"timestamp_utc":"0999-06-01T12:00:00Z"' in reports[0]
+
+    rendered = tmp_path / "rendered"
+    code, *_ = run_cli(
+        capsys, "render", "--state", str(out / "state" / "GenerateReport.json"),
+        "--output", str(rendered),
+    )
+    assert code == 0
+    assert [(rendered / n).read_bytes() for n in ("report.json", "report.md")] == reports
+
+
+def _break_checkpoint(checkpoint, damage):
+    if damage == "corrupt json":
+        checkpoint.write_text("{not json", encoding="utf-8")
+        return
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    if damage == "no incident_summary":
+        del doc["incident_summary"]
+    elif damage == "numeric window_start":
+        doc["findings"][0]["window_start"] = 5
+    else:
+        doc["retrieval"][0]["clause_id"] = "nowhere:1-1"
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["corrupt json", "no incident_summary", "numeric window_start", "unknown clause"],
+)
+def test_render_of_a_malformed_checkpoint_exits_2(tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+    assert code == 0
+    checkpoint = out / "state" / "GenerateReport.json"
+    _break_checkpoint(checkpoint, damage)
+
+    rendered = tmp_path / "rendered"
+    code, _out, err = run_cli(
+        capsys, "render", "--state", str(checkpoint), "--output", str(rendered)
+    )
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "MalformedCheckpointError"
+    assert str(checkpoint) in payload["detail"]
     assert not (rendered / "report.json").exists()
 
 

@@ -379,6 +379,7 @@ def test_draft_rationale_degrades_on_unstructured_response(tmp_path):
     rationale, remediation, result = draft_rationale(gap, gateway)
     assert (rationale, remediation) == det
     assert result.degraded is True
+    assert result.transcript.degraded is True
     assert "RATIONALE/REMEDIATION" in result.note
 
 

@@ -6,12 +6,13 @@ import re
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pir.canon import parse_instant
+from pir.canon import format_instant, parse_instant
 from pir.detection import DetectorParams, detect_bruteforce
 
 from pir.errors import (
@@ -158,6 +159,13 @@ def test_offset_bearing_timestamp_converted_to_utc():
     text = event_xml([{"event_id": 4625, "time": "2026-06-01T14:00:00+02:00"}])
     [r] = parse_event_xml(text, source="s")
     assert r.timestamp_utc.isoformat() == "2026-06-01T12:00:00+00:00"
+
+
+@pytest.mark.parametrize("year", [1, 999, 1000, 2026, 9999])
+@pytest.mark.parametrize("microsecond", [0, 123456])
+def test_format_instant_round_trips_every_year(year, microsecond):
+    dt = datetime(year, 6, 1, 12, 0, 0, microsecond, tzinfo=timezone.utc)
+    assert parse_instant(format_instant(dt)) == dt
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pir import canon, gap_analysis, orchestrator, policy_index, reporting
-from pir.canon import digest_of, format_instant, sha256_hex
+from pir.canon import digest_of, sha256_hex
 from pir.config import ReviewConfig
 from pir.errors import RecordsFileError, StageFailureError, StageOrderViolationError
 from pir.gap_analysis import select_effective
@@ -229,7 +229,7 @@ def test_disabled_gateway_degrades_every_narrative(fixture_config_raw, tmp_path)
     # finding summary, mapping justification, two gaps, incident summary
     assert len(state.degradation_notes) == 5
     assert len(state.gaps) == 2
-    assert state.report.degradation_notes == state.degradation_notes
+    assert state.report["degradation_notes"] == state.degradation_notes
 
 
 # --- effective controls ------------------------------------------------------------------
@@ -312,12 +312,12 @@ def test_checkpoint_rederives_auth_events_and_report(fixture_config_raw, tmp_pat
     assert "auth_events" not in saved
     assert "skipped_auth_records" not in saved
     assert "report" not in saved
-    assert saved["report_generated_at"] == format_instant(state.report.generated_at)
+    assert saved["report_generated_at"] == state.report["generated_at"]
 
     loaded = load_checkpoint(path)
     assert loaded.auth_events == state.auth_events
     assert loaded.skipped_auth_records == state.skipped_auth_records
-    assert loaded.report.to_dict() == state.report.to_dict()
+    assert loaded.report == state.report
 
 
 def test_earlier_checkpoint_renders_a_freshly_built_report(demo_config, tmp_path):
@@ -329,8 +329,20 @@ def test_earlier_checkpoint_renders_a_freshly_built_report(demo_config, tmp_path
     json_path, md_path = write_report_files(loaded, tmp_path / "early")
     doc = json.loads(json_path.read_text(encoding="utf-8"))
     assert doc["incident_summary"] == ""
-    assert doc["trace_ledger"] == [r.to_dict() for r in state.report.trace_ledger]
+    assert doc["trace_ledger"] == state.report["trace_ledger"]
     assert "## Trace Ledger" in md_path.read_text(encoding="utf-8")
+
+
+def test_written_report_is_the_checked_report(demo_config, tmp_path):
+    state = run_review(demo_config)
+    json_path = demo_config.output_dir / "report.json"
+    written = json_path.read_bytes()
+    assert json.loads(written) == state.report
+
+    # a state changed after GenerateReport does not reach the report
+    state.findings[0].account = "mallory"
+    write_report_files(state, demo_config.output_dir)
+    assert json_path.read_bytes() == written
 
 
 def test_review_builds_report_and_index_once(demo_config, monkeypatch):
