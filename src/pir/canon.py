@@ -16,8 +16,8 @@ per field, named as the field, and each value is converted by its type:
 
 * ``datetime`` goes through :func:`format_instant` / :func:`parse_instant`,
 * a nested record uses its own ``to_dict`` / ``from_dict``,
-* ``list[T]`` converts each item by ``T``; ``tuple[T, ...]`` is written as a
-  list and read back as a tuple,
+* ``list[T]`` converts each item by ``T`` into a new list; ``tuple[T, ...]``
+  is written as a list and read back as a tuple,
 * ``X | None`` writes and reads ``None`` as ``null`` and converts other values
   by ``X``,
 * anything else (str, int, float, bool, plain dicts, other unions) is taken
@@ -25,8 +25,8 @@ per field, named as the field, and each value is converted by its type:
 
 ``from_dict`` converts what needs it and calls the class with the rest as
 keyword arguments, so an unknown key, or a missing key whose field has no
-default, raises TypeError. The dict ``to_dict`` returns shares unconverted
-values (lists, dicts) with the record and must not be mutated in place.
+default, raises TypeError. The dict ``to_dict`` returns shares no list with
+the record, but shares plain dicts, which must not be mutated in place.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _converters(tp) -> tuple | None:
     if origin in (list, tuple):
         item = _converters(args[0])
         if item is None:
-            return (list, tuple) if origin is tuple else None
+            return list, origin
         encode, decode = item
         return (lambda v: [encode(x) for x in v]), (lambda v: origin(map(decode, v)))
     return None

@@ -18,7 +18,7 @@ from .config import ReviewConfig
 from .detection import detect_bruteforce
 from .errors import ConfigInvalidError, ReviewError, StageFailureError
 from .llm_gateway import GATEWAY_MODES
-from .log_ingest import flatten_to_csv, load_evidence, normalize_auth_events
+from .log_ingest import auth_event, flatten_to_csv, load_evidence, normalize_auth_events
 from .orchestrator import load_checkpoint, run_review, write_report_files
 from .policy_index import build_index, load_policy_documents
 from .scenario_gen import ScenarioSpec, generate
@@ -89,8 +89,7 @@ def cmd_detect(args) -> int:
     config = _config(args)
     if not config.evidence_paths:
         raise ConfigInvalidError("config lists no evidence_paths")
-    records = _load_records(config)
-    events, skipped = normalize_auth_events(records)
+    events, skipped = normalize_auth_events(map(auth_event, _load_records(config)))
     findings = detect_bruteforce(events, config.detector)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "findings.json"

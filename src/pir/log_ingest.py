@@ -22,7 +22,7 @@ import io
 import logging
 import re
 import xml.etree.ElementTree as ET
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
@@ -83,8 +83,8 @@ class EventRecord(Canonical):
 
 @dataclass
 class AuthEvent:
-    """Normalized view of a 4624/4625 record; never stored, always
-    re-derived from the records by normalize_auth_events."""
+    """Normalized view of a 4624/4625 record, projected by auth_event; never
+    stored, always re-derived from the records."""
 
     record_ref: str
     outcome: str  # "Failure" (4625) or "Success" (4624)
@@ -208,13 +208,19 @@ def _names_zone(time_text: str) -> bool:
     return clock.endswith(("Z", "z")) or "+" in clock or "-" in clock
 
 
-def parse_event_xml(document: str | TextIO, source: str = "<string>") -> list[EventRecord]:
-    """Parse Windows event-export XML into records, in document order.
+def _itself(record: EventRecord) -> EventRecord:
+    return record
+
+
+def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itself) -> list:
+    """Parse Windows event-export XML into records, in document order, and
+    return the list of what ``keep`` returns for each record (by default the
+    record itself).
 
     ``document`` is the XML text or an open text file; either is parsed
     incrementally, CHUNK_CHARS characters at a time, and each Event element
-    is discarded once its record is built. The export may have one root
-    element or none (concatenated Event elements).
+    is discarded once its record is built and handed to ``keep``. The export
+    may have one root element or none (concatenated Event elements).
 
     ``source`` names the originating file; ordinals are assigned by position
     so ``record_ref`` is ``<source>#<n>`` with n starting at 1. Records are
@@ -226,27 +232,19 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>") -> list[Ev
     malformed markup and MissingSystemFieldError when an Event lacks a
     usable EventID or TimeCreated (records are never silently dropped).
 
-    The cyclic garbage collector is paused while the parse runs, as timeit
-    pauses it: the parse allocates about a dozen short-lived Elements per
-    record, which would set off collections, and makes no reference cycles,
-    since an Element holds no parent pointer. A caller that had disabled the
-    collector finds it still disabled.
+    The cyclic garbage collector is paused while the parse and ``keep`` run,
+    as timeit pauses it: the parse allocates about a dozen short-lived
+    Elements per record, which would set off collections, and makes no
+    reference cycles, since an Element holds no parent pointer. A caller that
+    had disabled the collector finds it still disabled.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_records(document, source)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _parse_records(document: str | TextIO, source: str) -> list[EventRecord]:
     pieces = _pieces(document)
     prolog, head = _split_prolog(pieces)
     parser = ET.XMLPullParser(events=("end",))
     local: dict[str, str] = {}  # tag -> tag without namespace, per parse
-    records: list[EventRecord] = []
+    records: list = []
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         for piece in chain((prolog + _WRAPPER_START + head,), pieces, (_WRAPPER_END,)):
             parser.feed(piece)
@@ -255,11 +253,14 @@ def _parse_records(document: str | TextIO, source: str) -> list[EventRecord]:
                 if name is None:
                     name = local[elem.tag] = elem.tag.rsplit("}", 1)[-1]
                 if name == "Event":
-                    records.append(_event_record(elem, f"{source}#{len(records) + 1}", local))
+                    records.append(keep(_event_record(elem, f"{source}#{len(records) + 1}", local)))
                     elem.clear()
         parser.close()
     except ET.ParseError as exc:
         raise _syntax_error(exc, prolog) from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return records
 
 
@@ -354,8 +355,10 @@ def flatten_to_csv(records: list[EventRecord]) -> str:
     return out.getvalue()
 
 
-def load_csv(document: str | TextIO) -> list[EventRecord]:
-    """Rebuild records from flattened CSV; empty cells become absent fields.
+def load_csv(document: str | TextIO, keep=_itself) -> list:
+    """Rebuild records from flattened CSV, in row order, and return the list
+    of what ``keep`` returns for each (by default the record itself); empty
+    cells become absent fields.
 
     ``document`` is the CSV text or a text file opened with ``newline=""``,
     which is read row by row.
@@ -375,7 +378,7 @@ def load_csv(document: str | TextIO) -> list[EventRecord]:
         )
     field_keys = header[len(CSV_FIXED_COLUMNS) :]
 
-    records: list[EventRecord] = []
+    records: list = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -401,68 +404,63 @@ def load_csv(document: str | TextIO) -> list[EventRecord]:
             for k, v in zip(field_keys, row[len(CSV_FIXED_COLUMNS) :])
             if v != ""
         }
-        records.append(
-            EventRecord(
-                record_ref=ref,
-                event_id=event_id,
-                timestamp_utc=timestamp,
-                channel=channel,
-                provider=provider,
-                fields=fields,
-            )
-        )
+        records.append(keep(EventRecord(ref, event_id, timestamp, channel, provider, fields)))
     return records
 
 
-def normalize_auth_events(records: list[EventRecord]) -> tuple[list[AuthEvent], int]:
-    """Project 4624/4625 records into AuthEvents sorted by (time, ref).
-
-    Returns the events plus a count of auth records skipped for lacking a
-    TargetUserName (counted, never silently lost).
-    """
-    events: list[AuthEvent] = []
-    skipped = 0
-    for r in records:
-        if r.event_id not in AUTH_EVENT_IDS:
-            continue
-        account = r.fields.get("TargetUserName", "").strip()
-        if not account:
-            skipped += 1
-            continue
-        source_ip = r.fields.get("IpAddress", "").strip()
-        if source_ip in ("", "-"):
-            source_ip = None
-        logon_type: int | None = None
-        raw_logon = r.fields.get("LogonType", "").strip()
-        if raw_logon:
-            try:
-                logon_type = int(raw_logon)
-            except ValueError:
-                logon_type = None
-        events.append(
-            AuthEvent(
-                record_ref=r.record_ref,
-                outcome="Failure" if r.event_id == EVENT_ID_LOGON_FAILURE else "Success",
-                account=account,
-                source_ip=source_ip,
-                logon_type=logon_type,
-                timestamp_utc=r.timestamp_utc,
-            )
-        )
-    events.sort(key=lambda e: (e.timestamp_utc, e.record_ref))
-    return events, skipped
+def auth_event(record: EventRecord) -> AuthEvent | None:
+    """Project a 4624/4625 record into an AuthEvent; None for any other
+    record. A record without a TargetUserName gets an empty account, which
+    normalize_auth_events counts and drops."""
+    if record.event_id not in AUTH_EVENT_IDS:
+        return None
+    source_ip = record.fields.get("IpAddress", "").strip()
+    try:  # int() strips whitespace and refuses ""
+        logon_type: int | None = int(record.fields.get("LogonType", ""))
+    except ValueError:
+        logon_type = None
+    return AuthEvent(
+        record_ref=record.record_ref,
+        outcome="Failure" if record.event_id == EVENT_ID_LOGON_FAILURE else "Success",
+        account=record.fields.get("TargetUserName", "").strip(),
+        source_ip=None if source_ip in ("", "-") else source_ip,
+        logon_type=logon_type,
+        timestamp_utc=record.timestamp_utc,
+    )
 
 
-def load_evidence(paths: list[Path]) -> tuple[list[EventRecord], list[str]]:
-    """Read evidence files in order into records plus notes for the review.
+def normalize_auth_events(projected: Iterable[AuthEvent | None]) -> tuple[list[AuthEvent], int]:
+    """Sort the auth_event projections of records by (time, ref), passing
+    over a None (not an auth record); returns the events plus a count of auth
+    records skipped for lacking a TargetUserName (counted, never lost)."""
+    auth = [e for e in projected if e is not None]
+    events = sorted((e for e in auth if e.account), key=lambda e: (e.timestamp_utc, e.record_ref))
+    return events, len(auth) - len(events)
+
+
+def load_evidence(paths: list[Path], keep=_itself) -> tuple[list, list[str]]:
+    """Read evidence files in order, handing each record to ``keep`` as it
+    is parsed; returns the list of what ``keep`` returned (by default the
+    records) plus notes for the review.
 
     XML and CSV files yield records; an EVTX file yields notes on its framing
     only. Raises ConfigInvalidError for a missing file or an unsupported
-    suffix, and DuplicateRecordRefError when two records share a record_ref.
+    suffix, and DuplicateRecordRefError when two records share a record_ref,
+    before the second of them reaches ``keep``.
     """
-    records: list[EventRecord] = []
+    kept: list = []
     notes: list[str] = []
     source_of: dict[str, Path] = {}
+
+    def keep_new(record: EventRecord):
+        # called only while ``path``, the file being read, is current
+        if record.record_ref in source_of:
+            raise DuplicateRecordRefError(
+                record.record_ref, str(source_of[record.record_ref]), str(path)
+            )
+        source_of[record.record_ref] = path
+        return keep(record)
+
     for path in paths:
         if not path.is_file():
             raise ConfigInvalidError(f"evidence path not found: {path}")
@@ -482,14 +480,7 @@ def load_evidence(paths: list[Path]) -> tuple[list[EventRecord], list[str]]:
         # module needs that for quoted fields, and XML normalises them itself.
         with path.open(encoding="utf-8", newline="") as stream:
             if suffix == ".xml":
-                loaded = parse_event_xml(stream, source=path.stem)
+                kept.extend(parse_event_xml(stream, path.stem, keep_new))
             else:
-                loaded = load_csv(stream)
-        for record in loaded:
-            if record.record_ref in source_of:
-                raise DuplicateRecordRefError(
-                    record.record_ref, str(source_of[record.record_ref]), str(path)
-                )
-            source_of[record.record_ref] = path
-        records.extend(loaded)
-    return records, notes
+                kept.extend(load_csv(stream, keep_new))
+    return kept, notes

@@ -4,17 +4,19 @@ Stages run strictly in order: ProcessEvidence, MapAttack, RetrievePolicies,
 ValidatePolicies, GenerateReport. Each stage extends a copy of the incoming
 state and never rewrites fields owned by earlier stages; run_review persists
 a canonical JSON checkpoint after every stage under <output>/state/.
-A checkpoint stores each fact once. ProcessEvidence encodes each record
-once, writes the records to state/records.json and keeps each record's
-sha256 for the report's evidence appendix; every checkpoint names the file's
-sha256 as its records_digest. Loading a checkpoint checks the file against
-that digest and takes the per-record digests from the file's own bytes; the
-auth events and the report are re-derived, which re-checks citation closure.
+A checkpoint stores each fact once. ProcessEvidence streams the records:
+each is encoded once as it is parsed and written to state/records.json
+through a running sha256, and only its evidence appendix row and auth event
+are kept. Every checkpoint names the file's sha256 as its records_digest.
+Loading a checkpoint checks the file against that digest and takes the rows
+from the file's bytes again; the auth events and the report are re-derived,
+which re-checks citation closure.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -56,7 +58,7 @@ from .gap_analysis import (
     select_effective,
 )
 from .llm_gateway import Gateway, GatewaySettings, NarrativeResult, Transcript
-from .log_ingest import AuthEvent, EventRecord, load_evidence, normalize_auth_events
+from .log_ingest import AUTH_EVENT_IDS, AuthEvent, EventRecord, auth_event, load_evidence, normalize_auth_events
 from .policy_index import (
     DOC_KIND_BASELINE,
     DOC_KIND_ORGANISATION,
@@ -75,6 +77,7 @@ STATUS_SKIPPED = "skipped"
 STATUS_FAILED = "failed"
 
 RECORDS_FILE = "records.json"
+RecordRow = tuple[str, int, str, str]  # see ReviewState.records
 
 
 @dataclass
@@ -92,10 +95,13 @@ class ReviewState:
 
     run_id: str
     config_digest: str
-    records: list[EventRecord] = field(default_factory=list)
+    # One row per evidence record, in record order: record_ref, event_id,
+    # timestamp_utc as canonical text, and the sha256 of the record's piece
+    # of records.json. The records are streamed to that file, never held.
+    records: list[RecordRow] = field(default_factory=list)
+    # sha256 of the bytes of state/records.json
     records_digest: str | None = None
-    # sha256 of each record's canonical JSON, in record order; derived
-    record_digests: tuple[str, ...] = ()
+    # the auth events of the records, re-derived on load
     auth_events: list[AuthEvent] = field(default_factory=list)
     skipped_auth_records: int = 0
     findings: list[BehaviorFinding] = field(default_factory=list)
@@ -122,7 +128,7 @@ class ReviewState:
         )
 
     def record_refs(self) -> set[str]:
-        return {r.record_ref for r in self.records}
+        return {row[0] for row in self.records}
 
     def clause_ids(self) -> set[str]:
         return {
@@ -136,11 +142,9 @@ class ReviewState:
         return d
 
     @classmethod
-    def from_dict(
-        cls, d: dict, records: list[EventRecord], record_digests: tuple[str, ...]
-    ) -> "ReviewState":
-        """Rebuild a state from a checkpoint dict, its records and their
-        digests."""
+    def from_dict(cls, d: dict, records: list[RecordRow], auth_events: list[AuthEvent]) -> "ReviewState":
+        """Rebuild a state from a checkpoint dict and the rows and auth
+        events that read_records took from its records.json."""
         kwargs = decode_fields(cls, {k: d[k] for k in _CODEC_FIELDS})
         clause_by_id = {
             c.clause_id: c for doc in kwargs["policy_documents"] for c in doc.clauses
@@ -153,14 +157,8 @@ class ReviewState:
             )
             for h in d["retrieval"]
         ]
-        auth_events, skipped = normalize_auth_events(records)
-        state = cls(
-            records=records,
-            record_digests=record_digests,
-            auth_events=auth_events,
-            skipped_auth_records=skipped,
-            **kwargs,
-        )
+        auth_events, skipped = normalize_auth_events(auth_events)
+        state = cls(records=records, auth_events=auth_events, skipped_auth_records=skipped, **kwargs)
         if d["report_generated_at"]:
             state.report = reporting.build_report(
                 state, generated_at=parse_instant(d["report_generated_at"])
@@ -169,21 +167,14 @@ class ReviewState:
 
 
 # A checkpoint stores every ReviewState field as the codec writes it, except
-# these: the records and their digests, the auth events and the report are
-# re-derived on load, the retrieval hits are stored by clause id and the
-# report by its generated_at.
+# these: the record rows, the auth events and the report are re-derived on
+# load, the retrieval hits are stored by clause id and the report by its
+# generated_at.
 _CODEC_FIELDS = tuple(
     f.name
     for f in dataclasses.fields(ReviewState)
     if f.name
-    not in {
-        "records",
-        "record_digests",
-        "auth_events",
-        "skipped_auth_records",
-        "retrieval",
-        "report",
-    }
+    not in {"records", "auth_events", "skipped_auth_records", "retrieval", "report"}
 )
 
 
@@ -238,15 +229,13 @@ def _absorb(state: ReviewState, result: NarrativeResult) -> None:
 
 def _stage_process_evidence(state: ReviewState, deps: StageDeps):
     config = deps.config
-    records, notes = load_evidence(config.evidence_paths)
-    state.records.extend(records)
-    state.records_digest, state.record_digests = write_records(
-        state.records, config.output_dir
+    state.records_digest, (rows, notes), auth_events = write_records(
+        lambda keep: load_evidence(config.evidence_paths, keep), config.output_dir
     )
+    state.records.extend(rows)
     state.notes.extend(notes)
 
-    auth_events, skipped = normalize_auth_events(state.records)
-    state.auth_events = auth_events
+    state.auth_events, skipped = normalize_auth_events(auth_events)
     state.skipped_auth_records = skipped
     if skipped:
         state.notes.append(
@@ -254,7 +243,7 @@ def _stage_process_evidence(state: ReviewState, deps: StageDeps):
             f"(missing TargetUserName)"
         )
 
-    state.findings.extend(detect_bruteforce(auth_events, config.detector))
+    state.findings.extend(detect_bruteforce(state.auth_events, config.detector))
     if not state.findings:
         state.notes.append("no qualifying behaviour detected in evidence")
 
@@ -442,25 +431,49 @@ def state_dir(output_dir: Path) -> Path:
     return path
 
 
-def write_records(
-    records: list[EventRecord], output_dir: Path
-) -> tuple[str, tuple[str, ...]]:
-    """Write the records as canonical JSON to <output>/state/records.json,
-    encoding each record once; returns the sha256 of the bytes written and
-    the sha256 of each record's piece of them.
+def write_records(load, output_dir: Path) -> tuple[str, object, list[AuthEvent]]:
+    """Stream the records that ``load(keep)`` hands to ``keep`` into
+    <output>/state/records.json, encoding each once; ``keep`` returns the
+    record's row. Returns the sha256 of the bytes written, what ``load``
+    returned and the records' auth events. The file is the canonical JSON of
+    the record list (the pieces joined by commas inside brackets), written as
+    records.json.tmp and renamed once ``load`` returns; when ``load`` raises,
+    the temp file is removed and no records.json is written."""
+    path = state_dir(output_dir) / RECORDS_FILE
+    tmp = path.with_name(RECORDS_FILE + ".tmp")
+    sha = hashlib.sha256()
+    auth_events: list[AuthEvent] = []
+    separator = b"["
+    try:
+        with tmp.open("wb") as out:
+            def emit(data: bytes) -> None:
+                out.write(data)
+                sha.update(data)
 
-    The file is the canonical JSON of the record list: the pieces joined by
-    commas inside brackets, as canon_dumps writes a list."""
-    pieces = [canon_dumps(r.to_dict()).encode("utf-8") for r in records]
-    data = b"[" + b",".join(pieces) + b"]\n"
-    (state_dir(output_dir) / RECORDS_FILE).write_bytes(data)
-    return sha256_hex(data), tuple(sha256_hex(piece) for piece in pieces)
+            def keep(record: EventRecord) -> RecordRow:
+                nonlocal separator
+                d = record.to_dict()
+                piece = canon_dumps(d).encode("utf-8")
+                emit(separator + piece)
+                separator = b","
+                if record.event_id in AUTH_EVENT_IDS:
+                    auth_events.append(auth_event(record))
+                return d["record_ref"], d["event_id"], d["timestamp_utc"], sha256_hex(piece)
+
+            loaded = load(keep)
+            emit(b"]\n" if separator == b"," else b"[]\n")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)
+    return sha.hexdigest(), loaded, auth_events
 
 
-def read_records(path: Path, digest: str) -> tuple[list[EventRecord], tuple[str, ...]]:
+def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEvent]]:
     """Read a records.json that write_records wrote, after checking its bytes
-    against ``digest``; returns the records and the sha256 of each record's
-    piece of the file, the digests write_records returned."""
+    against ``digest``; returns the rows and auth events write_records
+    returned, each row's digest taken from the file's bytes. Only a logon
+    record is rebuilt as an EventRecord, to project its auth event."""
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
     data = path.read_bytes()
@@ -469,17 +482,19 @@ def read_records(path: Path, digest: str) -> tuple[list[EventRecord], tuple[str,
     text = data.decode("utf-8")
     del data
     decode = json.JSONDecoder().raw_decode
-    records: list[EventRecord] = []
-    digests: list[str] = []
+    rows: list[RecordRow] = []
+    auth_events: list[AuthEvent] = []
     pos, last = 1, len(text) - 2  # just past "[", and at the closing "]"
     while pos < last:
         item, end = decode(text, pos)
         if text[end] not in ",]":
             raise RecordsFileError(f"{path} is not a canonical JSON array")
-        records.append(EventRecord.from_dict(item))
-        digests.append(sha256_hex(text[pos:end]))
+        ref, event_id, ts = item["record_ref"], item["event_id"], item["timestamp_utc"]
+        rows.append((ref, event_id, ts, sha256_hex(text[pos:end])))
+        if event_id in AUTH_EVENT_IDS:
+            auth_events.append(auth_event(EventRecord.from_dict(item)))
         pos = end + 1
-    return records, tuple(digests)
+    return rows, auth_events
 
 
 def save_checkpoint(state: ReviewState, output_dir: Path, stage: str) -> Path:
@@ -497,10 +512,10 @@ def load_checkpoint(path: Path) -> ReviewState:
     path = Path(path)
     try:
         d = json.loads(path.read_text(encoding="utf-8"))
-        records, digests = [], ()
+        rows, auth_events = [], []
         if d["records_digest"]:
-            records, digests = read_records(path.parent / RECORDS_FILE, d["records_digest"])
-        return ReviewState.from_dict(d, records, digests)
+            rows, auth_events = read_records(path.parent / RECORDS_FILE, d["records_digest"])
+        return ReviewState.from_dict(d, rows, auth_events)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 

@@ -101,10 +101,9 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
     and its degradation note record the rejected model output, fabricated
     citations included, as the audit trail of why the fallback text was used.
 
-    Each evidence appendix row takes its digest from ``state.record_digests``;
-    a state with more or fewer digests than records raises ValueError. The
-    document shares lists with the state's items, which no stage mutates
-    once it has run.
+    The evidence appendix is the state's record rows. The document shares
+    no list with the state: the items' ``to_dict`` copies their lists, so a
+    later change to a state item does not reach the report.
     """
     report = {
         "run_id": state.run_id,
@@ -117,13 +116,8 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
         "gaps_section": [g.to_dict() for g in state.gaps],
         "trace_ledger": build_trace_ledger(state),
         "evidence_appendix": [
-            {
-                "record_ref": r.record_ref,
-                "event_id": r.event_id,
-                "timestamp_utc": format_instant(r.timestamp_utc),
-                "digest": digest,
-            }
-            for r, digest in zip(state.records, state.record_digests, strict=True)
+            {"record_ref": ref, "event_id": event_id, "timestamp_utc": ts, "digest": digest}
+            for ref, event_id, ts, digest in state.records
         ],
         "transcripts": [t.to_dict() for t in state.transcripts],
         "degradation_notes": list(state.degradation_notes),

@@ -25,6 +25,7 @@ from pir.errors import (
 )
 from pir.log_ingest import (
     EventRecord,
+    auth_event,
     flatten_to_csv,
     load_csv,
     load_evidence,
@@ -449,7 +450,7 @@ def test_non_auth_event_ids_excluded():
         make_record(1, event_id=4688),
         make_record(2, event_id=7045),
     ]
-    events, skipped = normalize_auth_events(records)
+    events, skipped = normalize_auth_events(map(auth_event, records))
     assert events == [] and skipped == 0
 
 
@@ -458,14 +459,14 @@ def test_failure_then_success_pattern():
         make_record(1, event_id=4625, fields={"TargetUserName": "admin"}),
         make_record(2, event_id=4624, seconds=5, fields={"TargetUserName": "admin"}),
     ]
-    events, skipped = normalize_auth_events(records)
+    events, skipped = normalize_auth_events(map(auth_event, records))
     assert [e.outcome for e in events] == ["Failure", "Success"]
     assert skipped == 0
 
 
 def test_missing_account_counted_as_skipped():
     records = [make_record(1, event_id=4625, fields={"TargetUserName": ""})]
-    events, skipped = normalize_auth_events(records)
+    events, skipped = normalize_auth_events(map(auth_event, records))
     assert events == [] and skipped == 1
 
 
@@ -476,7 +477,7 @@ def test_conservation_of_auth_records():
         make_record(3, event_id=4688, fields={"TargetUserName": "a"}),
         make_record(4, event_id=4625, fields={"TargetUserName": "b"}),
     ]
-    events, skipped = normalize_auth_events(records)
+    events, skipped = normalize_auth_events(map(auth_event, records))
     auth_total = sum(1 for r in records if r.event_id in (4624, 4625))
     assert len(events) + skipped == auth_total
 
@@ -487,7 +488,7 @@ def test_sorted_by_timestamp_then_ref():
         make_record(1, event_id=4625, seconds=10, fields={"TargetUserName": "a"}),
         make_record(3, event_id=4625, seconds=0, fields={"TargetUserName": "a"}),
     ]
-    events, _ = normalize_auth_events(records)
+    events, _ = normalize_auth_events(map(auth_event, records))
     assert [e.record_ref for e in events] == ["src#3", "src#1", "src#2"]
 
 
@@ -502,7 +503,7 @@ def test_placeholder_ip_normalized_to_none():
             fields={"TargetUserName": "a", "IpAddress": "10.1.2.3", "LogonType": "x"},
         ),
     ]
-    events, _ = normalize_auth_events(records)
+    events, _ = normalize_auth_events(map(auth_event, records))
     assert events[0].source_ip is None
     assert events[1].source_ip == "10.1.2.3"
     assert events[1].logon_type is None
@@ -557,7 +558,7 @@ def test_load_evidence_rejects_duplicate_record_refs(tmp_path):
 
 
 def _findings(records):
-    events, _skipped = normalize_auth_events(records)
+    events, _skipped = normalize_auth_events(map(auth_event, records))
     return [f.to_dict() for f in detect_bruteforce(events, DetectorParams())]
 
 

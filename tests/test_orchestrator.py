@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import logging
+import os
 import re
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -12,11 +14,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pir import canon, gap_analysis, orchestrator, policy_index, reporting
-from pir.canon import digest_of, sha256_hex
+from pir.canon import digest_of, format_instant, sha256_hex
 from pir.config import ReviewConfig
-from pir.errors import RecordsFileError, StageFailureError, StageOrderViolationError
+from pir.errors import (
+    DuplicateRecordRefError,
+    RecordsFileError,
+    StageFailureError,
+    StageOrderViolationError,
+    XmlSyntaxError,
+)
 from pir.gap_analysis import select_effective
-from pir.log_ingest import EventRecord
+from pir.log_ingest import (
+    AUTH_EVENT_IDS,
+    EventRecord,
+    auth_event,
+    flatten_to_csv,
+    parse_event_xml,
+)
 from pir.orchestrator import (
     RECORDS_FILE,
     STAGES,
@@ -35,6 +49,9 @@ from pir.orchestrator import (
 from pir.scenario_gen import ScenarioSpec, generate
 
 from conftest import FIXTURES, event_xml, make_record
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def fresh_state(config):
@@ -174,6 +191,57 @@ def test_failed_run_still_checkpoints(fixture_config_raw, tmp_path):
     saved = json.loads(checkpoint.read_text())
     assert saved["stage_log"][-1]["status"] == "failed"
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("fault", ["syntax error in the last event", "duplicate ref"])
+def test_a_failed_stream_leaves_no_records_file(fixture_config_raw, tmp_path, fault):
+    xml, _truth = generate(ScenarioSpec(noise_events=20, noise_accounts=("jdoe",)), "host")
+    good = tmp_path / "host.xml"
+    good.write_text(xml, encoding="utf-8")
+    if fault == "duplicate ref":
+        # the second file repeats the first file's last record
+        bad = tmp_path / "again.csv"
+        last = parse_event_xml(xml, source="host")[-1:]
+        bad.write_text(flatten_to_csv(last), encoding="utf-8", newline="")
+        cause = DuplicateRecordRefError
+    else:
+        bad = tmp_path / "broken.xml"
+        head, _, tail = xml.rpartition("</System>")
+        bad.write_text(head + "</Sytsem>" + tail, encoding="utf-8")
+        cause = XmlSyntaxError
+    raw = dict(fixture_config_raw, evidence_paths=[str(good), str(bad)])
+    config = ReviewConfig.from_dict(
+        raw, FIXTURES, overrides={"output_dir": str(tmp_path / "out")}
+    )
+    with pytest.raises(StageFailureError) as err:
+        run_review(config)
+    assert isinstance(err.value.__cause__, cause)
+    state_files = tmp_path / "out" / "state"
+    assert os.listdir(state_files) == ["ProcessEvidence.json"]
+    saved = json.loads((state_files / "ProcessEvidence.json").read_text())
+    assert saved["stage_log"][-1]["status"] == "failed"
+    assert saved["records_digest"] is None
+
+
+def test_process_evidence_memory_grows_by_under_800_bytes_per_record(
+    tmp_path, monkeypatch
+):
+    # bulk-replay evidence at two sizes; gated on bytes, never on seconds
+    peaks = []
+    for noise in (2_000, 8_000):
+        monkeypatch.setattr(workloads, "BULK_NOISE_EVENTS", noise)
+        manifest = workloads.set_up("bulk-replay", 1, tmp_path / str(noise))
+        config = workloads.review_config(
+            tmp_path / str(noise), manifest["evidence"], "replay"
+        )
+        deps = build_deps(config)
+        tracemalloc.start()
+        try:
+            run_stage(fresh_state(config), "ProcessEvidence", deps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 6_000 <= 800
 
 
 # --- zero findings ---------------------------------------------------------------------
@@ -339,8 +407,13 @@ def test_written_report_is_the_checked_report(demo_config, tmp_path):
     written = json_path.read_bytes()
     assert json.loads(written) == state.report
 
-    # a state changed after GenerateReport does not reach the report
+    # a state changed after GenerateReport does not reach the report, nor
+    # does a change to a list the report was built from
     state.findings[0].account = "mallory"
+    state.findings[0].evidence.append("ghost#1")
+    state.mappings[0].evidence.append("ghost#1")
+    state.gaps[0].evidence_events.append("ghost#1")
+    state.transcripts[0].grounding.resolved.append("ghost#1")
     write_report_files(state, demo_config.output_dir)
     assert json_path.read_bytes() == written
 
@@ -375,7 +448,11 @@ def test_records_are_stored_once_in_records_json(demo_config):
     )
     records_text = texts.pop("records.json")
     digest = sha256_hex(records_text.encode("utf-8"))
-    assert json.loads(records_text) == [r.to_dict() for r in state.records]
+    # the file holds each record once, and the state one row per record
+    assert [
+        (d["record_ref"], d["event_id"], d["timestamp_utc"], digest_of(d))
+        for d in json.loads(records_text)
+    ] == state.records
 
     # checkpoints name the records file by digest and cite refs, never records
     cited = {ref for f in state.findings for ref in f.evidence}
@@ -419,7 +496,9 @@ def test_review_encodes_each_record_once(demo_config, monkeypatch):
     state = run_review(demo_config)
     assert state.records
     assert counts == {"to_dict": len(state.records), "digest_of": 0}
-    assert len(state.record_digests) == len(state.records)
+    records_path = demo_config.output_dir / "state" / RECORDS_FILE
+    pieces = json.loads(records_path.read_text(encoding="utf-8"))
+    assert [row[3] for row in state.records] == [digest_of(d) for d in pieces]
 
 
 def test_rerender_encodes_no_record(demo_config, monkeypatch, tmp_path):
@@ -436,7 +515,7 @@ _RECORDS = st.lists(
     st.builds(
         EventRecord,
         record_ref=_TEXT,
-        event_id=st.integers(min_value=0, max_value=2**31),
+        event_id=st.sampled_from(sorted(AUTH_EVENT_IDS)) | st.integers(0, 2**31),
         timestamp_utc=st.datetimes(
             min_value=datetime(1970, 1, 1), timezones=st.just(timezone.utc)
         ),
@@ -465,15 +544,23 @@ _RECORDS = st.lists(
 )
 def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     with tempfile.TemporaryDirectory() as tmp:
-        file_digest, written = write_records(records, Path(tmp))
+        file_digest, written, auth_events = write_records(
+            lambda keep: [keep(r) for r in records], Path(tmp)
+        )
         path = Path(tmp) / "state" / RECORDS_FILE
+        assert os.listdir(path.parent) == [RECORDS_FILE]
         data = path.read_bytes()
-        loaded, read = read_records(path, file_digest)
+        read, read_auth_events = read_records(path, file_digest)
     assert data == (canon.canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
+    assert file_digest == sha256_hex(data)
     if not records:
         assert data == b"[]\n"
-    assert loaded == records
-    assert written == read == tuple(digest_of(r.to_dict()) for r in records)
+    assert written == read == [
+        (r.record_ref, r.event_id, format_instant(r.timestamp_utc), digest_of(r.to_dict()))
+        for r in records
+    ]
+    projected = [e for e in map(auth_event, records) if e is not None]
+    assert auth_events == read_auth_events == projected
 
 
 def test_read_records_refuses_records_not_joined_by_commas(tmp_path):
@@ -488,7 +575,7 @@ def test_read_records_refuses_records_not_joined_by_commas(tmp_path):
 
 def test_checkpoint_of_records_without_digest_is_refused(demo_config, tmp_path):
     state = fresh_state(demo_config)
-    state.records.append(make_record(1))
+    state.records.append(("src#1", 4625, "2026-06-01T12:00:00Z", "0" * 64))
     with pytest.raises(RecordsFileError, match="no records_digest"):
         save_checkpoint(state, tmp_path, "ProcessEvidence")
     assert not (tmp_path / "state" / "ProcessEvidence.json").exists()

@@ -6,7 +6,7 @@ from datetime import timedelta
 
 import pytest
 
-from pir.canon import sha256_hex, utc_now
+from pir.canon import digest_of, sha256_hex, utc_now
 from pir.config import ReviewConfig
 from pir.errors import UnresolvedReferenceError
 from pir.llm_gateway import GroundingReport, Transcript
@@ -25,14 +25,18 @@ from conftest import FIXTURES
 
 
 @pytest.fixture(scope="module")
-def replay_state(tmp_path_factory):
+def replay_config(tmp_path_factory):
     raw = json.loads((FIXTURES / "review_config.json").read_text())
-    config = ReviewConfig.from_dict(
+    return ReviewConfig.from_dict(
         raw,
         FIXTURES,
         overrides={"output_dir": str(tmp_path_factory.mktemp("report-out"))},
     )
-    return run_review(config)
+
+
+@pytest.fixture(scope="module")
+def replay_state(replay_config):
+    return run_review(replay_config)
 
 
 @pytest.fixture
@@ -148,18 +152,26 @@ def test_report_structure(state):
     assert report["run_id"] == state.run_id
     assert len(report["evidence_appendix"]) == len(state.records)
     appendix_refs = [row["record_ref"] for row in report["evidence_appendix"]]
-    assert appendix_refs == [r.record_ref for r in state.records]
+    assert appendix_refs == [row[0] for row in state.records]
     assert all(len(row["digest"]) == 64 for row in report["evidence_appendix"])
     assert report["schema_version"] == 1
 
 
 @pytest.mark.parametrize("digests", ["one short", "one over"])
-def test_report_refuses_digests_that_do_not_match_the_records(state, digests):
-    if digests == "one short":
-        state.record_digests = state.record_digests[:-1]
-    else:
-        state.record_digests = (*state.record_digests, "0" * 64)
-    with pytest.raises(ValueError, match="zip"):
+def test_report_refuses_digests_that_do_not_match_the_records(
+    state, replay_config, digests
+):
+    # each appendix digest is that of the record's piece of records.json
+    records_path = replay_config.output_dir / "state" / "records.json"
+    pieces = json.loads(records_path.read_text(encoding="utf-8"))
+    report = build_report(state, generated_at=utc_now())
+    appendix = report["evidence_appendix"]
+    assert [row["digest"] for row in appendix] == [digest_of(d) for d in pieces]
+
+    # and a record's row carries exactly one
+    row = state.records[-1]
+    state.records[-1] = row[:-1] if digests == "one short" else (*row, "0" * 64)
+    with pytest.raises(ValueError, match="unpack"):
         build_report(state, generated_at=utc_now())
 
 
