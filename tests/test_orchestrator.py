@@ -670,6 +670,40 @@ def test_fixture_state_files_match_pinned_digests(config_name, tmp_path):
     assert digests == PINNED_STATE_FILES[config_name]
 
 
+# state_digest of the state after each stage, as load_checkpoint rebuilds it
+# from that stage's <Stage>.json; taken while every checkpoint still held the
+# whole state, so a change of checkpoint format must load the same states.
+PINNED_STAGE_STATES = {
+    "review_config.json": {
+        "ProcessEvidence": "0ec90b21109b0f3a6f3a61bb35f5c7939ac8a54d5fd325d535277e57f3fdc5b5",
+        "MapAttack": "034bde28a225ea195d1060c369f83b03f87e469ac3af696cd2b339ef86cbb020",
+        "RetrievePolicies": "c15afe2a84d4d749f374443cabb35d428d2992feb99a430c0a45be1fdb5510da",
+        "ValidatePolicies": "6aa66d57d85194dd10e07dac0608ccc18938c8d34f1baf72cff6665758002090",
+        "GenerateReport": "6a025f15194fac09636a04339bf988e4e802c69859a0764c13b93534ce05726f",
+    },
+    "review_config_nogap.json": {
+        "ProcessEvidence": "6c967d32d92d24491e87f2972fa27f0636eab569d9fa8c8530bcdb0e2519b5b0",
+        "MapAttack": "b2453d89bf609ac153a88d2aa222ba379e4eeae71a258ffd578f6519dd9df49d",
+        "RetrievePolicies": "c580bb729244bfc8c11d682ccb1b4b43a118fa84cad219068e33d92442397d5f",
+        "ValidatePolicies": "4ed513fd0130a1cb1fb5fff295f433332629f4150b874b338ebd6a2fea5449c5",
+        "GenerateReport": "5497197600bd2b14234298be903d56ecdf36f34532684ba0154e1de6d37a4193",
+    },
+}
+
+
+@pytest.mark.parametrize("config_name", sorted(PINNED_STAGE_STATES))
+def test_each_checkpoint_loads_the_pinned_state(config_name, tmp_path):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    config = ReviewConfig.from_file(tmp_path / "fixtures" / config_name)
+    run_review(config)
+    state_dir = config.output_dir / "state"
+    digests = {
+        stage: state_digest(load_checkpoint(state_dir / f"{stage}.json"))
+        for stage in STAGES
+    }
+    assert digests == PINNED_STAGE_STATES[config_name]
+
+
 def test_save_checkpoint_is_canonical(demo_config, tmp_path):
     state = fresh_state(demo_config)
     path_a = save_checkpoint(state, tmp_path / "a", "ProcessEvidence")
