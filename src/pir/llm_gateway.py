@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import re
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -344,7 +345,8 @@ class Gateway:
     def _write_cache(self, entry: dict) -> None:
         path = self._cache_path(entry["transcript_id"])
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp-{os.getpid()}")
+        # one temp file per thread: two threads recording one transcript never share it
+        tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
         tmp.write_text(
             json.dumps(entry, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
             encoding="utf-8",

@@ -2,15 +2,21 @@
 
 Stages run strictly in order: ProcessEvidence, MapAttack, RetrievePolicies,
 ValidatePolicies, GenerateReport. Each stage extends a copy of the incoming
-state and never rewrites fields owned by earlier stages; run_review persists
-a canonical JSON checkpoint after every stage under <output>/state/.
-A checkpoint stores each fact once. ProcessEvidence streams the records:
-each is encoded once as it is parsed and written to state/records.json
-through a running sha256, and only its evidence appendix row and auth event
-are kept. Every checkpoint names the file's sha256 as its records_digest.
-Loading a checkpoint checks the file against that digest and takes the rows
-from the file's bytes again; the auth events and the report are re-derived,
-which re-checks citation closure.
+state: it sets the fields it owns (OWNED_FIELDS) and appends to the shared
+lists (SHARED_FIELDS), and run_stage fails it when it changes anything else.
+
+run_review writes a canonical JSON checkpoint after every stage under
+<output>/state/, and each fact goes into one checkpoint only: <Stage>.json
+holds that stage's delta, its own fields and the items it appended to each
+shared list, plus previous_digest, the sha256 of the previous stage's
+checkpoint bytes. Loading a checkpoint checks that chain back to
+ProcessEvidence.json and folds the deltas into the state. ProcessEvidence
+streams the records: each is encoded once as it is parsed and written to
+state/records.json through a running sha256, and only its evidence appendix
+row and auth event are kept; ProcessEvidence.json names the file's sha256 as
+its records_digest. Loading checks the file against that digest and takes
+the rows from the file's bytes again; the auth events and the report are
+re-derived, which re-checks citation closure.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import dataclasses
 import hashlib
 import json
 import logging
+import operator
+import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -178,6 +186,22 @@ _CODEC_FIELDS = tuple(
 )
 
 
+# The fields each stage sets; no other stage may reassign, grow or shrink them.
+OWNED_FIELDS = {
+    "ProcessEvidence": ("run_id", "config_digest", "records", "records_digest", "auth_events",
+                        "skipped_auth_records", "findings", "finding_summaries"),
+    "MapAttack": ("mappings",),
+    "RetrievePolicies": ("policy_documents", "retrieval_query", "retrieval"),
+    "ValidatePolicies": ("org_params", "baseline_params", "gaps"),
+    "GenerateReport": ("incident_summary", "report"),
+}
+# The lists every stage appends to; a stage owns the items it appended.
+SHARED_FIELDS = ("transcripts", "notes", "degradation_notes", "stage_log")
+# The keys of each stage's own fields in its checkpoint
+_KEY = {"retrieval": "retrieval", "report": "report_generated_at", **{k: k for k in _CODEC_FIELDS}}
+_STORED_KEYS = {stage: [_KEY[k] for k in names if k in _KEY] for stage, names in OWNED_FIELDS.items()}
+
+
 def state_digest(state: ReviewState) -> str:
     """Digest of the state with volatile clock fields masked, so identical
     replay runs compare equal."""
@@ -292,18 +316,11 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps):
         return STATUS_SKIPPED, "no findings; incident-driven gap analysis skipped"
 
     kind_by_doc = {d.doc_id: d.kind for d in state.policy_documents}
-    org_clauses = [
-        h.clause
-        for h in state.retrieval
-        if kind_by_doc[h.clause.doc_id] == DOC_KIND_ORGANISATION
-    ]
-    baseline_clauses = [
-        h.clause
-        for h in state.retrieval
-        if kind_by_doc[h.clause.doc_id] == DOC_KIND_BASELINE
-    ]
-    state.org_params = extract_control_parameters(org_clauses)
-    state.baseline_params = extract_control_parameters(baseline_clauses)
+    clauses = {DOC_KIND_ORGANISATION: [], DOC_KIND_BASELINE: []}
+    for hit in state.retrieval:
+        clauses[kind_by_doc[hit.clause.doc_id]].append(hit.clause)
+    state.org_params = extract_control_parameters(clauses[DOC_KIND_ORGANISATION])
+    state.baseline_params = extract_control_parameters(clauses[DOC_KIND_BASELINE])
 
     rules = load_default_rules()
     effective_org, org_warnings = select_effective(state.org_params, rules)
@@ -335,11 +352,7 @@ def _stage_generate_report(state: ReviewState, deps: StageDeps):
     fallback = reporting.deterministic_incident_summary(state)
     if state.findings:
         refs = [ref for finding in state.findings for ref in finding.cited_refs()]
-        clause_ids: list[str] = []
-        for gap in state.gaps:
-            for cid in gap.evidence_clauses:
-                if cid not in clause_ids:
-                    clause_ids.append(cid)
+        clause_ids = list(dict.fromkeys(cid for gap in state.gaps for cid in gap.evidence_clauses))
         result = deps.gateway.narrate(
             "incident_summary",
             {
@@ -392,9 +405,7 @@ def check_stage_order(stage_log: list[StageRecord], stage: str) -> None:
                 f"cannot run {stage}: stage {record.stage} previously failed"
             )
     done = [r.stage for r in stage_log]
-    expected = len(done)
-    actual = STAGES.index(stage)
-    if done != list(STAGES[:expected]) or actual != expected:
+    if done != list(STAGES[: STAGES.index(stage)]):
         raise StageOrderViolationError(
             f"stage {stage} invoked out of order; completed so far: {done or '[]'}"
         )
@@ -408,9 +419,11 @@ def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
     """
     check_stage_order(state.stage_log, stage)
     new_state = state.copy()
+    copied = dict(vars(new_state))
     record = StageRecord(stage=stage, started=utc_now())
     try:
         result = _STAGE_FUNCS[stage](new_state, deps)
+        _check_ownership(stage, state, copied, new_state)
     except (ReviewError, OSError, ValueError) as exc:
         record.status = STATUS_FAILED
         record.note = f"{type(exc).__name__}: {exc}"
@@ -421,6 +434,22 @@ def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
     record.finished = utc_now()
     new_state.stage_log.append(record)
     return new_state
+
+
+def _check_ownership(stage: str, state: ReviewState, copied: dict, new_state: ReviewState) -> None:
+    """Raise ValueError, a bug in the stage body, when the body reassigned,
+    grew or shrank a field it does not own, or replaced an item of a shared
+    list from before it. ``copied`` holds the fields of the copy of ``state``
+    it ran on. Only lengths and identities are compared."""
+    before, after = vars(state), vars(new_state)
+    for name in after.keys() - set(OWNED_FIELDS[stage]):
+        old, new = before[name], after[name]
+        if name in SHARED_FIELDS:
+            changed = len(new) < len(old) or not all(map(operator.is_, new, old))
+        else:
+            changed = new is not copied[name] or isinstance(new, list) and len(new) != len(old)
+        if changed:
+            raise ValueError(f"{stage} changed {name}, which it does not own")
 
 
 def state_dir(output_dir: Path) -> Path:
@@ -497,26 +526,53 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
     return rows, auth_events
 
 
-def save_checkpoint(state: ReviewState, output_dir: Path, stage: str) -> Path:
+def save_checkpoint(state: ReviewState, output_dir: Path, stage: str, base: ReviewState | None = None) -> Path:
+    """Write <stage>.json: the fields ``stage`` owns, the items it appended to
+    each shared list after ``base`` (the state it started from, None for an
+    empty one), and previous_digest, the sha256 of the bytes of the previous
+    stage's checkpoint (None for the first stage)."""
     if state.records and state.records_digest is None:
         raise RecordsFileError(f"{stage}: the state holds records but no records_digest")
-    path = state_dir(output_dir) / f"{stage}.json"
-    path.write_text(canon_dumps(state.to_dict()) + "\n", encoding="utf-8")
+    directory = state_dir(output_dir)
+    values = {k: getattr(state, k) for k in OWNED_FIELDS[stage]}
+    for name in SHARED_FIELDS:
+        values[name] = getattr(state, name)[len(getattr(base, name)) if base else 0 :]
+    delta = ReviewState(**{"run_id": None, "config_digest": None, **values}).to_dict()
+    d = {k: delta[k] for k in [*_STORED_KEYS[stage], *SHARED_FIELDS]}
+    i = STAGES.index(stage)
+    d["previous_digest"] = sha256_hex((directory / f"{STAGES[i - 1]}.json").read_bytes()) if i else None
+    path = directory / f"{stage}.json"
+    path.write_text(canon_dumps(d) + "\n", encoding="utf-8")
     return path
 
 
 def load_checkpoint(path: Path) -> ReviewState:
-    """Load a checkpoint with the records.json beside it, which must match
-    the checkpoint's records_digest; a checkpoint that does not decode into a
-    state raises MalformedCheckpointError."""
+    """Load the state after the stage that ``path``'s own stage_log entry
+    names, folding the checkpoints from ProcessEvidence's on. The earlier
+    ones must sit beside it, each matching the previous_digest after it, else
+    MalformedCheckpointError names it; so must records.json (RecordsFileError)."""
     path = Path(path)
     try:
-        d = json.loads(path.read_text(encoding="utf-8"))
+        docs = [json.loads(path.read_bytes())]
+        for previous in reversed(STAGES[: STAGES.index(docs[0]["stage_log"][0]["stage"])]):
+            previous_path = path.parent / f"{previous}.json"
+            data = previous_path.read_bytes() if previous_path.is_file() else None
+            if data is None or sha256_hex(data) != docs[-1]["previous_digest"]:
+                raise MalformedCheckpointError(
+                    f"{previous_path} is missing or does not match the previous_digest of the checkpoint after it"
+                )
+            docs.append(json.loads(data))
+        d = ReviewState(run_id="", config_digest="").to_dict()
+        for stage, doc in zip(STAGES, reversed(docs)):
+            d.update((k, doc[k]) for k in _STORED_KEYS[stage])
+            d.update((k, d[k] + doc[k]) for k in SHARED_FIELDS)
+        if [r["stage"] for r in d["stage_log"]] != list(STAGES[: len(docs)]):
+            raise ValueError("the stage_log entries are not the stages in order")
         rows, auth_events = [], []
         if d["records_digest"]:
             rows, auth_events = read_records(path.parent / RECORDS_FILE, d["records_digest"])
         return ReviewState.from_dict(d, rows, auth_events)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -526,17 +582,19 @@ def run_review(config: ReviewConfig, transport=None) -> ReviewState:
     before the deps and the config pass their checks."""
     deps = build_deps(config, transport=transport)
     config.validate()
-    state = ReviewState(
-        run_id=f"run-{config.digest[:12]}", config_digest=config.digest
-    )
-
+    state = ReviewState(run_id=f"run-{config.digest[:12]}", config_digest=config.digest)
     for stage in STAGES:
+        started = time.perf_counter()
         try:
-            state = run_stage(state, stage, deps)
+            next_state, failure = run_stage(state, stage, deps), None
         except StageFailureError as exc:
-            save_checkpoint(exc.partial_state, config.output_dir, stage)
-            raise
-        save_checkpoint(state, config.output_dir, stage)
+            next_state, failure = exc.partial_state, exc
+        elapsed_ms = (time.perf_counter() - started) * 1000
+        size = save_checkpoint(next_state, config.output_dir, stage, state).stat().st_size
+        logger.info("%s %s: checkpoint %d bytes, %.1f ms", stage, next_state.stage_log[-1].status, size, elapsed_ms)
+        if failure is not None:
+            raise failure
+        state = next_state
 
     write_report_files(state, config.output_dir)
     return state

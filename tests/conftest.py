@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pir.canon import sha256_hex
 from pir.log_ingest import (
     EVTX_CHUNK_MAGIC,
     EVTX_CHUNK_SIZE,
@@ -113,6 +114,21 @@ def make_auth(
         logon_type=logon_type,
         timestamp_utc=BASE_TIME + timedelta(seconds=seconds),
     )
+
+
+def rewrite_checkpoint(path: Path, doc: dict) -> None:
+    """Write ``doc`` as the <Stage>.json at ``path``, then re-seal the chain:
+    each later stage's checkpoint gets the previous_digest of its
+    predecessor's new bytes, as a review would have written it."""
+    from pir.orchestrator import STAGES
+
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    later = STAGES[STAGES.index(path.stem) :]
+    for previous, stage in zip(later, later[1:]):
+        successor = path.with_name(f"{stage}.json")
+        doc = json.loads(successor.read_text(encoding="utf-8"))
+        doc["previous_digest"] = sha256_hex(path.with_name(f"{previous}.json").read_bytes())
+        successor.write_text(json.dumps(doc), encoding="utf-8")
 
 
 @pytest.fixture

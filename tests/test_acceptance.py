@@ -27,7 +27,7 @@ from pir.policy_index import (
 )
 from pir.reporting import collect_citations, json_report_digest, verify_citation_closure
 
-from conftest import FIXTURES, evtx_bytes, make_auth, make_record
+from conftest import FIXTURES, evtx_bytes, make_auth, make_record, rewrite_checkpoint
 
 
 @pytest.fixture
@@ -146,11 +146,14 @@ def test_criterion_4_grounding_enforcement(tmp_path, capfd, criterion):
 
         # (b) fabrication inside state itself: nonzero exit, no report; the
         # poisoned copy sits beside the records.json its checkpoint names
+        # and the checkpoints of the stages before it
         checkpoint = tmp_path / "bad" / "state" / "GenerateReport.json"
-        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        owner = checkpoint.with_name("ValidatePolicies.json")
+        doc = json.loads(owner.read_text(encoding="utf-8"))
         doc["gaps"][0]["evidence_clauses"].append("org_policy:99-99")
+        rewrite_checkpoint(owner, doc)
         poisoned = tmp_path / "bad" / "state" / "poisoned.json"
-        poisoned.write_text(json.dumps(doc), encoding="utf-8")
+        poisoned.write_bytes(checkpoint.read_bytes())
         capfd.readouterr()
         code = main(
             [

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from pir import orchestrator
+from pir.canon import canon_dumps
 from pir.cli import main
 from pir.log_ingest import load_csv
 
-from conftest import BASE_TIME, FIXTURES, event_xml
+from conftest import BASE_TIME, FIXTURES, event_xml, rewrite_checkpoint
 
 CONFIG = str(FIXTURES / "review_config.json")
 
@@ -398,9 +399,10 @@ def test_render_fails_closed_on_a_fabricated_control_clause_ref(tmp_path, capsys
     code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
     assert code == 0
     checkpoint = out / "state" / "GenerateReport.json"
-    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    owner = checkpoint.with_name("ValidatePolicies.json")
+    doc = json.loads(owner.read_text(encoding="utf-8"))
     doc["gaps"][0][side]["clause_ref"] = "org_policy:99-99"
-    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    rewrite_checkpoint(owner, doc)
 
     rendered = tmp_path / "rendered"
     code, _out, err = run_cli(
@@ -447,14 +449,19 @@ def _break_checkpoint(checkpoint, damage):
     if damage == "corrupt json":
         checkpoint.write_text("{not json", encoding="utf-8")
         return
-    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    # each edit goes into the checkpoint of the stage that owns the field
+    owner = checkpoint.with_name(
+        {"no incident_summary": "GenerateReport.json", "numeric window_start": "ProcessEvidence.json"}
+        .get(damage, "RetrievePolicies.json")
+    )
+    doc = json.loads(owner.read_text(encoding="utf-8"))
     if damage == "no incident_summary":
         del doc["incident_summary"]
     elif damage == "numeric window_start":
         doc["findings"][0]["window_start"] = 5
     else:
         doc["retrieval"][0]["clause_id"] = "nowhere:1-1"
-    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    rewrite_checkpoint(owner, doc)
 
 
 @pytest.mark.parametrize(
@@ -476,6 +483,35 @@ def test_render_of_a_malformed_checkpoint_exits_2(tmp_path, capsys, damage):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "MalformedCheckpointError"
     assert str(checkpoint) in payload["detail"]
+    assert not (rendered / "report.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["edited fact", "missing predecessor"])
+def test_render_refuses_a_broken_checkpoint_chain(tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+    assert code == 0
+    state_dir = out / "state"
+    if damage == "edited fact":
+        # canonical bytes again, so the one edited fact is all that differs;
+        # the chain is left unsealed
+        target = state_dir / "ProcessEvidence.json"
+        doc = json.loads(target.read_text(encoding="utf-8"))
+        doc["findings"][0]["failure_count"] += 1
+        target.write_text(canon_dumps(doc) + "\n", encoding="utf-8")
+    else:
+        target = state_dir / "MapAttack.json"
+        target.unlink()
+
+    rendered = tmp_path / "rendered"
+    code, _out, err = run_cli(
+        capsys, "render", "--state", str(state_dir / "GenerateReport.json"),
+        "--output", str(rendered),
+    )
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "MalformedCheckpointError"
+    assert str(target) in payload["detail"]
     assert not (rendered / "report.json").exists()
 
 

@@ -1,5 +1,6 @@
 import http.server
 import json
+import os
 import socket
 import threading
 
@@ -165,6 +166,36 @@ def test_cache_entry_carries_reproduction_context(tmp_path):
     assert entry["rendered_prompt"] == transcript.rendered_prompt
     assert entry["response"] == transcript.response
     assert set(entry["params"]) == {"temperature", "max_tokens", "top_p"}
+
+
+def test_two_threads_recording_one_transcript_keep_one_valid_entry(tmp_path, monkeypatch):
+    gw = Gateway(settings(tmp_path), transport=echo_transport)
+    entry = {"transcript_id": "t" * 64, "response": echo_transport({})}
+    # both threads have written their temp file before either renames it
+    barrier = threading.Barrier(2, timeout=10)
+    replace = os.replace
+
+    def replace_together(src, dst):
+        barrier.wait()
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_together)
+    errors = []
+
+    def write():
+        try:
+            gw._write_cache(entry)
+        except Exception as exc:  # collected for the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert os.listdir(tmp_path / "cache") == [f"{'t' * 64}.json"]
+    assert json.loads((tmp_path / "cache" / f"{'t' * 64}.json").read_text()) == entry
 
 
 # --- retries -------------------------------------------------------------------------

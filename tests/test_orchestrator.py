@@ -32,7 +32,9 @@ from pir.log_ingest import (
     parse_event_xml,
 )
 from pir.orchestrator import (
+    OWNED_FIELDS,
     RECORDS_FILE,
+    SHARED_FIELDS,
     STAGES,
     ReviewState,
     build_deps,
@@ -137,6 +139,80 @@ def test_copy_gives_every_list_field_a_fresh_container(demo_config):
         assert fresh is not original, name
         assert len(fresh) == len(original)
         assert all(a is b for a, b in zip(fresh, original)), name
+
+
+def test_every_state_field_has_one_owner_or_is_shared():
+    owned = [name for names in OWNED_FIELDS.values() for name in names]
+    assert list(OWNED_FIELDS) == list(STAGES)
+    assert sorted([*owned, *SHARED_FIELDS]) == sorted(
+        f.name for f in dataclasses.fields(ReviewState)
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        "append to findings",
+        "reassign findings",
+        "set records_digest",
+        "replace an earlier transcript",
+        "drop an earlier note",
+    ],
+)
+def test_a_stage_that_changes_what_it_does_not_own_fails(demo_config, monkeypatch, change):
+    deps = build_deps(demo_config)
+    state = run_stage(fresh_state(demo_config), "ProcessEvidence", deps)
+    state.notes.append("an earlier note")
+    map_attack = orchestrator._STAGE_FUNCS["MapAttack"]
+
+    def overreaching(state, deps):
+        result = map_attack(state, deps)
+        if change == "append to findings":
+            state.findings.append(state.findings[0])
+        elif change == "reassign findings":
+            state.findings = list(state.findings)
+        elif change == "set records_digest":
+            state.records_digest = "0" * 64
+        elif change == "replace an earlier transcript":
+            state.transcripts[0] = dataclasses.replace(state.transcripts[0])
+        else:
+            state.notes.pop(0)
+        return result
+
+    monkeypatch.setitem(orchestrator._STAGE_FUNCS, "MapAttack", overreaching)
+    with pytest.raises(StageFailureError) as err:
+        run_stage(state, "MapAttack", deps)
+    assert isinstance(err.value.cause, ValueError)
+    assert "which it does not own" in str(err.value)
+    assert err.value.partial_state.stage_log[-1].status == "failed"
+
+
+def test_review_logs_one_line_per_stage(demo_config, caplog):
+    with caplog.at_level(logging.INFO, logger="pir.orchestrator"):
+        run_review(demo_config)
+    lines = [r.getMessage() for r in caplog.records if r.name == "pir.orchestrator"]
+    assert len(lines) == len(STAGES)
+    for stage, line in zip(STAGES, lines):
+        match = re.fullmatch(rf"{stage} ok: checkpoint (\d+) bytes, \d+\.\d ms", line)
+        assert match, line
+        checkpoint = demo_config.output_dir / "state" / f"{stage}.json"
+        assert int(match.group(1)) == checkpoint.stat().st_size
+
+
+def test_checkpoints_hold_each_fact_once(tmp_path, monkeypatch):
+    # a many-incidents review of 20 hosts in record mode; gated on bytes,
+    # never on seconds
+    hosts = 20
+    monkeypatch.setattr(workloads, "HOSTS", hosts)
+    for name in ("HOST_FAILURES", "HOST_SPACING_S", "HOST_SUCCESS"):
+        monkeypatch.setattr(workloads, name, getattr(workloads, name)[:hosts])
+    manifest = workloads.set_up("many-incidents", 1, tmp_path)
+    config = workloads.review_config(tmp_path, manifest["evidence"], "record")
+    state = run_review(config, transport=workloads.scripted_transport)
+    assert len(state.findings) >= hosts
+    state_dir = config.output_dir / "state"
+    total = sum((state_dir / f"{stage}.json").stat().st_size for stage in STAGES)
+    assert total <= 1.05 * len(canon.canon_dumps(state.to_dict()))
 
 
 # --- ordering ------------------------------------------------------------------------
@@ -458,10 +534,11 @@ def test_records_are_stored_once_in_records_json(demo_config):
     cited = {ref for f in state.findings for ref in f.evidence}
     cited.update(f.success_record for f in state.findings if f.success_record)
     assert state.record_refs() - cited  # some records are cited nowhere
+    assert json.loads(texts["ProcessEvidence.json"])["records_digest"] == digest
     for stage in STAGES:
         saved = json.loads(texts[f"{stage}.json"])
         assert "records" not in saved
-        assert saved["records_digest"] == digest
+        assert load_checkpoint(state_dir / f"{stage}.json").records_digest == digest
     for name, text in texts.items():
         assert set(re.findall(r"[\w.-]+#\d+", text)) <= cited, name
 
@@ -591,11 +668,13 @@ def test_retrieval_serialises_to_pinned_bytes(demo_config):
     assert digest_of(loaded.to_dict()["retrieval"]) == pinned
 
 
-# Digests of the state/ files a review of the committed fixtures writes, taken
-# before the record types shared one codec: records.json and policy_index.json
-# by sha256 of their bytes, each <Stage>.json by digest_of its JSON with the
-# stage clock and report_generated_at masked. The review runs on a copy of the
-# fixtures with no overrides, as test_fixture_reports_match_pinned_digests does.
+# Digests of the state/ files a review of the committed fixtures writes:
+# records.json and policy_index.json by sha256 of their bytes, taken before the
+# record types shared one codec, and each <Stage>.json by digest_of its JSON
+# with the stage clock, previous_digest and report_generated_at masked, taken
+# when each checkpoint became that stage's delta (PINNED_STAGE_STATES pins the
+# states they load). The review runs on a copy of the fixtures with no
+# overrides, as test_fixture_reports_match_pinned_digests does.
 PINNED_STATE_FILES = {
     "review_config.json": {
         "records.json": (
@@ -605,19 +684,19 @@ PINNED_STATE_FILES = {
             "39093e7df4c8a4710adfba82e9b4dae0c4b0deef363556046734fcc4510c3760"
         ),
         "ProcessEvidence.json": (
-            "0ec90b21109b0f3a6f3a61bb35f5c7939ac8a54d5fd325d535277e57f3fdc5b5"
+            "aa7f63f7b04318e6b15c77305bd98d59e0563d2a08bcf163d874c6d951dfb3b2"
         ),
         "MapAttack.json": (
-            "034bde28a225ea195d1060c369f83b03f87e469ac3af696cd2b339ef86cbb020"
+            "288ebb8edafeb7b5427f0ffed0e089cad7e39c81201e763ecb1fc9ce837c7688"
         ),
         "RetrievePolicies.json": (
-            "c15afe2a84d4d749f374443cabb35d428d2992feb99a430c0a45be1fdb5510da"
+            "93c0efd119f6a719c477e737b1d6868dd180da493e7c7292ad404cf979cd28fe"
         ),
         "ValidatePolicies.json": (
-            "6aa66d57d85194dd10e07dac0608ccc18938c8d34f1baf72cff6665758002090"
+            "fb424d1d52b059c51690e87966a96b7008bdba792325fdb9a05273e353c427cf"
         ),
         "GenerateReport.json": (
-            "6a025f15194fac09636a04339bf988e4e802c69859a0764c13b93534ce05726f"
+            "e0ab9c27e29f792c2144cc0d4d2a5c8070a1787bf10f81a8799fd74f8b51b62a"
         ),
     },
     "review_config_nogap.json": {
@@ -628,19 +707,19 @@ PINNED_STATE_FILES = {
             "cc22ae79a59c90ebb631d2a6f0664d4c849fa69c3576c5aa8f8d3c7c2cb38bcb"
         ),
         "ProcessEvidence.json": (
-            "6c967d32d92d24491e87f2972fa27f0636eab569d9fa8c8530bcdb0e2519b5b0"
+            "8db3b3c52c88e88134630c14a95355ff7c68e5b262b7ed7006f06c1f19165e68"
         ),
         "MapAttack.json": (
-            "b2453d89bf609ac153a88d2aa222ba379e4eeae71a258ffd578f6519dd9df49d"
+            "288ebb8edafeb7b5427f0ffed0e089cad7e39c81201e763ecb1fc9ce837c7688"
         ),
         "RetrievePolicies.json": (
-            "c580bb729244bfc8c11d682ccb1b4b43a118fa84cad219068e33d92442397d5f"
+            "920c9051e4f47d73b08d3800021406d7ed10ac745dc41e0db9f4905afe260a41"
         ),
         "ValidatePolicies.json": (
-            "4ed513fd0130a1cb1fb5fff295f433332629f4150b874b338ebd6a2fea5449c5"
+            "79936d4e682dd184808b820176fdf91dc5e1b1dab38cd73cb811d62af66f1662"
         ),
         "GenerateReport.json": (
-            "5497197600bd2b14234298be903d56ecdf36f34532684ba0154e1de6d37a4193"
+            "55ccdb70193c78665156ae5e7c4af13614ab42376208dd971272ec6fdb408e52"
         ),
     },
 }
@@ -650,7 +729,10 @@ def masked_checkpoint_digest(text: str) -> str:
     d = json.loads(text)
     for entry in d["stage_log"]:
         entry["started"] = entry["finished"] = None
-    d["report_generated_at"] = None
+    # previous_digest covers the earlier checkpoints' bytes, clocks included
+    d["previous_digest"] = None
+    if "report_generated_at" in d:
+        d["report_generated_at"] = None
     return digest_of(d)
 
 
