@@ -35,14 +35,14 @@ class TechniqueEntry:
     indicator_tags: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TechniqueMapping(Canonical):
     finding_ref: int
     technique_id: str
     technique_name: str
     tactic: str
     rationale: str
-    evidence: list[str]
+    evidence: tuple[str, ...]
     deterministic: bool
 
 
@@ -144,7 +144,7 @@ def map_finding(
         technique_name=chosen.name,
         tactic=chosen.tactic,
         rationale=rationale,
-        evidence=list(finding.evidence),
+        evidence=finding.evidence,
         deterministic=True,
     )
 

@@ -8,13 +8,15 @@ Two detectors implement the same contract by different routes:
 
 Shared semantics: per-account scanning, closed time intervals (a span equal to
 ``window_seconds`` still qualifies), and maximal windows only (no finding that
-is a strict sub-window of another finding for the same account).
+is a strict sub-window of another finding for the same account). Accounts are
+grouped by their casefolded name, as Windows compares account names
+case-insensitively; a finding shows its first counted failure's spelling.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import TYPE_CHECKING
 
@@ -60,7 +62,7 @@ class DetectorParams(Canonical):
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BehaviorFinding(Canonical):
     """One suspected brute-force episode with its citable evidence.
 
@@ -75,7 +77,7 @@ class BehaviorFinding(Canonical):
     window_end: datetime
     failure_count: int
     success_record: str | None
-    evidence: list[str]
+    evidence: tuple[str, ...]
     params_used: DetectorParams
     distinct_source_ips: int
 
@@ -115,7 +117,7 @@ def _build_finding(
         window_end=counted[-1].timestamp_utc,
         failure_count=len(counted),
         success_record=success_ref,
-        evidence=[e.record_ref for e in counted],
+        evidence=tuple(e.record_ref for e in counted),
         params_used=params,
         distinct_source_ips=len({e.source_ip for e in counted if e.source_ip}),
     )
@@ -137,7 +139,7 @@ def detect_bruteforce(
 
     by_account: dict[str, tuple[list[AuthEvent], list[AuthEvent]]] = {}
     for ev in events:
-        fails, succs = by_account.setdefault(ev.account, ([], []))
+        fails, succs = by_account.setdefault(ev.account.casefold(), ([], []))
         (fails if ev.outcome == "Failure" else succs).append(ev)
 
     findings: list[BehaviorFinding] = []
@@ -188,14 +190,12 @@ def oracle_detect(
     window_us = params.window_seconds * 1_000_000
     grace_us = params.success_grace_seconds * 1_000_000
 
-    accounts: dict[str, None] = {}
-    for ev in events:
-        accounts.setdefault(ev.account, None)
+    accounts = dict.fromkeys(ev.account.casefold() for ev in events)
 
     findings: list[BehaviorFinding] = []
     for account in accounts:
-        fails = [e for e in events if e.account == account and e.outcome == "Failure"]
-        succs = [e for e in events if e.account == account and e.outcome == "Success"]
+        fails = [e for e in events if e.account.casefold() == account and e.outcome == "Failure"]
+        succs = [e for e in events if e.account.casefold() == account and e.outcome == "Success"]
         times = [_instant_us(e.timestamp_utc) for e in fails]
         succ_times = [_instant_us(e.timestamp_utc) for e in succs]
         n = len(fails)

@@ -9,6 +9,7 @@ be tuned without code changes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import re
@@ -109,7 +110,7 @@ _BOOLEAN_PATTERNS: dict[str, tuple[re.Pattern[str], re.Pattern[str]]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlParameter(Canonical):
     control: str
     value: int | float | bool
@@ -126,7 +127,7 @@ class ControlParameter(Canonical):
             raise ValueError(f"numeric control {self.control} requires a unit")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyGap(Canonical):
     control: str
     technique_id: str
@@ -137,8 +138,8 @@ class PolicyGap(Canonical):
     confidence: str | None
     rationale: str
     remediation: str
-    evidence_events: list[str]
-    evidence_clauses: list[str]
+    evidence_events: tuple[str, ...]
+    evidence_clauses: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,9 @@ def compare_controls(
     controls relevant to the technique are compared. org weaker than
     baseline yields Insufficient; org absent while baseline present yields
     Missing; org-only controls are not gaps. Gaps carry empty rationale and
-    confidence; draft_rationale and assign_confidence fill them in.
+    confidence. A stage returns its additions, and the state and its items
+    are frozen, so ValidatePolicies builds each final gap whole with
+    dataclasses.replace from assign_confidence and draft_rationale.
     """
     if not evidence_events:
         raise ValueError("gap analysis is incident-driven; evidence_events is empty")
@@ -336,8 +339,8 @@ def compare_controls(
                 confidence=None,
                 rationale="",
                 remediation="",
-                evidence_events=list(evidence_events),
-                evidence_clauses=clauses,
+                evidence_events=tuple(evidence_events),
+                evidence_clauses=tuple(clauses),
             )
         )
     gaps.sort(key=lambda g: (g.control, g.technique_id))
@@ -346,42 +349,35 @@ def compare_controls(
 
 def dedupe_gaps(gaps: list[PolicyGap]) -> list[PolicyGap]:
     """Merge gaps that share (control, technique_id), unioning evidence in
-    first-seen order."""
-    # per key: the kept gap and the refs and clause ids it already holds
-    merged: dict[tuple[str, str], tuple[PolicyGap, set[str], set[str]]] = {}
+    first-seen order; the first gap of each key gives the other fields."""
+    # per key: the first gap and the refs and clause ids seen, as ordered sets
+    merged: dict[tuple[str, str], tuple[PolicyGap, dict, dict]] = {}
     for gap in gaps:
-        key = (gap.control, gap.technique_id)
-        if key not in merged:
-            merged[key] = (gap, set(gap.evidence_events), set(gap.evidence_clauses))
-            continue
-        kept, seen_refs, seen_clauses = merged[key]
-        for into, seen, items in (
-            (kept.evidence_events, seen_refs, gap.evidence_events),
-            (kept.evidence_clauses, seen_clauses, gap.evidence_clauses),
-        ):
-            for item in items:
-                if item not in seen:
-                    seen.add(item)
-                    into.append(item)
-    out = [kept for kept, _, _ in merged.values()]
+        _, refs, clauses = merged.setdefault((gap.control, gap.technique_id), (gap, {}, {}))
+        refs.update(dict.fromkeys(gap.evidence_events))
+        clauses.update(dict.fromkeys(gap.evidence_clauses))
+    out = [
+        dataclasses.replace(first, evidence_events=tuple(refs), evidence_clauses=tuple(clauses))
+        for first, refs, clauses in merged.values()
+    ]
     out.sort(key=lambda g: (g.control, g.technique_id))
     return out
 
 
 def assign_confidence(gap: PolicyGap, min_evidence: int = 5) -> PolicyGap:
-    """Total confidence rule.
+    """The gap with its confidence set by the total confidence rule.
 
     Missing gaps rest on baseline text alone, so confidence is Low. High
     needs at least ``min_evidence`` incident records (the detector
     threshold); anything else is Medium.
     """
     if gap.gap_kind == GAP_MISSING:
-        gap.confidence = "Low"
+        confidence = "Low"
     elif len(gap.evidence_events) >= min_evidence:
-        gap.confidence = "High"
+        confidence = "High"
     else:
-        gap.confidence = "Medium"
-    return gap
+        confidence = "Medium"
+    return dataclasses.replace(gap, confidence=confidence)
 
 
 def _fmt_value(param: ControlParameter | None) -> str:
@@ -459,11 +455,12 @@ def draft_rationale(
     )
     m = _RATIONALE_SPLIT.search(result.text)
     if m is None:
-        result.degraded = True
-        result.transcript.degraded = True
-        result.note = (
-            f"gap narrative for {gap.control} lacked RATIONALE/REMEDIATION "
-            f"structure; deterministic text used"
+        result = dataclasses.replace(
+            result,
+            degraded=True,
+            transcript=dataclasses.replace(result.transcript, degraded=True),
+            note=f"gap narrative for {gap.control} lacked RATIONALE/REMEDIATION "
+            f"structure; deterministic text used",
         )
         return det_rationale, det_remediation, result
     return m.group("rationale"), m.group("remediation"), result

@@ -16,6 +16,7 @@ Environment: PIR_LLM_ENDPOINT, PIR_LLM_API_KEY, PIR_LLM_MODEL.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -184,11 +185,11 @@ TEMPLATES: dict[str, PromptTemplate] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundingReport(Canonical):
-    markers_found: list[str]
-    resolved: list[str]
-    unresolved: list[str]
+    markers_found: tuple[str, ...]
+    resolved: tuple[str, ...]
+    unresolved: tuple[str, ...]
     passed: bool
 
 
@@ -202,18 +203,18 @@ def validate_grounding(response: str, record_refs, clause_ids) -> GroundingRepor
         markers.setdefault(m.group(0), m.group(1) in record_refs)
     for m in POL_MARKER.finditer(response):
         markers.setdefault(m.group(0), m.group(1) in clause_ids)
-    resolved = [mk for mk, ok in markers.items() if ok]
-    unresolved = [mk for mk, ok in markers.items() if not ok]
+    resolved = tuple(mk for mk, ok in markers.items() if ok)
+    unresolved = tuple(mk for mk, ok in markers.items() if not ok)
     passed = bool(markers) and not unresolved
     return GroundingReport(
-        markers_found=list(markers),
+        markers_found=tuple(markers),
         resolved=resolved,
         unresolved=unresolved,
         passed=passed,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript(Canonical):
     transcript_id: str
     stage: str
@@ -226,7 +227,7 @@ class Transcript(Canonical):
     latency_ms: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class NarrativeResult:
     """Outcome of one grounded narration request."""
 
@@ -467,12 +468,11 @@ class Gateway:
         }
         transcript = self.complete(template_id, bindings)
         report = validate_grounding(transcript.response, record_refs, clause_ids)
-        transcript.grounding = report
+        transcript = dataclasses.replace(transcript, grounding=report, degraded=not report.passed)
         if report.passed:
             return NarrativeResult(
                 text=transcript.response, degraded=False, transcript=transcript
             )
-        transcript.degraded = True
         detail = (
             f"unresolved markers: {', '.join(report.unresolved)}"
             if report.unresolved

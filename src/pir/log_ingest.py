@@ -28,7 +28,7 @@ from datetime import datetime
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 from xml.parsers import expat
 
 from .canon import Canonical, format_instant, parse_instant
@@ -81,10 +81,11 @@ class EventRecord(Canonical):
     fields: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
-class AuthEvent:
+class AuthEvent(NamedTuple):
     """Normalized view of a 4624/4625 record, projected by auth_event; never
-    stored, always re-derived from the records."""
+    stored, always re-derived from the records. Immutable like every item of
+    the review state, but a named tuple: one is made per logon record, and a
+    frozen dataclass takes about 2.5 times as long to build."""
 
     record_ref: str
     outcome: str  # "Failure" (4625) or "Success" (4624)

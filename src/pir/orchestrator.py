@@ -1,9 +1,11 @@
-"""Fixed five-stage review pipeline over an append-only shared state.
+"""Fixed five-stage review pipeline over a frozen shared state.
 
 Stages run strictly in order: ProcessEvidence, MapAttack, RetrievePolicies,
-ValidatePolicies, GenerateReport. Each stage extends a copy of the incoming
-state: it sets the fields it owns (OWNED_FIELDS) and appends to the shared
-lists (SHARED_FIELDS), and run_stage fails it when it changes anything else.
+ValidatePolicies, GenerateReport. A stage returns its additions; the state
+and its items are frozen. Each stage body reads the state before it and
+fills a fresh ``out`` dict: the fields it owns (OWNED_FIELDS) and the items
+it appends to each shared list (SHARED_FIELDS). run_stage fails the stage
+when ``out`` names any other field, and folds ``out`` into a new state.
 
 run_review writes a canonical JSON checkpoint after every stage under
 <output>/state/, and each fact goes into one checkpoint only: <Stage>.json
@@ -25,9 +27,8 @@ import dataclasses
 import hashlib
 import json
 import logging
-import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -88,7 +89,7 @@ RECORDS_FILE = "records.json"
 RecordRow = tuple[str, int, str, str]  # see ReviewState.records
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageRecord(Canonical):
     stage: str
     started: datetime
@@ -97,43 +98,38 @@ class StageRecord(Canonical):
     note: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReviewState:
-    """Shared state threaded through the stages; append-only by contract."""
+    """Shared state threaded through the stages. A stage returns its
+    additions; the state and its items are frozen, and each list is a tuple,
+    so a stage gets a new state with its additions folded in (run_stage)."""
 
     run_id: str
     config_digest: str
     # One row per evidence record, in record order: record_ref, event_id,
     # timestamp_utc as canonical text, and the sha256 of the record's piece
     # of records.json. The records are streamed to that file, never held.
-    records: list[RecordRow] = field(default_factory=list)
+    records: tuple[RecordRow, ...] = ()
     # sha256 of the bytes of state/records.json
     records_digest: str | None = None
     # the auth events of the records, re-derived on load
-    auth_events: list[AuthEvent] = field(default_factory=list)
+    auth_events: tuple[AuthEvent, ...] = ()
     skipped_auth_records: int = 0
-    findings: list[BehaviorFinding] = field(default_factory=list)
-    finding_summaries: list[str] = field(default_factory=list)
-    mappings: list[TechniqueMapping] = field(default_factory=list)
-    policy_documents: list[PolicyDocument] = field(default_factory=list)
+    findings: tuple[BehaviorFinding, ...] = ()
+    finding_summaries: tuple[str, ...] = ()
+    mappings: tuple[TechniqueMapping, ...] = ()
+    policy_documents: tuple[PolicyDocument, ...] = ()
     retrieval_query: str | None = None
-    retrieval: list[RetrievalHit] = field(default_factory=list)
-    org_params: list[ControlParameter] = field(default_factory=list)
-    baseline_params: list[ControlParameter] = field(default_factory=list)
-    gaps: list[PolicyGap] = field(default_factory=list)
-    transcripts: list[Transcript] = field(default_factory=list)
-    stage_log: list[StageRecord] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    degradation_notes: list[str] = field(default_factory=list)
+    retrieval: tuple[RetrievalHit, ...] = ()
+    org_params: tuple[ControlParameter, ...] = ()
+    baseline_params: tuple[ControlParameter, ...] = ()
+    gaps: tuple[PolicyGap, ...] = ()
+    transcripts: tuple[Transcript, ...] = ()
+    stage_log: tuple[StageRecord, ...] = ()
+    notes: tuple[str, ...] = ()
+    degradation_notes: tuple[str, ...] = ()
     incident_summary: str | None = None
     report: dict | None = None
-
-    def copy(self) -> "ReviewState":
-        """Shallow copy with a fresh container for every list field (items are
-        shared; earlier stages' items are never mutated)."""
-        return dataclasses.replace(
-            self, **{k: list(v) for k, v in vars(self).items() if isinstance(v, list)}
-        )
 
     def record_refs(self) -> set[str]:
         return {row[0] for row in self.records}
@@ -157,20 +153,19 @@ class ReviewState:
         clause_by_id = {
             c.clause_id: c for doc in kwargs["policy_documents"] for c in doc.clauses
         }
-        kwargs["retrieval"] = [
+        kwargs["retrieval"] = tuple(
             RetrievalHit(
                 clause=clause_by_id[h["clause_id"]],
                 score=float(h["score"]),
                 rank=int(h["rank"]),
             )
             for h in d["retrieval"]
-        ]
+        )
         auth_events, skipped = normalize_auth_events(auth_events)
-        state = cls(records=records, auth_events=auth_events, skipped_auth_records=skipped, **kwargs)
+        state = cls(records=tuple(records), auth_events=tuple(auth_events), skipped_auth_records=skipped, **kwargs)
         if d["report_generated_at"]:
-            state.report = reporting.build_report(
-                state, generated_at=parse_instant(d["report_generated_at"])
-            )
+            generated_at = parse_instant(d["report_generated_at"])
+            state = dataclasses.replace(state, report=reporting.build_report(state, generated_at=generated_at))
         return state
 
 
@@ -186,7 +181,7 @@ _CODEC_FIELDS = tuple(
 )
 
 
-# The fields each stage sets; no other stage may reassign, grow or shrink them.
+# The fields each stage sets in its ``out``; no other stage may set them.
 OWNED_FIELDS = {
     "ProcessEvidence": ("run_id", "config_digest", "records", "records_digest", "auth_events",
                         "skipped_auth_records", "findings", "finding_summaries"),
@@ -195,7 +190,8 @@ OWNED_FIELDS = {
     "ValidatePolicies": ("org_params", "baseline_params", "gaps"),
     "GenerateReport": ("incident_summary", "report"),
 }
-# The lists every stage appends to; a stage owns the items it appended.
+# The lists every stage appends to, through the lists its ``out`` starts with;
+# a stage owns the items it appended.
 SHARED_FIELDS = ("transcripts", "notes", "degradation_notes", "stage_log")
 # The keys of each stage's own fields in its checkpoint
 _KEY = {"retrieval": "retrieval", "report": "report_generated_at", **{k: k for k in _CODEC_FIELDS}}
@@ -241,46 +237,49 @@ def build_deps(config: ReviewConfig, transport=None) -> StageDeps:
     return StageDeps(config=config, gateway=gateway, catalog=catalog)
 
 
-def _absorb(state: ReviewState, result: NarrativeResult) -> None:
+def _absorb(out: dict, result: NarrativeResult) -> None:
     if result.transcript is not None:
-        state.transcripts.append(result.transcript)
+        out["transcripts"].append(result.transcript)
     if result.degraded and result.note:
-        state.degradation_notes.append(result.note)
+        out["degradation_notes"].append(result.note)
 
 
 # --- stage bodies -----------------------------------------------------------
+# Each body reads the state before it and puts what the stage adds into
+# ``out`` (see run_stage); it returns the stage's status and note.
 
 
-def _stage_process_evidence(state: ReviewState, deps: StageDeps):
+def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     config = deps.config
-    state.records_digest, (rows, notes), auth_events = write_records(
+    out["records_digest"], (out["records"], notes), auth_events = write_records(
         lambda keep: load_evidence(config.evidence_paths, keep), config.output_dir
     )
-    state.records.extend(rows)
-    state.notes.extend(notes)
+    out["notes"].extend(notes)
 
-    state.auth_events, skipped = normalize_auth_events(auth_events)
-    state.skipped_auth_records = skipped
+    out["auth_events"], skipped = normalize_auth_events(auth_events)
+    out["skipped_auth_records"] = skipped
     if skipped:
-        state.notes.append(
+        out["notes"].append(
             f"{skipped} auth record(s) skipped during normalization "
             f"(missing TargetUserName)"
         )
 
-    state.findings.extend(detect_bruteforce(state.auth_events, config.detector))
-    if not state.findings:
-        state.notes.append("no qualifying behaviour detected in evidence")
+    out["findings"] = findings = detect_bruteforce(out["auth_events"], config.detector)
+    if not findings:
+        out["notes"].append("no qualifying behaviour detected in evidence")
 
-    for finding in state.findings:
+    out["finding_summaries"] = summaries = []
+    for finding in findings:
         result = narrative_for_finding(finding, deps.gateway)
-        state.finding_summaries.append(result.text)
-        _absorb(state, result)
+        summaries.append(result.text)
+        _absorb(out, result)
     return STATUS_OK, None
 
 
-def _stage_map_attack(state: ReviewState, deps: StageDeps):
+def _stage_map_attack(state: ReviewState, deps: StageDeps, out: dict):
     if not state.findings:
         return STATUS_OK, "no findings to map"
+    out["mappings"] = mappings = []
     for i, finding in enumerate(state.findings):
         mapping = map_finding(
             finding,
@@ -289,29 +288,27 @@ def _stage_map_attack(state: ReviewState, deps: StageDeps):
             refine=deps.config.refine_subtechniques,
         )
         result = justify_mapping(mapping, finding, deps.gateway)
-        mapping.rationale = result.text
-        _absorb(state, result)
-        state.mappings.append(mapping)
+        _absorb(out, result)
+        mappings.append(dataclasses.replace(mapping, rationale=result.text))
     return STATUS_OK, None
 
 
-def _stage_retrieve_policies(state: ReviewState, deps: StageDeps):
+def _stage_retrieve_policies(state: ReviewState, deps: StageDeps, out: dict):
     config = deps.config
-    state.policy_documents.extend(
-        load_policy_documents(config.org_policy_paths, config.baseline_policy_paths)
+    out["policy_documents"] = documents = load_policy_documents(
+        config.org_policy_paths, config.baseline_policy_paths
     )
-    index = build_index(state.policy_documents)
+    index = build_index(documents)
     index_path = state_dir(config.output_dir) / "policy_index.json"
     index_path.write_text(index.to_json(), encoding="utf-8")
     if not state.mappings:
         return STATUS_OK, "no technique mapping; retrieval skipped"
-    query = technique_query(state.mappings[0], deps.catalog)
-    state.retrieval_query = query
-    state.retrieval = retrieve(index, query, config.retrieval_k)
+    out["retrieval_query"] = query = technique_query(state.mappings[0], deps.catalog)
+    out["retrieval"] = retrieve(index, query, config.retrieval_k)
     return STATUS_OK, None
 
 
-def _stage_validate_policies(state: ReviewState, deps: StageDeps):
+def _stage_validate_policies(state: ReviewState, deps: StageDeps, out: dict):
     if not state.findings:
         return STATUS_SKIPPED, "no findings; incident-driven gap analysis skipped"
 
@@ -319,15 +316,15 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps):
     clauses = {DOC_KIND_ORGANISATION: [], DOC_KIND_BASELINE: []}
     for hit in state.retrieval:
         clauses[kind_by_doc[hit.clause.doc_id]].append(hit.clause)
-    state.org_params = extract_control_parameters(clauses[DOC_KIND_ORGANISATION])
-    state.baseline_params = extract_control_parameters(clauses[DOC_KIND_BASELINE])
+    out["org_params"] = org_params = extract_control_parameters(clauses[DOC_KIND_ORGANISATION])
+    out["baseline_params"] = baseline_params = extract_control_parameters(clauses[DOC_KIND_BASELINE])
 
     rules = load_default_rules()
-    effective_org, org_warnings = select_effective(state.org_params, rules)
-    effective_base, base_warnings = select_effective(state.baseline_params, rules)
+    effective_org, org_warnings = select_effective(org_params, rules)
+    effective_base, base_warnings = select_effective(baseline_params, rules)
     for warning in org_warnings + base_warnings:
         logger.warning("%s", warning)
-        state.notes.append(warning)
+        out["notes"].append(warning)
 
     all_gaps: list[PolicyGap] = []
     for mapping in state.mappings:
@@ -335,20 +332,19 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps):
         all_gaps.extend(
             compare_controls(effective_org, effective_base, mapping, finding.evidence, rules)
         )
-    gaps = dedupe_gaps(all_gaps)
-    for gap in gaps:
-        assign_confidence(gap, min_evidence=deps.config.detector.min_failures)
+    gaps = []
+    for gap in dedupe_gaps(all_gaps):
+        gap = assign_confidence(gap, min_evidence=deps.config.detector.min_failures)
         rationale, remediation, result = draft_rationale(gap, deps.gateway)
-        gap.rationale = rationale
-        gap.remediation = remediation
-        _absorb(state, result)
-    state.gaps.extend(gaps)
+        _absorb(out, result)
+        gaps.append(dataclasses.replace(gap, rationale=rationale, remediation=remediation))
+    out["gaps"] = gaps
     if not gaps:
         return STATUS_OK, "no gaps against baseline"
     return STATUS_OK, None
 
 
-def _stage_generate_report(state: ReviewState, deps: StageDeps):
+def _stage_generate_report(state: ReviewState, deps: StageDeps, out: dict):
     fallback = reporting.deterministic_incident_summary(state)
     if state.findings:
         refs = [ref for finding in state.findings for ref in finding.cited_refs()]
@@ -374,12 +370,13 @@ def _stage_generate_report(state: ReviewState, deps: StageDeps):
             clause_ids=clause_ids,
             fallback=fallback,
         )
-        state.incident_summary = result.text
-        _absorb(state, result)
+        out["incident_summary"] = result.text
+        _absorb(out, result)
     else:
-        state.incident_summary = fallback
+        out["incident_summary"] = fallback
 
-    state.report = reporting.build_report(state, generated_at=utc_now())
+    # the report covers this stage's additions, the summary's transcript too
+    out["report"] = reporting.build_report(_fold(state, out), generated_at=utc_now())
     return STATUS_OK, None
 
 
@@ -394,7 +391,7 @@ _STAGE_FUNCS = {
 STAGES = tuple(_STAGE_FUNCS)
 
 
-def check_stage_order(stage_log: list[StageRecord], stage: str) -> None:
+def check_stage_order(stage_log: tuple[StageRecord, ...], stage: str) -> None:
     """Raise unless ``stage`` is exactly the next pending stage and no
     predecessor failed."""
     if stage not in STAGES:
@@ -411,45 +408,42 @@ def check_stage_order(stage_log: list[StageRecord], stage: str) -> None:
         )
 
 
-def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
-    """Execute one stage on a copy of the state and return the extension.
+def _fold(state: ReviewState, out: dict) -> ReviewState:
+    """A new state: ``state`` with each shared list extended by the items in
+    ``out`` and every other field in ``out`` set, lists as tuples."""
+    fields = {}
+    for name, value in out.items():
+        value = tuple(value) if isinstance(value, list) else value
+        fields[name] = getattr(state, name) + value if name in SHARED_FIELDS else value
+    return dataclasses.replace(state, **fields)
 
-    Raises StageOrderViolation when invoked out of order and StageFailure
-    (carrying the partial state) when the stage body errors.
+
+def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
+    """Run one stage's body on ``state`` and return the state with what the
+    body put into its ``out`` folded in, plus the stage's stage_log entry.
+
+    ``out`` starts with an empty list per shared field. Raises
+    StageOrderViolation when invoked out of order, and StageFailure, carrying
+    the state with the body's partial ``out`` folded in, when the body raises
+    a ReviewError, an OSError or a ValueError. ``out`` naming a field the
+    stage does not own is a ValueError, a bug in the body; an attempt to
+    change the frozen state raises as it is.
     """
     check_stage_order(state.stage_log, stage)
-    new_state = state.copy()
-    copied = dict(vars(new_state))
-    record = StageRecord(stage=stage, started=utc_now())
+    out = {name: [] for name in SHARED_FIELDS}
+    started = utc_now()
     try:
-        result = _STAGE_FUNCS[stage](new_state, deps)
-        _check_ownership(stage, state, copied, new_state)
+        status, note = _STAGE_FUNCS[stage](state, deps, out)
+        unowned = out.keys() - {*OWNED_FIELDS[stage], *SHARED_FIELDS}
+        if unowned:
+            out = {name: value for name, value in out.items() if name not in unowned}
+            raise ValueError(f"{stage} set {', '.join(sorted(unowned))}, which it does not own")
     except (ReviewError, OSError, ValueError) as exc:
-        record.status = STATUS_FAILED
-        record.note = f"{type(exc).__name__}: {exc}"
-        record.finished = utc_now()
-        new_state.stage_log.append(record)
-        raise StageFailureError(stage, exc, partial_state=new_state) from exc
-    record.status, record.note = result
-    record.finished = utc_now()
-    new_state.stage_log.append(record)
-    return new_state
-
-
-def _check_ownership(stage: str, state: ReviewState, copied: dict, new_state: ReviewState) -> None:
-    """Raise ValueError, a bug in the stage body, when the body reassigned,
-    grew or shrank a field it does not own, or replaced an item of a shared
-    list from before it. ``copied`` holds the fields of the copy of ``state``
-    it ran on. Only lengths and identities are compared."""
-    before, after = vars(state), vars(new_state)
-    for name in after.keys() - set(OWNED_FIELDS[stage]):
-        old, new = before[name], after[name]
-        if name in SHARED_FIELDS:
-            changed = len(new) < len(old) or not all(map(operator.is_, new, old))
-        else:
-            changed = new is not copied[name] or isinstance(new, list) and len(new) != len(old)
-        if changed:
-            raise ValueError(f"{stage} changed {name}, which it does not own")
+        note = f"{type(exc).__name__}: {exc}"
+        out["stage_log"].append(StageRecord(stage, started, utc_now(), STATUS_FAILED, note))
+        raise StageFailureError(stage, exc, partial_state=_fold(state, out)) from exc
+    out["stage_log"].append(StageRecord(stage, started, utc_now(), status, note))
+    return _fold(state, out)
 
 
 def state_dir(output_dir: Path) -> Path:

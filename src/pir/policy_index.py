@@ -66,16 +66,16 @@ class PolicyClause(Canonical):
     text: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyDocument(Canonical):
     doc_id: str
     title: str
     kind: str
-    clauses: list[PolicyClause]
+    clauses: tuple[PolicyClause, ...]
     source_digest: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetrievalHit:
     clause: PolicyClause
     score: float
@@ -162,7 +162,7 @@ def ingest_document(doc_id: str, kind: str, text: str) -> PolicyDocument:
         doc_id=doc_id,
         title=title if title is not None else doc_id,
         kind=kind,
-        clauses=clauses,
+        clauses=tuple(clauses),
         source_digest=sha256_hex(text),
     )
 

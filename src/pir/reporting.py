@@ -101,9 +101,9 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
     and its degradation note record the rejected model output, fabricated
     citations included, as the audit trail of why the fallback text was used.
 
-    The evidence appendix is the state's record rows. The document shares
-    no list with the state: the items' ``to_dict`` copies their lists, so a
-    later change to a state item does not reach the report.
+    The evidence appendix is the state's record rows. The state and its
+    items are frozen, and the document shares no list with them: the items'
+    ``to_dict`` turns their tuples into new lists.
     """
     report = {
         "run_id": state.run_id,

@@ -41,8 +41,9 @@ class ScenarioSpec(Canonical):
             raise ValueError("failure_spacing_seconds must be >= 1")
         if self.noise_events < 0:
             raise ValueError("noise_events must be >= 0")
-        if self.target_account in self.noise_accounts:
-            raise ValueError("noise_accounts must not contain target_account")
+        # Windows compares account names case-insensitively, so does detection
+        if self.target_account.casefold() in {a.casefold() for a in self.noise_accounts}:
+            raise ValueError("noise_accounts must not contain target_account, in any case")
         if self.noise_events > 0 and not self.noise_accounts:
             raise ValueError("noise_events > 0 requires noise_accounts")
 

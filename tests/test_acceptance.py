@@ -138,7 +138,7 @@ def test_criterion_4_grounding_enforcement(tmp_path, capfd, criterion):
         degraded = [t for t in state.transcripts if t.degraded]
         assert len(degraded) == 1
         assert degraded[0].template_id == "gap_rationale"
-        assert degraded[0].grounding.unresolved == ["[POL:org_policy:99-99]"]
+        assert degraded[0].grounding.unresolved == ("[POL:org_policy:99-99]",)
         lockout = next(g for g in state.gaps if g.control == "LockoutThreshold")
         assert lockout.rationale.startswith("The organisation sets")
         assert state.degradation_notes
@@ -303,7 +303,7 @@ def test_criterion_8_degraded_mode_completeness(tmp_path, criterion):
 
         assert (tmp_path / "disabled" / "report.json").is_file()
         assert (tmp_path / "disabled" / "report.md").is_file()
-        assert disabled.transcripts == []
+        assert disabled.transcripts == ()
         assert disabled.degradation_notes  # every narrative fell back
 
         # ledgers agree row for row (narratives are not part of the ledger)
@@ -334,7 +334,7 @@ def test_criterion_9_no_gap_identity(tmp_path, criterion):
     with criterion(9, "org equal to baseline yields zero gaps, stated explicitly"):
         config = load_config("review_config_nogap.json", tmp_path / "out")
         state = run_review(config)
-        assert state.gaps == []
+        assert state.gaps == ()
 
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["gaps_section"] == []

@@ -1,8 +1,9 @@
 """The benchmark in perfbench/ drives pir from outside: the traced run
 (perfbench/run.py --trace 1) rebinds pir names listed in perfbench/spans.py,
 and perfbench/workloads.py sets up the reviews it times. A rename in pir must
-not leave a name dangling, and a small bulk-replay review must keep giving
-the same deterministic results."""
+not leave a name dangling, a small bulk-replay review must keep giving the
+same deterministic results, and a traced operation of a small set-up must
+finish and be analysed without errors."""
 
 import importlib
 import json
@@ -15,6 +16,7 @@ from pir.detection import DetectorParams, oracle_detect
 from pir.reporting import json_report_digest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -73,3 +75,26 @@ def test_small_bulk_replay_review_gives_pinned_results(tmp_path, monkeypatch):
     for name in manifest["reports"]:
         rendered = tmp_path / "rendered" / Path(name).name
         assert rendered.read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_traced_runs_give_metrics_without_errors(tmp_path, monkeypatch):
+    # perfbench/run.py --trace 1 ends with one traced operation of each
+    # workload; a run that fails there or in its analysis prints no metrics.
+    # Small set-ups, gated on errors only, never on seconds.
+    hosts = 3
+    monkeypatch.setattr(workloads, "HOSTS", hosts)
+    for name in ("HOST_FAILURES", "HOST_SPACING_S", "HOST_SUCCESS"):
+        monkeypatch.setattr(workloads, name, getattr(workloads, name)[:hosts])
+    monkeypatch.setattr(workloads, "TRANSPORT_LATENCY_S", 0.0)
+    monkeypatch.setattr(workloads, "BULK_NOISE_EVENTS", 1_000)
+    for workload, op_class in (("many-incidents", run.Review), ("rerender", run.Rerender)):
+        base = tmp_path / workload
+        manifest = workloads.set_up(workload, 1, base)
+        op = op_class(base, manifest)
+        errors: list[str] = []
+        metrics = run.traced_metrics(
+            op, manifest["truth_refs"], set(), errors, workload, tmp_path / f"{workload}.spans.json"
+        )
+        assert errors == []
+        assert metrics is not None
+        assert metrics["trace.wall_s"] > 0

@@ -58,7 +58,7 @@ def test_paper_pattern_single_finding_with_success():
     f = findings[0]
     assert f.kind == "BruteForceSuspected"
     assert f.failure_count == 6
-    assert f.evidence == [f"src#{i}" for i in range(1, 7)]
+    assert f.evidence == tuple(f"src#{i}" for i in range(1, 7))
     assert f.success_record == "src#7"
     assert (f.window_end - f.window_start) == timedelta(seconds=50)
 
@@ -126,6 +126,19 @@ def test_accounts_detected_independently():
     )
     findings = detect_bruteforce(sort_events(events), DEFAULTS)
     assert sorted(f.account for f in findings) == ["alice", "bob"]
+
+
+def test_account_names_are_compared_case_insensitively():
+    # Windows compares account names case-insensitively, so this is one
+    # account's burst of six
+    events = [
+        make_auth(i + 1, account=("administrator", "ADMINISTRATOR")[i % 2], seconds=i * 10)
+        for i in range(6)
+    ]
+    for detect in (detect_bruteforce, oracle_detect):
+        [f] = detect(events, DEFAULTS)
+        assert f.failure_count == 6
+        assert f.account == "administrator"  # the first counted failure's spelling
 
 
 def test_contained_windows_collapse_to_maximal():
@@ -215,6 +228,27 @@ def test_detector_equals_oracle(events, params):
     fast = [f.to_dict() for f in detect_bruteforce(events, params)]
     slow = [f.to_dict() for f in oracle_detect(events, params)]
     assert fast == slow
+
+
+_SPELLINGS = ("admin", "ADMIN", "Admin", "aDMIN")
+
+
+@settings(max_examples=80, deadline=None)
+@given(events=auth_streams(), params=st.sampled_from(PARAM_GRID), data=st.data())
+def test_case_mappings_of_an_account_give_the_same_findings(events, params, data):
+    # account "a" becomes "admin", spelt one way per event in ``spelled``
+    plain = [e._replace(account="admin") if e.account == "a" else e for e in events]
+    spelled = [
+        e._replace(account=data.draw(st.sampled_from(_SPELLINGS)))
+        if e.account == "admin" else e
+        for e in plain
+    ]
+    found = detect_bruteforce(spelled, params)
+    assert [f.to_dict() for f in found] == [f.to_dict() for f in oracle_detect(spelled, params)]
+    expected = [f.to_dict() for f in detect_bruteforce(plain, params)]
+    assert [dict(f.to_dict(), account=f.account.casefold()) for f in found] == expected
+    spelling = {e.record_ref: e.account for e in spelled}
+    assert [f.account for f in found] == [spelling[f.evidence[0]] for f in found]
 
 
 @settings(max_examples=80, deadline=None)

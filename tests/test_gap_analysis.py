@@ -182,8 +182,8 @@ def test_weaker_org_controls_yield_insufficient_gaps():
     lockout = by_control["LockoutThreshold"]
     assert lockout.gap_kind == "Insufficient"
     assert lockout.severity == "High"  # 10 >= 2.0 * 5
-    assert lockout.evidence_clauses == ["pol:1-1", "base:1-1"]
-    assert lockout.evidence_events == EVIDENCE
+    assert lockout.evidence_clauses == ("pol:1-1", "base:1-1")
+    assert list(lockout.evidence_events) == EVIDENCE
 
     age = by_control["PasswordMaxAgeDays"]
     assert age.gap_kind == "Insufficient"
@@ -211,7 +211,7 @@ def test_missing_control_reported_only_when_baseline_has_it():
     assert gap.gap_kind == "Missing"
     assert gap.org_value is None
     assert gap.severity == "High"
-    assert gap.evidence_clauses == ["base:3-3"]
+    assert gap.evidence_clauses == ("base:3-3",)
 
     # org-only controls are not gaps
     org_only = [param("LockoutThreshold", 5)]
@@ -232,15 +232,13 @@ def test_empty_incident_evidence_is_an_error():
 
 
 def test_unmapped_technique_compares_nothing():
-    mapping = mapping_fixture()
-    mapping.technique_id = "T9999"
+    mapping = dataclasses.replace(mapping_fixture(), technique_id="T9999")
     base = [param("LockoutThreshold", 5, clause="base:1-1")]
     assert compare([], base, mapping, EVIDENCE) == []
 
 
 def test_subtechnique_inherits_parent_relevance():
-    mapping = mapping_fixture()
-    mapping.technique_id = "T1110.001"
+    mapping = dataclasses.replace(mapping_fixture(), technique_id="T1110.001")
     base = [param("LockoutThreshold", 5, clause="base:1-1")]
     [gap] = compare([param("LockoutThreshold", 10)], base, mapping, EVIDENCE)
     assert gap.technique_id == "T1110.001"
@@ -299,8 +297,8 @@ def test_dedupe_unions_evidence():
     [g2] = compare([param("LockoutThreshold", 10)], [base], mapping, ["src#2", "src#1"])
     merged = dedupe_gaps([g1, g2])
     assert len(merged) == 1
-    assert merged[0].evidence_events == ["src#1", "src#2"]
-    assert merged[0].evidence_clauses == ["pol:1-1", "base:1-1"]
+    assert merged[0].evidence_events == ("src#1", "src#2")
+    assert merged[0].evidence_clauses == ("pol:1-1", "base:1-1")
 
 
 # --- confidence ----------------------------------------------------------------------
@@ -338,7 +336,7 @@ def test_confidence_is_total(kind, org_extraction, evidence_count, min_evidence)
         ),
         evidence_events=[f"src#{i}" for i in range(1, evidence_count + 1)],
     )
-    assign_confidence(gap, min_evidence=min_evidence)
+    gap = assign_confidence(gap, min_evidence=min_evidence)
     assert gap.confidence in ("Low", "Medium", "High")
     if kind == "Missing":
         assert gap.confidence == "Low"

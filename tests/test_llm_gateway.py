@@ -277,7 +277,7 @@ def test_grounding_passes_when_all_markers_resolve():
         ["org:5-5"],
     )
     assert report.passed is True
-    assert report.unresolved == []
+    assert report.unresolved == ()
     assert sorted(report.resolved) == ["[EVT:src#1]", "[POL:org:5-5]"]
 
 
@@ -288,7 +288,7 @@ def test_grounding_fails_on_fabricated_ref():
         ["org:5-5"],
     )
     assert report.passed is False
-    assert report.unresolved == ["[POL:orgpolicy:999-1000]"]
+    assert report.unresolved == ("[POL:orgpolicy:999-1000]",)
 
 
 def test_grounding_fails_on_markerless_claims():
@@ -299,7 +299,7 @@ def test_duplicate_markers_counted_once():
     report = validate_grounding(
         "[EVT:src#1] and again [EVT:src#1].", ["src#1"], []
     )
-    assert report.markers_found == ["[EVT:src#1]"]
+    assert report.markers_found == ("[EVT:src#1]",)
 
 
 # --- narrate --------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def test_narrate_falls_back_on_grounding_failure(tmp_path):
     # rejected output stays on the transcript for audit
     assert result.transcript.degraded is True
     assert result.transcript.response == "Looks bad [EVT:ghost#9]."
-    assert result.transcript.grounding.unresolved == ["[EVT:ghost#9]"]
+    assert result.transcript.grounding.unresolved == ("[EVT:ghost#9]",)
     assert "grounding" in result.note
 
 

@@ -124,23 +124,6 @@ def test_stages_only_append_to_state(demo_config):
         state = next_state
 
 
-def test_copy_gives_every_list_field_a_fresh_container(demo_config):
-    # a subclass stands in for a list field added to ReviewState later
-    @dataclasses.dataclass
-    class Extended(ReviewState):
-        later_field: list[str] = dataclasses.field(default_factory=list)
-
-    state = Extended(**vars(run_review(demo_config)), later_field=["x"])
-    copied = state.copy()
-    list_fields = [k for k, v in vars(state).items() if isinstance(v, list)]
-    assert len(list_fields) == 15
-    for name in list_fields:
-        original, fresh = getattr(state, name), getattr(copied, name)
-        assert fresh is not original, name
-        assert len(fresh) == len(original)
-        assert all(a is b for a, b in zip(fresh, original)), name
-
-
 def test_every_state_field_has_one_owner_or_is_shared():
     owned = [name for names in OWNED_FIELDS.values() for name in names]
     assert list(OWNED_FIELDS) == list(STAGES)
@@ -157,16 +140,19 @@ def test_every_state_field_has_one_owner_or_is_shared():
         "set records_digest",
         "replace an earlier transcript",
         "drop an earlier note",
+        "rename the account of a finding",
     ],
 )
 def test_a_stage_that_changes_what_it_does_not_own_fails(demo_config, monkeypatch, change):
     deps = build_deps(demo_config)
     state = run_stage(fresh_state(demo_config), "ProcessEvidence", deps)
-    state.notes.append("an earlier note")
+    state = dataclasses.replace(state, notes=(*state.notes, "an earlier note"))
     map_attack = orchestrator._STAGE_FUNCS["MapAttack"]
 
-    def overreaching(state, deps):
-        result = map_attack(state, deps)
+    def overreaching(state, deps, out):
+        if change == "rename the account of a finding":
+            state.findings[0].account = "mallory"
+        result = map_attack(state, deps, out)
         if change == "append to findings":
             state.findings.append(state.findings[0])
         elif change == "reassign findings":
@@ -175,16 +161,42 @@ def test_a_stage_that_changes_what_it_does_not_own_fails(demo_config, monkeypatc
             state.records_digest = "0" * 64
         elif change == "replace an earlier transcript":
             state.transcripts[0] = dataclasses.replace(state.transcripts[0])
-        else:
+        elif change == "drop an earlier note":
             state.notes.pop(0)
         return result
+
+    monkeypatch.setitem(orchestrator._STAGE_FUNCS, "MapAttack", overreaching)
+    # the state and its items are frozen: the change itself raises, and a
+    # review stops there
+    with pytest.raises((AttributeError, TypeError)):
+        run_stage(state, "MapAttack", deps)
+    with pytest.raises((AttributeError, TypeError)):
+        run_review(demo_config)
+    out = demo_config.output_dir
+    assert not (out / "report.json").exists()
+    assert not (out / "state" / "MapAttack.json").exists()
+    loaded = load_checkpoint(out / "state" / "ProcessEvidence.json")
+    assert [f.account for f in loaded.findings] == ["administrator"]
+
+
+def test_a_stage_that_sets_a_field_it_does_not_own_fails(demo_config, monkeypatch):
+    deps = build_deps(demo_config)
+    state = run_stage(fresh_state(demo_config), "ProcessEvidence", deps)
+    map_attack = orchestrator._STAGE_FUNCS["MapAttack"]
+
+    def overreaching(state, deps, out):
+        out["findings"] = [*state.findings, state.findings[0]]
+        return map_attack(state, deps, out)
 
     monkeypatch.setitem(orchestrator._STAGE_FUNCS, "MapAttack", overreaching)
     with pytest.raises(StageFailureError) as err:
         run_stage(state, "MapAttack", deps)
     assert isinstance(err.value.cause, ValueError)
-    assert "which it does not own" in str(err.value)
-    assert err.value.partial_state.stage_log[-1].status == "failed"
+    assert "MapAttack set findings, which it does not own" in str(err.value)
+    partial = err.value.partial_state
+    assert partial.stage_log[-1].status == "failed"
+    assert partial.findings == state.findings
+    assert len(partial.mappings) == 1
 
 
 def test_review_logs_one_line_per_stage(demo_config, caplog):
@@ -349,9 +361,9 @@ def test_zero_findings_skip_validation(quiet_config):
     state = run_review(quiet_config)
     statuses = {r.stage: r.status for r in state.stage_log}
     assert statuses["ValidatePolicies"] == "skipped"
-    assert state.findings == []
-    assert state.gaps == []
-    assert state.transcripts == []
+    assert state.findings == ()
+    assert state.gaps == ()
+    assert state.transcripts == ()
     assert state.report is not None
     assert (quiet_config.output_dir / "report.json").is_file()
 
@@ -369,11 +381,11 @@ def test_disabled_gateway_degrades_every_narrative(fixture_config_raw, tmp_path)
         },
     )
     state = run_review(config)
-    assert state.transcripts == []
+    assert state.transcripts == ()
     # finding summary, mapping justification, two gaps, incident summary
     assert len(state.degradation_notes) == 5
     assert len(state.gaps) == 2
-    assert state.report["degradation_notes"] == state.degradation_notes
+    assert state.report["degradation_notes"] == list(state.degradation_notes)
 
 
 # --- effective controls ------------------------------------------------------------------
@@ -483,13 +495,18 @@ def test_written_report_is_the_checked_report(demo_config, tmp_path):
     written = json_path.read_bytes()
     assert json.loads(written) == state.report
 
-    # a state changed after GenerateReport does not reach the report, nor
-    # does a change to a list the report was built from
-    state.findings[0].account = "mallory"
-    state.findings[0].evidence.append("ghost#1")
-    state.mappings[0].evidence.append("ghost#1")
-    state.gaps[0].evidence_events.append("ghost#1")
-    state.transcripts[0].grounding.resolved.append("ghost#1")
+    # the state and its items are frozen, so no change after GenerateReport
+    # can reach the report
+    edits = [
+        lambda: setattr(state.findings[0], "account", "mallory"),
+        lambda: state.findings[0].evidence.append("ghost#1"),
+        lambda: state.mappings[0].evidence.append("ghost#1"),
+        lambda: state.gaps[0].evidence_events.append("ghost#1"),
+        lambda: state.transcripts[0].grounding.resolved.append("ghost#1"),
+    ]
+    for edit in edits:
+        with pytest.raises((AttributeError, TypeError)):
+            edit()
     write_report_files(state, demo_config.output_dir)
     assert json_path.read_bytes() == written
 
@@ -528,7 +545,7 @@ def test_records_are_stored_once_in_records_json(demo_config):
     assert [
         (d["record_ref"], d["event_id"], d["timestamp_utc"], digest_of(d))
         for d in json.loads(records_text)
-    ] == state.records
+    ] == list(state.records)
 
     # checkpoints name the records file by digest and cite refs, never records
     cited = {ref for f in state.findings for ref in f.evidence}
@@ -651,8 +668,8 @@ def test_read_records_refuses_records_not_joined_by_commas(tmp_path):
 
 
 def test_checkpoint_of_records_without_digest_is_refused(demo_config, tmp_path):
-    state = fresh_state(demo_config)
-    state.records.append(("src#1", 4625, "2026-06-01T12:00:00Z", "0" * 64))
+    row = ("src#1", 4625, "2026-06-01T12:00:00Z", "0" * 64)
+    state = dataclasses.replace(fresh_state(demo_config), records=(row,))
     with pytest.raises(RecordsFileError, match="no records_digest"):
         save_checkpoint(state, tmp_path, "ProcessEvidence")
     assert not (tmp_path / "state" / "ProcessEvidence.json").exists()

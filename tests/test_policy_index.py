@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -236,6 +237,5 @@ def test_technique_query_expands_with_control_vocabulary():
 
 
 def test_technique_query_unknown_id_falls_back_to_name():
-    mapping = _mapping()
-    mapping.technique_id = "T9999"
+    mapping = dataclasses.replace(_mapping(), technique_id="T9999")
     assert technique_query(mapping, load_default_catalog()) == mapping.technique_name

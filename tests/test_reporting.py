@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import json
 import re
 import shutil
@@ -41,8 +41,14 @@ def replay_state(replay_config):
 
 @pytest.fixture
 def state(replay_state):
-    # deep copy: several tests mutate findings/gaps to poison references
-    return copy.deepcopy(replay_state)
+    # frozen: a test that poisons a reference builds a changed state
+    return replay_state
+
+
+def replace_item(state, name, **changes):
+    """``state`` with the first item of its field ``name`` changed."""
+    first, *rest = getattr(state, name)
+    return dataclasses.replace(state, **{name: (dataclasses.replace(first, **changes), *rest)})
 
 
 # --- trace ledger -----------------------------------------------------------------
@@ -59,37 +65,39 @@ def test_ledger_covers_every_conclusion(state):
 
     finding_row = ledger[0]
     [finding] = state.findings
-    assert finding_row["event_refs"] == finding.evidence + [finding.success_record]
+    assert finding_row["event_refs"] == [*finding.evidence, finding.success_record]
     assert finding_row["clause_refs"] == []
     assert finding_row["confidence"] is None
 
     gap_row = ledger[1]
     assert gap_row["confidence"] == state.gaps[0].confidence
-    assert gap_row["clause_refs"] == state.gaps[0].evidence_clauses
-    assert gap_row["event_refs"] == state.gaps[0].evidence_events
+    assert gap_row["clause_refs"] == list(state.gaps[0].evidence_clauses)
+    assert gap_row["event_refs"] == list(state.gaps[0].evidence_events)
 
 
 def test_fabricated_clause_ref_fails_the_ledger(state):
-    state.gaps[0].evidence_clauses.append("org_policy:99-99")
+    clauses = (*state.gaps[0].evidence_clauses, "org_policy:99-99")
+    state = replace_item(state, "gaps", evidence_clauses=clauses)
     with pytest.raises(UnresolvedReferenceError, match="org_policy:99-99"):
         build_report(state, generated_at=utc_now())
 
 
 def test_fabricated_record_ref_fails_the_ledger(state):
-    state.mappings[0].evidence.append("ghost#1")
+    state = replace_item(state, "mappings", evidence=(*state.mappings[0].evidence, "ghost#1"))
     with pytest.raises(UnresolvedReferenceError, match="ghost#1"):
         build_report(state, generated_at=utc_now())
 
 
 @pytest.mark.parametrize("side", ["org_value", "baseline_value"])
 def test_fabricated_control_clause_ref_fails_the_report(state, side):
-    getattr(state.gaps[0], side).clause_ref = "org_policy:99-99"
+    control = dataclasses.replace(getattr(state.gaps[0], side), clause_ref="org_policy:99-99")
+    state = replace_item(state, "gaps", **{side: control})
     with pytest.raises(UnresolvedReferenceError, match="org_policy:99-99"):
         build_report(state, generated_at=utc_now())
 
 
 def test_conclusion_without_references_is_rejected(state):
-    state.mappings[0].evidence.clear()
+    state = replace_item(state, "mappings", evidence=())
     with pytest.raises(UnresolvedReferenceError, match="no supporting references"):
         build_trace_ledger(state)
 
@@ -98,36 +106,35 @@ def test_conclusion_without_references_is_rejected(state):
 
 
 def test_fabricated_marker_in_summary_fails_the_report(state):
-    state.incident_summary += " Also [EVT:ghost#42]."
+    state = dataclasses.replace(state, incident_summary=state.incident_summary + " Also [EVT:ghost#42].")
     with pytest.raises(UnresolvedReferenceError, match="ghost#42"):
         build_report(state, generated_at=utc_now())
 
 
 def test_fabricated_marker_in_gap_rationale_fails_the_report(state):
-    state.gaps[0].rationale += " See [POL:nowhere:1-1]."
+    state = replace_item(state, "gaps", rationale=state.gaps[0].rationale + " See [POL:nowhere:1-1].")
     with pytest.raises(UnresolvedReferenceError, match="nowhere:1-1"):
         build_report(state, generated_at=utc_now())
 
 
 def test_degraded_transcripts_are_exempt_from_closure(state):
     # the rejected output keeps its fabricated citation as the audit record
-    state.transcripts.append(
-        Transcript(
-            transcript_id="t" * 64,
-            stage="GenerateReport",
-            template_id="incident_summary",
-            rendered_prompt="prompt",
-            response="Fabricated [EVT:ghost#1] [POL:fake:9-9].",
-            mode="Replay",
-            grounding=GroundingReport(
-                markers_found=["[EVT:ghost#1]", "[POL:fake:9-9]"],
-                resolved=[],
-                unresolved=["[EVT:ghost#1]", "[POL:fake:9-9]"],
-                passed=False,
-            ),
-            degraded=True,
-        )
+    transcript = Transcript(
+        transcript_id="t" * 64,
+        stage="GenerateReport",
+        template_id="incident_summary",
+        rendered_prompt="prompt",
+        response="Fabricated [EVT:ghost#1] [POL:fake:9-9].",
+        mode="Replay",
+        grounding=GroundingReport(
+            markers_found=["[EVT:ghost#1]", "[POL:fake:9-9]"],
+            resolved=[],
+            unresolved=["[EVT:ghost#1]", "[POL:fake:9-9]"],
+            passed=False,
+        ),
+        degraded=True,
     )
+    state = dataclasses.replace(state, transcripts=(*state.transcripts, transcript))
     report = build_report(state, generated_at=utc_now())
     assert report["transcripts"][-1]["response"].startswith("Fabricated")
 
@@ -170,7 +177,8 @@ def test_report_refuses_digests_that_do_not_match_the_records(
 
     # and a record's row carries exactly one
     row = state.records[-1]
-    state.records[-1] = row[:-1] if digests == "one short" else (*row, "0" * 64)
+    row = row[:-1] if digests == "one short" else (*row, "0" * 64)
+    state = dataclasses.replace(state, records=(*state.records[:-1], row))
     with pytest.raises(ValueError, match="unpack"):
         build_report(state, generated_at=utc_now())
 
@@ -240,7 +248,7 @@ def test_markdown_no_gap_statement(fixture_config_raw, tmp_path):
         raw, FIXTURES, overrides={"output_dir": str(tmp_path / "out")}
     )
     state = run_review(config)
-    assert state.gaps == []
+    assert state.gaps == ()
     md = render_markdown(state.report)
     assert "No policy gaps identified against baseline." in md
 

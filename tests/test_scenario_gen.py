@@ -29,6 +29,7 @@ def events_of(xml_text, source="scenario"):
         {"noise_events": -3},
         {"noise_events": 4},  # noise without noise_accounts
         {"noise_events": 4, "noise_accounts": ("administrator",)},
+        {"noise_events": 4, "noise_accounts": ("ADMINISTRATOR",)},
     ],
 )
 def test_invalid_specs_rejected(kwargs):
@@ -134,7 +135,7 @@ def test_detector_recovers_injected_truth(
     findings = [f for f in detect_bruteforce(auth, params) if f.account == truth.account]
     assert len(findings) == 1
     [finding] = findings
-    assert finding.evidence == truth.injected_record_refs
+    assert list(finding.evidence) == truth.injected_record_refs
     assert finding.window_start == truth.window_start
     assert finding.window_end == truth.window_end
     assert finding.success_record == truth.success_record_ref
