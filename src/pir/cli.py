@@ -260,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalidError as exc:
         _emit_error(exc)
         return EXIT_CONFIG_INVALID
-    except ReviewError as exc:
+    except (ReviewError, OSError) as exc:
         _emit_error(exc)
         return EXIT_STAGE_FAILURE
 

@@ -17,8 +17,10 @@ streams the records: each is encoded once as it is parsed and written to
 state/records.json through a running sha256, and only its evidence appendix
 row and auth event are kept; ProcessEvidence.json names the file's sha256 as
 its records_digest. Loading checks the file against that digest and takes
-the rows from the file's bytes again; the auth events and the report are
-re-derived, which re-checks citation closure.
+the rows from the file's bytes again; the auth events are re-derived. The
+state keeps only the report's time: write_report_files builds the report,
+which checks its citation closure, and writes it, for GenerateReport and for
+``pir render`` alike.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import reporting
@@ -40,7 +42,6 @@ from .canon import (
     decode_fields,
     digest_of,
     encode_fields,
-    parse_instant,
     sha256_hex,
     utc_now,
 )
@@ -129,7 +130,7 @@ class ReviewState:
     notes: tuple[str, ...] = ()
     degradation_notes: tuple[str, ...] = ()
     incident_summary: str | None = None
-    report: dict | None = None
+    report_generated_at: datetime | None = None
 
     def record_refs(self) -> set[str]:
         return {row[0] for row in self.records}
@@ -142,7 +143,6 @@ class ReviewState:
     def to_dict(self) -> dict:
         d = encode_fields(ReviewState, {k: getattr(self, k) for k in _CODEC_FIELDS})
         d["retrieval"] = [h.to_dict() for h in self.retrieval]
-        d["report_generated_at"] = self.report["generated_at"] if self.report else None
         return d
 
     @classmethod
@@ -162,22 +162,16 @@ class ReviewState:
             for h in d["retrieval"]
         )
         auth_events, skipped = normalize_auth_events(auth_events)
-        state = cls(records=tuple(records), auth_events=tuple(auth_events), skipped_auth_records=skipped, **kwargs)
-        if d["report_generated_at"]:
-            generated_at = parse_instant(d["report_generated_at"])
-            state = dataclasses.replace(state, report=reporting.build_report(state, generated_at=generated_at))
-        return state
+        return cls(records=tuple(records), auth_events=tuple(auth_events), skipped_auth_records=skipped, **kwargs)
 
 
 # A checkpoint stores every ReviewState field as the codec writes it, except
-# these: the record rows, the auth events and the report are re-derived on
-# load, the retrieval hits are stored by clause id and the report by its
-# generated_at.
+# these: the record rows and the auth events are re-derived on load, and the
+# retrieval hits are stored by clause id.
 _CODEC_FIELDS = tuple(
     f.name
     for f in dataclasses.fields(ReviewState)
-    if f.name
-    not in {"records", "auth_events", "skipped_auth_records", "retrieval", "report"}
+    if f.name not in {"records", "auth_events", "skipped_auth_records", "retrieval"}
 )
 
 
@@ -188,14 +182,13 @@ OWNED_FIELDS = {
     "MapAttack": ("mappings",),
     "RetrievePolicies": ("policy_documents", "retrieval_query", "retrieval"),
     "ValidatePolicies": ("org_params", "baseline_params", "gaps"),
-    "GenerateReport": ("incident_summary", "report"),
+    "GenerateReport": ("incident_summary", "report_generated_at"),
 }
 # The lists every stage appends to, through the lists its ``out`` starts with;
 # a stage owns the items it appended.
 SHARED_FIELDS = ("transcripts", "notes", "degradation_notes", "stage_log")
 # The keys of each stage's own fields in its checkpoint
-_KEY = {"retrieval": "retrieval", "report": "report_generated_at", **{k: k for k in _CODEC_FIELDS}}
-_STORED_KEYS = {stage: [_KEY[k] for k in names if k in _KEY] for stage, names in OWNED_FIELDS.items()}
+_STORED_KEYS = {stage: [k for k in names if k in {*_CODEC_FIELDS, "retrieval"}] for stage, names in OWNED_FIELDS.items()}
 
 
 def state_digest(state: ReviewState) -> str:
@@ -376,7 +369,8 @@ def _stage_generate_report(state: ReviewState, deps: StageDeps, out: dict):
         out["incident_summary"] = fallback
 
     # the report covers this stage's additions, the summary's transcript too
-    out["report"] = reporting.build_report(_fold(state, out), generated_at=utc_now())
+    out["report_generated_at"] = utc_now()
+    write_report_files(_fold(state, out), deps.config.output_dir)
     return STATUS_OK, None
 
 
@@ -431,7 +425,7 @@ def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
     """
     check_stage_order(state.stage_log, stage)
     out = {name: [] for name in SHARED_FIELDS}
-    started = utc_now()
+    started = datetime.now(timezone.utc)  # stage times keep their microseconds
     try:
         status, note = _STAGE_FUNCS[stage](state, deps, out)
         unowned = out.keys() - {*OWNED_FIELDS[stage], *SHARED_FIELDS}
@@ -440,9 +434,9 @@ def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
             raise ValueError(f"{stage} set {', '.join(sorted(unowned))}, which it does not own")
     except (ReviewError, OSError, ValueError) as exc:
         note = f"{type(exc).__name__}: {exc}"
-        out["stage_log"].append(StageRecord(stage, started, utc_now(), STATUS_FAILED, note))
+        out["stage_log"].append(StageRecord(stage, started, datetime.now(timezone.utc), STATUS_FAILED, note))
         raise StageFailureError(stage, exc, partial_state=_fold(state, out)) from exc
-    out["stage_log"].append(StageRecord(stage, started, utc_now(), status, note))
+    out["stage_log"].append(StageRecord(stage, started, datetime.now(timezone.utc), status, note))
     return _fold(state, out)
 
 
@@ -571,9 +565,9 @@ def load_checkpoint(path: Path) -> ReviewState:
 
 
 def run_review(config: ReviewConfig, transport=None) -> ReviewState:
-    """Run the whole pipeline, checkpointing each stage, and write the
-    report files into the configured output directory; nothing is written
-    before the deps and the config pass their checks."""
+    """Run the whole pipeline, checkpointing each stage; GenerateReport
+    writes the report files into the configured output directory. Nothing is
+    written before the deps and the config pass their checks."""
     deps = build_deps(config, transport=transport)
     config.validate()
     state = ReviewState(run_id=f"run-{config.digest[:12]}", config_digest=config.digest)
@@ -589,15 +583,14 @@ def run_review(config: ReviewConfig, transport=None) -> ReviewState:
         if failure is not None:
             raise failure
         state = next_state
-
-    write_report_files(state, config.output_dir)
     return state
 
 
 def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path]:
-    """Render the state's report in both formats; a state from before
-    GenerateReport has none, so one is built for the current time."""
-    report = state.report or reporting.build_report(state, generated_at=utc_now())
+    """Build the state's report, which checks its citation closure, and
+    render it in both formats. The report is dated report_generated_at; a
+    state from before GenerateReport has none, so it is dated now."""
+    report = reporting.build_report(state, generated_at=state.report_generated_at or utc_now())
     output_dir.mkdir(parents=True, exist_ok=True)
     json_path = output_dir / "report.json"
     md_path = output_dir / "report.md"

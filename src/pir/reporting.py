@@ -9,9 +9,9 @@ Citation closure has one rule, :func:`collect_citations`: the reference keys
 below plus the citation markers in any string, outside the ``_EXEMPT_KEYS``
 sections. build_report applies it to that document, as any reader of a
 report.json can. A citation that does not resolve against the ingested
-evidence and policy clauses aborts build_report, and with it the loading of a
-final checkpoint, rather than shipping an audit artifact with dangling
-references.
+evidence and policy clauses aborts build_report, and with it the writing of
+the report, by GenerateReport or by ``pir render``, rather than shipping an
+audit artifact with dangling references.
 """
 
 from __future__ import annotations

@@ -307,8 +307,8 @@ def test_criterion_8_degraded_mode_completeness(tmp_path, criterion):
         assert disabled.degradation_notes  # every narrative fell back
 
         # ledgers agree row for row (narratives are not part of the ledger)
-        replay_rows = replay.report["trace_ledger"]
-        disabled_rows = disabled.report["trace_ledger"]
+        replay_rows = json.loads((tmp_path / "replay" / "report.json").read_text(encoding="utf-8"))["trace_ledger"]
+        disabled_rows = json.loads((tmp_path / "disabled" / "report.json").read_text(encoding="utf-8"))["trace_ledger"]
         assert replay_rows == disabled_rows
 
         # gaps agree outside the narrative fields; no extraction here is

@@ -69,6 +69,20 @@ def test_review_replay_miss_exits_2_with_stage_context(tmp_path, capsys):
     assert payload["cause"] == "ReplayMissError"
 
 
+def test_review_whose_report_cannot_be_written_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    code, _out, err = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "StageFailureError"
+    assert payload["stage"] == "GenerateReport"
+    assert payload["cause"] == "IsADirectoryError"
+    saved = json.loads((out / "state" / "GenerateReport.json").read_text(encoding="utf-8"))
+    assert [(r["stage"], r["status"]) for r in saved["stage_log"]] == [("GenerateReport", "failed")]
+    assert not (out / "report.md").exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -363,6 +377,19 @@ def test_render_rejects_state_together_with_config(tmp_path, capsys):
     )
     assert code == 3
     assert "not both" in json.loads(err.strip().splitlines()[-1])["detail"]
+
+
+def test_render_whose_report_cannot_be_written_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+    assert code == 0
+    rendered = tmp_path / "rendered"
+    (rendered / "report.json").mkdir(parents=True)
+    code, _out, err = run_cli(
+        capsys, "render", "--state", str(out / "state" / "GenerateReport.json"), "--output", str(rendered)
+    )
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "IsADirectoryError"
 
 
 @pytest.mark.parametrize("damage", ["missing", "edited"])

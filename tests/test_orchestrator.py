@@ -92,9 +92,10 @@ def test_replay_pipeline_populates_every_stage(demo_config):
         "PasswordMaxAgeDays",
     ]
     assert state.incident_summary
-    assert state.report is not None
-
     out = demo_config.output_dir
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["generated_at"] == format_instant(state.report_generated_at)
+
     for stage in STAGES:
         assert (out / "state" / f"{stage}.json").is_file()
     assert (out / "state" / "policy_index.json").is_file()
@@ -364,8 +365,8 @@ def test_zero_findings_skip_validation(quiet_config):
     assert state.findings == ()
     assert state.gaps == ()
     assert state.transcripts == ()
-    assert state.report is not None
-    assert (quiet_config.output_dir / "report.json").is_file()
+    report = json.loads((quiet_config.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["generated_at"] == format_instant(state.report_generated_at)
 
 
 # --- disabled gateway --------------------------------------------------------------------
@@ -385,7 +386,8 @@ def test_disabled_gateway_degrades_every_narrative(fixture_config_raw, tmp_path)
     # finding summary, mapping justification, two gaps, incident summary
     assert len(state.degradation_notes) == 5
     assert len(state.gaps) == 2
-    assert state.report["degradation_notes"] == list(state.degradation_notes)
+    report = reporting.build_report(state, state.report_generated_at)
+    assert report["degradation_notes"] == list(state.degradation_notes)
 
 
 # --- effective controls ------------------------------------------------------------------
@@ -468,24 +470,27 @@ def test_checkpoint_rederives_auth_events_and_report(fixture_config_raw, tmp_pat
     assert "auth_events" not in saved
     assert "skipped_auth_records" not in saved
     assert "report" not in saved
-    assert saved["report_generated_at"] == state.report["generated_at"]
+    assert saved["report_generated_at"] == format_instant(state.report_generated_at)
 
     loaded = load_checkpoint(path)
     assert loaded.auth_events == state.auth_events
     assert loaded.skipped_auth_records == state.skipped_auth_records
-    assert loaded.report == state.report
+    assert reporting.build_report(loaded, loaded.report_generated_at) == reporting.build_report(
+        state, state.report_generated_at
+    )
 
 
 def test_earlier_checkpoint_renders_a_freshly_built_report(demo_config, tmp_path):
     state = run_review(demo_config)
     loaded = load_checkpoint(demo_config.output_dir / "state" / "ValidatePolicies.json")
-    assert loaded.report is None
+    assert loaded.report_generated_at is None
     assert loaded.auth_events == state.auth_events
 
     json_path, md_path = write_report_files(loaded, tmp_path / "early")
     doc = json.loads(json_path.read_text(encoding="utf-8"))
     assert doc["incident_summary"] == ""
-    assert doc["trace_ledger"] == state.report["trace_ledger"]
+    review_doc = json.loads((demo_config.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert doc["trace_ledger"] == review_doc["trace_ledger"]
     assert "## Trace Ledger" in md_path.read_text(encoding="utf-8")
 
 
@@ -493,7 +498,7 @@ def test_written_report_is_the_checked_report(demo_config, tmp_path):
     state = run_review(demo_config)
     json_path = demo_config.output_dir / "report.json"
     written = json_path.read_bytes()
-    assert json.loads(written) == state.report
+    assert json.loads(written) == reporting.build_report(state, state.report_generated_at)
 
     # the state and its items are frozen, so no change after GenerateReport
     # can reach the report
@@ -530,6 +535,28 @@ def test_review_builds_report_and_index_once(demo_config, monkeypatch):
 
     run_review(demo_config)
     assert calls == {"build_report": 1, "build_index": 1}
+    # loading builds no report; rendering builds one
+    loaded = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
+    assert calls == {"build_report": 1, "build_index": 1}
+    write_report_files(loaded, demo_config.output_dir)
+    assert calls == {"build_report": 2, "build_index": 1}
+
+
+def test_final_states_hold_no_mutable_value(demo_config):
+    state = run_review(demo_config)
+    loaded = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
+    assert isinstance(hash(state), int)
+    assert isinstance(hash(loaded), int)
+
+
+def test_stage_log_times_keep_their_microseconds(demo_config):
+    state = run_review(demo_config)
+    times = [t for r in state.stage_log for t in (r.started, r.finished)]
+    # five stages' ten clock reads all falling on whole seconds is a 1e-60 chance
+    assert any(t.microsecond for t in times)
+    loaded = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
+    assert [t for r in loaded.stage_log for t in (r.started, r.finished)] == times
+    assert state.report_generated_at.microsecond == 0
 
 
 def test_records_are_stored_once_in_records_json(demo_config):

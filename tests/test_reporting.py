@@ -184,10 +184,12 @@ def test_report_refuses_digests_that_do_not_match_the_records(
 
 
 def test_render_json_is_deterministic_for_a_state(state):
-    # the state carries a report (GenerateReport ran), so no fresh clock is read
-    assert state.report is not None
-    assert render_json(state.report) == render_json(state.report)
-    assert render_json(state.report).endswith("\n")
+    # the state carries its report's time (GenerateReport ran), so no fresh
+    # clock is read
+    assert state.report_generated_at is not None
+    text = render_json(build_report(state, state.report_generated_at))
+    assert text == render_json(build_report(state, state.report_generated_at))
+    assert text.endswith("\n")
 
 
 def test_report_digest_masks_the_clock(state):
@@ -202,7 +204,7 @@ def test_report_digest_masks_the_clock(state):
 
 
 def test_collect_citations_walks_structure_and_markers(state):
-    doc = json.loads(render_json(state.report))
+    doc = json.loads(render_json(build_report(state, state.report_generated_at)))
     refs, clauses = collect_citations(doc)
     [finding] = state.findings
     assert set(finding.evidence) <= set(refs)
@@ -226,7 +228,7 @@ def test_verify_citation_closure_reports_missing():
 
 
 def test_markdown_sections_in_fixed_order(state):
-    md = render_markdown(state.report)
+    md = render_markdown(build_report(state, state.report_generated_at))
     positions = [
         md.index("## Incident Summary"),
         md.index("## Technique Attribution"),
@@ -249,7 +251,7 @@ def test_markdown_no_gap_statement(fixture_config_raw, tmp_path):
     )
     state = run_review(config)
     assert state.gaps == ()
-    md = render_markdown(state.report)
+    md = render_markdown(build_report(state, state.report_generated_at))
     assert "No policy gaps identified against baseline." in md
 
 
@@ -263,7 +265,7 @@ def test_markdown_lists_degradation_notes(fixture_config_raw, tmp_path):
         },
     )
     state = run_review(config)
-    md = render_markdown(state.report)
+    md = render_markdown(build_report(state, state.report_generated_at))
     section = md.split("## Degradation Notes")[1]
     assert "gateway disabled" in section
     assert "None: no narrative fell back to deterministic text." not in section
