@@ -16,10 +16,10 @@ from pathlib import Path
 from .canon import canon_dumps, parse_instant
 from .config import ReviewConfig
 from .detection import detect_bruteforce
-from .errors import ConfigInvalidError, ReviewError, StageFailureError
+from .errors import ConfigInvalidError, ReportMismatchError, ReviewError, StageFailureError
 from .llm_gateway import GATEWAY_MODES
 from .log_ingest import auth_event, flatten_to_csv, load_evidence, normalize_auth_events
-from .orchestrator import load_checkpoint, run_review, write_report_files
+from .orchestrator import load_checkpoint, run_review, verify_report, write_report_files
 from .policy_index import build_index, load_policy_documents
 from .scenario_gen import ScenarioSpec, generate
 
@@ -184,6 +184,24 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def cmd_verify(args) -> int:
+    config = _config(args)
+    report_path = Path(args.report)
+    if not report_path.is_file():
+        raise ConfigInvalidError(f"report not found: {report_path}")
+    try:
+        doc = json.loads(report_path.read_bytes())
+    except ValueError as exc:
+        raise ReportMismatchError(f"{report_path} is not JSON: {exc}") from exc
+    verify_report(config, doc)
+    print(
+        f"verified {report_path}: {len(doc['evidence_appendix'])} cited record(s), "
+        f"{len(doc['policy_appendix'])} cited clause(s) and the evidence digest "
+        f"over {doc['record_count']} record(s) match the files"
+    )
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a review config JSON file")
@@ -244,6 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     render.add_argument("--state", help="path to a state checkpoint JSON")
     render.set_defaults(handler=cmd_render)
+
+    verify = sub.add_parser(
+        "verify",
+        parents=[common],
+        help="check a report.json against the config's evidence and policy files",
+    )
+    verify.add_argument("report", help="path to a report.json")
+    verify.set_defaults(handler=cmd_verify)
 
     return parser
 

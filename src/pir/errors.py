@@ -144,3 +144,8 @@ class StageFailureError(ReviewError):
 
 class UnresolvedReferenceError(ReviewError):
     """A citation in the review state does not resolve; reports hard-fail."""
+
+
+class ReportMismatchError(ReviewError):
+    """A re-read report.json does not match the evidence and policy files:
+    a cited record or clause, or the evidence digest."""

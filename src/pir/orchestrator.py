@@ -20,7 +20,9 @@ its records_digest. Loading checks the file against that digest and takes
 the rows from the file's bytes again; the auth events are re-derived. The
 state keeps only the report's time: write_report_files builds the report,
 which checks its citation closure, and writes it, for GenerateReport and for
-``pir render`` alike.
+``pir render`` alike. verify_report re-reads the evidence and policy files,
+encoding the records as write_records does, and checks a report against
+them (``pir verify``).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .errors import (
     ConfigInvalidError,
     MalformedCheckpointError,
     RecordsFileError,
+    ReportMismatchError,
     ReviewError,
     StageFailureError,
     StageOrderViolationError,
@@ -109,7 +112,8 @@ class ReviewState:
     config_digest: str
     # One row per evidence record, in record order: record_ref, event_id,
     # timestamp_utc as canonical text, and the sha256 of the record's piece
-    # of records.json. The records are streamed to that file, never held.
+    # of records.json; the report's evidence appendix holds the cited rows.
+    # The records are streamed to that file, never held.
     records: tuple[RecordRow, ...] = ()
     # sha256 of the bytes of state/records.json
     records_digest: str | None = None
@@ -292,8 +296,6 @@ def _stage_retrieve_policies(state: ReviewState, deps: StageDeps, out: dict):
         config.org_policy_paths, config.baseline_policy_paths
     )
     index = build_index(documents)
-    index_path = state_dir(config.output_dir) / "policy_index.json"
-    index_path.write_text(index.to_json(), encoding="utf-8")
     if not state.mappings:
         return STATUS_OK, "no technique mapping; retrieval skipped"
     out["retrieval_query"] = query = technique_query(state.mappings[0], deps.catalog)
@@ -441,49 +443,57 @@ def run_stage(state: ReviewState, stage: str, deps: StageDeps) -> ReviewState:
 
 
 def state_dir(output_dir: Path) -> Path:
-    """<output>/state, created on first use; holds the checkpoints, the
-    records and the index."""
+    """<output>/state, created on first use; holds the checkpoints and the
+    records."""
     path = output_dir / "state"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
+def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
+    """Encode the records that ``load(keep)`` hands to ``keep``, each once,
+    into the bytes of records.json, passing them to ``write`` as they are
+    made; ``keep`` returns the record's row. Returns the sha256 of the bytes,
+    what ``load`` returned and the records' auth events. The bytes are the
+    canonical JSON of the record list: the pieces joined by commas inside
+    brackets."""
+    sha = hashlib.sha256()
+    auth_events: list[AuthEvent] = []
+    separator = b"["
+
+    def emit(data: bytes) -> None:
+        write(data)
+        sha.update(data)
+
+    def keep(record: EventRecord) -> RecordRow:
+        nonlocal separator
+        d = record.to_dict()
+        piece = canon_dumps(d).encode("utf-8")
+        emit(separator + piece)
+        separator = b","
+        if record.event_id in AUTH_EVENT_IDS:
+            auth_events.append(auth_event(record))
+        return d["record_ref"], d["event_id"], d["timestamp_utc"], sha256_hex(piece)
+
+    loaded = load(keep)
+    emit(b"]\n" if separator == b"," else b"[]\n")
+    return sha.hexdigest(), loaded, auth_events
+
+
 def write_records(load, output_dir: Path) -> tuple[str, object, list[AuthEvent]]:
-    """Stream the records that ``load(keep)`` hands to ``keep`` into
-    <output>/state/records.json, encoding each once; ``keep`` returns the
-    record's row. Returns the sha256 of the bytes written, what ``load``
-    returned and the records' auth events. The file is the canonical JSON of
-    the record list (the pieces joined by commas inside brackets), written as
+    """encode_records into <output>/state/records.json, written as
     records.json.tmp and renamed once ``load`` returns; when ``load`` raises,
     the temp file is removed and no records.json is written."""
     path = state_dir(output_dir) / RECORDS_FILE
     tmp = path.with_name(RECORDS_FILE + ".tmp")
-    sha = hashlib.sha256()
-    auth_events: list[AuthEvent] = []
-    separator = b"["
     try:
         with tmp.open("wb") as out:
-            def emit(data: bytes) -> None:
-                out.write(data)
-                sha.update(data)
-
-            def keep(record: EventRecord) -> RecordRow:
-                nonlocal separator
-                d = record.to_dict()
-                piece = canon_dumps(d).encode("utf-8")
-                emit(separator + piece)
-                separator = b","
-                if record.event_id in AUTH_EVENT_IDS:
-                    auth_events.append(auth_event(record))
-                return d["record_ref"], d["event_id"], d["timestamp_utc"], sha256_hex(piece)
-
-            loaded = load(keep)
-            emit(b"]\n" if separator == b"," else b"[]\n")
+            result = encode_records(load, out.write)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     tmp.replace(path)
-    return sha.hexdigest(), loaded, auth_events
+    return result
 
 
 def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEvent]]:
@@ -597,3 +607,19 @@ def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path
     json_path.write_text(reporting.render_json(report), encoding="utf-8")
     md_path.write_text(reporting.render_markdown(report), encoding="utf-8")
     return json_path, md_path
+
+
+def verify_report(config: ReviewConfig, doc: dict) -> None:
+    """Check a re-read report document against the config's evidence and
+    policy files (reporting.check_report). The records are encoded as
+    write_records encodes them, into no file, to recompute their rows and
+    evidence digest. A document that lacks a section the check reads is a
+    ReportMismatchError too."""
+    digest, (rows, _notes), _auth_events = encode_records(
+        lambda keep: load_evidence(config.evidence_paths, keep), lambda data: None
+    )
+    documents = load_policy_documents(config.org_policy_paths, config.baseline_policy_paths)
+    try:
+        reporting.check_report(doc, rows, digest, documents)
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ReportMismatchError(f"malformed report: {type(exc).__name__}: {exc}") from exc

@@ -12,6 +12,14 @@ report.json can. A citation that does not resolve against the ingested
 evidence and policy clauses aborts build_report, and with it the writing of
 the report, by GenerateReport or by ``pir render``, rather than shipping an
 audit artifact with dangling references.
+
+The report's size follows its conclusions, not its evidence: the evidence
+appendix holds a row for each cited record only, and the policy appendix one
+for each cited clause, with the sha256 of its text. An uncited record is
+covered by ``evidence_digest``, the sha256 of records.json, and
+``record_count``. :func:`check_report` checks a re-read report against its
+own appendices and against rows recomputed from the evidence and policy
+files, as ``pir verify`` does.
 """
 
 from __future__ import annotations
@@ -20,14 +28,15 @@ import json
 import typing
 from datetime import datetime
 
-from .canon import canon_dumps, digest_of, format_instant
-from .errors import UnresolvedReferenceError
+from .canon import canon_dumps, digest_of, format_instant, sha256_hex
+from .errors import ReportMismatchError, UnresolvedReferenceError
 from .llm_gateway import EVT_MARKER, POL_MARKER
 
 if typing.TYPE_CHECKING:
-    from .orchestrator import ReviewState
+    from .orchestrator import RecordRow, ReviewState
+    from .policy_index import PolicyDocument
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 KIND_FINDING = "finding"
 KIND_MAPPING = "mapping"
@@ -55,9 +64,12 @@ _CLAUSE_REF_KEYS = frozenset(
     {"clause_refs", "evidence_clauses", "clause_ids", "clause_ref", "clause_id"}
 )
 # Sections that cite nothing. Transcripts and degradation notes are the audit
-# trail and may quote rejected model output; the evidence appendix is the set
-# of records citations are checked against.
-_EXEMPT_KEYS = frozenset({"transcripts", "degradation_notes", "evidence_appendix"})
+# trail and may quote rejected model output; the two appendices hold the rows
+# of the cited records and clauses, which a re-read report's citations are
+# checked against.
+_EXEMPT_KEYS = frozenset(
+    {"transcripts", "degradation_notes", "evidence_appendix", "policy_appendix"}
+)
 
 
 def build_trace_ledger(state: "ReviewState") -> list[dict]:
@@ -94,16 +106,19 @@ def build_trace_ledger(state: "ReviewState") -> list[dict]:
 
 def build_report(state: "ReviewState", generated_at: datetime) -> dict:
     """Build the report document, the dict that :func:`render_json` dumps
-    and :func:`render_markdown` reads, and check it with
-    :func:`verify_citation_closure`, the check a re-read report.json gets.
+    and :func:`render_markdown` reads, and check its citation closure
+    against the state's records and clauses.
 
     The sections in ``_EXEMPT_KEYS`` are not checked: a degraded transcript
     and its degradation note record the rejected model output, fabricated
     citations included, as the audit trail of why the fallback text was used.
 
-    The evidence appendix is the state's record rows. The state and its
-    items are frozen, and the document shares no list with them: the items'
-    ``to_dict`` turns their tuples into new lists.
+    The citations are collected once. The evidence appendix is the state's
+    rows of the cited records, in record order, and the policy appendix the
+    cited clauses, in document order; ``evidence_digest`` and
+    ``record_count`` cover the records. The state and its items are frozen,
+    and the document shares no list with them: the items' ``to_dict`` turns
+    their tuples into new lists.
     """
     report = {
         "run_id": state.run_id,
@@ -115,21 +130,51 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
         "technique_section": [m.to_dict() for m in state.mappings],
         "gaps_section": [g.to_dict() for g in state.gaps],
         "trace_ledger": build_trace_ledger(state),
-        "evidence_appendix": [
-            {"record_ref": ref, "event_id": event_id, "timestamp_utc": ts, "digest": digest}
-            for ref, event_id, ts, digest in state.records
-        ],
         "transcripts": [t.to_dict() for t in state.transcripts],
         "degradation_notes": list(state.degradation_notes),
         "notes": list(state.notes),
         "schema_version": REPORT_SCHEMA_VERSION,
     }
-    missing = verify_citation_closure(report, state.record_refs(), state.clause_ids())
+    refs, clauses = collect_citations(report)
+    missing = _unresolved(refs, clauses, state.record_refs(), state.clause_ids())
     if missing:
         raise UnresolvedReferenceError(
             f"report cites unknown references: {', '.join(missing)}"
         )
+    report["evidence_appendix"] = evidence_appendix(state.records, refs)
+    report["evidence_digest"] = state.records_digest
+    report["record_count"] = len(state.records)
+    report["policy_appendix"] = policy_appendix(state.policy_documents, clauses)
     return report
+
+
+def evidence_appendix(records: "typing.Iterable[RecordRow]", refs) -> list[dict]:
+    """The rows of the records in ``refs``, in record order. Every row is
+    unpacked, cited or not, so a row of the wrong shape raises ValueError."""
+    cited = set(refs)
+    return [
+        {"record_ref": ref, "event_id": event_id, "timestamp_utc": ts, "digest": digest}
+        for ref, event_id, ts, digest in records
+        if ref in cited
+    ]
+
+
+def policy_appendix(documents: "typing.Iterable[PolicyDocument]", clause_ids) -> list[dict]:
+    """The clauses in ``clause_ids``, in document and clause order: each
+    one's id, document, line range and the sha256 of its text."""
+    cited = set(clause_ids)
+    return [
+        {
+            "clause_id": c.clause_id,
+            "doc_id": c.doc_id,
+            "line_start": c.line_start,
+            "line_end": c.line_end,
+            "digest": sha256_hex(c.text),
+        }
+        for doc in documents
+        for c in doc.clauses
+        if c.clause_id in cited
+    ]
 
 
 def render_json(report: dict) -> str:
@@ -183,14 +228,71 @@ def collect_citations(doc) -> tuple[list[str], list[str]]:
     return list(refs), list(clauses)
 
 
+def _unresolved(refs, clauses, known_refs, known_clauses) -> list[str]:
+    missing = [r for r in refs if r not in known_refs]
+    missing.extend(c for c in clauses if c not in known_clauses)
+    return missing
+
+
 def verify_citation_closure(
     doc: dict, known_refs: set[str], known_clauses: set[str]
 ) -> list[str]:
     """Re-parse closure check: returns the citations that fail to resolve."""
+    return _unresolved(*collect_citations(doc), known_refs, known_clauses)
+
+
+def appendix_closure(doc: dict) -> list[str]:
+    """The citations of a report document that have no row in its own
+    evidence or policy appendix."""
+    return verify_citation_closure(
+        doc,
+        {row["record_ref"] for row in doc["evidence_appendix"]},
+        {row["clause_id"] for row in doc["policy_appendix"]},
+    )
+
+
+def check_report(
+    doc: dict,
+    records: "list[RecordRow]",
+    records_digest: str,
+    documents: "typing.Iterable[PolicyDocument]",
+) -> None:
+    """Check a re-read report document against the record rows and digest
+    of its evidence and the policy documents, all read afresh: its closure
+    against its own appendices, each appendix row against the one
+    recomputed for its cited record or clause, and then the evidence digest
+    and record count. Raises ReportMismatchError naming the first cited
+    record or clause that does not match, in record and then document
+    order, or else the evidence digest."""
+    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
+        raise ReportMismatchError(
+            f"schema_version {doc.get('schema_version')!r} is not {REPORT_SCHEMA_VERSION}"
+        )
+    missing = appendix_closure(doc)
+    if missing:
+        raise ReportMismatchError(f"{missing[0]} is cited but has no appendix row")
     refs, clauses = collect_citations(doc)
-    missing = [r for r in refs if r not in known_refs]
-    missing.extend(c for c in clauses if c not in known_clauses)
-    return missing
+    for kind, key, cited, recomputed, rows in (
+        ("record", "record_ref", refs, evidence_appendix(records, refs), doc["evidence_appendix"]),
+        ("clause", "clause_id", clauses, policy_appendix(documents, clauses), doc["policy_appendix"]),
+    ):
+        expected = {row[key]: row for row in recomputed}
+        written = {row[key]: row for row in rows}
+        for name in dict.fromkeys([*expected, *cited, *written]):
+            if name not in cited:
+                raise ReportMismatchError(f"{kind} {name} has an appendix row but is not cited")
+            if name not in expected:
+                raise ReportMismatchError(f"cited {kind} {name} is not in the files read")
+            if written[name] != expected[name]:
+                raise ReportMismatchError(f"cited {kind} {name} does not match its appendix row")
+        if rows != recomputed:
+            raise ReportMismatchError(f"the {kind} appendix repeats a row or is out of order")
+    if (doc["evidence_digest"], doc["record_count"]) != (records_digest, len(records)):
+        raise ReportMismatchError(
+            f"evidence_digest does not match the evidence files: the report has "
+            f"{doc['evidence_digest']} over {doc['record_count']} record(s), the "
+            f"files give {records_digest} over {len(records)}"
+        )
 
 
 def _md_escape(text: str) -> str:
@@ -295,6 +397,12 @@ def render_markdown(report: dict) -> str:
 
     lines.append("## Evidence Appendix")
     lines.append("")
+    lines.append(
+        f"{len(report['evidence_appendix'])} of {report['record_count']} "
+        f"ingested record(s) cited. Evidence digest (sha256 of records.json): "
+        f"`{report['evidence_digest']}`"
+    )
+    lines.append("")
     if report["evidence_appendix"]:
         lines.extend(
             _md_table(
@@ -310,8 +418,27 @@ def render_markdown(report: dict) -> str:
                 ],
             )
         )
+        lines.append("")
+
+    lines.append("## Policy Appendix")
+    lines.append("")
+    if report["policy_appendix"]:
+        lines.extend(
+            _md_table(
+                ["Clause", "Document", "Lines", "Digest"],
+                [
+                    [
+                        row["clause_id"],
+                        row["doc_id"],
+                        f"{row['line_start']}-{row['line_end']}",
+                        row["digest"][:16],
+                    ]
+                    for row in report["policy_appendix"]
+                ],
+            )
+        )
     else:
-        lines.append("No event records were ingested.")
+        lines.append("No policy clause is cited.")
     lines.append("")
 
     lines.append("## Degradation Notes")

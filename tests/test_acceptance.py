@@ -16,16 +16,22 @@ from pir.canon import canon_dumps
 from pir.config import ReviewConfig
 from pir.detection import DetectorParams, detect_bruteforce, oracle_detect
 from pir.errors import MalformedContainerError
-from pir.log_ingest import flatten_to_csv, load_csv, validate_evtx_container
+from pir.log_ingest import flatten_to_csv, load_csv, load_evidence, validate_evtx_container
 from pir.orchestrator import run_review
 from pir.policy_index import (
     DOC_KIND_BASELINE,
     DOC_KIND_ORGANISATION,
     build_index,
     ingest_document,
+    load_policy_documents,
     retrieve,
 )
-from pir.reporting import collect_citations, json_report_digest, verify_citation_closure
+from pir.reporting import (
+    appendix_closure,
+    collect_citations,
+    json_report_digest,
+    verify_citation_closure,
+)
 
 from conftest import FIXTURES, evtx_bytes, make_auth, make_record, rewrite_checkpoint
 
@@ -180,15 +186,22 @@ def test_criterion_5_citation_closure(tmp_path, criterion):
         run_review(config)
 
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
-        index = json.loads(
-            (tmp_path / "out" / "state" / "policy_index.json").read_text()
-        )
-        known_refs = {row["record_ref"] for row in doc["evidence_appendix"]}
-        known_clauses = set(index["clauses"])
+        # the known refs and clauses come from the input files, not the report
+        records, _notes = load_evidence(config.evidence_paths)
+        known_refs = {record.record_ref for record in records}
+        known_clauses = {
+            clause.clause_id
+            for document in load_policy_documents(
+                config.org_policy_paths, config.baseline_policy_paths
+            )
+            for clause in document.clauses
+        }
 
         refs, clauses = collect_citations(doc)
         assert refs and clauses  # the scan found citations to check
         assert verify_citation_closure(doc, known_refs, known_clauses) == []
+        # and every citation has a row in the report's own appendices
+        assert appendix_closure(doc) == []
 
 
 # --- 6. ingestion fidelity ---------------------------------------------------------------

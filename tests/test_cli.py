@@ -1,4 +1,6 @@
 import json
+import shutil
+from datetime import datetime, timezone
 
 import pytest
 
@@ -445,7 +447,9 @@ def test_render_fails_closed_on_a_fabricated_control_clause_ref(tmp_path, capsys
 def test_render_reads_back_a_timestamp_before_year_1000(tmp_path, capsys):
     early = tmp_path / "early.xml"
     early.write_text(
-        event_xml([{"event_id": 4625, "time": "0999-06-01T12:00:00Z"}]),
+        event_xml(
+            [{"event_id": 4625, "time": "0999-06-01T12:00:00Z", "fields": {"TargetUserName": "eve"}}]
+        ),
         encoding="utf-8",
     )
     raw = json.loads((FIXTURES / "review_config.json").read_text())
@@ -461,13 +465,19 @@ def test_render_reads_back_a_timestamp_before_year_1000(tmp_path, capsys):
     )
     assert code == 0
     reports = [(out / name).read_bytes() for name in ("report.json", "report.md")]
-    assert b'"timestamp_utc":"0999-06-01T12:00:00Z"' in reports[0]
+    assert b'"timestamp_utc":"0999-06-01T12:00:00Z"' in (out / "state" / "records.json").read_bytes()
+
+    # the early record is not cited, so its row and auth event show the
+    # timestamp read back from records.json
+    checkpoint = out / "state" / "GenerateReport.json"
+    state = orchestrator.load_checkpoint(checkpoint)
+    [row] = [row for row in state.records if row[0] == "early#1"]
+    assert row[2] == "0999-06-01T12:00:00Z"
+    [event] = [e for e in state.auth_events if e.record_ref == "early#1"]
+    assert event.timestamp_utc == datetime(999, 6, 1, 12, tzinfo=timezone.utc)
 
     rendered = tmp_path / "rendered"
-    code, *_ = run_cli(
-        capsys, "render", "--state", str(out / "state" / "GenerateReport.json"),
-        "--output", str(rendered),
-    )
+    code, *_ = run_cli(capsys, "render", "--state", str(checkpoint), "--output", str(rendered))
     assert code == 0
     assert [(rendered / n).read_bytes() for n in ("report.json", "report.md")] == reports
 
@@ -546,3 +556,108 @@ def test_render_without_inputs_exits_3(capsys):
     code, _out, err = run_cli(capsys, "render")
     assert code == 3
     assert "render requires" in json.loads(err.strip().splitlines()[-1])["detail"]
+
+
+# --- verify ---------------------------------------------------------------------------
+
+
+def review_a_copy(tmp_path, capsys, config_name="review_config.json"):
+    """Review a copy of the fixtures, whose files a test may then edit;
+    returns the copied config's path and the report's."""
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    config = tmp_path / "fixtures" / config_name
+    out = tmp_path / "out"
+    code, *_ = run_cli(capsys, "review", "--config", str(config), "--output", str(out))
+    assert code == 0
+    return config, out / "report.json"
+
+
+def verify(capsys, config, report):
+    code, out, err = run_cli(capsys, "verify", "--config", str(config), str(report))
+    return code, out, err.strip().splitlines()[-1] if err.strip() else ""
+
+
+def edit_event(xml_path, ordinal):
+    """Add a field to the ``ordinal``-th event of an XML export."""
+    head, *events = xml_path.read_text(encoding="utf-8").split("<Event ")
+    events[ordinal - 1] = events[ordinal - 1].replace(
+        "</EventData>", '<Data Name="Note">edited</Data></EventData>'
+    )
+    xml_path.write_text("<Event ".join([head, *events]), encoding="utf-8")
+
+
+@pytest.mark.parametrize("config_name", ["review_config.json", "review_config_nogap.json"])
+def test_verify_passes_on_a_fresh_review(tmp_path, capsys, config_name):
+    config, report = review_a_copy(tmp_path, capsys, config_name)
+    code, out, err = verify(capsys, config, report)
+    assert (code, err) == (0, "")
+    assert "cited record(s)" in out
+
+
+def test_verify_names_an_edited_clause(tmp_path, capsys):
+    config, report = review_a_copy(tmp_path, capsys)
+    policy = tmp_path / "fixtures" / "policies" / "org_policy.md"
+    text = policy.read_text(encoding="utf-8")
+    policy.write_text(text.replace("set to 10 failed", "set to 50 failed"), encoding="utf-8")
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert "cited clause org_policy:5-5 " in payload["detail"]
+
+
+def test_verify_names_an_edited_cited_record(tmp_path, capsys):
+    config, report = review_a_copy(tmp_path, capsys)
+    cited = [row["record_ref"] for row in json.loads(report.read_text())["evidence_appendix"]]
+    assert "bruteforce_scenario#3" in cited
+    edit_event(tmp_path / "fixtures" / "evidence" / "bruteforce_scenario.xml", 3)
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert "cited record bruteforce_scenario#3 " in payload["detail"]
+
+
+def test_verify_names_the_evidence_digest_for_an_edited_uncited_record(tmp_path, capsys):
+    config, report = review_a_copy(tmp_path, capsys)
+    doc = json.loads(report.read_text())
+    cited = {row["record_ref"] for row in doc["evidence_appendix"]}
+    assert "bruteforce_scenario#12" not in cited and doc["record_count"] >= 12
+    edit_event(tmp_path / "fixtures" / "evidence" / "bruteforce_scenario.xml", 12)
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert payload["detail"].startswith("evidence_digest does not match")
+
+
+@pytest.mark.parametrize(
+    "damage, detail",
+    [
+        ("uncited row", "record bruteforce_scenario#12 has an appendix row but is not cited"),
+        ("dropped row", "org_policy:5-5 is cited but has no appendix row"),
+        ("schema 1", "schema_version 1 is not 2"),
+        ("not json", "is not JSON"),
+    ],
+)
+def test_verify_refuses_a_tampered_report(tmp_path, capsys, damage, detail):
+    config, report = review_a_copy(tmp_path, capsys)
+    doc = json.loads(report.read_text())
+    if damage == "uncited row":
+        doc["evidence_appendix"].append({**doc["evidence_appendix"][0], "record_ref": "bruteforce_scenario#12"})
+    elif damage == "dropped row":
+        del doc["policy_appendix"][0]
+    elif damage == "schema 1":
+        doc["schema_version"] = 1
+    report.write_text("{" if damage == "not json" else canon_dumps(doc), encoding="utf-8")
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert detail in payload["detail"]
+
+
+def test_verify_without_a_report_exits_3(tmp_path, capsys):
+    code, _out, err = verify(capsys, CONFIG, tmp_path / "report.json")
+    assert code == 3
+    assert json.loads(err)["error"] == "ConfigInvalidError"

@@ -98,7 +98,6 @@ def test_replay_pipeline_populates_every_stage(demo_config):
 
     for stage in STAGES:
         assert (out / "state" / f"{stage}.json").is_file()
-    assert (out / "state" / "policy_index.json").is_file()
     assert (out / "report.json").is_file()
     assert (out / "report.md").is_file()
 
@@ -564,7 +563,7 @@ def test_records_are_stored_once_in_records_json(demo_config):
     state_dir = demo_config.output_dir / "state"
     texts = {p.name: p.read_text(encoding="utf-8") for p in state_dir.iterdir()}
     assert sorted(texts) == sorted(
-        [*(f"{stage}.json" for stage in STAGES), "policy_index.json", "records.json"]
+        [*(f"{stage}.json" for stage in STAGES), "records.json"]
     )
     records_text = texts.pop("records.json")
     digest = sha256_hex(records_text.encode("utf-8"))
@@ -713,9 +712,9 @@ def test_retrieval_serialises_to_pinned_bytes(demo_config):
 
 
 # Digests of the state/ files a review of the committed fixtures writes:
-# records.json and policy_index.json by sha256 of their bytes, taken before the
-# record types shared one codec, and each <Stage>.json by digest_of its JSON
-# with the stage clock, previous_digest and report_generated_at masked, taken
+# records.json by sha256 of its bytes, taken before the record types shared
+# one codec, and each <Stage>.json by digest_of its JSON with the stage
+# clock, previous_digest and report_generated_at masked, taken
 # when each checkpoint became that stage's delta (PINNED_STAGE_STATES pins the
 # states they load). The review runs on a copy of the fixtures with no
 # overrides, as test_fixture_reports_match_pinned_digests does.
@@ -723,9 +722,6 @@ PINNED_STATE_FILES = {
     "review_config.json": {
         "records.json": (
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
-        ),
-        "policy_index.json": (
-            "39093e7df4c8a4710adfba82e9b4dae0c4b0deef363556046734fcc4510c3760"
         ),
         "ProcessEvidence.json": (
             "aa7f63f7b04318e6b15c77305bd98d59e0563d2a08bcf163d874c6d951dfb3b2"
@@ -746,9 +742,6 @@ PINNED_STATE_FILES = {
     "review_config_nogap.json": {
         "records.json": (
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
-        ),
-        "policy_index.json": (
-            "cc22ae79a59c90ebb631d2a6f0664d4c849fa69c3576c5aa8f8d3c7c2cb38bcb"
         ),
         "ProcessEvidence.json": (
             "8db3b3c52c88e88134630c14a95355ff7c68e5b262b7ed7006f06c1f19165e68"
@@ -786,10 +779,7 @@ def test_fixture_state_files_match_pinned_digests(config_name, tmp_path):
     config = ReviewConfig.from_file(tmp_path / "fixtures" / config_name)
     run_review(config)
     state_dir = config.output_dir / "state"
-    digests = {
-        name: sha256_hex((state_dir / name).read_bytes())
-        for name in (RECORDS_FILE, "policy_index.json")
-    }
+    digests = {RECORDS_FILE: sha256_hex((state_dir / RECORDS_FILE).read_bytes())}
     for stage in STAGES:
         text = (state_dir / f"{stage}.json").read_text(encoding="utf-8")
         digests[f"{stage}.json"] = masked_checkpoint_digest(text)

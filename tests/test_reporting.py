@@ -12,6 +12,7 @@ from pir.errors import UnresolvedReferenceError
 from pir.llm_gateway import GroundingReport, Transcript
 from pir.orchestrator import run_review
 from pir.reporting import (
+    appendix_closure,
     build_report,
     build_trace_ledger,
     collect_citations,
@@ -20,6 +21,7 @@ from pir.reporting import (
     render_markdown,
     verify_citation_closure,
 )
+from pir.scenario_gen import ScenarioSpec, generate
 
 from conftest import FIXTURES
 
@@ -157,25 +159,47 @@ def test_degraded_review_report_passes_the_closure_check(tmp_path):
 def test_report_structure(state):
     report = build_report(state, generated_at=utc_now())
     assert report["run_id"] == state.run_id
-    assert len(report["evidence_appendix"]) == len(state.records)
+    refs, clauses = collect_citations(report)
+    # the appendix holds exactly the cited records, in record order
     appendix_refs = [row["record_ref"] for row in report["evidence_appendix"]]
-    assert appendix_refs == [row[0] for row in state.records]
+    assert appendix_refs == [row[0] for row in state.records if row[0] in refs]
+    assert sorted(appendix_refs) == sorted(refs)
+    assert len(appendix_refs) < len(state.records)
     assert all(len(row["digest"]) == 64 for row in report["evidence_appendix"])
-    assert report["schema_version"] == 1
+    assert report["record_count"] == len(state.records)
+    assert report["evidence_digest"] == state.records_digest
+    # and the policy appendix exactly the cited clauses, in document order
+    clause_by_id = {c.clause_id: c for d in state.policy_documents for c in d.clauses}
+    assert [row["clause_id"] for row in report["policy_appendix"]] == [
+        cid for cid in clause_by_id if cid in clauses
+    ]
+    assert sorted(row["clause_id"] for row in report["policy_appendix"]) == sorted(clauses)
+    for row in report["policy_appendix"]:
+        clause = clause_by_id[row["clause_id"]]
+        assert (row["doc_id"], row["line_start"], row["line_end"]) == (
+            clause.doc_id, clause.line_start, clause.line_end
+        )
+        assert row["digest"] == sha256_hex(clause.text)
+    assert appendix_closure(report) == []
+    assert report["schema_version"] == 2
 
 
 @pytest.mark.parametrize("digests", ["one short", "one over"])
 def test_report_refuses_digests_that_do_not_match_the_records(
     state, replay_config, digests
 ):
-    # each appendix digest is that of the record's piece of records.json
+    # each cited row's digest is that of the record's piece of records.json
     records_path = replay_config.output_dir / "state" / "records.json"
     pieces = json.loads(records_path.read_text(encoding="utf-8"))
     report = build_report(state, generated_at=utc_now())
+    piece_by_ref = {d["record_ref"]: d for d in pieces}
     appendix = report["evidence_appendix"]
-    assert [row["digest"] for row in appendix] == [digest_of(d) for d in pieces]
+    assert appendix
+    assert [row["digest"] for row in appendix] == [
+        digest_of(piece_by_ref[row["record_ref"]]) for row in appendix
+    ]
 
-    # and a record's row carries exactly one
+    # and a record's row carries exactly one, cited or not
     row = state.records[-1]
     row = row[:-1] if digests == "one short" else (*row, "0" * 64)
     state = dataclasses.replace(state, records=(*state.records[:-1], row))
@@ -235,6 +259,7 @@ def test_markdown_sections_in_fixed_order(state):
         md.index("## Policy Gap Findings"),
         md.index("## Trace Ledger"),
         md.index("## Evidence Appendix"),
+        md.index("## Policy Appendix"),
         md.index("## Degradation Notes"),
     ]
     assert positions == sorted(positions)
@@ -301,3 +326,36 @@ def test_fixture_reports_match_pinned_digests(config_name, tmp_path):
     assert (json_report_digest(report_json), sha256_hex(masked_md)) == PINNED_REPORTS[
         config_name
     ]
+
+
+# --- report size ---------------------------------------------------------------------------
+
+
+def test_report_size_follows_the_citations_not_the_records(fixture_config_raw, tmp_path):
+    # bytes only, never seconds: one seed and burst under 1,000 and 4,000
+    # noise records give report.json files whose sizes differ by no more
+    # than the digits of record_count
+    reports = []
+    for noise in (1_000, 4_000):
+        base = tmp_path / str(noise)
+        shutil.copytree(FIXTURES / "policies", base / "policies")
+        (base / "evidence").mkdir()
+        spec = ScenarioSpec(seed=3, noise_events=noise, noise_accounts=("alice", "bob", "carol", "dave"))
+        xml, _truth = generate(spec, source_name="bulk")
+        (base / "evidence" / "bulk.xml").write_text(xml, encoding="utf-8")
+        raw = {
+            **fixture_config_raw,
+            "evidence_paths": ["evidence/bulk.xml"],
+            "output_dir": "out",
+            "gateway_mode": "disabled",
+        }
+        run_review(ReviewConfig.from_dict(raw, base))
+        report = (base / "out" / "report.json").read_bytes()
+        reports.append((len(report), json.loads(report)))
+    (small, small_doc), (large, large_doc) = reports
+    # the default burst adds six failures and a success
+    assert (small_doc["record_count"], large_doc["record_count"]) == (1_007, 4_007)
+    assert small_doc["evidence_appendix"] == large_doc["evidence_appendix"]
+    digits = len(str(large_doc["record_count"])) - len(str(small_doc["record_count"]))
+    assert 0 <= large - small <= digits
+
