@@ -35,14 +35,19 @@ def test_traced_stages_are_the_pipeline_stages():
     assert tuple(orchestrator._STAGE_FUNCS) == spans.STAGES
 
 
-# Taken at the commit before XML evidence was parsed as a stream: the sha256
-# of state/records.json and the report digest with transcript latencies
-# masked, as perfbench/run.py checks it, for seed 1 at 1,000 noise records.
+# For seed 1 at 1,000 noise records: the sha256 of state/records.json, taken
+# at the commit before XML evidence was parsed as a stream, and the report
+# digest with transcript latencies masked, as perfbench/run.py checks it,
+# taken when the report's appendices became cite-only (schema_version 2).
+# SMOKE_SCHEMA_1_SECTIONS is the report digest without the sections that
+# schema_version 2 changed, taken at the commit before it.
 SMOKE_RECORDS = 1_011
 SMOKE_DIGESTS = (
     "d625e27b802c26fcc3ec711f17f5c2cab3290f3e688a36df49b77239ef086337",
-    "d88dd8f8bce577650a6120c73ae9d267a2293b88788a90b875e8a2b49b20bef0",
+    "074a2e98df7f643b65e6aedc81bca040bd9d3e27f0ab2865c7d7e5d8c0d0a5e9",
 )
+SCHEMA_2_KEYS = ("evidence_appendix", "policy_appendix", "evidence_digest", "record_count", "schema_version")
+SMOKE_SCHEMA_1_SECTIONS = "1b7743f286a090f26873a46a932c36e44cec431ca68a208683051226816fbf52"
 
 
 def test_small_bulk_replay_review_gives_pinned_results(tmp_path, monkeypatch):
@@ -68,6 +73,9 @@ def test_small_bulk_replay_review_gives_pinned_results(tmp_path, monkeypatch):
         json_report_digest(canon_dumps(report)),
     )
     assert digests == SMOKE_DIGESTS
+    unchanged = {key: value for key, value in report.items() if key not in SCHEMA_2_KEYS}
+    assert json_report_digest(canon_dumps(unchanged)) == SMOKE_SCHEMA_1_SECTIONS
+    assert (report["evidence_digest"], report["record_count"]) == (digests[0], SMOKE_RECORDS)
 
     # the rerender workload: the final checkpoint renders the recorded reports
     state = orchestrator.load_checkpoint(tmp_path / manifest["checkpoint"])

@@ -6,7 +6,7 @@ from datetime import timedelta
 
 import pytest
 
-from pir.canon import digest_of, sha256_hex, utc_now
+from pir.canon import canon_dumps, digest_of, sha256_hex, utc_now
 from pir.config import ReviewConfig
 from pir.errors import UnresolvedReferenceError
 from pir.llm_gateway import GroundingReport, Transcript
@@ -298,21 +298,30 @@ def test_markdown_lists_degradation_notes(fixture_config_raw, tmp_path):
 
 # --- pinned fixture outputs ---------------------------------------------------------------
 
-# Digests of the committed fixtures' reports, taken before the report was
-# built once per run and checkpoints stopped embedding it: report.json by
-# json_report_digest, report.md by sha256 with its Generated line masked.
+# Digests of the committed fixtures' reports, taken when the appendices came
+# to hold only the cited records and clauses (schema_version 2): report.json
+# by json_report_digest, report.md by sha256 with its Generated line masked.
 # The config digest (and so the run id) covers the config's own relative
 # paths, so the review runs on a copy of the fixtures with no overrides.
 PINNED_REPORTS = {
     "review_config.json": (
-        "da84a007299b10fb9b6b693113a3b2a2527124ffb420993dfea693c8853d5676",
-        "5d603e90e5d1ba3dc2f82fff716cdfd5000890b89293220bd51c8039780d6c2e",
+        "8ceaa7e82a6d9b4d39a7c61289b3239d9348c69318889b221c315c65f04848b5",
+        "3b42a716fa8409b10658f390612407b534155020dee13a195fefddd339b2f8ad",
     ),
     "review_config_nogap.json": (
-        "d2d21b24869bbffcd3feba2174508f8723b8e19de38a1a54c84e8a80de640e54",
-        "e1d7ba9050386639e20dddbc7dcda33e89cf4eb72b8871a8c068688a302b0c50",
+        "a32d4fea84c885d8015e70ddffd2bb99b50d63adaad0fe6cb75063f6cb1fc168",
+        "eff6de1cd8ad9a2fbbe037a30c0fb442d095afdde9efa8bc63514246df59eb11",
     ),
 }
+# The sections schema_version 2 changed. json_report_digest of each report
+# without them was taken at the commit before the change, so every other
+# section is byte for byte what schema_version 1 wrote.
+SCHEMA_2_KEYS = ("evidence_appendix", "policy_appendix", "evidence_digest", "record_count", "schema_version")
+PINNED_SCHEMA_1_SECTIONS = {
+    "review_config.json": "ccff72683216afb1e23faff5a06d6e7b1b9ba501d7161e023812a94e58912907",
+    "review_config_nogap.json": "a3554f93fecc359fac0aa999932b07387e052a3c375e5df4f1e7278e3c561f59",
+}
+FIXTURE_RECORDS_DIGEST = "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
 
 
 @pytest.mark.parametrize("config_name", sorted(PINNED_REPORTS))
@@ -326,6 +335,13 @@ def test_fixture_reports_match_pinned_digests(config_name, tmp_path):
     assert (json_report_digest(report_json), sha256_hex(masked_md)) == PINNED_REPORTS[
         config_name
     ]
+
+    doc = json.loads(report_json)
+    changed = {key: doc.pop(key) for key in SCHEMA_2_KEYS}
+    assert json_report_digest(canon_dumps(doc)) == PINNED_SCHEMA_1_SECTIONS[config_name]
+    assert (changed["evidence_digest"], changed["record_count"], changed["schema_version"]) == (
+        FIXTURE_RECORDS_DIGEST, 19, 2
+    )
 
 
 # --- report size ---------------------------------------------------------------------------
