@@ -53,12 +53,15 @@ def _config(args, required: bool = True) -> ReviewConfig | None:
     return ReviewConfig.from_file(Path(args.config), overrides=overrides)
 
 
-def _load_records(config: ReviewConfig):
-    """Evidence records for the ingest and detect commands; notes go to the log."""
-    records, notes = load_evidence(config.evidence_paths)
+def _load_evidence(config: ReviewConfig, keep) -> list:
+    """What ``keep`` returns for each evidence record, for the ingest and
+    detect commands; the notes go to the log."""
+    if not config.evidence_paths:
+        raise ConfigInvalidError("config lists no evidence_paths")
+    kept, notes = load_evidence(config.evidence_paths, keep)
     for note in notes:
         logger.info("%s", note)
-    return records
+    return kept
 
 
 def cmd_review(args) -> int:
@@ -75,9 +78,7 @@ def cmd_review(args) -> int:
 
 def cmd_ingest(args) -> int:
     config = _config(args)
-    if not config.evidence_paths:
-        raise ConfigInvalidError("config lists no evidence_paths")
-    records = _load_records(config)
+    records = _load_evidence(config, lambda record: record)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "records.csv"
     out_path.write_text(flatten_to_csv(records), encoding="utf-8", newline="")
@@ -87,9 +88,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _config(args)
-    if not config.evidence_paths:
-        raise ConfigInvalidError("config lists no evidence_paths")
-    events, skipped = normalize_auth_events(map(auth_event, _load_records(config)))
+    projected = _load_evidence(config, lambda record: auth_event(record.to_dict()))
+    events, skipped = normalize_auth_events(projected)
     findings = detect_bruteforce(events, config.detector)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "findings.json"

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, TextIO
 from xml.parsers import expat
@@ -82,9 +83,10 @@ class EventRecord(Canonical):
 
 
 class AuthEvent(NamedTuple):
-    """Normalized view of a 4624/4625 record, projected by auth_event; never
-    stored, always re-derived from the records. Immutable like every item of
-    the review state, but a named tuple: one is made per logon record, and a
+    """Normalized view of a 4624/4625 record, projected by auth_event from
+    the record's JSON form; never stored, always re-derived from the records
+    as they are encoded or read back. Immutable like every item of the
+    review state, but a named tuple: one is made per logon record, and a
     frozen dataclass takes about 2.5 times as long to build."""
 
     record_ref: str
@@ -409,24 +411,27 @@ def load_csv(document: str | TextIO, keep=_itself) -> list:
     return records
 
 
-def auth_event(record: EventRecord) -> AuthEvent | None:
-    """Project a 4624/4625 record into an AuthEvent; None for any other
+def auth_event(record: dict) -> AuthEvent | None:
+    """Project a record's JSON form, the dict EventRecord.to_dict returns and
+    records.json holds, into an AuthEvent; None unless it is a 4624/4625
     record. A record without a TargetUserName gets an empty account, which
     normalize_auth_events counts and drops."""
-    if record.event_id not in AUTH_EVENT_IDS:
+    event_id = record["event_id"]
+    if event_id not in AUTH_EVENT_IDS:
         return None
-    source_ip = record.fields.get("IpAddress", "").strip()
+    fields = record["fields"]
+    source_ip = fields.get("IpAddress", "").strip()
     try:  # int() strips whitespace and refuses ""
-        logon_type: int | None = int(record.fields.get("LogonType", ""))
+        logon_type: int | None = int(fields.get("LogonType", ""))
     except ValueError:
         logon_type = None
     return AuthEvent(
-        record_ref=record.record_ref,
-        outcome="Failure" if record.event_id == EVENT_ID_LOGON_FAILURE else "Success",
-        account=record.fields.get("TargetUserName", "").strip(),
+        record_ref=record["record_ref"],
+        outcome="Failure" if event_id == EVENT_ID_LOGON_FAILURE else "Success",
+        account=fields.get("TargetUserName", "").strip(),
         source_ip=None if source_ip in ("", "-") else source_ip,
         logon_type=logon_type,
-        timestamp_utc=record.timestamp_utc,
+        timestamp_utc=parse_instant(record["timestamp_utc"]),
     )
 
 
@@ -435,7 +440,7 @@ def normalize_auth_events(projected: Iterable[AuthEvent | None]) -> tuple[list[A
     over a None (not an auth record); returns the events plus a count of auth
     records skipped for lacking a TargetUserName (counted, never lost)."""
     auth = [e for e in projected if e is not None]
-    events = sorted((e for e in auth if e.account), key=lambda e: (e.timestamp_utc, e.record_ref))
+    events = sorted((e for e in auth if e.account), key=attrgetter("timestamp_utc", "record_ref"))
     return events, len(auth) - len(events)
 
 

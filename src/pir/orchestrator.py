@@ -17,12 +17,14 @@ streams the records: each is encoded once as it is parsed and written to
 state/records.json through a running sha256, and only its evidence appendix
 row and auth event are kept; ProcessEvidence.json names the file's sha256 as
 its records_digest. Loading checks the file against that digest and takes
-the rows from the file's bytes again; the auth events are re-derived. The
-state keeps only the report's time: write_report_files builds the report,
-which checks its citation closure, and writes it, for GenerateReport and for
-``pir render`` alike. verify_report re-reads the evidence and policy files,
-encoding the records as write_records does, and checks a report against
-them (``pir verify``).
+the rows from the file's bytes again. auth_event projects each logon
+record's auth event from the record's JSON form: the dict the review
+encoded, and on load the item decoded from the file, so a load rebuilds no
+EventRecord. The state keeps only the report's time: write_report_files
+builds the report, which checks its citation closure, and writes it, for
+GenerateReport and for ``pir render`` alike. verify_report re-reads the
+evidence and policy files, encoding the records as write_records does, and
+checks a report against them (``pir verify``).
 """
 
 from __future__ import annotations
@@ -453,7 +455,8 @@ def state_dir(output_dir: Path) -> Path:
 def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
     """Encode the records that ``load(keep)`` hands to ``keep``, each once,
     into the bytes of records.json, passing them to ``write`` as they are
-    made; ``keep`` returns the record's row. Returns the sha256 of the bytes,
+    made; ``keep`` returns the record's row, and projects a logon record's
+    auth event from the JSON form it encoded. Returns the sha256 of the bytes,
     what ``load`` returned and the records' auth events. The bytes are the
     canonical JSON of the record list: the pieces joined by commas inside
     brackets."""
@@ -471,8 +474,8 @@ def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
         piece = canon_dumps(d).encode("utf-8")
         emit(separator + piece)
         separator = b","
-        if record.event_id in AUTH_EVENT_IDS:
-            auth_events.append(auth_event(record))
+        if d["event_id"] in AUTH_EVENT_IDS:
+            auth_events.append(auth_event(d))
         return d["record_ref"], d["event_id"], d["timestamp_utc"], sha256_hex(piece)
 
     loaded = load(keep)
@@ -499,8 +502,9 @@ def write_records(load, output_dir: Path) -> tuple[str, object, list[AuthEvent]]
 def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEvent]]:
     """Read a records.json that write_records wrote, after checking its bytes
     against ``digest``; returns the rows and auth events write_records
-    returned, each row's digest taken from the file's bytes. Only a logon
-    record is rebuilt as an EventRecord, to project its auth event."""
+    returned, each row's digest taken from the file's bytes. A logon
+    record's auth event is projected from its decoded JSON form; no record
+    is rebuilt as an EventRecord."""
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
     data = path.read_bytes()
@@ -519,7 +523,7 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
         ref, event_id, ts = item["record_ref"], item["event_id"], item["timestamp_utc"]
         rows.append((ref, event_id, ts, sha256_hex(text[pos:end])))
         if event_id in AUTH_EVENT_IDS:
-            auth_events.append(auth_event(EventRecord.from_dict(item)))
+            auth_events.append(auth_event(item))
         pos = end + 1
     return rows, auth_events
 

@@ -169,6 +169,56 @@ def test_format_instant_round_trips_every_year(year, microsecond):
     assert parse_instant(format_instant(dt)) == dt
 
 
+_FRACTION_RE = re.compile(r"\.(\d+)")
+
+
+def _parse_instant_reference(value: str) -> datetime:
+    """parse_instant with its fraction rewrite run on every text, not only
+    on text that holds a "."; the reference for the property below."""
+    s = value.strip()
+    if not s:
+        raise ValueError("empty timestamp")
+    if s.endswith(("Z", "z")):
+        s = s[:-1] + "+00:00"
+    s = _FRACTION_RE.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
+    dt = datetime.fromisoformat(s)
+    if dt.tzinfo is None:
+        return dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc)
+
+
+@st.composite
+def _instant_texts(draw) -> str:
+    text = draw(st.dates()).isoformat()
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("T ")) + draw(st.times()).strftime("%H:%M:%S")
+    digits = draw(st.none() | st.text("0123456789", max_size=9))
+    if digits is not None:
+        text += "." + digits
+    zone = draw(
+        st.none()
+        | st.sampled_from(["Z", "z"])
+        | st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 24), st.integers(0, 59))
+    )
+    space = st.sampled_from(["", " ", "\t", "\n", " \r\n "])
+    return draw(space) + text + (zone or "") + draw(space)
+
+
+def _outcome(parse, text):
+    """The datetime and its zone, or the type of the error raised."""
+    try:
+        dt = parse(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return dt, dt.tzinfo
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_instant_texts())
+def test_parse_instant_agrees_with_the_always_rewriting_reference(text):
+    assert _outcome(parse_instant, text) == _outcome(_parse_instant_reference, text)
+
+
 @pytest.mark.parametrize(
     "time_text, warns",
     [
@@ -450,7 +500,7 @@ def test_non_auth_event_ids_excluded():
         make_record(1, event_id=4688),
         make_record(2, event_id=7045),
     ]
-    events, skipped = normalize_auth_events(map(auth_event, records))
+    events, skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
     assert events == [] and skipped == 0
 
 
@@ -459,14 +509,14 @@ def test_failure_then_success_pattern():
         make_record(1, event_id=4625, fields={"TargetUserName": "admin"}),
         make_record(2, event_id=4624, seconds=5, fields={"TargetUserName": "admin"}),
     ]
-    events, skipped = normalize_auth_events(map(auth_event, records))
+    events, skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
     assert [e.outcome for e in events] == ["Failure", "Success"]
     assert skipped == 0
 
 
 def test_missing_account_counted_as_skipped():
     records = [make_record(1, event_id=4625, fields={"TargetUserName": ""})]
-    events, skipped = normalize_auth_events(map(auth_event, records))
+    events, skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
     assert events == [] and skipped == 1
 
 
@@ -477,7 +527,7 @@ def test_conservation_of_auth_records():
         make_record(3, event_id=4688, fields={"TargetUserName": "a"}),
         make_record(4, event_id=4625, fields={"TargetUserName": "b"}),
     ]
-    events, skipped = normalize_auth_events(map(auth_event, records))
+    events, skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
     auth_total = sum(1 for r in records if r.event_id in (4624, 4625))
     assert len(events) + skipped == auth_total
 
@@ -488,7 +538,7 @@ def test_sorted_by_timestamp_then_ref():
         make_record(1, event_id=4625, seconds=10, fields={"TargetUserName": "a"}),
         make_record(3, event_id=4625, seconds=0, fields={"TargetUserName": "a"}),
     ]
-    events, _ = normalize_auth_events(map(auth_event, records))
+    events, _ = normalize_auth_events(auth_event(r.to_dict()) for r in records)
     assert [e.record_ref for e in events] == ["src#3", "src#1", "src#2"]
 
 
@@ -503,7 +553,7 @@ def test_placeholder_ip_normalized_to_none():
             fields={"TargetUserName": "a", "IpAddress": "10.1.2.3", "LogonType": "x"},
         ),
     ]
-    events, _ = normalize_auth_events(map(auth_event, records))
+    events, _ = normalize_auth_events(auth_event(r.to_dict()) for r in records)
     assert events[0].source_ip is None
     assert events[1].source_ip == "10.1.2.3"
     assert events[1].logon_type is None
@@ -558,7 +608,7 @@ def test_load_evidence_rejects_duplicate_record_refs(tmp_path):
 
 
 def _findings(records):
-    events, _skipped = normalize_auth_events(map(auth_event, records))
+    events, _skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
     return [f.to_dict() for f in detect_bruteforce(events, DetectorParams())]
 
 

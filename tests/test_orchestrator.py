@@ -446,10 +446,20 @@ def test_checkpoint_round_trip(demo_config):
 
 
 def test_checkpoint_rederives_auth_events_and_report(fixture_config_raw, tmp_path):
-    # an extra 4625 without TargetUserName makes skipped_auth_records nonzero
+    # an extra 4625 without TargetUserName makes skipped_auth_records nonzero;
+    # a second one has a seven-digit fraction and a numeric offset
     extra = tmp_path / "nameless.xml"
     extra.write_text(
-        event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z"}]),
+        event_xml(
+            [
+                {"event_id": 4625, "time": "2026-06-01T12:00:00Z"},
+                {
+                    "event_id": 4625,
+                    "time": "2026-06-01T14:00:00.1234567+02:00",
+                    "fields": {"TargetUserName": "fraction"},
+                },
+            ]
+        ),
         encoding="utf-8",
     )
     raw = dict(
@@ -473,6 +483,8 @@ def test_checkpoint_rederives_auth_events_and_report(fixture_config_raw, tmp_pat
 
     loaded = load_checkpoint(path)
     assert loaded.auth_events == state.auth_events
+    [event] = [e for e in loaded.auth_events if e.record_ref == "nameless#2"]
+    assert format_instant(event.timestamp_utc) == "2026-06-01T12:00:00.123456Z"
     assert loaded.skipped_auth_records == state.skipped_auth_records
     assert reporting.build_report(loaded, loaded.report_generated_at) == reporting.build_report(
         state, state.report_generated_at
@@ -630,6 +642,22 @@ def test_rerender_encodes_no_record(demo_config, monkeypatch, tmp_path):
     assert counts == {"to_dict": 0, "digest_of": 0}
 
 
+def test_rerender_rebuilds_no_record(demo_config, monkeypatch, tmp_path):
+    run_review(demo_config)
+    rebuilt = []
+    from_dict = EventRecord.from_dict.__func__
+
+    def counted_from_dict(cls, d):
+        rebuilt.append(d["record_ref"])
+        return from_dict(cls, d)
+
+    monkeypatch.setattr(EventRecord, "from_dict", classmethod(counted_from_dict))
+    state = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
+    write_report_files(state, tmp_path / "rendered")
+    assert state.auth_events
+    assert rebuilt == []
+
+
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _RECORDS = st.lists(
     st.builds(
@@ -679,7 +707,7 @@ def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
         (r.record_ref, r.event_id, format_instant(r.timestamp_utc), digest_of(r.to_dict()))
         for r in records
     ]
-    projected = [e for e in map(auth_event, records) if e is not None]
+    projected = [e for e in (auth_event(r.to_dict()) for r in records) if e is not None]
     assert auth_events == read_auth_events == projected
 
 

@@ -130,7 +130,7 @@ def test_detector_recovers_injected_truth(
         noise_accounts=("jdoe", "svc-backup") if noise else (),
     )
     xml_text, truth = generate(spec)
-    auth, _skipped = normalize_auth_events(map(auth_event, events_of(xml_text)))
+    auth, _skipped = normalize_auth_events(auth_event(r.to_dict()) for r in events_of(xml_text))
     params = DetectorParams(min_failures=5, window_seconds=240)
     findings = [f for f in detect_bruteforce(auth, params) if f.account == truth.account]
     assert len(findings) == 1
@@ -152,5 +152,5 @@ def test_pure_noise_scenario_yields_no_findings():
     xml_text, truth = generate(spec)
     assert truth.failure_count == 0
     assert truth.injected_record_refs == []
-    auth, _ = normalize_auth_events(map(auth_event, events_of(xml_text)))
+    auth, _ = normalize_auth_events(auth_event(r.to_dict()) for r in events_of(xml_text))
     assert detect_bruteforce(auth, DetectorParams()) == []
