@@ -78,10 +78,8 @@ def parse_instant(value: str) -> datetime:
         raise ValueError("empty timestamp")
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
-    # fromisoformat on 3.10 only takes 3- or 6-digit fractions; without a
-    # "." there is no fraction to rewrite
-    if "." in s:
-        s = _FRACTION_RE.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
+    # fromisoformat on 3.10 only takes 3- or 6-digit fractions
+    s = _FRACTION_RE.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)

@@ -18,7 +18,13 @@ from .config import ReviewConfig
 from .detection import detect_bruteforce
 from .errors import ConfigInvalidError, ReportMismatchError, ReviewError, StageFailureError
 from .llm_gateway import GATEWAY_MODES
-from .log_ingest import auth_event, flatten_to_csv, load_evidence, normalize_auth_events
+from .log_ingest import (
+    AUTH_EVENT_IDS,
+    auth_event,
+    flatten_to_csv,
+    load_evidence,
+    normalize_auth_events,
+)
 from .orchestrator import load_checkpoint, run_review, verify_report, write_report_files
 from .policy_index import build_index, load_policy_documents
 from .scenario_gen import ScenarioSpec, generate
@@ -53,12 +59,13 @@ def _config(args, required: bool = True) -> ReviewConfig | None:
     return ReviewConfig.from_file(Path(args.config), overrides=overrides)
 
 
-def _load_evidence(config: ReviewConfig, keep) -> list:
-    """What ``keep`` returns for each evidence record, for the ingest and
+def _load_evidence(config: ReviewConfig, *keep) -> list:
+    """What load_evidence's ``keep``, when one is given, returns for each
+    evidence record (by default the record itself), for the ingest and
     detect commands; the notes go to the log."""
     if not config.evidence_paths:
         raise ConfigInvalidError("config lists no evidence_paths")
-    kept, notes = load_evidence(config.evidence_paths, keep)
+    kept, notes = load_evidence(config.evidence_paths, *keep)
     for note in notes:
         logger.info("%s", note)
     return kept
@@ -78,7 +85,7 @@ def cmd_review(args) -> int:
 
 def cmd_ingest(args) -> int:
     config = _config(args)
-    records = _load_evidence(config, lambda record: record)
+    records = _load_evidence(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "records.csv"
     out_path.write_text(flatten_to_csv(records), encoding="utf-8", newline="")
@@ -88,7 +95,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _config(args)
-    projected = _load_evidence(config, lambda record: auth_event(record.to_dict()))
+    projected = _load_evidence(
+        config,
+        lambda record: auth_event(record.to_dict()) if record.event_id in AUTH_EVENT_IDS else None,
+    )
     events, skipped = normalize_auth_events(projected)
     findings = detect_bruteforce(events, config.detector)
     config.output_dir.mkdir(parents=True, exist_ok=True)

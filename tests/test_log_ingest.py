@@ -169,56 +169,6 @@ def test_format_instant_round_trips_every_year(year, microsecond):
     assert parse_instant(format_instant(dt)) == dt
 
 
-_FRACTION_RE = re.compile(r"\.(\d+)")
-
-
-def _parse_instant_reference(value: str) -> datetime:
-    """parse_instant with its fraction rewrite run on every text, not only
-    on text that holds a "."; the reference for the property below."""
-    s = value.strip()
-    if not s:
-        raise ValueError("empty timestamp")
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
-    s = _FRACTION_RE.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
-
-
-@st.composite
-def _instant_texts(draw) -> str:
-    text = draw(st.dates()).isoformat()
-    if draw(st.booleans()):
-        text += draw(st.sampled_from("T ")) + draw(st.times()).strftime("%H:%M:%S")
-    digits = draw(st.none() | st.text("0123456789", max_size=9))
-    if digits is not None:
-        text += "." + digits
-    zone = draw(
-        st.none()
-        | st.sampled_from(["Z", "z"])
-        | st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 24), st.integers(0, 59))
-    )
-    space = st.sampled_from(["", " ", "\t", "\n", " \r\n "])
-    return draw(space) + text + (zone or "") + draw(space)
-
-
-def _outcome(parse, text):
-    """The datetime and its zone, or the type of the error raised."""
-    try:
-        dt = parse(text)
-    except (ValueError, OverflowError) as exc:
-        return type(exc)
-    return dt, dt.tzinfo
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=_instant_texts())
-def test_parse_instant_agrees_with_the_always_rewriting_reference(text):
-    assert _outcome(parse_instant, text) == _outcome(_parse_instant_reference, text)
-
-
 @pytest.mark.parametrize(
     "time_text, warns",
     [
