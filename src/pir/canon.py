@@ -71,7 +71,8 @@ def parse_instant(value: str) -> datetime:
     any width (Windows exports use seven digits; extra digits are truncated
     to microseconds). Offset-free values are taken as UTC.
 
-    Raises ValueError when the value does not parse.
+    Raises ValueError when the value does not parse, or when the instant
+    falls outside years 1-9999 in UTC.
     """
     s = value.strip()
     if not s:
@@ -83,7 +84,10 @@ def parse_instant(value: str) -> datetime:
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{value!r} falls outside years 1-9999 in UTC") from None
 
 
 def format_instant(dt: datetime) -> str:

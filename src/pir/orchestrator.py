@@ -14,27 +14,29 @@ shared list, plus previous_digest, the sha256 of the previous stage's
 checkpoint bytes. Loading a checkpoint checks that chain back to
 ProcessEvidence.json and folds the deltas into the state. ProcessEvidence
 streams the records: each is encoded once as it is parsed and written to
-state/records.json through a running sha256, and only its evidence appendix
-row and auth event are kept; ProcessEvidence.json names the file's sha256 as
-its records_digest. Loading checks the file against that digest and takes
-the rows from the file's bytes again. auth_event projects each logon
-record's auth event from the record's JSON form: the dict the review
-encoded, and on load the item decoded from the file, so a load rebuilds no
-EventRecord. The state keeps only the report's time: write_report_files
-builds the report, which checks its citation closure, and writes it, for
-GenerateReport and for ``pir render`` alike. verify_report re-reads the
-evidence and policy files, encoding the records as write_records does, and
-checks a report against them (``pir verify``).
+state/records.json through a running sha256, and the state keeps only the
+record count and the rows of the records its findings cite;
+ProcessEvidence.json names the file's sha256 as its records_digest. Loading
+hashes the file in blocks against that digest and decodes no record. The
+rows and auth events of every record stay answerable on any state
+(``records``, ``record_refs``, ``auth_events``): read_records, the one
+reader of records.json, reads them from the file when first asked, once per
+state. The state keeps only the report's time: write_report_files builds
+the report from the count and the cited rows, which checks its citation
+closure, and writes it, for GenerateReport and for ``pir render`` alike.
+verify_report re-reads the evidence and policy files, encoding the records
+as write_records does, and checks a report against them (``pir verify``).
 """
-
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -92,7 +94,7 @@ STATUS_SKIPPED = "skipped"
 STATUS_FAILED = "failed"
 
 RECORDS_FILE = "records.json"
-RecordRow = tuple[str, int, str, str]  # see ReviewState.records
+RecordRow = tuple[str, int, str, str]  # see ReviewState.cited_records
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,17 @@ class ReviewState:
 
     run_id: str
     config_digest: str
-    # One row per evidence record, in record order: record_ref, event_id,
-    # timestamp_utc as canonical text, and the sha256 of the record's piece
-    # of records.json; the report's evidence appendix holds the cited rows.
-    # The records are streamed to that file, never held.
-    records: tuple[RecordRow, ...] = ()
-    # sha256 of the bytes of state/records.json
+    # The records are streamed to records.json, never held. The state keeps
+    # their number, the sha256 of the file's bytes, and one row for each
+    # record that a finding cites (BehaviorFinding.cited_refs), in record
+    # order: record_ref, event_id, timestamp_utc as canonical text, and the
+    # sha256 of the record's piece of records.json. The report's evidence
+    # appendix is made from these rows.
+    record_count: int = 0
     records_digest: str | None = None
-    # the auth events of the records, re-derived on load
-    auth_events: tuple[AuthEvent, ...] = ()
-    skipped_auth_records: int = 0
+    cited_records: tuple[RecordRow, ...] = ()
+    # where records.json lies; not stored, and no part of equality or hashing
+    records_file: Path | None = field(default=None, compare=False)
     findings: tuple[BehaviorFinding, ...] = ()
     finding_summaries: tuple[str, ...] = ()
     mappings: tuple[TechniqueMapping, ...] = ()
@@ -138,6 +141,31 @@ class ReviewState:
     incident_summary: str | None = None
     report_generated_at: datetime | None = None
 
+    # Every record's row and auth event, read from records.json on demand.
+    # Neither a review nor a render asks for them.
+
+    @functools.cached_property
+    def _read(self) -> tuple[tuple[RecordRow, ...], tuple[AuthEvent, ...], int]:
+        """The rows of all records, their normalised auth events and the
+        count of auth records skipped, read once per state (read_records)."""
+        if self.records_digest is None:
+            return (), (), 0
+        rows, projected = read_records(self.records_file, self.records_digest)
+        auth_events, skipped = normalize_auth_events(projected)
+        return tuple(rows), tuple(auth_events), skipped
+
+    @property
+    def records(self) -> "RecordRows":
+        return RecordRows(self)
+
+    @property
+    def auth_events(self) -> tuple[AuthEvent, ...]:
+        return self._read[1]
+
+    @property
+    def skipped_auth_records(self) -> int:
+        return self._read[2]
+
     def record_refs(self) -> set[str]:
         return {row[0] for row in self.records}
 
@@ -152,9 +180,9 @@ class ReviewState:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict, records: list[RecordRow], auth_events: list[AuthEvent]) -> "ReviewState":
-        """Rebuild a state from a checkpoint dict and the rows and auth
-        events that read_records took from its records.json."""
+    def from_dict(cls, d: dict, records_file: Path) -> "ReviewState":
+        """Rebuild a state from a checkpoint dict; its records are in
+        ``records_file``."""
         kwargs = decode_fields(cls, {k: d[k] for k in _CODEC_FIELDS})
         clause_by_id = {
             c.clause_id: c for doc in kwargs["policy_documents"] for c in doc.clauses
@@ -167,24 +195,38 @@ class ReviewState:
             )
             for h in d["retrieval"]
         )
-        auth_events, skipped = normalize_auth_events(auth_events)
-        return cls(records=tuple(records), auth_events=tuple(auth_events), skipped_auth_records=skipped, **kwargs)
+        return cls(records_file=records_file, **kwargs)
+
+
+class RecordRows(Sequence):
+    """``ReviewState.records``: the rows of all records. Its length is the
+    state's record_count and reads no file; a row is read on demand."""
+
+    def __init__(self, state: ReviewState):
+        self._state = state
+
+    def __len__(self) -> int:
+        return self._state.record_count
+
+    def __getitem__(self, index):
+        return self._state._read[0][index]
+
+    def __iter__(self):
+        return iter(self._state._read[0])
 
 
 # A checkpoint stores every ReviewState field as the codec writes it, except
-# these: the record rows and the auth events are re-derived on load, and the
+# these: the records file is the one beside the checkpoint, and the
 # retrieval hits are stored by clause id.
 _CODEC_FIELDS = tuple(
-    f.name
-    for f in dataclasses.fields(ReviewState)
-    if f.name not in {"records", "auth_events", "skipped_auth_records", "retrieval"}
+    f.name for f in dataclasses.fields(ReviewState) if f.name not in {"records_file", "retrieval"}
 )
 
 
 # The fields each stage sets in its ``out``; no other stage may set them.
 OWNED_FIELDS = {
-    "ProcessEvidence": ("run_id", "config_digest", "records", "records_digest", "auth_events",
-                        "skipped_auth_records", "findings", "finding_summaries"),
+    "ProcessEvidence": ("run_id", "config_digest", "record_count", "records_digest", "cited_records",
+                        "records_file", "findings", "finding_summaries"),
     "MapAttack": ("mappings",),
     "RetrievePolicies": ("policy_documents", "retrieval_query", "retrieval"),
     "ValidatePolicies": ("org_params", "baseline_params", "gaps"),
@@ -250,22 +292,25 @@ def _absorb(out: dict, result: NarrativeResult) -> None:
 
 def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     config = deps.config
-    out["records_digest"], (out["records"], notes), auth_events = write_records(
+    out["records_digest"], (rows, notes), auth_events = write_records(
         lambda keep: load_evidence(config.evidence_paths, keep), config.output_dir
     )
+    out["records_file"] = state_dir(config.output_dir) / RECORDS_FILE
+    out["record_count"] = len(rows)
     out["notes"].extend(notes)
 
-    out["auth_events"], skipped = normalize_auth_events(auth_events)
-    out["skipped_auth_records"] = skipped
+    auth_events, skipped = normalize_auth_events(auth_events)
     if skipped:
         out["notes"].append(
             f"{skipped} auth record(s) skipped during normalization "
             f"(missing TargetUserName)"
         )
 
-    out["findings"] = findings = detect_bruteforce(out["auth_events"], config.detector)
+    out["findings"] = findings = detect_bruteforce(auth_events, config.detector)
     if not findings:
         out["notes"].append("no qualifying behaviour detected in evidence")
+    cited = {ref for finding in findings for ref in finding.cited_refs()}
+    out["cited_records"] = [row for row in rows if row[0] in cited]
 
     out["finding_summaries"] = summaries = []
     for finding in findings:
@@ -501,10 +546,12 @@ def write_records(load, output_dir: Path) -> tuple[str, object, list[AuthEvent]]
 
 def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEvent]]:
     """Read a records.json that write_records wrote, after checking its bytes
-    against ``digest``; returns the rows and auth events write_records
-    returned, each row's digest taken from the file's bytes. A logon
-    record's auth event is projected from its decoded JSON form; no record
-    is rebuilt as an EventRecord."""
+    against ``digest``; returns the rows of all its records and their auth
+    events, as write_records returned them, each row's digest taken from
+    the file's bytes. A logon record's auth event is projected from its
+    decoded JSON form; no record is rebuilt as an EventRecord. This is the
+    one reader of records.json, behind ReviewState.records and
+    ReviewState.auth_events."""
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
     data = path.read_bytes()
@@ -528,12 +575,25 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
     return rows, auth_events
 
 
+def check_records_file(path: Path, digest: str) -> None:
+    """Raise RecordsFileError unless ``path`` is a file whose sha256 is
+    ``digest``. The file is hashed in blocks and never held whole."""
+    if not path.is_file():
+        raise RecordsFileError(f"records file not found: {path}")
+    sha = hashlib.sha256()
+    with path.open("rb") as stream:
+        for block in iter(lambda: stream.read(1 << 16), b""):
+            sha.update(block)
+    if sha.hexdigest() != digest:
+        raise RecordsFileError(f"{path} does not match the checkpoint's records_digest")
+
+
 def save_checkpoint(state: ReviewState, output_dir: Path, stage: str, base: ReviewState | None = None) -> Path:
     """Write <stage>.json: the fields ``stage`` owns, the items it appended to
     each shared list after ``base`` (the state it started from, None for an
     empty one), and previous_digest, the sha256 of the bytes of the previous
     stage's checkpoint (None for the first stage)."""
-    if state.records and state.records_digest is None:
+    if state.record_count and state.records_digest is None:
         raise RecordsFileError(f"{stage}: the state holds records but no records_digest")
     directory = state_dir(output_dir)
     values = {k: getattr(state, k) for k in OWNED_FIELDS[stage]}
@@ -552,7 +612,8 @@ def load_checkpoint(path: Path) -> ReviewState:
     """Load the state after the stage that ``path``'s own stage_log entry
     names, folding the checkpoints from ProcessEvidence's on. The earlier
     ones must sit beside it, each matching the previous_digest after it, else
-    MalformedCheckpointError names it; so must records.json (RecordsFileError)."""
+    MalformedCheckpointError names it; so must records.json, which must match
+    the records_digest (RecordsFileError). No record is decoded."""
     path = Path(path)
     try:
         docs = [json.loads(path.read_bytes())]
@@ -570,10 +631,10 @@ def load_checkpoint(path: Path) -> ReviewState:
             d.update((k, d[k] + doc[k]) for k in SHARED_FIELDS)
         if [r["stage"] for r in d["stage_log"]] != list(STAGES[: len(docs)]):
             raise ValueError("the stage_log entries are not the stages in order")
-        rows, auth_events = [], []
+        records_file = path.parent / RECORDS_FILE
         if d["records_digest"]:
-            rows, auth_events = read_records(path.parent / RECORDS_FILE, d["records_digest"])
-        return ReviewState.from_dict(d, rows, auth_events)
+            check_records_file(records_file, d["records_digest"])
+        return ReviewState.from_dict(d, records_file)
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
@@ -601,8 +662,8 @@ def run_review(config: ReviewConfig, transport=None) -> ReviewState:
 
 
 def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path]:
-    """Build the state's report, which checks its citation closure, and
-    render it in both formats. The report is dated report_generated_at; a
+    """Build the state's report from its record count and cited rows, which
+    checks its citation closure, and render it in both formats. The report is dated report_generated_at; a
     state from before GenerateReport has none, so it is dated now."""
     report = reporting.build_report(state, generated_at=state.report_generated_at or utc_now())
     output_dir.mkdir(parents=True, exist_ok=True)

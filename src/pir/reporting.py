@@ -8,16 +8,18 @@ it, so the document that passes the closure check is the one written.
 Citation closure has one rule, :func:`collect_citations`: the reference keys
 below plus the citation markers in any string, outside the ``_EXEMPT_KEYS``
 sections. build_report applies it to that document, as any reader of a
-report.json can. A citation that does not resolve against the ingested
-evidence and policy clauses aborts build_report, and with it the writing of
-the report, by GenerateReport or by ``pir render``, rather than shipping an
-audit artifact with dangling references.
+report.json can. A record citation must resolve against the records that
+the findings rest on, the state's ``cited_records``, and a clause citation
+against the policy clauses. One that does not aborts build_report, and with
+it the writing of the report, by GenerateReport or by ``pir render``, rather
+than shipping an audit artifact with dangling references.
 
 The report's size follows its conclusions, not its evidence: the evidence
-appendix holds a row for each cited record only, and the policy appendix one
-for each cited clause, with the sha256 of its text. An uncited record is
-covered by ``evidence_digest``, the sha256 of records.json, and
-``record_count``. :func:`check_report` checks a re-read report against its
+appendix holds a row for each cited record only, taken from the state's
+``cited_records``, and the policy appendix one for each cited clause, with
+the sha256 of its text. An uncited record is covered by ``evidence_digest``,
+the sha256 of records.json, and ``record_count``; building a report reads no
+record. :func:`check_report` checks a re-read report against its
 own appendices and against rows recomputed from the evidence and policy
 files, as ``pir verify`` does.
 """
@@ -107,16 +109,17 @@ def build_trace_ledger(state: "ReviewState") -> list[dict]:
 def build_report(state: "ReviewState", generated_at: datetime) -> dict:
     """Build the report document, the dict that :func:`render_json` dumps
     and :func:`render_markdown` reads, and check its citation closure
-    against the state's records and clauses.
+    against the state's cited records and its clauses: a record citation
+    resolves only against a record that a finding rests on.
 
     The sections in ``_EXEMPT_KEYS`` are not checked: a degraded transcript
     and its degradation note record the rejected model output, fabricated
     citations included, as the audit trail of why the fallback text was used.
 
-    The citations are collected once. The evidence appendix is the state's
-    rows of the cited records, in record order, and the policy appendix the
-    cited clauses, in document order; ``evidence_digest`` and
-    ``record_count`` cover the records. The state and its items are frozen,
+    The citations are collected once. The evidence appendix is the rows of
+    ``cited_records`` that the report cites, in record order, and the policy
+    appendix the cited clauses, in document order; ``evidence_digest`` and
+    ``record_count`` cover all the records. The state and its items are frozen,
     and the document shares no list with them: the items' ``to_dict`` turns
     their tuples into new lists.
     """
@@ -136,14 +139,15 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
         "schema_version": REPORT_SCHEMA_VERSION,
     }
     refs, clauses = collect_citations(report)
-    missing = _unresolved(refs, clauses, state.record_refs(), state.clause_ids())
+    known_refs = {row[0] for row in state.cited_records}
+    missing = _unresolved(refs, clauses, known_refs, state.clause_ids())
     if missing:
         raise UnresolvedReferenceError(
             f"report cites unknown references: {', '.join(missing)}"
         )
-    report["evidence_appendix"] = evidence_appendix(state.records, refs)
+    report["evidence_appendix"] = evidence_appendix(state.cited_records, refs)
     report["evidence_digest"] = state.records_digest
-    report["record_count"] = len(state.records)
+    report["record_count"] = state.record_count
     report["policy_appendix"] = policy_appendix(state.policy_documents, clauses)
     return report
 
@@ -457,7 +461,7 @@ def deterministic_incident_summary(state: "ReviewState") -> str:
     """Clock-free fallback incident summary built from structured state."""
     if not state.findings:
         return (
-            f"Review of {len(state.records)} event record(s) found no "
+            f"Review of {state.record_count} event record(s) found no "
             f"qualifying authentication behaviour; no technique mapping or "
             f"policy gap analysis was performed."
         )

@@ -7,7 +7,8 @@ import pytest
 from pir import orchestrator
 from pir.canon import canon_dumps
 from pir.cli import main
-from pir.log_ingest import load_csv
+from pir.log_ingest import flatten_to_csv, load_csv, parse_event_xml
+from pir.scenario_gen import ScenarioSpec, generate
 
 from conftest import BASE_TIME, FIXTURES, event_xml, rewrite_checkpoint
 
@@ -215,6 +216,31 @@ def test_review_rejects_evidence_that_repeats_a_record_ref(tmp_path, capsys):
     assert "bruteforce_scenario.xml" in payload["detail"]
     assert "records.csv" in payload["detail"]
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("suffix", ["xml", "csv"])
+@pytest.mark.parametrize("instant", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+def test_ingest_refuses_an_instant_outside_years_1_to_9999_in_utc(tmp_path, capsys, suffix, instant):
+    # a well-formed timestamp whose offset moves it out of the years a
+    # datetime holds
+    if suffix == "xml":
+        text = event_xml([{"event_id": 4625, "time": instant, "fields": {"TargetUserName": "eve"}}])
+    else:
+        xml = event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z", "fields": {"TargetUserName": "eve"}}])
+        text = flatten_to_csv(parse_event_xml(xml, source="edge")).replace("2026-06-01T12:00:00Z", instant)
+    evidence = tmp_path / f"edge.{suffix}"
+    evidence.write_text(text, encoding="utf-8", newline="")
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    raw["evidence_paths"] = [str(evidence)]
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    code, _out, err = run_cli(
+        capsys, "ingest", "--config", str(tmp_path / "config.json"), "--output", str(tmp_path / "out")
+    )
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == {"xml": "MissingSystemFieldError", "csv": "CsvSchemaError"}[suffix]
+    assert instant in payload["detail"]
+    assert not (tmp_path / "out" / "records.csv").exists()
 
 
 def test_ingest_with_missing_evidence_exits_3(tmp_path, capsys):
@@ -442,6 +468,35 @@ def test_render_fails_closed_on_a_fabricated_control_clause_ref(tmp_path, capsys
     assert payload["error"] == "UnresolvedReferenceError"
     assert "org_policy:99-99" in payload["detail"]
     assert not (rendered / "report.json").exists()
+
+
+def test_review_refuses_a_citation_injected_through_an_account_name(tmp_path, capsys):
+    # Evidence text names a noise record that no finding rests on. A record
+    # citation resolves only against the records the findings cite, so the
+    # report is refused rather than written with that citation. ROADMAP item
+    # 3(b) is to make such text inert, so that this review exits 0.
+    xml, truth = generate(
+        ScenarioSpec(target_account="admin [EVT:inj#12]", noise_events=20, noise_accounts=("jdoe",)),
+        source_name="inj",
+    )
+    assert "inj#12" not in [*truth.injected_record_refs, truth.success_record_ref]
+    (tmp_path / "inj.xml").write_text(xml, encoding="utf-8")
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for key in ("org_policy_paths", "baseline_policy_paths"):
+        raw[key] = [str(FIXTURES / p) for p in raw[key]]
+    raw["evidence_paths"] = [str(tmp_path / "inj.xml")]
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code, _out, err = run_cli(
+        capsys, "review", "--config", str(tmp_path / "config.json"), "--output", str(out),
+        "--gateway-mode", "disabled",
+    )
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert (payload["stage"], payload["cause"]) == ("GenerateReport", "UnresolvedReferenceError")
+    assert "inj#12" in payload["detail"]
+    assert not (out / "report.json").exists()
+    assert not (out / "report.md").exists()
 
 
 def test_render_reads_back_a_timestamp_before_year_1000(tmp_path, capsys):

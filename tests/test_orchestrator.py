@@ -658,6 +658,67 @@ def test_rerender_rebuilds_no_record(demo_config, monkeypatch, tmp_path):
     assert rebuilt == []
 
 
+def count_records_reads(monkeypatch) -> list[Path]:
+    """Record the path of each read_records call, made through the
+    orchestrator's name for it."""
+    reads = []
+    read = orchestrator.read_records
+
+    def counted(path, digest):
+        reads.append(path)
+        return read(path, digest)
+
+    monkeypatch.setattr(orchestrator, "read_records", counted)
+    return reads
+
+
+def test_rerender_reads_no_record(demo_config, monkeypatch, tmp_path):
+    run_review(demo_config)
+    reads = count_records_reads(monkeypatch)
+    state = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
+    json_path, md_path = write_report_files(state, tmp_path / "rendered")
+    assert reads == []
+    for path in (json_path, md_path):
+        assert path.read_bytes() == (demo_config.output_dir / path.name).read_bytes()
+
+
+def test_records_are_read_on_demand_once_per_state(demo_config, monkeypatch, tmp_path):
+    review = run_review(demo_config)
+    state_files = demo_config.output_dir / "state"
+    loaded = load_checkpoint(state_files / "GenerateReport.json")
+    records_path = state_files / RECORDS_FILE
+    data = records_path.read_bytes()
+    reads = count_records_reads(monkeypatch)
+
+    # the record count is the state's own: with no records.json to read,
+    # both states still answer it
+    records_path.unlink()
+    for state in (review, loaded):
+        assert len(state.records) == state.record_count == 19
+        assert state.records
+    assert reads == []
+
+    # the rows, refs and auth events come from one read per state
+    records_path.write_bytes(data)
+    refs = [d["record_ref"] for d in json.loads(data)]
+    for state in (review, loaded):
+        assert [row[0] for row in state.records] == refs
+        assert state.record_refs() == set(refs)
+        assert state.auth_events
+        assert state.skipped_auth_records == 0
+    assert reads == [records_path, records_path]
+
+    # where records.json lies is no part of a state's equality or hash
+    shutil.copytree(state_files, tmp_path / "state")
+    moved = load_checkpoint(tmp_path / "state" / "GenerateReport.json")
+    assert moved.records_file != loaded.records_file
+    assert moved == loaded
+    assert hash(moved) == hash(loaded)
+    # the review's state differs from its loaded state only in the BM25
+    # scores, which a checkpoint rounds to six places
+    assert dataclasses.replace(review, retrieval=loaded.retrieval) == loaded
+
+
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _RECORDS = st.lists(
     st.builds(
@@ -722,8 +783,7 @@ def test_read_records_refuses_records_not_joined_by_commas(tmp_path):
 
 
 def test_checkpoint_of_records_without_digest_is_refused(demo_config, tmp_path):
-    row = ("src#1", 4625, "2026-06-01T12:00:00Z", "0" * 64)
-    state = dataclasses.replace(fresh_state(demo_config), records=(row,))
+    state = dataclasses.replace(fresh_state(demo_config), record_count=1)
     with pytest.raises(RecordsFileError, match="no records_digest"):
         save_checkpoint(state, tmp_path, "ProcessEvidence")
     assert not (tmp_path / "state" / "ProcessEvidence.json").exists()

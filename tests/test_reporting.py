@@ -199,10 +199,10 @@ def test_report_refuses_digests_that_do_not_match_the_records(
         digest_of(piece_by_ref[row["record_ref"]]) for row in appendix
     ]
 
-    # and a record's row carries exactly one, cited or not
-    row = state.records[-1]
+    # and a cited record's row carries exactly one
+    row = state.cited_records[-1]
     row = row[:-1] if digests == "one short" else (*row, "0" * 64)
-    state = dataclasses.replace(state, records=(*state.records[:-1], row))
+    state = dataclasses.replace(state, cited_records=(*state.cited_records[:-1], row))
     with pytest.raises(ValueError, match="unpack"):
         build_report(state, generated_at=utc_now())
 
