@@ -804,7 +804,8 @@ def test_retrieval_serialises_to_pinned_bytes(demo_config):
 # one codec, and each <Stage>.json by digest_of its JSON with the stage
 # clock, previous_digest and report_generated_at masked, taken
 # when each checkpoint became that stage's delta (PINNED_STAGE_STATES pins the
-# states they load). The review runs on a copy of the fixtures with no
+# states they load); ProcessEvidence.json re-taken when it gained
+# record_count and cited_records, without which it gives the old pin. The review runs on a copy of the fixtures with no
 # overrides, as test_fixture_reports_match_pinned_digests does.
 PINNED_STATE_FILES = {
     "review_config.json": {
@@ -812,7 +813,7 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "aa7f63f7b04318e6b15c77305bd98d59e0563d2a08bcf163d874c6d951dfb3b2"
+            "d6a77b7f61b4d6f0f7c49f7e98ae3f4faf3e0e4c9ae97439e4fa13dc1f43c69b"
         ),
         "MapAttack.json": (
             "288ebb8edafeb7b5427f0ffed0e089cad7e39c81201e763ecb1fc9ce837c7688"
@@ -832,7 +833,7 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "8db3b3c52c88e88134630c14a95355ff7c68e5b262b7ed7006f06c1f19165e68"
+            "927b9fe157a15be0a0deef3aea6665609db16899e1992f7ed0d45a00b179b523"
         ),
         "MapAttack.json": (
             "288ebb8edafeb7b5427f0ffed0e089cad7e39c81201e763ecb1fc9ce837c7688"
@@ -877,20 +878,22 @@ def test_fixture_state_files_match_pinned_digests(config_name, tmp_path):
 # state_digest of the state after each stage, as load_checkpoint rebuilds it
 # from that stage's <Stage>.json; taken while every checkpoint still held the
 # whole state, so a change of checkpoint format must load the same states.
+# Re-taken when the state gained record_count and cited_records; without
+# those two fields each state gives the pin taken before.
 PINNED_STAGE_STATES = {
     "review_config.json": {
-        "ProcessEvidence": "0ec90b21109b0f3a6f3a61bb35f5c7939ac8a54d5fd325d535277e57f3fdc5b5",
-        "MapAttack": "034bde28a225ea195d1060c369f83b03f87e469ac3af696cd2b339ef86cbb020",
-        "RetrievePolicies": "c15afe2a84d4d749f374443cabb35d428d2992feb99a430c0a45be1fdb5510da",
-        "ValidatePolicies": "6aa66d57d85194dd10e07dac0608ccc18938c8d34f1baf72cff6665758002090",
-        "GenerateReport": "6a025f15194fac09636a04339bf988e4e802c69859a0764c13b93534ce05726f",
+        "ProcessEvidence": "27b5ba845fea9844481f8ee778f13ab4da6f1c4b46f24aeda26461238140efb1",
+        "MapAttack": "8eb1287da37a240892c68a1891bd4294b058bc8969ce4ffea63ad31fbe76ba96",
+        "RetrievePolicies": "71c6f4b49cf8ed76150bc2c2e8b2fca1dd21393521f81ee094467e09d131a6e3",
+        "ValidatePolicies": "90efe62fd1f9fbfbc31ffec8c7c3f8711f872d83cae918580a27c5d8ef18315b",
+        "GenerateReport": "55a8a93b731d22904c3f096163dc9d5b57eaf4930239c1f9b6605143040cbba5",
     },
     "review_config_nogap.json": {
-        "ProcessEvidence": "6c967d32d92d24491e87f2972fa27f0636eab569d9fa8c8530bcdb0e2519b5b0",
-        "MapAttack": "b2453d89bf609ac153a88d2aa222ba379e4eeae71a258ffd578f6519dd9df49d",
-        "RetrievePolicies": "c580bb729244bfc8c11d682ccb1b4b43a118fa84cad219068e33d92442397d5f",
-        "ValidatePolicies": "4ed513fd0130a1cb1fb5fff295f433332629f4150b874b338ebd6a2fea5449c5",
-        "GenerateReport": "5497197600bd2b14234298be903d56ecdf36f34532684ba0154e1de6d37a4193",
+        "ProcessEvidence": "da17f9d843eaacec575249f7924b584e6987b4562286d01f4b3f6f283abaee43",
+        "MapAttack": "31e4daf8b416278e1807c331c765427c13f84a562f26743a8f88a861d0be3c8d",
+        "RetrievePolicies": "0d50944a1f7465e085ef9bcc116fa9b965348f4abb1fe42ca16db620346696b1",
+        "ValidatePolicies": "442c4bf6c08b4b66940b11af41a73cce0bc1ea5008cf0fd95eb01c19d90b8a1e",
+        "GenerateReport": "d4d1a277e63b3bf1ea98bd71ef92fe603387784364498701ffea5ceaabb24b08",
     },
 }
 
