@@ -27,6 +27,7 @@ closure, and writes it, for GenerateReport and for ``pir render`` alike.
 verify_report re-reads the evidence and policy files, encoding the records
 as write_records does, and checks a report against them (``pir verify``).
 """
+
 from __future__ import annotations
 
 import dataclasses
@@ -663,8 +664,9 @@ def run_review(config: ReviewConfig, transport=None) -> ReviewState:
 
 def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path]:
     """Build the state's report from its record count and cited rows, which
-    checks its citation closure, and render it in both formats. The report is dated report_generated_at; a
-    state from before GenerateReport has none, so it is dated now."""
+    checks its citation closure, and render it in both formats. The report
+    is dated report_generated_at; a state from before GenerateReport has
+    none, so it is dated now."""
     report = reporting.build_report(state, generated_at=state.report_generated_at or utc_now())
     output_dir.mkdir(parents=True, exist_ok=True)
     json_path = output_dir / "report.json"
