@@ -212,9 +212,6 @@ class RecordRows(Sequence):
     def __getitem__(self, index):
         return self._state._read[0][index]
 
-    def __iter__(self):
-        return iter(self._state._read[0])
-
 
 # A checkpoint stores every ReviewState field as the codec writes it, except
 # these: the records file is the one beside the checkpoint, and the

@@ -805,8 +805,9 @@ def test_retrieval_serialises_to_pinned_bytes(demo_config):
 # clock, previous_digest and report_generated_at masked, taken
 # when each checkpoint became that stage's delta (PINNED_STAGE_STATES pins the
 # states they load); ProcessEvidence.json re-taken when it gained
-# record_count and cited_records, without which it gives the old pin. The review runs on a copy of the fixtures with no
-# overrides, as test_fixture_reports_match_pinned_digests does.
+# record_count and cited_records, without which it gives the old pin. The
+# review runs on a copy of the fixtures with no overrides, as
+# test_fixture_reports_match_pinned_digests does.
 PINNED_STATE_FILES = {
     "review_config.json": {
         "records.json": (
