@@ -3,9 +3,14 @@
 All digests, cache keys, checkpoints and report bytes go through these
 functions so identical state always produces identical bytes: keys sorted,
 no insignificant whitespace, UTF-8, and timestamps rendered as UTC ISO-8601
-with a trailing ``Z``. Floats are written as given (Python's shortest
-round-tripping form); a computed float is rounded where it is serialised,
-as ``RetrievalHit.to_dict`` rounds BM25 scores to 6 decimals.
+with a trailing ``Z``. The one exception is the records.json piece of each
+evidence record, which ``log_ingest.encode_record`` writes directly,
+because a review encodes every record: its bytes are those of
+``canon_dumps(record.to_dict())``, which the property
+``test_record_digests_agree_at_write_at_load_and_with_digest_of`` in
+tests/test_orchestrator.py pins. Floats are written as given (Python's
+shortest round-tripping form); a computed float is rounded where it is
+serialised, as ``RetrievalHit.to_dict`` rounds BM25 scores to 6 decimals.
 
 Record types written to JSON inherit :class:`Canonical`, whose
 ``to_dict``/``from_dict`` follow from the dataclass fields and their type
@@ -64,8 +69,9 @@ def digest_of(obj) -> str:
 _FRACTION_RE = re.compile(r"\.(\d+)")
 
 
-def parse_instant(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp into an aware UTC datetime.
+def read_instant(value: str) -> tuple[datetime, bool]:
+    """Parse an ISO-8601 timestamp into an aware UTC datetime, and tell
+    whether the text named its zone (a trailing ``Z`` or a numeric offset).
 
     Accepts a trailing ``Z``, any numeric offset, and fractional seconds of
     any width (Windows exports use seven digits; extra digits are truncated
@@ -79,15 +85,23 @@ def parse_instant(value: str) -> datetime:
         raise ValueError("empty timestamp")
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
-    # fromisoformat on 3.10 only takes 3- or 6-digit fractions
-    s = _FRACTION_RE.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc)
     try:
-        return dt.astimezone(timezone.utc)
+        dt = datetime.fromisoformat(s)
+    except ValueError:
+        # fromisoformat on 3.10 only takes 3- or 6-digit fractions
+        s = _FRACTION_RE.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
+        dt = datetime.fromisoformat(s)
+    if dt.tzinfo is None:
+        return dt.replace(tzinfo=timezone.utc), False
+    try:
+        return dt.astimezone(timezone.utc), True
     except OverflowError:
         raise ValueError(f"{value!r} falls outside years 1-9999 in UTC") from None
+
+
+def parse_instant(value: str) -> datetime:
+    """The instant of :func:`read_instant`."""
+    return read_instant(value)[0]
 
 
 def format_instant(dt: datetime) -> str:
@@ -164,8 +178,8 @@ class Canonical:
     module docstring)."""
 
     def to_dict(self) -> dict:
-        # Copying __dict__ is about 5x faster than reading the fields by name;
-        # a review encodes every record once, in write_records.
+        # Copying __dict__ is about 5x faster than reading the fields by name.
+        # A review encodes its records through log_ingest.encode_record, not here.
         return encode_fields(type(self), self.__dict__.copy())
 
     @classmethod

@@ -19,7 +19,6 @@ from .detection import detect_bruteforce
 from .errors import ConfigInvalidError, ReportMismatchError, ReviewError, StageFailureError
 from .llm_gateway import GATEWAY_MODES
 from .log_ingest import (
-    AUTH_EVENT_IDS,
     auth_event,
     flatten_to_csv,
     load_evidence,
@@ -97,7 +96,7 @@ def cmd_detect(args) -> int:
     config = _config(args)
     projected = _load_evidence(
         config,
-        lambda record: auth_event(record.to_dict()) if record.event_id in AUTH_EVENT_IDS else None,
+        lambda r: auth_event(r.record_ref, r.event_id, r.fields, r.timestamp_utc),
     )
     events, skipped = normalize_auth_events(projected)
     findings = detect_bruteforce(events, config.detector)

@@ -23,8 +23,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -265,6 +263,9 @@ def http_transport(
     "temperature", "top_p", "max_tokens"}; response text is read from
     choices[0].message.content.
     """
+    # imported here, so a review that makes no HTTP call loads no HTTP stack
+    import urllib.error
+    import urllib.request
 
     def call(request_body: dict) -> str:
         payload = json.dumps(request_body).encode("utf-8")

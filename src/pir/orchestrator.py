@@ -13,8 +13,10 @@ holds that stage's delta, its own fields and the items it appended to each
 shared list, plus previous_digest, the sha256 of the previous stage's
 checkpoint bytes. Loading a checkpoint checks that chain back to
 ProcessEvidence.json and folds the deltas into the state. ProcessEvidence
-streams the records: each is encoded once as it is parsed and written to
-state/records.json through a running sha256, and the state keeps only the
+streams the records: each is encoded once as it is parsed, straight from
+the parsed record (log_ingest.encode_record), and written to
+state/records.json through a running sha256; a logon record's auth event
+is projected from the same record's parts. The state keeps only the
 record count and the rows of the records its findings cite;
 ProcessEvidence.json names the file's sha256 as its records_digest. Loading
 hashes the file in blocks against that digest and decodes no record. The
@@ -25,7 +27,8 @@ state. The state keeps only the report's time: write_report_files builds
 the report from the count and the cited rows, which checks its citation
 closure, and writes it, for GenerateReport and for ``pir render`` alike.
 verify_report re-reads the evidence and policy files, encoding the records
-as write_records does, and checks a report against them (``pir verify``).
+through the same encode_records as write_records, and checks a report
+against them (``pir verify``).
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ import functools
 import hashlib
 import json
 import logging
+import mmap
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,6 +53,7 @@ from .canon import (
     decode_fields,
     digest_of,
     encode_fields,
+    parse_instant,
     sha256_hex,
     utc_now,
 )
@@ -76,7 +81,15 @@ from .gap_analysis import (
     select_effective,
 )
 from .llm_gateway import Gateway, GatewaySettings, NarrativeResult, Transcript
-from .log_ingest import AUTH_EVENT_IDS, AuthEvent, EventRecord, auth_event, load_evidence, normalize_auth_events
+from .log_ingest import (
+    AUTH_EVENT_IDS,
+    AuthEvent,
+    EventRecord,
+    auth_event,
+    encode_record,
+    load_evidence,
+    normalize_auth_events,
+)
 from .policy_index import (
     DOC_KIND_BASELINE,
     DOC_KIND_ORGANISATION,
@@ -96,6 +109,9 @@ STATUS_FAILED = "failed"
 
 RECORDS_FILE = "records.json"
 RecordRow = tuple[str, int, str, str]  # see ReviewState.cited_records
+# A row as encode_records makes it: the start and end offsets of the record's
+# piece of records.json stand where the piece's sha256 goes (digest_rows).
+PieceRow = tuple[str, int, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -293,7 +309,7 @@ def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     out["records_digest"], (rows, notes), auth_events = write_records(
         lambda keep: load_evidence(config.evidence_paths, keep), config.output_dir
     )
-    out["records_file"] = state_dir(config.output_dir) / RECORDS_FILE
+    out["records_file"] = records_file = state_dir(config.output_dir) / RECORDS_FILE
     out["record_count"] = len(rows)
     out["notes"].extend(notes)
 
@@ -308,7 +324,8 @@ def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     if not findings:
         out["notes"].append("no qualifying behaviour detected in evidence")
     cited = {ref for finding in findings for ref in finding.cited_refs()}
-    out["cited_records"] = [row for row in rows if row[0] in cited]
+    with records_file.open("rb") as stream, mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        out["cited_records"] = digest_rows([row for row in rows if row[0] in cited], data)
 
     out["finding_summaries"] = summaries = []
     for finding in findings:
@@ -496,34 +513,44 @@ def state_dir(output_dir: Path) -> Path:
 
 
 def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
-    """Encode the records that ``load(keep)`` hands to ``keep``, each once,
-    into the bytes of records.json, passing them to ``write`` as they are
-    made; ``keep`` returns the record's row, and projects a logon record's
-    auth event from the JSON form it encoded. Returns the sha256 of the bytes,
-    what ``load`` returned and the records' auth events. The bytes are the
-    canonical JSON of the record list: the pieces joined by commas inside
-    brackets."""
+    """Encode the records that ``load(keep)`` hands to ``keep``, each once
+    (encode_record), into the bytes of records.json, passing them to
+    ``write`` as they are made; ``keep`` returns the record's PieceRow, and
+    projects a logon record's auth event from the record's parts. Returns
+    the sha256 of the bytes, what ``load`` returned and the records' auth
+    events. The bytes are the canonical JSON of the record list: the pieces
+    joined by commas inside brackets."""
     sha = hashlib.sha256()
     auth_events: list[AuthEvent] = []
     separator = b"["
+    start = 1  # where the next piece starts, just past its separator
 
     def emit(data: bytes) -> None:
         write(data)
         sha.update(data)
 
-    def keep(record: EventRecord) -> RecordRow:
-        nonlocal separator
-        d = record.to_dict()
-        piece = canon_dumps(d).encode("utf-8")
-        emit(separator + piece)
+    def keep(record: EventRecord) -> PieceRow:
+        nonlocal separator, start
+        time_text, piece = encode_record(record)
+        data = piece.encode("utf-8")
+        emit(separator + data)
         separator = b","
-        if d["event_id"] in AUTH_EVENT_IDS:
-            auth_events.append(auth_event(d))
-        return d["record_ref"], d["event_id"], d["timestamp_utc"], sha256_hex(piece)
+        ref, event_id = record.record_ref, record.event_id
+        if event_id in AUTH_EVENT_IDS:
+            auth_events.append(auth_event(ref, event_id, record.fields, record.timestamp_utc))
+        row = ref, event_id, time_text, start, start + len(data)
+        start += len(data) + 1
+        return row
 
     loaded = load(keep)
     emit(b"]\n" if separator == b"," else b"[]\n")
     return sha.hexdigest(), loaded, auth_events
+
+
+def digest_rows(rows: Iterable[PieceRow], data) -> list[RecordRow]:
+    """The RecordRows of ``rows``: each piece's offsets give way to the
+    sha256 of its bytes in ``data``, the bytes of records.json."""
+    return [(ref, event_id, ts, sha256_hex(data[start:end])) for ref, event_id, ts, start, end in rows]
 
 
 def write_records(load, output_dir: Path) -> tuple[str, object, list[AuthEvent]]:
@@ -544,12 +571,12 @@ def write_records(load, output_dir: Path) -> tuple[str, object, list[AuthEvent]]
 
 def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEvent]]:
     """Read a records.json that write_records wrote, after checking its bytes
-    against ``digest``; returns the rows of all its records and their auth
-    events, as write_records returned them, each row's digest taken from
-    the file's bytes. A logon record's auth event is projected from its
-    decoded JSON form; no record is rebuilt as an EventRecord. This is the
-    one reader of records.json, behind ReviewState.records and
-    ReviewState.auth_events."""
+    against ``digest``; returns the rows of all its records, each row's
+    digest taken from the file's bytes, and their auth events, as
+    write_records returned them. A logon record's auth event is projected
+    from the parts of its decoded JSON form; no record is rebuilt as an
+    EventRecord. This is the one reader of records.json, behind
+    ReviewState.records and ReviewState.auth_events."""
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
     data = path.read_bytes()
@@ -568,7 +595,7 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
         ref, event_id, ts = item["record_ref"], item["event_id"], item["timestamp_utc"]
         rows.append((ref, event_id, ts, sha256_hex(text[pos:end])))
         if event_id in AUTH_EVENT_IDS:
-            auth_events.append(auth_event(item))
+            auth_events.append(auth_event(ref, event_id, item["fields"], parse_instant(ts)))
         pos = end + 1
     return rows, auth_events
 
@@ -676,12 +703,15 @@ def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path
 def verify_report(config: ReviewConfig, doc: dict) -> None:
     """Check a re-read report document against the config's evidence and
     policy files (reporting.check_report). The records are encoded as
-    write_records encodes them, into no file, to recompute their rows and
-    evidence digest. A document that lacks a section the check reads is a
-    ReportMismatchError too."""
+    write_records encodes them, into memory and no file, to recompute their
+    rows and evidence digest. A document that lacks a section the check
+    reads is a ReportMismatchError too."""
+    data = bytearray()
     digest, (rows, _notes), _auth_events = encode_records(
-        lambda keep: load_evidence(config.evidence_paths, keep), lambda data: None
+        lambda keep: load_evidence(config.evidence_paths, keep), data.extend
     )
+    rows = digest_rows(rows, data)
+    del data
     documents = load_policy_documents(config.org_policy_paths, config.baseline_policy_paths)
     try:
         reporting.check_report(doc, rows, digest, documents)

@@ -16,6 +16,7 @@ from pir.log_ingest import (
     EVTX_HEADER_SIZE,
     AuthEvent,
     EventRecord,
+    auth_event,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -74,6 +75,11 @@ def event_xml(events: list[dict]) -> str:
         )
     parts.append("</Events>")
     return "\n".join(parts)
+
+
+def project(record: EventRecord) -> AuthEvent | None:
+    """The auth_event of a record, given the record's parts."""
+    return auth_event(record.record_ref, record.event_id, record.fields, record.timestamp_utc)
 
 
 def make_record(

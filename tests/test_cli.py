@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
+import pir
 from pir import orchestrator
 from pir.canon import canon_dumps
 from pir.cli import main
@@ -19,6 +24,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_starts_without_the_http_stack():
+    # only a live gateway call needs HTTP; a replay, disabled or
+    # scripted-transport review must not pay for loading it
+    src = str(Path(pir.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, pir.cli; print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])"
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == "[]"
+    helped = subprocess.run([sys.executable, "-m", "pir.cli", "--help"], env=env, capture_output=True, text=True)
+    assert helped.returncode == 0
+    assert "review" in helped.stdout
 
 
 # --- review -----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pir.canon import format_instant, parse_instant
+from pir.canon import format_instant, parse_instant, read_instant
 from pir.detection import DetectorParams, detect_bruteforce
 
 from pir.errors import (
@@ -25,7 +25,6 @@ from pir.errors import (
 )
 from pir.log_ingest import (
     EventRecord,
-    auth_event,
     flatten_to_csv,
     load_csv,
     load_evidence,
@@ -35,7 +34,7 @@ from pir.log_ingest import (
 )
 from pir.scenario_gen import ScenarioSpec, generate
 
-from conftest import evtx_bytes, event_xml, make_record
+from conftest import evtx_bytes, event_xml, make_record, project
 
 
 # --- container framing ------------------------------------------------------
@@ -184,6 +183,71 @@ def test_only_offset_free_timestamps_warn(time_text, warns, caplog):
         [r] = parse_event_xml(text, source="s")
     assert r.timestamp_utc.isoformat() == "2026-06-01T12:00:00+00:00"
     assert any("assumed UTC" in m for m in caplog.messages) == warns
+
+
+_FRACTION = re.compile(r"\.(\d+)")
+
+
+def two_pass_read(value: str) -> tuple[datetime, bool]:
+    """Reference for read_instant: the instant as parse_instant read it
+    before it took its zone verdict from its own parse, and that verdict as
+    a second scan of the text found it."""
+    s = value.strip()
+    if not s:
+        raise ValueError("empty timestamp")
+    if s.endswith(("Z", "z")):
+        s = s[:-1] + "+00:00"
+    s = _FRACTION.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
+    dt = datetime.fromisoformat(s)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    else:
+        try:
+            dt = dt.astimezone(timezone.utc)
+        except OverflowError:
+            raise ValueError(f"{value!r} falls outside years 1-9999 in UTC") from None
+    # past the date's first ten characters, a sign can only start an offset
+    clock = value.strip()[10:]
+    return dt, clock.endswith(("Z", "z")) or "+" in clock or "-" in clock
+
+
+def _outcome(read, text):
+    try:
+        dt, zoned = read(text)
+    except ValueError:
+        return ValueError
+    return dt, dt.tzinfo, zoned
+
+
+_OFFSETS = st.builds(
+    lambda sign, minutes: f"{sign}{minutes // 60:02d}:{minutes % 60:02d}",
+    st.sampled_from("+-"),
+    st.integers(0, 24 * 60 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    clock=st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    separator=st.sampled_from("T "),
+    fraction=st.none() | st.text("0123456789", min_size=1, max_size=9),
+    zone=st.sampled_from(["", "z", "Z"]) | _OFFSETS,
+    before=st.sampled_from(["", " ", "\t", "\n  "]),
+    after=st.sampled_from(["", " ", "\r\n"]),
+)
+def test_read_instant_equals_parse_then_zone_scan(clock, separator, fraction, zone, before, after):
+    text = (
+        before
+        + clock.isoformat(sep=separator, timespec="seconds")
+        + ("" if fraction is None else "." + fraction)
+        + zone
+        + after
+    )
+    expected = _outcome(two_pass_read, text)
+    assert _outcome(read_instant, text) == expected
+    if expected is not ValueError:
+        assert parse_instant(text) == expected[0]
+        assert expected[2] == (zone != "")
 
 
 def oracle_parse(text: str, source: str) -> list[EventRecord]:
@@ -450,7 +514,7 @@ def test_non_auth_event_ids_excluded():
         make_record(1, event_id=4688),
         make_record(2, event_id=7045),
     ]
-    events, skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
+    events, skipped = normalize_auth_events(map(project, records))
     assert events == [] and skipped == 0
 
 
@@ -459,14 +523,14 @@ def test_failure_then_success_pattern():
         make_record(1, event_id=4625, fields={"TargetUserName": "admin"}),
         make_record(2, event_id=4624, seconds=5, fields={"TargetUserName": "admin"}),
     ]
-    events, skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
+    events, skipped = normalize_auth_events(map(project, records))
     assert [e.outcome for e in events] == ["Failure", "Success"]
     assert skipped == 0
 
 
 def test_missing_account_counted_as_skipped():
     records = [make_record(1, event_id=4625, fields={"TargetUserName": ""})]
-    events, skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
+    events, skipped = normalize_auth_events(map(project, records))
     assert events == [] and skipped == 1
 
 
@@ -477,7 +541,7 @@ def test_conservation_of_auth_records():
         make_record(3, event_id=4688, fields={"TargetUserName": "a"}),
         make_record(4, event_id=4625, fields={"TargetUserName": "b"}),
     ]
-    events, skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
+    events, skipped = normalize_auth_events(map(project, records))
     auth_total = sum(1 for r in records if r.event_id in (4624, 4625))
     assert len(events) + skipped == auth_total
 
@@ -488,7 +552,7 @@ def test_sorted_by_timestamp_then_ref():
         make_record(1, event_id=4625, seconds=10, fields={"TargetUserName": "a"}),
         make_record(3, event_id=4625, seconds=0, fields={"TargetUserName": "a"}),
     ]
-    events, _ = normalize_auth_events(auth_event(r.to_dict()) for r in records)
+    events, _ = normalize_auth_events(map(project, records))
     assert [e.record_ref for e in events] == ["src#3", "src#1", "src#2"]
 
 
@@ -503,7 +567,7 @@ def test_placeholder_ip_normalized_to_none():
             fields={"TargetUserName": "a", "IpAddress": "10.1.2.3", "LogonType": "x"},
         ),
     ]
-    events, _ = normalize_auth_events(auth_event(r.to_dict()) for r in records)
+    events, _ = normalize_auth_events(map(project, records))
     assert events[0].source_ip is None
     assert events[1].source_ip == "10.1.2.3"
     assert events[1].logon_type is None
@@ -558,7 +622,7 @@ def test_load_evidence_rejects_duplicate_record_refs(tmp_path):
 
 
 def _findings(records):
-    events, _skipped = normalize_auth_events(auth_event(r.to_dict()) for r in records)
+    events, _skipped = normalize_auth_events(map(project, records))
     return [f.to_dict() for f in detect_bruteforce(events, DetectorParams())]
 
 

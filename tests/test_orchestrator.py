@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pir import canon, gap_analysis, orchestrator, policy_index, reporting
+from pir import canon, gap_analysis, log_ingest, orchestrator, policy_index, reporting
 from pir.canon import digest_of, format_instant, sha256_hex
 from pir.config import ReviewConfig
 from pir.errors import (
@@ -27,7 +27,6 @@ from pir.gap_analysis import select_effective
 from pir.log_ingest import (
     AUTH_EVENT_IDS,
     EventRecord,
-    auth_event,
     flatten_to_csv,
     parse_event_xml,
 )
@@ -39,6 +38,7 @@ from pir.orchestrator import (
     ReviewState,
     build_deps,
     check_stage_order,
+    digest_rows,
     load_checkpoint,
     read_records,
     run_review,
@@ -50,7 +50,7 @@ from pir.orchestrator import (
 )
 from pir.scenario_gen import ScenarioSpec, generate
 
-from conftest import FIXTURES, event_xml, make_record
+from conftest import FIXTURES, event_xml, make_record, project
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -602,10 +602,15 @@ RECORD_KEYS = {f.name for f in dataclasses.fields(EventRecord)}
 
 
 def count_record_encodings(monkeypatch) -> dict[str, int]:
-    """Count EventRecord.to_dict calls, and digest_of calls on a record's
-    dict through any pir module's name for digest_of."""
-    counts = {"to_dict": 0, "digest_of": 0}
-    to_dict, digest = EventRecord.to_dict, canon.digest_of
+    """Count encode_record calls through any pir module's name for it,
+    EventRecord.to_dict calls, and digest_of calls on a record's dict
+    through any pir module's name for digest_of."""
+    counts = {"encode_record": 0, "to_dict": 0, "digest_of": 0}
+    encode, to_dict, digest = log_ingest.encode_record, EventRecord.to_dict, canon.digest_of
+
+    def counted_encode(record):
+        counts["encode_record"] += 1
+        return encode(record)
 
     def counted_to_dict(self):
         counts["to_dict"] += 1
@@ -618,7 +623,11 @@ def count_record_encodings(monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr(EventRecord, "to_dict", counted_to_dict)
     for name, module in list(sys.modules.items()):
-        if name.startswith("pir.") and getattr(module, "digest_of", None) is digest:
+        if not name.startswith("pir."):
+            continue
+        if getattr(module, "encode_record", None) is encode:
+            monkeypatch.setattr(module, "encode_record", counted_encode)
+        if getattr(module, "digest_of", None) is digest:
             monkeypatch.setattr(module, "digest_of", counted_digest)
     return counts
 
@@ -627,7 +636,7 @@ def test_review_encodes_each_record_once(demo_config, monkeypatch):
     counts = count_record_encodings(monkeypatch)
     state = run_review(demo_config)
     assert state.records
-    assert counts == {"to_dict": len(state.records), "digest_of": 0}
+    assert counts == {"encode_record": len(state.records), "to_dict": 0, "digest_of": 0}
     records_path = demo_config.output_dir / "state" / RECORDS_FILE
     pieces = json.loads(records_path.read_text(encoding="utf-8"))
     assert [row[3] for row in state.records] == [digest_of(d) for d in pieces]
@@ -639,7 +648,7 @@ def test_rerender_encodes_no_record(demo_config, monkeypatch, tmp_path):
     state = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
     write_report_files(state, tmp_path / "rendered")
     assert state.records
-    assert counts == {"to_dict": 0, "digest_of": 0}
+    assert counts == {"encode_record": 0, "to_dict": 0, "digest_of": 0}
 
 
 def test_rerender_rebuilds_no_record(demo_config, monkeypatch, tmp_path):
@@ -751,6 +760,49 @@ _RECORDS = st.lists(
         )
     ]
 )
+@example(
+    records=[
+        EventRecord(
+            record_ref="ctl\x00\x01\x1f\x7f#2",
+            event_id=4624,
+            timestamp_utc=datetime(2026, 6, 1, tzinfo=timezone.utc),
+            channel="\t\r\n\b\f",
+            provider="\x1b[0m\x85",
+            fields={"\x00": "\x1f", "TargetUserName": "line\u2028sep\u2029para"},
+        ),
+        EventRecord(
+            record_ref="\U0001F600#3",
+            event_id=4625,
+            timestamp_utc=datetime(2026, 6, 1, tzinfo=timezone.utc),
+            channel="\U0001D518",
+            provider="\U00010348\ud7ff\ue000",
+            fields={'Na"me': "\\", "Back\\slash": '"', '\\"': "", "\U0001F600": "\U0001F600"},
+        ),
+    ]
+)
+@example(
+    records=[
+        EventRecord(
+            record_ref="big#1",
+            event_id=2**63,
+            timestamp_utc=datetime(2026, 6, 1, tzinfo=timezone.utc),
+            channel="",
+            provider="",
+        )
+    ]
+)
+@example(
+    records=[
+        EventRecord(
+            record_ref="micro#1",
+            event_id=4625,
+            timestamp_utc=datetime(2026, 6, 1, 12, 0, 0, 123456, tzinfo=timezone.utc),
+            channel="Security",
+            provider="",
+            fields={"TargetUserName": "jdoe"},
+        )
+    ]
+)
 def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     with tempfile.TemporaryDirectory() as tmp:
         file_digest, written, auth_events = write_records(
@@ -764,12 +816,12 @@ def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     assert file_digest == sha256_hex(data)
     if not records:
         assert data == b"[]\n"
-    assert written == read == [
+    assert digest_rows(written, data) == read == [
         (r.record_ref, r.event_id, format_instant(r.timestamp_utc), digest_of(r.to_dict()))
         for r in records
     ]
-    projected = [e for e in (auth_event(r.to_dict()) for r in records) if e is not None]
-    assert auth_events == read_auth_events == projected
+    projected = [project(r) for r in records]
+    assert auth_events == read_auth_events == [e for e in projected if e is not None]
 
 
 def test_read_records_refuses_records_not_joined_by_commas(tmp_path):

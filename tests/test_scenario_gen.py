@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pir.detection import DetectorParams, detect_bruteforce
-from pir.log_ingest import auth_event, normalize_auth_events, parse_event_xml
+from pir.log_ingest import normalize_auth_events, parse_event_xml
 from pir.scenario_gen import (
     ATTACKER_IP,
     SUCCESS_DELAY_SECONDS,
@@ -12,6 +12,8 @@ from pir.scenario_gen import (
     ScenarioSpec,
     generate,
 )
+
+from conftest import project
 
 
 def events_of(xml_text, source="scenario"):
@@ -130,7 +132,7 @@ def test_detector_recovers_injected_truth(
         noise_accounts=("jdoe", "svc-backup") if noise else (),
     )
     xml_text, truth = generate(spec)
-    auth, _skipped = normalize_auth_events(auth_event(r.to_dict()) for r in events_of(xml_text))
+    auth, _skipped = normalize_auth_events(map(project, events_of(xml_text)))
     params = DetectorParams(min_failures=5, window_seconds=240)
     findings = [f for f in detect_bruteforce(auth, params) if f.account == truth.account]
     assert len(findings) == 1
@@ -152,5 +154,5 @@ def test_pure_noise_scenario_yields_no_findings():
     xml_text, truth = generate(spec)
     assert truth.failure_count == 0
     assert truth.injected_record_refs == []
-    auth, _ = normalize_auth_events(auth_event(r.to_dict()) for r in events_of(xml_text))
+    auth, _ = normalize_auth_events(map(project, events_of(xml_text)))
     assert detect_bruteforce(auth, DetectorParams()) == []
