@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
@@ -235,9 +235,16 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
     record itself).
 
     ``document`` is the XML text or an open text file; either is parsed
-    incrementally, CHUNK_CHARS characters at a time, and each Event element
-    is discarded once its record is built and handed to ``keep``. The export
-    may have one root element or none (concatenated Event elements).
+    incrementally, CHUNK_CHARS characters at a time. The export may have one
+    root element or none (concatenated Event elements).
+
+    The C parser builds the tree under a holder element that this function
+    opens itself. After each piece is fed, every element that has a later
+    sibling is complete: the walk down the last-child path from the holder
+    hands the Events in those subtrees to ``keep`` and takes the subtrees
+    off the tree. It never steps into an Event, which may still be open. So
+    no Python step runs per element, and what the tree holds does not grow
+    with the file.
 
     ``source`` names the originating file; ordinals are assigned by position
     so ``record_ref`` is ``<source>#<n>`` with n starting at 1. Records are
@@ -247,7 +254,9 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
 
     Raises XmlSyntaxError, with the line and column in the original text, on
     malformed markup and MissingSystemFieldError when an Event lacks a
-    usable EventID or TimeCreated (records are never silently dropped).
+    usable EventID or TimeCreated (records are never silently dropped). The
+    first problem in document order is the one raised: on a syntax error,
+    every Event that ended before it reaches ``keep`` first.
 
     The cyclic garbage collector is paused while the parse and ``keep`` run,
     as timeit pauses it: the parse allocates about a dozen short-lived
@@ -257,38 +266,102 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
     """
     pieces = _pieces(document)
     prolog, head = _split_prolog(pieces)
-    parser = ET.XMLPullParser(events=("end",))
-    local: dict[str, str] = {}  # tag -> tag without namespace, per parse
+    builder = ET.TreeBuilder()
+    parser = ET.XMLParser(target=builder)
+    holder = builder.start("", {})  # no parsed tag is empty
+    event_tags = _EventTags()
+    names = event_tags.names
     records: list = []
+
+    def prune(into_events: bool) -> None:
+        # Below the holder, the open elements are a last-child path.
+        node = holder
+        while len(node):
+            last = node[-1]
+            if len(node) > 1:
+                done = node[:-1]
+                del node[:-1]
+                for event in _events_in(done, event_tags):
+                    records.append(keep(_event_record(event, f"{source}#{len(records) + 1}", names)))
+            if event_tags[last.tag] and not into_events:
+                return
+            node = last
+
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for piece in chain((prolog + _WRAPPER_START + head,), pieces, (_WRAPPER_END,)):
-            parser.feed(piece)
-            for _event, elem in parser.read_events():
-                name = local.get(elem.tag)
-                if name is None:
-                    name = local[elem.tag] = elem.tag.rsplit("}", 1)[-1]
-                if name == "Event":
-                    records.append(keep(_event_record(elem, f"{source}#{len(records) + 1}", local)))
-                    elem.clear()
-        parser.close()
-    except ET.ParseError as exc:
-        raise _syntax_error(exc, prolog) from exc
+        error = None
+        try:
+            for piece in chain((prolog + _WRAPPER_START + head,), pieces, (_WRAPPER_END,)):
+                parser.feed(piece)
+                prune(into_events=False)
+            parser.close()
+        except ET.ParseError as exc:
+            error = exc
+        # An element opened now lands under the innermost open one, so every
+        # element on the path to it is open, and everything else complete.
+        builder.start("", {})
+        prune(into_events=True)
+        if error is not None:
+            raise _syntax_error(error, prolog) from error
     finally:
         if gc_was_enabled:
             gc.enable()
     return records
 
 
-def _event_record(event: ET.Element, ref: str, local: dict[str, str]) -> EventRecord:
-    """Build the record of one complete Event element; every tag in it has
-    already been entered in ``local``."""
+class _EventTags(dict):
+    """Tag -> whether it names an Event, filled in on first lookup, when
+    the tag without its namespace is entered in ``names``."""
+
+    def __init__(self):
+        self.names: dict[str, str] = {}
+
+    def __missing__(self, tag: str) -> bool:
+        name = self.names[tag] = tag.rsplit("}", 1)[-1]
+        is_event = self[tag] = name == "Event"
+        return is_event
+
+
+_TAG = attrgetter("tag")
+
+
+def _events_in(done: list[ET.Element], event_tags: _EventTags) -> list[ET.Element]:
+    """The Event elements in the complete subtrees ``done``, in the order of
+    their end tags."""
+    elements = list(chain.from_iterable(map(ET.Element.iter, done)))
+    events = list(compress(elements, map(event_tags.__getitem__, map(_TAG, elements))))
+    if events == done:  # a run of Events with none inside another
+        return events
+    # iter() is pre-order, which puts an Event before those nested in it;
+    # walk in post-order instead, with a stack, as nesting has no bound
+    events = []
+    stack = [(None, iter(done))]
+    while stack:
+        parent, children = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            stack.append((child, iter(child)))
+        else:
+            stack.pop()
+            if parent is not None and event_tags[parent.tag]:
+                events.append(parent)
+    return events
+
+
+def _event_record(event: ET.Element, ref: str, names: dict[str, str]) -> EventRecord:
+    """Build the record of one complete Event element from its first System
+    and every EventData child, found in one pass over its children. The scan
+    that found the Event entered every tag in it in ``names``."""
     system = None
+    event_data = []
     for child in event:
-        if local[child.tag] == "System":
-            system = child
-            break
+        name = names[child.tag]
+        if name == "System":
+            if system is None:
+                system = child
+        elif name == "EventData":
+            event_data.append(child)
     if system is None:
         raise MissingSystemFieldError(f"{ref}: Event has no System section")
 
@@ -297,7 +370,7 @@ def _event_record(event: ET.Element, ref: str, local: dict[str, str]) -> EventRe
     channel = ""
     provider = ""
     for child in system:
-        name = local[child.tag]
+        name = names[child.tag]
         if name == "EventID":
             event_id_text = (child.text or "").strip()
         elif name == "TimeCreated":
@@ -329,11 +402,9 @@ def _event_record(event: ET.Element, ref: str, local: dict[str, str]) -> EventRe
         logger.warning("%s: offset-free timestamp %r assumed UTC", ref, time_text)
 
     fields: dict[str, str] = {}
-    for child in event:
-        if local[child.tag] != "EventData":
-            continue
+    for child in event_data:
         for data in child:
-            if local[data.tag] != "Data":
+            if names[data.tag] != "Data":
                 continue
             name = data.attrib.get("Name")
             if name:
