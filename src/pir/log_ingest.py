@@ -242,9 +242,9 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
     opens itself. After each piece is fed, every element that has a later
     sibling is complete: the walk down the last-child path from the holder
     hands the Events in those subtrees to ``keep`` and takes the subtrees
-    off the tree. It never steps into an Event, which may still be open. So
-    no Python step runs per element, and what the tree holds does not grow
-    with the file.
+    off the tree. It never steps into an Event, which may still be open.
+    What the tree holds does not grow with the file, and unless Events nest
+    or other elements stand between them, no Python step runs per element.
 
     ``source`` names the originating file; ordinals are assigned by position
     so ``record_ref`` is ``<source>#<n>`` with n starting at 1. Records are
