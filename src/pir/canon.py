@@ -66,35 +66,37 @@ def digest_of(obj) -> str:
     return sha256_hex(canon_dumps(obj))
 
 
-_FRACTION_RE = re.compile(r"\.(\d+)")
+_INSTANT_RE = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}:[0-9]{2})"
+    r"(?:\.([0-9]{1,9}))?([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?"
+)
 
 
 def read_instant(value: str) -> tuple[datetime, bool]:
-    """Parse an ISO-8601 timestamp into an aware UTC datetime, and tell
-    whether the text named its zone (a trailing ``Z`` or a numeric offset).
+    """Parse a timestamp into an aware UTC datetime, and tell whether the
+    text named its zone.
 
-    Accepts a trailing ``Z``, any numeric offset, and fractional seconds of
-    any width (Windows exports use seven digits; extra digits are truncated
-    to microseconds). Offset-free values are taken as UTC.
+    Whitespace around it aside, the text must be ``YYYY-MM-DD``, ``T`` or a
+    space, ``hh:mm:ss``, an optional fraction of 1-9 ASCII digits, and an
+    optional ``Z``/``z`` or ``+hh:mm``/``-hh:mm`` offset (hours 00-23). A
+    bare date, a comma fraction or a ``+hhmm`` offset is refused. The
+    fraction is cut or padded to microseconds (Windows exports write seven
+    digits), an offset-free time is taken as UTC, and ``fromisoformat``
+    sees only a form that every supported Python reads alike.
 
-    Raises ValueError when the value does not parse, or when the instant
-    falls outside years 1-9999 in UTC.
+    Raises ValueError when the text is not of that form or names no valid
+    date and clock, or when the instant falls outside years 1-9999 in UTC.
     """
-    s = value.strip()
-    if not s:
-        raise ValueError("empty timestamp")
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
+    m = _INSTANT_RE.fullmatch(value.strip())
+    if m is None:
+        raise ValueError(f"{value!r} is not YYYY-MM-DD[T ]hh:mm:ss[.fraction][Z|+hh:mm|-hh:mm]")
+    clock, fraction, zone = m.groups()
+    if fraction is not None:
+        clock += "." + fraction[:6].ljust(6, "0")
+    if zone in (None, "Z", "z"):
+        return datetime.fromisoformat(clock + "+00:00"), zone is not None
     try:
-        dt = datetime.fromisoformat(s)
-    except ValueError:
-        # fromisoformat on 3.10 only takes 3- or 6-digit fractions
-        s = _FRACTION_RE.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
-        dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc), False
-    try:
-        return dt.astimezone(timezone.utc), True
+        return datetime.fromisoformat(clock + zone).astimezone(timezone.utc), True
     except OverflowError:
         raise ValueError(f"{value!r} falls outside years 1-9999 in UTC") from None
 

@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="account for noise events (repeatable)",
     )
-    gen.add_argument("--start", help="attack start time (ISO-8601 UTC)")
+    gen.add_argument("--start", help="attack start time, as 2026-06-01T12:00:00Z (grammar: README, Detection)")
     gen.add_argument("--name", default="scenario", help="output file stem")
     gen.set_defaults(handler=cmd_gen_scenario)
 

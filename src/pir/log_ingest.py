@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import NamedTuple, TextIO
 from xml.parsers import expat
 
-from .canon import Canonical, format_instant, parse_instant, read_instant
+from .canon import Canonical, format_instant, read_instant
 from .errors import (
     ConfigInvalidError,
     CsvSchemaError,
@@ -471,9 +471,7 @@ def load_csv(document: str | TextIO, keep=_itself) -> list:
         if not row:
             continue
         if len(row) != len(header):
-            raise CsvSchemaError(
-                f"row {lineno}: {len(row)} cells, header has {len(header)}"
-            )
+            raise CsvSchemaError(f"row {lineno}: {len(row)} cells, header has {len(header)}")
         ref, event_id_text, ts_text, channel, provider = row[: len(CSV_FIXED_COLUMNS)]
         try:
             event_id = int(event_id_text)
@@ -482,16 +480,12 @@ def load_csv(document: str | TextIO, keep=_itself) -> list:
                 f"row {lineno}: event_id {event_id_text!r} is not an integer"
             ) from None
         try:
-            timestamp = parse_instant(ts_text)
+            timestamp, zoned = read_instant(ts_text)
         except ValueError:
-            raise CsvSchemaError(
-                f"row {lineno}: timestamp_utc {ts_text!r} unparseable"
-            ) from None
-        fields = {
-            k: v
-            for k, v in zip(field_keys, row[len(CSV_FIXED_COLUMNS) :])
-            if v != ""
-        }
+            raise CsvSchemaError(f"row {lineno}: timestamp_utc {ts_text!r} unparseable") from None
+        if not zoned:
+            logger.warning("%s: offset-free timestamp %r assumed UTC", ref, ts_text)
+        fields = {k: v for k, v in zip(field_keys, row[len(CSV_FIXED_COLUMNS) :]) if v != ""}
         records.append(keep(EventRecord(ref, event_id, timestamp, channel, provider, fields)))
     return records
 

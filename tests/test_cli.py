@@ -236,6 +236,36 @@ def test_review_rejects_evidence_that_repeats_a_record_ref(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "suffix, instant, cause",
+    [
+        ("xml", "2026-06-01T14:00:00.5abc+02:00", "MissingSystemFieldError"),
+        ("csv", "2026-06-01", "CsvSchemaError"),
+    ],
+)
+def test_review_refuses_a_time_outside_the_grammar(tmp_path, capsys, suffix, instant, cause):
+    # fromisoformat reads the first as a time from 3.11 on, and the second everywhere
+    xml = event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z", "fields": {"TargetUserName": "eve"}}])
+    if suffix == "csv":
+        xml = flatten_to_csv(parse_event_xml(xml, source="edge"))
+    evidence = tmp_path / f"edge.{suffix}"
+    evidence.write_text(xml.replace("2026-06-01T12:00:00Z", instant), encoding="utf-8", newline="")
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for key in ("org_policy_paths", "baseline_policy_paths"):
+        raw[key] = [str(FIXTURES / p) for p in raw[key]]
+    raw["evidence_paths"] = [str(evidence)]
+    raw["gateway"]["cache_dir"] = str(FIXTURES / "llm_cache")
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    code, _out, err = run_cli(
+        capsys, "review", "--config", str(tmp_path / "config.json"), "--output", str(tmp_path / "out")
+    )
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert (payload["stage"], payload["cause"]) == ("ProcessEvidence", cause)
+    assert repr(instant) in payload["detail"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("suffix", ["xml", "csv"])
 @pytest.mark.parametrize("instant", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
 def test_ingest_refuses_an_instant_outside_years_1_to_9999_in_utc(tmp_path, capsys, suffix, instant):
@@ -330,6 +360,13 @@ def test_gen_scenario_is_deterministic(tmp_path, capsys):
     assert (tmp_path / "a" / "demo.truth.json").read_bytes() == (
         tmp_path / "b" / "demo.truth.json"
     ).read_bytes()
+
+
+def test_gen_scenario_refuses_a_start_that_is_a_bare_date(tmp_path, capsys):
+    code, _out, err = run_cli(capsys, "gen-scenario", "--start", "2026-06-01", "--output", str(tmp_path))
+    assert code == 3
+    assert "'2026-06-01'" in json.loads(err.strip().splitlines()[-1])["detail"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_gen_scenario_rejects_bad_spec(tmp_path, capsys):
@@ -734,3 +771,15 @@ def test_verify_without_a_report_exits_3(tmp_path, capsys):
     code, _out, err = verify(capsys, CONFIG, tmp_path / "report.json")
     assert code == 3
     assert json.loads(err)["error"] == "ConfigInvalidError"
+
+
+# --- tools -----------------------------------------------------------------------------
+
+
+def test_cross_python_review_finds_the_running_interpreter_agrees_with_itself():
+    tool = FIXTURES.parent / "tools" / "cross_python_review.py"
+    run = subprocess.run([sys.executable, str(tool), sys.executable], capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    reference, other = (line.split() for line in run.stdout.splitlines())
+    assert reference[1:5] == other[1:5]
+    assert [reference[1], reference[3]] == ["records.json", "report.json"]

@@ -6,7 +6,7 @@ import re
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import chain
 from pathlib import Path
 
@@ -191,30 +191,61 @@ def test_only_offset_free_timestamps_warn(time_text, warns, caplog):
     assert any("assumed UTC" in m for m in caplog.messages) == warns
 
 
-_FRACTION = re.compile(r"\.(\d+)")
+def test_csv_offset_free_timestamps_warn(caplog):
+    text = (
+        "record_ref,event_id,timestamp_utc,channel,provider\r\n"
+        "s#1,4625,2026-06-01T12:00:00,Security,P\r\n"
+        "s#2,4625,2026-06-01T12:00:00Z,Security,P\r\n"
+    )
+    with caplog.at_level(logging.WARNING, logger="pir.log_ingest"):
+        first, second = load_csv(text)
+    assert first.timestamp_utc == second.timestamp_utc == datetime(2026, 6, 1, 12, tzinfo=timezone.utc)
+    assert [m for m in caplog.messages if "assumed UTC" in m] == [
+        "s#1: offset-free timestamp '2026-06-01T12:00:00' assumed UTC"
+    ]
 
 
-def two_pass_read(value: str) -> tuple[datetime, bool]:
-    """Reference for read_instant: the instant as parse_instant read it
-    before it took its zone verdict from its own parse, and that verdict as
-    a second scan of the text found it."""
+_DIGITS = "0123456789"
+
+
+def _number(text: str) -> int:
+    if not text or text.strip(_DIGITS):
+        raise ValueError(f"{text!r} is not a run of ASCII digits")
+    return int(text)
+
+
+def hand_read(value: str) -> tuple[datetime, bool]:
+    """Reference for read_instant, built by hand from the grammar it accepts:
+    YYYY-MM-DD, T or a space, hh:mm:ss, an optional fraction of 1-9 ASCII
+    digits and an optional Z/z or +hh:mm/-hh:mm (hours 00-23, minutes
+    00-59), with whitespace around. It splits the fields by position and
+    builds the instant with datetime and timedelta, so what it accepts does
+    not depend on the interpreter's fromisoformat."""
     s = value.strip()
-    if not s:
-        raise ValueError("empty timestamp")
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
-    s = _FRACTION.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    else:
-        try:
-            dt = dt.astimezone(timezone.utc)
-        except OverflowError:
-            raise ValueError(f"{value!r} falls outside years 1-9999 in UTC") from None
-    # past the date's first ten characters, a sign can only start an offset
-    clock = value.strip()[10:]
-    return dt, clock.endswith(("Z", "z")) or "+" in clock or "-" in clock
+    if len(s) < 19 or s[4] + s[7] + s[13] + s[16] != "--::" or s[10] not in ("T", " "):
+        raise ValueError(f"{value!r} has no YYYY-MM-DD[T ]hh:mm:ss")
+    spans = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))
+    fields = [_number(s[i : i + n]) for i, n in spans]
+    rest, microsecond = s[19:], 0
+    if rest.startswith("."):
+        tail = rest[1:].lstrip(_DIGITS)
+        fraction, rest = rest[1 : len(rest) - len(tail)], tail
+        if not 1 <= len(fraction) <= 9:
+            raise ValueError(f"{value!r} has a fraction of {len(fraction)} digits")
+        microsecond = int(fraction[:6].ljust(6, "0"))
+    instant = datetime(*fields, microsecond, tzinfo=timezone.utc)
+    if rest in ("", "Z", "z"):
+        return instant, rest != ""
+    if len(rest) != 6 or rest[0] not in ("+", "-") or rest[3] != ":":
+        raise ValueError(f"{value!r} ends in {rest!r}, not Z or an offset")
+    hours, minutes = _number(rest[1:3]), _number(rest[4:6])
+    if hours > 23 or minutes > 59:
+        raise ValueError(f"{value!r} has offset {rest!r}")
+    offset = timedelta(hours=hours, minutes=minutes)
+    try:
+        return (instant - offset if rest[0] == "+" else instant + offset), True
+    except OverflowError:
+        raise ValueError(f"{value!r} falls outside years 1-9999 in UTC") from None
 
 
 def _outcome(read, text):
@@ -231,29 +262,94 @@ _OFFSETS = st.builds(
     st.integers(0, 24 * 60 - 1),
 )
 
+# Each flaw rewrites the parts of a well-formed time (date, sep, clock,
+# fraction, zone) into a form the grammar leaves out.
+_FLAWS = {
+    "comma fraction": lambda p: p | {"fraction": "," + (p["fraction"][1:] or "5")},
+    "text after the fraction": lambda p: p | {"fraction": p["fraction"] + "abc"},
+    "basic date": lambda p: p | {"date": p["date"].replace("-", "")},
+    "basic clock": lambda p: p | {"clock": p["clock"].replace(":", "")},
+    "week date": lambda p: p
+    | {"date": "{:04d}-W{:02d}-{}".format(*datetime.fromisoformat(p["date"]).isocalendar())},
+    "bare date": lambda p: {"date": p["date"]},
+    "no seconds": lambda p: p | {"clock": p["clock"][:5], "fraction": ""},
+    "+hhmm offset": lambda p: p | {"zone": "+" + p["clock"][:5].replace(":", "")},
+    "ten fraction digits": lambda p: p | {"fraction": "." + p["fraction"][1:] + "0" * 10},
+    "lower-case t": lambda p: p | {"sep": "t"},
+    "offset hour 24": lambda p: p | {"zone": "+24:00"},
+    "offset minute 60": lambda p: p | {"zone": "-00:60"},
+    "non-ASCII digit": lambda p: p | {"date": chr(0x660 + int(p["date"][0])) + p["date"][1:]},
+}
 
-@settings(max_examples=300, deadline=None)
+
+@settings(max_examples=400, deadline=None)
 @given(
-    clock=st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    when=st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
     separator=st.sampled_from("T "),
-    fraction=st.none() | st.text("0123456789", min_size=1, max_size=9),
+    fraction=st.none() | st.text(_DIGITS, min_size=1, max_size=9),
     zone=st.sampled_from(["", "z", "Z"]) | _OFFSETS,
+    flaw=st.none() | st.sampled_from(sorted(_FLAWS)),
     before=st.sampled_from(["", " ", "\t", "\n  "]),
     after=st.sampled_from(["", " ", "\r\n"]),
 )
-def test_read_instant_equals_parse_then_zone_scan(clock, separator, fraction, zone, before, after):
-    text = (
-        before
-        + clock.isoformat(sep=separator, timespec="seconds")
-        + ("" if fraction is None else "." + fraction)
-        + zone
-        + after
-    )
-    expected = _outcome(two_pass_read, text)
+def test_read_instant_equals_hand_built_reader(when, separator, fraction, zone, flaw, before, after):
+    parts = {
+        "date": when.date().isoformat(),
+        "sep": separator,
+        "clock": when.time().isoformat(timespec="seconds"),
+        "fraction": "" if fraction is None else "." + fraction,
+        "zone": zone,
+    }
+    if flaw is not None:
+        parts = _FLAWS[flaw](parts)
+    pieces = (parts.get(k, "") for k in ("date", "sep", "clock", "fraction", "zone"))
+    text = before + "".join(pieces) + after
+    expected = _outcome(hand_read, text)
     assert _outcome(read_instant, text) == expected
-    if expected is not ValueError:
+    if flaw is not None:
+        assert expected is ValueError
+    elif expected is not ValueError:
         assert parse_instant(text) == expected[0]
         assert expected[2] == (zone != "")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "20260601T120000Z",
+        "2026-W22-1",
+        "2026-06-01 12:00:00,5Z",
+        "2026-06-01T14:00:00.5abc+02:00",
+        "2026-06-01T12:00:00+0200",
+        "2026-06-01",
+        "2026-06-01T12:00Z",
+        "2026-06-01T12:00:00.1234567890Z",
+        "2026-06-01T12:00:00+01:60",
+        "2026-06-01t12:00:00Z",
+        "2026-06-01T12:00:00.\u0665Z",
+        "2026-06-01T24:00:00Z",
+        "",
+    ],
+)
+def test_read_instant_refuses_what_the_grammar_leaves_out(text):
+    with pytest.raises(ValueError):
+        read_instant(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    when=st.datetimes(
+        min_value=datetime(2, 1, 1),
+        max_value=datetime(9998, 12, 31, 23, 59, 59, 999999),
+        timezones=st.none()
+        | st.just(timezone.utc)
+        | st.builds(timezone, st.timedeltas(timedelta(hours=-23), timedelta(hours=23))),
+    )
+)
+def test_every_format_instant_output_reads_back_unchanged(when):
+    text = format_instant(when)
+    assert read_instant(text) == (when if when.tzinfo else when.replace(tzinfo=timezone.utc), True)
+    assert format_instant(read_instant(text)[0]) == text
 
 
 def oracle_parse(text: str, source: str) -> list[EventRecord]:
