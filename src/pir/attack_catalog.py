@@ -23,7 +23,6 @@ if TYPE_CHECKING:
 TECHNIQUE_ID_PATTERN = re.compile(r"^T\d{4}(\.\d{3})?$")
 
 TECHNIQUE_BRUTE_FORCE = "T1110"
-TECHNIQUE_PASSWORD_GUESSING = "T1110.001"
 
 
 @dataclass(frozen=True)
@@ -107,26 +106,18 @@ def map_finding(
     catalog: dict[str, TechniqueEntry],
     *,
     finding_ref: int = 0,
-    refine: bool = False,
 ) -> TechniqueMapping:
-    """Deterministic technique attribution for a finding.
+    """Deterministic technique attribution for a finding: a
+    BruteForceSuspected finding maps to T1110.
 
-    BruteForceSuspected maps to T1110. With ``refine`` enabled, a burst
-    against a single account is narrowed to T1110.001 when the catalog has
-    it; the per-account detector never produces the many-accounts shape that
-    T1110.003 would require, so spraying is never chosen here.
+    Raises CatalogMissingTechniqueError when the catalog lacks T1110.
     """
-    parent = catalog.get(TECHNIQUE_BRUTE_FORCE)
-    if parent is None:
+    technique = catalog.get(TECHNIQUE_BRUTE_FORCE)
+    if technique is None:
         raise CatalogMissingTechniqueError(
             f"catalog lacks {TECHNIQUE_BRUTE_FORCE}; cannot map "
             f"{finding.kind} finding"
         )
-    chosen = parent
-    if refine:
-        sub = catalog.get(TECHNIQUE_PASSWORD_GUESSING)
-        if sub is not None:
-            chosen = sub
 
     span = int((finding.window_end - finding.window_start).total_seconds())
     first, last = finding.evidence[0], finding.evidence[-1]
@@ -136,13 +127,13 @@ def map_finding(
         f"({format_instant(finding.window_start)} to "
         f"{format_instant(finding.window_end)}, [EVT:{first}]..[EVT:{last}]) "
         f"match the repeated credential-guessing pattern of "
-        f"{chosen.technique_id} {chosen.name}."
+        f"{technique.technique_id} {technique.name}."
     )
     return TechniqueMapping(
         finding_ref=finding_ref,
-        technique_id=chosen.technique_id,
-        technique_name=chosen.name,
-        tactic=chosen.tactic,
+        technique_id=technique.technique_id,
+        technique_name=technique.name,
+        tactic=technique.tactic,
         rationale=rationale,
         evidence=finding.evidence,
         deterministic=True,

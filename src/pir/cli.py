@@ -28,8 +28,6 @@ from .orchestrator import load_checkpoint, run_review, verify_report, write_repo
 from .policy_index import build_index, load_policy_documents
 from .scenario_gen import ScenarioSpec, generate
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_STAGE_FAILURE = 2
 EXIT_CONFIG_INVALID = 3
@@ -61,13 +59,10 @@ def _config(args, required: bool = True) -> ReviewConfig | None:
 def _load_evidence(config: ReviewConfig, *keep) -> list:
     """What load_evidence's ``keep``, when one is given, returns for each
     evidence record (by default the record itself), for the ingest and
-    detect commands; the notes go to the log."""
+    detect commands."""
     if not config.evidence_paths:
         raise ConfigInvalidError("config lists no evidence_paths")
-    kept, notes = load_evidence(config.evidence_paths, *keep)
-    for note in notes:
-        logger.info("%s", note)
-    return kept
+    return load_evidence(config.evidence_paths, *keep)
 
 
 def cmd_review(args) -> int:

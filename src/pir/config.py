@@ -16,8 +16,8 @@ from .canon import digest_of
 from .detection import DetectorParams
 from .errors import ConfigInvalidError
 from .llm_gateway import ENV_MODEL, MODE_REPLAY, GenerationParams
+from .log_ingest import check_evidence_path
 
-EVIDENCE_SUFFIXES = (".evtx", ".xml", ".csv")
 POLICY_SUFFIXES = (".md", ".txt")
 
 CONFIG_KEYS = frozenset(
@@ -30,20 +30,18 @@ CONFIG_KEYS = frozenset(
         "retrieval_k",
         "gateway_mode",
         "gateway",
-        "catalog_path",
-        "refine_subtechniques",
     }
 )
 GATEWAY_KEYS = frozenset({"model_id", "temperature", "max_tokens", "top_p", "cache_dir"})
 
 _NUMBER = (int, float)
-_TYPE_NAMES = {bool: "true or false", int: "an integer", _NUMBER: "a number", str: "a string"}
+_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string"}
 
 
 def _typed(key: str, value, kind):
     """``value`` of config field ``key`` if it has the JSON type ``kind``;
-    ``true`` and ``false`` count as booleans only, never as numbers."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+    ``true`` and ``false`` are never numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigInvalidError(
             f"config field {key!r} must be {_TYPE_NAMES[kind]}, "
             f"got {json.dumps(value)}"
@@ -62,8 +60,6 @@ class ReviewConfig:
     gateway_mode: str = MODE_REPLAY
     generation: GenerationParams = field(default_factory=GenerationParams)
     cache_dir: Path = Path("llm_cache")
-    catalog_path: Path | None = None
-    refine_subtechniques: bool = False
     digest: str = ""
 
     @classmethod
@@ -133,14 +129,6 @@ class ReviewConfig:
             gateway_mode=mode,
             generation=generation,
             cache_dir=_path("gateway.cache_dir", gw.get("cache_dir", "llm_cache")),
-            catalog_path=(
-                _path("catalog_path", effective["catalog_path"])
-                if effective.get("catalog_path")
-                else None
-            ),
-            refine_subtechniques=_typed(
-                "refine_subtechniques", effective.get("refine_subtechniques", False), bool
-            ),
             digest=digest_of(effective),
         )
         return config
@@ -170,12 +158,7 @@ class ReviewConfig:
             raise ConfigInvalidError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
 
         for p in self.evidence_paths:
-            if not p.is_file():
-                raise ConfigInvalidError(f"evidence path not found: {p}")
-            if p.suffix.lower() not in EVIDENCE_SUFFIXES:
-                raise ConfigInvalidError(
-                    f"evidence path {p} must end in one of {EVIDENCE_SUFFIXES}"
-                )
+            check_evidence_path(p)
         for p in [*self.org_policy_paths, *self.baseline_policy_paths]:
             if not p.is_file():
                 raise ConfigInvalidError(f"policy path not found: {p}")

@@ -1,12 +1,15 @@
-"""Evidence ingestion: EVTX container framing, event XML, and flattened CSV.
+"""Evidence ingestion: event XML and flattened CSV.
 
-Three input paths feed the review with the same normalized records:
+Two input formats feed the review with the same normalized records:
 
-* raw ``.evtx`` files get an integrity check only (header magic and chunk
-  census; record bodies are binary XML and are deliberately not decoded),
-* XML exports in the standard Windows event schema are parsed fully, as a
-  stream,
-* flattened CSV (as produced by :func:`flatten_to_csv`) round-trips back.
+* XML exports in the standard Windows event schema, parsed as a stream,
+* flattened CSV (as produced by :func:`flatten_to_csv`), which round-trips
+  back.
+
+A raw ``.evtx`` log is refused: its record bodies are binary XML, which
+``pir`` does not decode, so it is exported as XML first.
+:func:`validate_evtx_container` checks only the framing of such a file, and
+nothing in the review calls it.
 
 Every record carries a stable ``record_ref`` of the form
 ``<source_file>#<ordinal>`` (ordinals are 1-based document positions) so
@@ -55,6 +58,9 @@ EVTX_CHUNK_SIZE = 65536
 EVENT_ID_LOGON_SUCCESS = 4624
 EVENT_ID_LOGON_FAILURE = 4625
 AUTH_EVENT_IDS = frozenset({EVENT_ID_LOGON_SUCCESS, EVENT_ID_LOGON_FAILURE})
+
+# The evidence formats pir reads, by file suffix.
+EVIDENCE_SUFFIXES = (".xml", ".csv")
 
 # Fixed leading columns of the flattened CSV; event fields follow, sorted.
 CSV_FIXED_COLUMNS = ("record_ref", "event_id", "timestamp_utc", "channel", "provider")
@@ -523,18 +529,31 @@ def normalize_auth_events(projected: Iterable[AuthEvent | None]) -> tuple[list[A
     return events, len(auth) - len(events)
 
 
-def load_evidence(paths: list[Path], keep=_itself) -> tuple[list, list[str]]:
+def check_evidence_path(path: Path) -> None:
+    """Raise ConfigInvalidError unless ``path`` is a file ending in one of
+    EVIDENCE_SUFFIXES."""
+    if not path.is_file():
+        raise ConfigInvalidError(f"evidence path not found: {path}")
+    if path.suffix.lower() not in EVIDENCE_SUFFIXES:
+        raise ConfigInvalidError(
+            f"unsupported evidence suffix: {path} must end in one of "
+            f"{EVIDENCE_SUFFIXES}; export a raw .evtx log as XML first"
+        )
+
+
+def load_evidence(paths: list[Path], keep=_itself) -> list:
     """Read evidence files in order, handing each record to ``keep`` as it
     is parsed; returns the list of what ``keep`` returned (by default the
-    records) plus notes for the review.
+    records).
 
-    XML and CSV files yield records; an EVTX file yields notes on its framing
-    only. Raises ConfigInvalidError for a missing file or an unsupported
-    suffix, and DuplicateRecordRefError when two records share a record_ref,
-    before the second of them reaches ``keep``.
+    Raises ConfigInvalidError, before any file is read, for a missing file or
+    a suffix outside EVIDENCE_SUFFIXES (an ``.evtx`` file among them), and
+    DuplicateRecordRefError when two records share a record_ref, before the
+    second of them reaches ``keep``.
     """
+    for path in paths:
+        check_evidence_path(path)
     kept: list = []
-    notes: list[str] = []
     source_of: dict[str, Path] = {}
 
     def keep_new(record: EventRecord):
@@ -547,25 +566,11 @@ def load_evidence(paths: list[Path], keep=_itself) -> tuple[list, list[str]]:
         return keep(record)
 
     for path in paths:
-        if not path.is_file():
-            raise ConfigInvalidError(f"evidence path not found: {path}")
-        suffix = path.suffix.lower()
-        if suffix == ".evtx":
-            summary = validate_evtx_container(path.read_bytes(), path.name)
-            notes.append(
-                f"container {path.name}: {summary.chunk_count} chunk(s), "
-                f"{summary.declared_record_count} declared record(s); framing "
-                f"validated, records not decoded"
-            )
-            notes.extend(f"container {path.name}: {w}" for w in summary.warnings)
-            continue
-        if suffix not in (".xml", ".csv"):
-            raise ConfigInvalidError(f"unsupported evidence suffix: {path}")
         # newline="" hands line ends to the parsers untranslated: the csv
         # module needs that for quoted fields, and XML normalises them itself.
         with path.open(encoding="utf-8", newline="") as stream:
-            if suffix == ".xml":
+            if path.suffix.lower() == ".xml":
                 kept.extend(parse_event_xml(stream, path.stem, keep_new))
             else:
                 kept.extend(load_csv(stream, keep_new))
-    return kept, notes
+    return kept

@@ -46,7 +46,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import reporting
-from .attack_catalog import TechniqueEntry, TechniqueMapping, justify_mapping, load_catalog, load_default_catalog, map_finding
+from .attack_catalog import TechniqueEntry, TechniqueMapping, justify_mapping, load_default_catalog, map_finding
 from .canon import (
     Canonical,
     canon_dumps,
@@ -60,8 +60,6 @@ from .canon import (
 from .config import ReviewConfig
 from .detection import BehaviorFinding, detect_bruteforce, narrative_for_finding
 from .errors import (
-    CatalogSchemaError,
-    ConfigInvalidError,
     MalformedCheckpointError,
     RecordsFileError,
     ReportMismatchError,
@@ -162,14 +160,14 @@ class ReviewState:
     # Neither a review nor a render asks for them.
 
     @functools.cached_property
-    def _read(self) -> tuple[tuple[RecordRow, ...], tuple[AuthEvent, ...], int]:
-        """The rows of all records, their normalised auth events and the
-        count of auth records skipped, read once per state (read_records)."""
+    def _read(self) -> tuple[tuple[RecordRow, ...], tuple[AuthEvent, ...]]:
+        """The rows of all records and their normalised auth events, read
+        once per state (read_records)."""
         if self.records_digest is None:
-            return (), (), 0
+            return (), ()
         rows, projected = read_records(self.records_file, self.records_digest)
-        auth_events, skipped = normalize_auth_events(projected)
-        return tuple(rows), tuple(auth_events), skipped
+        auth_events, _skipped = normalize_auth_events(projected)
+        return tuple(rows), tuple(auth_events)
 
     @property
     def records(self) -> "RecordRows":
@@ -178,10 +176,6 @@ class ReviewState:
     @property
     def auth_events(self) -> tuple[AuthEvent, ...]:
         return self._read[1]
-
-    @property
-    def skipped_auth_records(self) -> int:
-        return self._read[2]
 
     def record_refs(self) -> set[str]:
         return {row[0] for row in self.records}
@@ -280,16 +274,7 @@ def build_deps(config: ReviewConfig, transport=None) -> StageDeps:
         params=config.generation,
     )
     gateway = Gateway(settings, transport=transport)
-    if config.catalog_path is not None:
-        if not config.catalog_path.is_file():
-            raise ConfigInvalidError(f"catalog path not found: {config.catalog_path}")
-        try:
-            catalog = load_catalog(config.catalog_path.read_text(encoding="utf-8"))
-        except CatalogSchemaError as exc:
-            raise ConfigInvalidError(f"catalog {config.catalog_path}: {exc}") from exc
-    else:
-        catalog = load_default_catalog()
-    return StageDeps(config=config, gateway=gateway, catalog=catalog)
+    return StageDeps(config=config, gateway=gateway, catalog=load_default_catalog())
 
 
 def _absorb(out: dict, result: NarrativeResult) -> None:
@@ -306,12 +291,11 @@ def _absorb(out: dict, result: NarrativeResult) -> None:
 
 def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     config = deps.config
-    out["records_digest"], (rows, notes), auth_events = write_records(
+    out["records_digest"], rows, auth_events = write_records(
         lambda keep: load_evidence(config.evidence_paths, keep), config.output_dir
     )
     out["records_file"] = records_file = state_dir(config.output_dir) / RECORDS_FILE
     out["record_count"] = len(rows)
-    out["notes"].extend(notes)
 
     auth_events, skipped = normalize_auth_events(auth_events)
     if skipped:
@@ -340,12 +324,7 @@ def _stage_map_attack(state: ReviewState, deps: StageDeps, out: dict):
         return STATUS_OK, "no findings to map"
     out["mappings"] = mappings = []
     for i, finding in enumerate(state.findings):
-        mapping = map_finding(
-            finding,
-            deps.catalog,
-            finding_ref=i,
-            refine=deps.config.refine_subtechniques,
-        )
+        mapping = map_finding(finding, deps.catalog, finding_ref=i)
         result = justify_mapping(mapping, finding, deps.gateway)
         _absorb(out, result)
         mappings.append(dataclasses.replace(mapping, rationale=result.text))
@@ -707,7 +686,7 @@ def verify_report(config: ReviewConfig, doc: dict) -> None:
     rows and evidence digest. A document that lacks a section the check
     reads is a ReportMismatchError too."""
     data = bytearray()
-    digest, (rows, _notes), _auth_events = encode_records(
+    digest, rows, _auth_events = encode_records(
         lambda keep: load_evidence(config.evidence_paths, keep), data.extend
     )
     rows = digest_rows(rows, data)

@@ -187,7 +187,10 @@ def render_json(report: dict) -> str:
 
 
 def json_report_digest(text: str) -> str:
-    """Digest of a rendered report.json with the clock field masked."""
+    """Digest of a rendered report.json's document with the clock field
+    masked. It digests the re-parsed document in canonical form, so equal
+    digests mean equal documents, not equal bytes: text that parses to the
+    same document, such as an extra trailing newline, gives the same digest."""
     doc = json.loads(text)
     doc["generated_at"] = None
     return digest_of(doc)

@@ -15,7 +15,7 @@ from pir.cli import main
 from pir.log_ingest import flatten_to_csv, load_csv, parse_event_xml
 from pir.scenario_gen import ScenarioSpec, generate
 
-from conftest import BASE_TIME, FIXTURES, event_xml, rewrite_checkpoint
+from conftest import BASE_TIME, FIXTURES, event_xml, evtx_bytes, rewrite_checkpoint
 
 CONFIG = str(FIXTURES / "review_config.json")
 
@@ -148,14 +148,21 @@ def test_review_rejects_unknown_keys_and_mistyped_detector_values(
     assert not (tmp_path / "out").exists()
 
 
-def test_review_with_a_malformed_catalog_exits_3(tmp_path, capsys):
-    catalog = tmp_path / "catalog.json"
-    catalog.write_text(json.dumps([{"technique_id": "T1110"}]), encoding="utf-8")
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("catalog_path", str(Path(pir.__file__).parent / "data" / "attack_catalog.json")),
+        ("refine_subtechniques", True),
+    ],
+    ids=["catalog_path", "refine_subtechniques"],
+)
+def test_review_refuses_a_removed_catalog_key(tmp_path, capsys, key, value):
+    # a valid value changes nothing: the review maps to the bundled T1110 only
     raw = json.loads((FIXTURES / "review_config.json").read_text())
     for field in ("evidence_paths", "org_policy_paths", "baseline_policy_paths"):
         raw[field] = [str(FIXTURES / p) for p in raw[field]]
     raw["gateway"]["cache_dir"] = str(FIXTURES / "llm_cache")
-    raw["catalog_path"] = str(catalog)
+    raw[key] = value
     raw["output_dir"] = str(tmp_path / "out")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
@@ -164,7 +171,33 @@ def test_review_with_a_malformed_catalog_exits_3(tmp_path, capsys):
     assert code == 3
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "ConfigInvalidError"
-    assert str(catalog) in payload["detail"]
+    assert payload["detail"] == f"unknown config key(s): {key}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["review", "ingest", "detect", "verify"])
+def test_evtx_evidence_exits_3_and_writes_nothing(tmp_path, capsys, command):
+    # an .evtx log's records are never decoded, so it is refused rather than
+    # reviewed as evidence with no qualifying behaviour in it
+    evtx = tmp_path / "sec.evtx"
+    evtx.write_bytes(evtx_bytes(1, next_record_id=5001))
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for field in ("org_policy_paths", "baseline_policy_paths"):
+        raw[field] = [str(FIXTURES / p) for p in raw[field]]
+    raw["evidence_paths"] = [str(evtx)]
+    raw["gateway"]["cache_dir"] = str(FIXTURES / "llm_cache")
+    raw["output_dir"] = str(tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    report = tmp_path / "report.json"
+    report.write_text("{}")
+
+    argv = ["--config", str(config_path)] + ([str(report)] if command == "verify" else [])
+    code, _out, err = run_cli(capsys, command, *argv)
+    assert code == 3
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigInvalidError"
+    assert str(evtx) in payload["detail"]
     assert not (tmp_path / "out").exists()
 
 

@@ -710,7 +710,7 @@ def test_load_evidence_parse_memory_does_not_grow_with_the_file(tmp_path):
     del xml
     tracemalloc.start()
     try:
-        records, _notes = load_evidence([path])
+        records = load_evidence([path])
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -759,7 +759,7 @@ def test_load_evidence_runs_no_garbage_collection_during_the_parse(tmp_path):
     gc.collect()  # start every generation's count from zero
     gc.callbacks.append(count)
     try:
-        records, _notes = load_evidence([path])
+        records = load_evidence([path])
     finally:
         gc.callbacks.remove(count)
     assert len(records) == 3_007
@@ -926,23 +926,31 @@ def test_load_evidence_reads_each_format_in_order(tmp_path):
     xml.write_text(event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z"}]))
     csv_path = tmp_path / "flat.csv"
     csv_path.write_text(flatten_to_csv([make_record(1, source="other")]))
-    evtx = tmp_path / "raw.evtx"
-    evtx.write_bytes(evtx_bytes(1, declared_chunks=2))
-    records, notes = load_evidence([xml, evtx, csv_path])
+    records = load_evidence([csv_path, xml])
+    assert [r.record_ref for r in records] == ["other#1", "host#1"]
+    records = load_evidence([xml, csv_path])
     assert [r.record_ref for r in records] == ["host#1", "other#1"]
-    assert notes == [
-        "container raw.evtx: 1 chunk(s), 0 declared record(s); framing "
-        "validated, records not decoded",
-        "container raw.evtx: header declares 2 chunk(s) but 1 valid chunk "
-        "signature(s) found",
-    ]
+
+
+def test_load_evidence_refuses_evtx_before_reading_any_file(tmp_path):
+    # pir decodes no EVTX record, so a raw log is refused, not passed over
+    xml = tmp_path / "host.xml"
+    xml.write_text(event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z"}]))
+    evtx = tmp_path / "raw.evtx"
+    evtx.write_bytes(evtx_bytes(1, next_record_id=5001))
+    kept = []
+    with pytest.raises(ConfigInvalidError, match="unsupported evidence suffix") as exc:
+        load_evidence([xml, evtx], kept.append)
+    assert str(evtx) in str(exc.value)
+    assert "export a raw .evtx log as XML first" in str(exc.value)
+    assert kept == []
 
 
 def test_load_evidence_keeps_line_ends_inside_quoted_csv_fields(tmp_path):
     record = make_record(1, fields={"Msg": 'say "hi"\r\nthen\rthen\nend', "Plain": "v"})
     path = tmp_path / "flat.csv"
     path.write_text(flatten_to_csv([record]), encoding="utf-8", newline="")
-    records, _notes = load_evidence([path])
+    records = load_evidence([path])
     assert records == [record]
 
 
@@ -988,7 +996,7 @@ def test_a_stream_split_into_two_csv_files_loads_as_one(seed, noise, cut_fractio
         head.write_text(flatten_to_csv(whole[:cut]), encoding="utf-8")
         tail.write_text(flatten_to_csv(whole[cut:]), encoding="utf-8")
 
-        records, _notes = load_evidence([head, tail])
+        records = load_evidence([head, tail])
         assert records == whole
         findings = _findings(whole)
         assert findings and _findings(records) == findings

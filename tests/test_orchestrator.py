@@ -446,7 +446,7 @@ def test_checkpoint_round_trip(demo_config):
 
 
 def test_checkpoint_rederives_auth_events_and_report(fixture_config_raw, tmp_path):
-    # an extra 4625 without TargetUserName makes skipped_auth_records nonzero;
+    # an extra 4625 without TargetUserName is skipped, and a note counts it;
     # a second one has a seven-digit fraction and a numeric offset
     extra = tmp_path / "nameless.xml"
     extra.write_text(
@@ -472,7 +472,8 @@ def test_checkpoint_rederives_auth_events_and_report(fixture_config_raw, tmp_pat
         overrides={"output_dir": str(tmp_path / "out"), "gateway_mode": "disabled"},
     )
     state = run_review(config)
-    assert state.skipped_auth_records == 1
+    skipped = "1 auth record(s) skipped during normalization (missing TargetUserName)"
+    assert skipped in state.notes
 
     path = config.output_dir / "state" / "GenerateReport.json"
     saved = json.loads(path.read_text(encoding="utf-8"))
@@ -485,7 +486,7 @@ def test_checkpoint_rederives_auth_events_and_report(fixture_config_raw, tmp_pat
     assert loaded.auth_events == state.auth_events
     [event] = [e for e in loaded.auth_events if e.record_ref == "nameless#2"]
     assert format_instant(event.timestamp_utc) == "2026-06-01T12:00:00.123456Z"
-    assert loaded.skipped_auth_records == state.skipped_auth_records
+    assert skipped in loaded.notes
     assert reporting.build_report(loaded, loaded.report_generated_at) == reporting.build_report(
         state, state.report_generated_at
     )
@@ -714,7 +715,7 @@ def test_records_are_read_on_demand_once_per_state(demo_config, monkeypatch, tmp
         assert [row[0] for row in state.records] == refs
         assert state.record_refs() == set(refs)
         assert state.auth_events
-        assert state.skipped_auth_records == 0
+        assert not any("skipped during normalization" in note for note in state.notes)
     assert reads == [records_path, records_path]
 
     # where records.json lies is no part of a state's equality or hash
