@@ -52,16 +52,6 @@ class UnsortedInputError(ReviewError):
     """Auth events were not sorted by (timestamp, record_ref)."""
 
 
-# --- technique catalog ----------------------------------------------------
-
-class CatalogSchemaError(ReviewError):
-    """Technique catalog JSON is malformed or contains duplicate ids."""
-
-
-class CatalogMissingTechniqueError(ReviewError):
-    """The loaded catalog lacks a technique required for mapping."""
-
-
 # --- policy index ---------------------------------------------------------
 
 class EmptyDocumentError(ReviewError):

@@ -3,15 +3,15 @@
 A fixed pattern grammar turns clause text into comparable control parameters;
 the organisation's values are compared against the baseline's under a
 direction-of-safety table, yielding severity- and confidence-scored gaps.
-Direction, relevance, and severity tables ship as versioned JSON so they can
-be tuned without code changes.
+Direction, relevance, and severity tables are program data in
+data/comparison_rules.json, read as shipped; edit them together with
+tests/test_shipped_data.py, which checks them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -24,8 +24,6 @@ from .policy_index import PolicyClause
 if TYPE_CHECKING:
     from .attack_catalog import TechniqueMapping
     from .llm_gateway import Gateway, NarrativeResult
-
-logger = logging.getLogger(__name__)
 
 CONTROLS = (
     "LockoutThreshold",
@@ -148,43 +146,17 @@ class ComparisonRules:
     direction: dict[str, str]
     severity: dict[str, dict]
 
-    def relevant_controls(self, technique_id: str) -> tuple[str, ...]:
-        if technique_id in self.relevance:
-            return self.relevance[technique_id]
-        parent = technique_id.split(".", 1)[0]
-        return self.relevance.get(parent, ())
-
-
-def load_rules(text: str) -> ComparisonRules:
-    d = json.loads(text)
-    if d.get("schema_version") != 1:
-        raise ConfigInvalidError(
-            f"unsupported comparison rules schema_version {d.get('schema_version')!r}"
-        )
-    direction = d["direction"]
-    for control in CONTROLS:
-        if control not in direction:
-            raise ConfigInvalidError(f"direction table lacks control {control}")
-        if direction[control] not in (
-            "lower_is_stricter",
-            "higher_is_stricter",
-            "true_is_stricter",
-        ):
-            raise ConfigInvalidError(
-                f"unknown direction {direction[control]!r} for {control}"
-            )
-    return ComparisonRules(
-        relevance={k: tuple(v) for k, v in d["relevance"].items()},
-        direction=dict(direction),
-        severity=d["severity"],
-    )
-
 
 def load_default_rules() -> ComparisonRules:
-    text = (
+    """The bundled relevance, direction and severity tables."""
+    d = json.loads(
         resources.files("pir").joinpath("data/comparison_rules.json").read_text("utf-8")
     )
-    return load_rules(text)
+    return ComparisonRules(
+        relevance={k: tuple(v) for k, v in d["relevance"].items()},
+        direction=d["direction"],
+        severity=d["severity"],
+    )
 
 
 def extract_control_parameters(
@@ -299,15 +271,8 @@ def compare_controls(
     if not effective_base:
         raise NoBaselineError("no baseline control parameters to compare against")
 
-    relevant = rules.relevant_controls(mapping.technique_id)
-    if not relevant:
-        logger.warning(
-            "no relevance entry for technique %s; no controls compared",
-            mapping.technique_id,
-        )
-
     gaps: list[PolicyGap] = []
-    for control in relevant:
+    for control in rules.relevance.get(mapping.technique_id, ()):
         base_param = effective_base.get(control)
         if base_param is None:
             continue

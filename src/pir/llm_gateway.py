@@ -93,17 +93,18 @@ class PromptTemplate:
 
 
 def render(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    """Deterministic placeholder substitution; nothing else."""
-    rendered = _PLACEHOLDER.sub(
-        lambda m: bindings.get(m.group(1), m.group(0)), template.body
-    )
-    leftover = _PLACEHOLDER.search(rendered)
-    if leftover:
-        raise MissingPlaceholderError(
-            f"template {template.template_id} placeholder "
-            f"{leftover.group(1)!r} left unbound"
-        )
-    return rendered
+    """Deterministic placeholder substitution; nothing else.
+
+    Every placeholder of the template body must be bound. Bound values go in
+    as they are, so evidence text that looks like a placeholder stays text.
+    """
+    for m in _PLACEHOLDER.finditer(template.body):
+        if m.group(1) not in bindings:
+            raise MissingPlaceholderError(
+                f"template {template.template_id} placeholder "
+                f"{m.group(1)!r} left unbound"
+            )
+    return _PLACEHOLDER.sub(lambda m: bindings[m.group(1)], template.body)
 
 
 # Spelled out in words rather than shown literally: a bracketed example such

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -299,10 +299,8 @@ def technique_query(mapping, catalog) -> str:
 
     Expansion: "<technique name> <indicator tags...> <control vocabulary...>"
     with the fixed vocabulary account lockout / password / authentication /
-    multi-factor. Unknown technique ids fall back to the mapped name alone.
+    multi-factor.
     """
-    entry = catalog.get(mapping.technique_id)
-    if entry is None:
-        return mapping.technique_name
+    entry = catalog[mapping.technique_id]
     parts = [entry.name, *entry.indicator_tags, *CONTROL_VOCABULARY]
     return " ".join(parts)

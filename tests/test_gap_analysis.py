@@ -237,13 +237,6 @@ def test_unmapped_technique_compares_nothing():
     assert compare([], base, mapping, EVIDENCE) == []
 
 
-def test_subtechnique_inherits_parent_relevance():
-    mapping = dataclasses.replace(mapping_fixture(), technique_id="T1110.001")
-    base = [param("LockoutThreshold", 5, clause="base:1-1")]
-    [gap] = compare([param("LockoutThreshold", 10)], base, mapping, EVIDENCE)
-    assert gap.technique_id == "T1110.001"
-
-
 def test_gaps_sorted_by_control_then_technique():
     org = [param("PasswordMaxAgeDays", 365), param("LockoutThreshold", 10)]
     base = [

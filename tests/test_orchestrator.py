@@ -227,6 +227,22 @@ def test_checkpoints_hold_each_fact_once(tmp_path, monkeypatch):
     assert total <= 1.05 * len(canon.canon_dumps(state.to_dict()))
 
 
+def test_placeholder_text_in_evidence_is_narrated_as_text(tmp_path):
+    # an account name shaped like a prompt placeholder is evidence, not a
+    # binding the template lacks
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name in workloads.POLICIES.values():
+        shutil.copyfile(FIXTURES / "policies" / name, inputs / name)
+    xml, _truth = generate(ScenarioSpec(target_account="{{evil}}"), source_name="host")
+    (inputs / "host.xml").write_text(xml, encoding="utf-8")
+    config = workloads.review_config(tmp_path, ["inputs/host.xml"], "record")
+    state = run_review(config, transport=workloads.scripted_transport)
+    assert [f.account for f in state.findings] == ["{{evil}}"]
+    assert state.degradation_notes == ()
+    assert "Account: {{evil}}\n" in state.transcripts[0].rendered_prompt
+
+
 # --- ordering ------------------------------------------------------------------------
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -234,8 +233,3 @@ def test_technique_query_expands_with_control_vocabulary():
     assert "account lockout" in query
     assert "password" in query
     assert "multi-factor" in query
-
-
-def test_technique_query_unknown_id_falls_back_to_name():
-    mapping = dataclasses.replace(_mapping(), technique_id="T9999")
-    assert technique_query(mapping, load_default_catalog()) == mapping.technique_name
