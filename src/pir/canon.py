@@ -6,11 +6,15 @@ no insignificant whitespace, UTF-8, and timestamps rendered as UTC ISO-8601
 with a trailing ``Z``. The one exception is the records.json piece of each
 evidence record, which ``log_ingest.encode_record`` writes directly,
 because a review encodes every record: its bytes are those of
-``canon_dumps(record.to_dict())``, which the property
-``test_record_digests_agree_at_write_at_load_and_with_digest_of`` in
-tests/test_orchestrator.py pins. Floats are written as given (Python's
-shortest round-tripping form); a computed float is rounded where it is
-serialised, as ``RetrievalHit.to_dict`` rounds BM25 scores to 6 decimals.
+``canon_dumps(record.to_dict())``, which the properties
+``test_record_digests_agree_at_write_at_load_and_with_digest_of`` and
+``test_parsed_records_are_written_as_canon_dumps_writes_them`` in
+tests/test_orchestrator.py pin. The time in that piece is the canonical
+text :func:`read_instant` gave when the evidence was parsed, which is what
+:func:`format_instant` makes of the instant. Floats are written as given
+(Python's shortest round-tripping form); a computed float is rounded where
+it is serialised, as ``RetrievalHit.to_dict`` rounds BM25 scores to 6
+decimals.
 
 Record types written to JSON inherit :class:`Canonical`, whose
 ``to_dict``/``from_dict`` follow from the dataclass fields and their type
@@ -67,14 +71,15 @@ def digest_of(obj) -> str:
 
 
 _INSTANT_RE = re.compile(
-    r"([0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}:[0-9]{2})"
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[T ]([0-9]{2}:[0-9]{2}:[0-9]{2})"
     r"(?:\.([0-9]{1,9}))?([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?"
 )
 
 
-def read_instant(value: str) -> tuple[datetime, bool]:
-    """Parse a timestamp into an aware UTC datetime, and tell whether the
-    text named its zone.
+def read_instant(value: str) -> tuple[datetime, bool, str]:
+    """Parse a timestamp into an aware UTC datetime, tell whether the text
+    named its zone, and give the instant's canonical text, which is what
+    :func:`format_instant` makes of it.
 
     Whitespace around it aside, the text must be ``YYYY-MM-DD``, ``T`` or a
     space, ``hh:mm:ss``, an optional fraction of 1-9 ASCII digits, and an
@@ -84,21 +89,30 @@ def read_instant(value: str) -> tuple[datetime, bool]:
     digits), an offset-free time is taken as UTC, and ``fromisoformat``
     sees only a form that every supported Python reads alike.
 
+    A UTC time's canonical text is put together from the matched parts:
+    the date, ``T``, the clock, the six-digit fraction unless it is all
+    zeros, and ``Z``. Only a time with an offset is rendered by
+    format_instant, as the offset can move every part of it.
+
     Raises ValueError when the text is not of that form or names no valid
     date and clock, or when the instant falls outside years 1-9999 in UTC.
     """
     m = _INSTANT_RE.fullmatch(value.strip())
     if m is None:
         raise ValueError(f"{value!r} is not YYYY-MM-DD[T ]hh:mm:ss[.fraction][Z|+hh:mm|-hh:mm]")
-    clock, fraction, zone = m.groups()
+    date, clock, fraction, zone = m.groups()
+    text = date + "T" + clock
     if fraction is not None:
-        clock += "." + fraction[:6].ljust(6, "0")
+        fraction = fraction[:6].ljust(6, "0")
+        if fraction != "000000":
+            text += "." + fraction
     if zone in (None, "Z", "z"):
-        return datetime.fromisoformat(clock + "+00:00"), zone is not None
+        return datetime.fromisoformat(text + "+00:00"), zone is not None, text + "Z"
     try:
-        return datetime.fromisoformat(clock + zone).astimezone(timezone.utc), True
+        instant = datetime.fromisoformat(text + zone).astimezone(timezone.utc)
     except OverflowError:
         raise ValueError(f"{value!r} falls outside years 1-9999 in UTC") from None
+    return instant, True, format_instant(instant)
 
 
 def parse_instant(value: str) -> datetime:

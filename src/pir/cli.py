@@ -91,7 +91,7 @@ def cmd_detect(args) -> int:
     config = _config(args)
     projected = _load_evidence(
         config,
-        lambda r: auth_event(r.record_ref, r.event_id, r.fields, r.timestamp_utc),
+        lambda r, _time_text: auth_event(r.record_ref, r.event_id, r.fields, r.timestamp_utc),
     )
     events, skipped = normalize_auth_events(projected)
     findings = detect_bruteforce(events, config.detector)

@@ -25,13 +25,13 @@ import io
 import logging
 import re
 import xml.etree.ElementTree as ET
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, compress
 from json.encoder import encode_basestring
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, TextIO
 from xml.parsers import expat
@@ -89,25 +89,55 @@ class EventRecord(Canonical):
     fields: dict[str, str] = field(default_factory=dict)
 
 
-def encode_record(record: EventRecord) -> tuple[str, str]:
+# Piece templates are kept for at most this many record shapes (a record's
+# channel, provider and field names in document order), whatever the
+# evidence holds; an export repeats a few shapes, one per kind of event.
+TEMPLATE_SHAPES = 256
+
+
+@lru_cache(maxsize=TEMPLATE_SHAPES)
+def _piece_template(channel: str, provider: str, *names: str) -> tuple[str, Callable]:
+    """The %-template of the records.json piece of a record of this shape,
+    and the function that puts the record's escaped field values, in
+    document order, into the sorted order of their names. The template's
+    literal text (the keys, the escaped channel, provider and field names)
+    has every ``%`` doubled; it interpolates the event id, the escaped field
+    values, the escaped record ref and the time text."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+
+    def literal(text: str) -> str:
+        return encode_basestring(text).replace("%", "%%")
+
+    template = (
+        '{"channel":' + literal(channel)
+        + ',"event_id":%d,"fields":{'
+        + ",".join([literal(names[i]) + ":%s" for i in order])
+        + '},"provider":' + literal(provider)
+        + ',"record_ref":%s,"timestamp_utc":"%s"}'
+    )
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    return template, itemgetter(*order) if len(order) > 1 else tuple
+
+
+def encode_record(record: EventRecord, time_text: str | None = None) -> tuple[str, str]:
     """The record's time as canonical text and the record's canonical JSON,
-    ``canon_dumps(record.to_dict())`` byte for byte, written directly: the
-    keys in sorted order, the fields sorted by name, every string escaped
-    as canon_dumps escapes it (``encode_basestring``, no ASCII escaping),
-    and ``format_instant`` called once. Each record's piece of records.json
-    is made here."""
-    time_text = format_instant(record.timestamp_utc)
+    ``canon_dumps(record.to_dict())`` byte for byte, written directly from
+    the template of the record's shape (_piece_template): the keys in
+    sorted order, the fields sorted by name, and every string escaped as
+    canon_dumps escapes it (``encode_basestring``, no ASCII escaping).
+    ``time_text`` is the time's canonical text when the parse that built
+    the record gave it (``canon.read_instant``); a record built any other
+    way has its time rendered by ``format_instant``. Each record's piece of
+    records.json is made here."""
+    if time_text is None:
+        time_text = format_instant(record.timestamp_utc)
     fields = record.fields
-    return time_text, (
-        '{"channel":%s,"event_id":%d,"fields":{%s},"provider":%s,"record_ref":%s,"timestamp_utc":"%s"}'
-        % (
-            encode_basestring(record.channel),
-            record.event_id,
-            ",".join([encode_basestring(k) + ":" + encode_basestring(fields[k]) for k in sorted(fields)]),
-            encode_basestring(record.provider),
-            encode_basestring(record.record_ref),
-            time_text,
-        )
+    template, in_sorted_order = _piece_template(record.channel, record.provider, *fields)
+    return time_text, template % (
+        record.event_id,
+        *in_sorted_order([*map(encode_basestring, fields.values())]),
+        encode_basestring(record.record_ref),
+        time_text,
     )
 
 
@@ -122,7 +152,6 @@ class AuthEvent(NamedTuple):
     outcome: str  # "Failure" (4625) or "Success" (4624)
     account: str
     source_ip: str | None
-    logon_type: int | None
     timestamp_utc: datetime
 
 
@@ -231,14 +260,15 @@ def _syntax_error(exc: ET.ParseError, prolog: str) -> XmlSyntaxError:
     )
 
 
-def _itself(record: EventRecord) -> EventRecord:
+def _itself(record: EventRecord, time_text: str) -> EventRecord:
     return record
 
 
 def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itself) -> list:
     """Parse Windows event-export XML into records, in document order, and
-    return the list of what ``keep`` returns for each record (by default the
-    record itself).
+    return the list of what ``keep(record, time_text)`` returns for each
+    record (by default the record itself); ``time_text`` is the canonical
+    text of the record's time, as ``canon.read_instant`` gave it.
 
     ``document`` is the XML text or an open text file; either is parsed
     incrementally, CHUNK_CHARS characters at a time. The export may have one
@@ -288,7 +318,7 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
                 done = node[:-1]
                 del node[:-1]
                 for event in _events_in(done, event_tags):
-                    records.append(keep(_event_record(event, f"{source}#{len(records) + 1}", names)))
+                    records.append(keep(*_event_record(event, f"{source}#{len(records) + 1}", names)))
             if event_tags[last.tag] and not into_events:
                 return
             node = last
@@ -355,10 +385,11 @@ def _events_in(done: list[ET.Element], event_tags: _EventTags) -> list[ET.Elemen
     return events
 
 
-def _event_record(event: ET.Element, ref: str, names: dict[str, str]) -> EventRecord:
+def _event_record(event: ET.Element, ref: str, names: dict[str, str]) -> tuple[EventRecord, str]:
     """Build the record of one complete Event element from its first System
-    and every EventData child, found in one pass over its children. The scan
-    that found the Event entered every tag in it in ``names``."""
+    and every EventData child, found in one pass over its children, and
+    give the canonical text of its time with it. The scan that found the
+    Event entered every tag in it in ``names``."""
     system = None
     event_data = []
     for child in event:
@@ -372,7 +403,7 @@ def _event_record(event: ET.Element, ref: str, names: dict[str, str]) -> EventRe
         raise MissingSystemFieldError(f"{ref}: Event has no System section")
 
     event_id_text: str | None = None
-    time_text: str | None = None
+    system_time: str | None = None
     channel = ""
     provider = ""
     for child in system:
@@ -380,11 +411,11 @@ def _event_record(event: ET.Element, ref: str, names: dict[str, str]) -> EventRe
         if name == "EventID":
             event_id_text = (child.text or "").strip()
         elif name == "TimeCreated":
-            time_text = child.attrib.get("SystemTime")
+            system_time = child.get("SystemTime")
         elif name == "Channel":
             channel = (child.text or "").strip()
         elif name == "Provider":
-            provider = child.attrib.get("Name", "").strip()
+            provider = child.get("Name", "").strip()
 
     if not event_id_text:
         raise MissingSystemFieldError(f"{ref}: EventID absent")
@@ -396,34 +427,27 @@ def _event_record(event: ET.Element, ref: str, names: dict[str, str]) -> EventRe
         ) from None
     if event_id < 0:
         raise MissingSystemFieldError(f"{ref}: EventID {event_id} is negative")
-    if not time_text:
+    if not system_time:
         raise MissingSystemFieldError(f"{ref}: TimeCreated/@SystemTime absent")
     try:
-        timestamp, zoned = read_instant(time_text)
+        timestamp, zoned, time_text = read_instant(system_time)
     except ValueError:
         raise MissingSystemFieldError(
-            f"{ref}: TimeCreated {time_text!r} is not a parseable timestamp"
+            f"{ref}: TimeCreated {system_time!r} is not a parseable timestamp"
         ) from None
     if not zoned:
-        logger.warning("%s: offset-free timestamp %r assumed UTC", ref, time_text)
+        logger.warning("%s: offset-free timestamp %r assumed UTC", ref, system_time)
 
     fields: dict[str, str] = {}
     for child in event_data:
         for data in child:
             if names[data.tag] != "Data":
                 continue
-            name = data.attrib.get("Name")
+            name = data.get("Name")
             if name:
                 fields[name] = data.text or ""
 
-    return EventRecord(
-        record_ref=ref,
-        event_id=event_id,
-        timestamp_utc=timestamp,
-        channel=channel,
-        provider=provider,
-        fields=fields,
-    )
+    return EventRecord(ref, event_id, timestamp, channel, provider, fields), time_text
 
 
 def flatten_to_csv(records: list[EventRecord]) -> str:
@@ -451,8 +475,9 @@ def flatten_to_csv(records: list[EventRecord]) -> str:
 
 def load_csv(document: str | TextIO, keep=_itself) -> list:
     """Rebuild records from flattened CSV, in row order, and return the list
-    of what ``keep`` returns for each (by default the record itself); empty
-    cells become absent fields.
+    of what ``keep(record, time_text)`` returns for each (by default the
+    record itself), as parse_event_xml does; empty cells become absent
+    fields.
 
     ``document`` is the CSV text or a text file opened with ``newline=""``,
     which is read row by row.
@@ -486,13 +511,13 @@ def load_csv(document: str | TextIO, keep=_itself) -> list:
                 f"row {lineno}: event_id {event_id_text!r} is not an integer"
             ) from None
         try:
-            timestamp, zoned = read_instant(ts_text)
+            timestamp, zoned, time_text = read_instant(ts_text)
         except ValueError:
             raise CsvSchemaError(f"row {lineno}: timestamp_utc {ts_text!r} unparseable") from None
         if not zoned:
             logger.warning("%s: offset-free timestamp %r assumed UTC", ref, ts_text)
         fields = {k: v for k, v in zip(field_keys, row[len(CSV_FIXED_COLUMNS) :]) if v != ""}
-        records.append(keep(EventRecord(ref, event_id, timestamp, channel, provider, fields)))
+        records.append(keep(EventRecord(ref, event_id, timestamp, channel, provider, fields), time_text))
     return records
 
 
@@ -505,17 +530,12 @@ def auth_event(
     if event_id not in AUTH_EVENT_IDS:
         return None
     source_ip = fields.get("IpAddress", "").strip()
-    try:  # int() strips whitespace and refuses ""
-        logon_type: int | None = int(fields.get("LogonType", ""))
-    except ValueError:
-        logon_type = None
     # by position: a named tuple takes about twice as long to build by keyword
     return AuthEvent(
         record_ref,
         "Failure" if event_id == EVENT_ID_LOGON_FAILURE else "Success",
         fields.get("TargetUserName", "").strip(),
         None if source_ip in ("", "-") else source_ip,
-        logon_type,
         timestamp_utc,
     )
 
@@ -542,9 +562,9 @@ def check_evidence_path(path: Path) -> None:
 
 
 def load_evidence(paths: list[Path], keep=_itself) -> list:
-    """Read evidence files in order, handing each record to ``keep`` as it
-    is parsed; returns the list of what ``keep`` returned (by default the
-    records).
+    """Read evidence files in order, handing each record and the canonical
+    text of its time to ``keep`` as it is parsed; returns the list of what
+    ``keep`` returned (by default the records).
 
     Raises ConfigInvalidError, before any file is read, for a missing file or
     a suffix outside EVIDENCE_SUFFIXES (an ``.evtx`` file among them), and
@@ -556,14 +576,14 @@ def load_evidence(paths: list[Path], keep=_itself) -> list:
     kept: list = []
     source_of: dict[str, Path] = {}
 
-    def keep_new(record: EventRecord):
+    def keep_new(record: EventRecord, time_text: str):
         # called only while ``path``, the file being read, is current
         if record.record_ref in source_of:
             raise DuplicateRecordRefError(
                 record.record_ref, str(source_of[record.record_ref]), str(path)
             )
         source_of[record.record_ref] = path
-        return keep(record)
+        return keep(record, time_text)
 
     for path in paths:
         # newline="" hands line ends to the parsers untranslated: the csv

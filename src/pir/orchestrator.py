@@ -14,13 +14,14 @@ shared list, plus previous_digest, the sha256 of the previous stage's
 checkpoint bytes. Loading a checkpoint checks that chain back to
 ProcessEvidence.json and folds the deltas into the state. ProcessEvidence
 streams the records: each is encoded once as it is parsed, straight from
-the parsed record (log_ingest.encode_record), and written to
-state/records.json through a running sha256; a logon record's auth event
-is projected from the same record's parts. The state keeps only the
-record count and the rows of the records its findings cite;
-ProcessEvidence.json names the file's sha256 as its records_digest. Loading
-hashes the file in blocks against that digest and decodes no record. The
-rows and auth events of every record stay answerable on any state
+the parsed record and the time text its parse gave
+(log_ingest.encode_record), and written to state/records.json in batches
+through a running sha256; a logon record's auth event is projected from
+the same record's parts. The state keeps only the record count and the
+rows of the records its findings cite; ProcessEvidence.json names the
+file's sha256 as its records_digest. Loading hashes the file in blocks
+against that digest and decodes no record. The rows and auth events of
+every record stay answerable on any state
 (``records``, ``record_refs``, ``auth_events``): read_records, the one
 reader of records.json, reads them from the file when first asked, once per
 state. The state keeps only the report's time: write_report_files builds
@@ -110,6 +111,9 @@ RecordRow = tuple[str, int, str, str]  # see ReviewState.cited_records
 # A row as encode_records makes it: the start and end offsets of the record's
 # piece of records.json stand where the piece's sha256 goes (digest_rows).
 PieceRow = tuple[str, int, str, int, int]
+# encode_records hands records.json to its ``write`` in batches of about
+# this many bytes.
+WRITE_BATCH_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -493,36 +497,46 @@ def state_dir(output_dir: Path) -> Path:
 
 def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
     """Encode the records that ``load(keep)`` hands to ``keep``, each once
-    (encode_record), into the bytes of records.json, passing them to
-    ``write`` as they are made; ``keep`` returns the record's PieceRow, and
-    projects a logon record's auth event from the record's parts. Returns
-    the sha256 of the bytes, what ``load`` returned and the records' auth
-    events. The bytes are the canonical JSON of the record list: the pieces
-    joined by commas inside brackets."""
+    (encode_record, with the time text the parse gave, if any), into the
+    bytes of records.json, passing them to ``write`` in batches of about
+    WRITE_BATCH_BYTES as they are made; ``keep`` returns the record's
+    PieceRow, and projects a logon record's auth event from the record's
+    parts. Returns the sha256 of the bytes, what ``load`` returned and the
+    records' auth events. The bytes are the canonical JSON of the record
+    list: the pieces joined by commas inside brackets."""
     sha = hashlib.sha256()
     auth_events: list[AuthEvent] = []
+    batch: list[bytes] = []
     separator = b"["
     start = 1  # where the next piece starts, just past its separator
+    flush_at = WRITE_BATCH_BYTES
 
-    def emit(data: bytes) -> None:
+    def emit() -> None:
+        data = b"".join(batch)
+        batch.clear()
         write(data)
         sha.update(data)
 
-    def keep(record: EventRecord) -> PieceRow:
-        nonlocal separator, start
-        time_text, piece = encode_record(record)
+    def keep(record: EventRecord, time_text: str | None = None) -> PieceRow:
+        nonlocal separator, start, flush_at
+        time_text, piece = encode_record(record, time_text)
         data = piece.encode("utf-8")
-        emit(separator + data)
+        batch.append(separator)
+        batch.append(data)
         separator = b","
         ref, event_id = record.record_ref, record.event_id
         if event_id in AUTH_EVENT_IDS:
             auth_events.append(auth_event(ref, event_id, record.fields, record.timestamp_utc))
         row = ref, event_id, time_text, start, start + len(data)
         start += len(data) + 1
+        if start > flush_at:
+            emit()
+            flush_at = start + WRITE_BATCH_BYTES
         return row
 
     loaded = load(keep)
-    emit(b"]\n" if separator == b"," else b"[]\n")
+    batch.append(b"]\n" if separator == b"," else b"[]\n")
+    emit()
     return sha.hexdigest(), loaded, auth_events
 
 

@@ -110,14 +110,12 @@ def make_auth(
     seconds: float = 0.0,
     source: str = "src",
     source_ip: str | None = "203.0.113.77",
-    logon_type: int | None = 3,
 ) -> AuthEvent:
     return AuthEvent(
         record_ref=f"{source}#{ordinal}",
         outcome=outcome,
         account=account,
         source_ip=source_ip,
-        logon_type=logon_type,
         timestamp_utc=BASE_TIME + timedelta(seconds=seconds),
     )
 

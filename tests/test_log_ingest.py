@@ -11,7 +11,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pir.canon import format_instant, parse_instant, read_instant
 from pir.detection import DetectorParams, detect_bruteforce
@@ -31,6 +31,7 @@ from pir.log_ingest import (
     _pieces,
     _split_prolog,
     _syntax_error,
+    encode_record,
     flatten_to_csv,
     load_csv,
     load_evidence,
@@ -282,16 +283,33 @@ _FLAWS = {
 }
 
 
+def _example(when, separator, fraction, zone):
+    return example(when=when, separator=separator, fraction=fraction, zone=zone, flaw=None, before="", after="")
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     when=st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
     separator=st.sampled_from("T "),
-    fraction=st.none() | st.text(_DIGITS, min_size=1, max_size=9),
+    fraction=st.none() | st.text(_DIGITS, min_size=1, max_size=9) | st.text("0", min_size=1, max_size=9),
     zone=st.sampled_from(["", "z", "Z"]) | _OFFSETS,
     flaw=st.none() | st.sampled_from(sorted(_FLAWS)),
     before=st.sampled_from(["", " ", "\t", "\n  "]),
     after=st.sampled_from(["", " ", "\r\n"]),
 )
+# the canonical text drops an all-zero fraction and cuts 7-9 digits to 6;
+# an offset can move the date across a day or a year
+@_example(datetime(2026, 6, 1, 12), " ", "000000000", "z")
+@_example(datetime(2026, 6, 1, 12), " ", "0000000", "")
+@_example(datetime(2026, 6, 1, 12), "T", "1234567", "Z")
+@_example(datetime(2026, 6, 1, 12), "T", "123456789", "z")
+@_example(datetime(2026, 6, 1, 12), "T", "0000009", "Z")
+@_example(datetime(2026, 6, 1, 12), "T", "5", "")
+@_example(datetime(2026, 6, 1, 0, 30), " ", "1234567", "+02:00")
+@_example(datetime(2026, 6, 30, 23, 30), "T", "000", "-01:00")
+@_example(datetime(2026, 12, 31, 23, 30), " ", "9999999", "-00:45")
+@_example(datetime(2027, 1, 1, 0, 15), "T", None, "+23:59")
+@_example(datetime(2024, 2, 28, 23, 0), "T", "100000001", "-01:00")
 def test_read_instant_equals_hand_built_reader(when, separator, fraction, zone, flaw, before, after):
     parts = {
         "date": when.date().isoformat(),
@@ -305,12 +323,13 @@ def test_read_instant_equals_hand_built_reader(when, separator, fraction, zone, 
     pieces = (parts.get(k, "") for k in ("date", "sep", "clock", "fraction", "zone"))
     text = before + "".join(pieces) + after
     expected = _outcome(hand_read, text)
-    assert _outcome(read_instant, text) == expected
+    assert _outcome(lambda t: read_instant(t)[:2], text) == expected
     if flaw is not None:
         assert expected is ValueError
     elif expected is not ValueError:
         assert parse_instant(text) == expected[0]
         assert expected[2] == (zone != "")
+        assert read_instant(text)[2] == format_instant(expected[0])
 
 
 @pytest.mark.parametrize(
@@ -348,7 +367,7 @@ def test_read_instant_refuses_what_the_grammar_leaves_out(text):
 )
 def test_every_format_instant_output_reads_back_unchanged(when):
     text = format_instant(when)
-    assert read_instant(text) == (when if when.tzinfo else when.replace(tzinfo=timezone.utc), True)
+    assert read_instant(text) == (when if when.tzinfo else when.replace(tzinfo=timezone.utc), True, text)
     assert format_instant(read_instant(text)[0]) == text
 
 
@@ -479,10 +498,11 @@ def test_nested_event_is_a_record_numbered_before_its_container():
     )
 
 
-def pull_parse_event_xml(document, source="<string>", keep=lambda record: record):
+def pull_parse_event_xml(document, source="<string>", keep=lambda record, time_text: record):
     """Reference for parse_event_xml: the pull parser it replaced, which
     stepped through one end event per element and built each record from
-    the Event as its end tag was read."""
+    the Event as its end tag was read. It hands ``keep`` the time text that
+    format_instant makes of the record's instant."""
     pieces = _pieces(document)
     prolog, head = _split_prolog(pieces)
     parser = ET.XMLPullParser(events=("end",))
@@ -496,7 +516,8 @@ def pull_parse_event_xml(document, source="<string>", keep=lambda record: record
                 if name is None:
                     name = local[elem.tag] = elem.tag.rsplit("}", 1)[-1]
                 if name == "Event":
-                    records.append(keep(_pull_event_record(elem, f"{source}#{len(records) + 1}", local)))
+                    record = _pull_event_record(elem, f"{source}#{len(records) + 1}", local)
+                    records.append(keep(record, format_instant(record.timestamp_utc)))
                     elem.clear()
         parser.close()
     except ET.ParseError as exc:
@@ -535,7 +556,7 @@ def _pull_event_record(event, ref, local):
     if not time_text:
         raise MissingSystemFieldError(f"{ref}: TimeCreated/@SystemTime absent")
     try:
-        timestamp, _zoned = read_instant(time_text)
+        timestamp = parse_instant(time_text)
     except ValueError:
         raise MissingSystemFieldError(
             f"{ref}: TimeCreated {time_text!r} is not a parseable timestamp"
@@ -644,12 +665,12 @@ def export_document(choose):
 
 
 def _parse_outcome(parse, document):
-    """The refs handed to ``keep``, in order, and the records returned or
-    the error raised."""
+    """The refs and time texts handed to ``keep``, in order, and the records
+    returned or the error raised."""
     kept = []
 
-    def keep(record):
-        kept.append(record.record_ref)
+    def keep(record, time_text):
+        kept.append((record.record_ref, time_text))
         return record.to_dict()
 
     try:
@@ -730,7 +751,7 @@ def test_parse_memory_beyond_what_keep_returns_does_not_grow_with_the_file():
         stream = io.StringIO(event * count)
         tracemalloc.start()
         try:
-            assert len(parse_event_xml(stream, source="s", keep=lambda record: None)) == count
+            assert len(parse_event_xml(stream, source="s", keep=lambda record, time_text: None)) == count
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -738,6 +759,35 @@ def test_parse_memory_beyond_what_keep_returns_does_not_grow_with_the_file():
     # a parse that keeps each finished Event on the tree holds about 90 B
     # more per record: 1.8 MB more here
     assert held[1] - held[0] < 1_000_000
+
+
+def test_piece_templates_do_not_grow_with_the_number_of_record_shapes():
+    def encode_only(record, time_text):
+        encode_record(record, time_text)
+
+    held, retained_by_count = [], []
+    for count in (2_000, 12_000):
+        # every record has a field-name set of its own, so a shape of its own
+        stream = io.StringIO(
+            "".join(
+                "<Event><System><EventID>4625</EventID>"
+                '<TimeCreated SystemTime="2026-06-01T12:00:00Z"/></System>'
+                f'<EventData><Data Name="A{i}">a</Data><Data Name="B{i}">b</Data></EventData></Event>\n'
+                for i in range(count)
+            )
+        )
+        tracemalloc.start()
+        try:
+            assert len(parse_event_xml(stream, source="s", keep=encode_only)) == count
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held.append(peak - retained)
+        retained_by_count.append(retained)
+    # with no cap, the templates of the 10,000 more shapes hold about 5 MB,
+    # whether they are dropped when the parse ends or kept
+    assert held[1] - held[0] < 1_000_000
+    assert retained_by_count[1] - retained_by_count[0] < 1_000_000
 
 
 def test_load_evidence_runs_no_garbage_collection_during_the_parse(tmp_path):
@@ -915,7 +965,6 @@ def test_placeholder_ip_normalized_to_none():
     events, _ = normalize_auth_events(map(project, records))
     assert events[0].source_ip is None
     assert events[1].source_ip == "10.1.2.3"
-    assert events[1].logon_type is None
 
 
 # --- evidence sets ------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -26,8 +28,10 @@ from pir.errors import (
 from pir.gap_analysis import select_effective
 from pir.log_ingest import (
     AUTH_EVENT_IDS,
+    CSV_FIXED_COLUMNS,
     EventRecord,
     flatten_to_csv,
+    load_evidence,
     parse_event_xml,
 )
 from pir.orchestrator import (
@@ -35,10 +39,12 @@ from pir.orchestrator import (
     RECORDS_FILE,
     SHARED_FIELDS,
     STAGES,
+    WRITE_BATCH_BYTES,
     ReviewState,
     build_deps,
     check_stage_order,
     digest_rows,
+    encode_records,
     load_checkpoint,
     read_records,
     run_review,
@@ -625,9 +631,9 @@ def count_record_encodings(monkeypatch) -> dict[str, int]:
     counts = {"encode_record": 0, "to_dict": 0, "digest_of": 0}
     encode, to_dict, digest = log_ingest.encode_record, EventRecord.to_dict, canon.digest_of
 
-    def counted_encode(record):
+    def counted_encode(record, time_text=None):
         counts["encode_record"] += 1
-        return encode(record)
+        return encode(record, time_text)
 
     def counted_to_dict(self):
         counts["to_dict"] += 1
@@ -820,6 +826,36 @@ _RECORDS = st.lists(
         )
     ]
 )
+@example(
+    records=[
+        # one shape twice, then another: % in every literal of the template
+        # and in every interpolated value
+        EventRecord(
+            record_ref="%s#1",
+            event_id=4625,
+            timestamp_utc=datetime(2026, 6, 1, tzinfo=timezone.utc),
+            channel="%(x)s",
+            provider="100%",
+            fields={"%s": "%d", "%%": "%", "a%(x)s": "%%s", "TargetUserName": "%"},
+        ),
+        EventRecord(
+            record_ref="%%#2",
+            event_id=4624,
+            timestamp_utc=datetime(2026, 6, 1, 0, 0, 0, 1, tzinfo=timezone.utc),
+            channel="%(x)s",
+            provider="100%",
+            fields={"%s": "%(x)s", "%%": "%s%s", "a%(x)s": "", "TargetUserName": "%(x)s"},
+        ),
+        EventRecord(
+            record_ref="%(x)s#3",
+            event_id=7,
+            timestamp_utc=datetime(2026, 6, 1, tzinfo=timezone.utc),
+            channel="%",
+            provider="%%",
+            fields={"%(x)s": "%s", "%": "%%"},
+        ),
+    ]
+)
 def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     with tempfile.TemporaryDirectory() as tmp:
         file_digest, written, auth_events = write_records(
@@ -839,6 +875,110 @@ def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     ]
     projected = [project(r) for r in records]
     assert auth_events == read_auth_events == [e for e in projected if e is not None]
+
+
+# Text that a %-template or the JSON escaping could get wrong; CSV cells
+# can also hold the control characters that XML 1.0 cannot.
+_TRICKY = ["%", "%s", "%%", "%(x)s", "%d", '"', "\\", "\t", "\n", "\x7f", "\x85", "é", "\u2028", "\U0001F600", "a"]
+_CSV_ONLY = ["\x01", "\x1f", "\x1b", "\r", "\r\n", "\b"]
+# every form of time the grammar reads: the canonical text of some is put
+# together from the match, of the offset-bearing ones by format_instant
+_TIMES = [
+    "2026-06-01T12:00:00Z",
+    "2026-06-01 12:00:00.1234567z",
+    "2026-06-01T12:00:00.000000000",
+    "2026-12-31T23:30:00.5-01:00",
+    "2027-01-01 00:15:00+23:59",
+]
+
+
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _xml_attr(text: str) -> str:
+    return _xml_text(text).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
+
+
+@st.composite
+def _evidence(draw, alphabet):
+    """Events of at most three shapes, interleaved, each shape a channel, a
+    provider and Data names (a name may repeat): (channel, provider, event
+    id, time, [(name, value), ...]) for each."""
+    text = st.lists(st.sampled_from(alphabet), max_size=4).map("".join)
+    name = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map("".join)
+    shapes = draw(st.lists(st.tuples(text, text, st.lists(name, max_size=4)), min_size=1, max_size=3))
+    events = []
+    for _ in range(draw(st.integers(0, 8))):
+        channel, provider, names = draw(st.sampled_from(shapes))
+        event_id = draw(st.sampled_from(sorted(AUTH_EVENT_IDS)) | st.integers(0, 9999))
+        fields = [(n, draw(text)) for n in names]
+        events.append((channel, provider, event_id, draw(st.sampled_from(_TIMES)), fields))
+    return events
+
+
+def _xml_export(events) -> str:
+    parts = ["<Events>"]
+    for channel, provider, event_id, time, fields in events:
+        data = "".join(f'<Data Name="{_xml_attr(n)}">{_xml_text(v)}</Data>' for n, v in fields)
+        parts.append(
+            f'<Event><System><Provider Name="{_xml_attr(provider)}"/><EventID>{event_id}</EventID>'
+            f'<TimeCreated SystemTime="{time}"/><Channel>{_xml_text(channel)}</Channel></System>'
+            f"<EventData>{data}</EventData></Event>"
+        )
+    return "".join(parts) + "</Events>"
+
+
+def _csv_export(events) -> str:
+    columns = list(dict.fromkeys(n for *_, fields in events for n, _ in fields))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow([*CSV_FIXED_COLUMNS, *columns])
+    for i, (channel, provider, event_id, time, fields) in enumerate(events, start=1):
+        cells = dict(fields)
+        writer.writerow([f"%s{channel}#{i}", event_id, time, channel, provider, *(cells.get(c, "") for c in columns)])
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(xml_events=_evidence(_TRICKY), csv_events=_evidence(_TRICKY + _CSV_ONLY))
+def test_parsed_records_are_written_as_canon_dumps_writes_them(xml_events, csv_events):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "x%s.xml", Path(tmp) / "c%(x)s.csv"]
+        paths[0].write_text(_xml_export(xml_events), encoding="utf-8")
+        paths[1].write_text(_csv_export(csv_events), encoding="utf-8", newline="")
+        records = load_evidence(paths)
+        digest, rows, auth_events = write_records(lambda keep: load_evidence(paths, keep), Path(tmp) / "out")
+        data = (Path(tmp) / "out" / "state" / RECORDS_FILE).read_bytes()
+    assert len(records) == len(xml_events) + len(csv_events)
+    assert data == (canon.canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
+    assert digest == sha256_hex(data)
+    assert digest_rows(rows, data) == [
+        (r.record_ref, r.event_id, format_instant(r.timestamp_utc), digest_of(r.to_dict()))
+        for r in records
+    ]
+    assert auth_events == [e for e in map(project, records) if e is not None]
+
+
+def test_records_json_is_handed_to_write_in_batches():
+    records = [
+        make_record(i, fields={"TargetUserName": f"user{i}", "Note": "é" * (i % 7)})
+        for i in range(1, 3_001)
+    ]
+    writes = []
+    digest, rows, _auth_events = encode_records(lambda keep: [keep(r) for r in records], writes.append)
+    data = b"".join(writes)
+    pieces = [canon.canon_dumps(r.to_dict()).encode("utf-8") for r in records]
+    assert data == b"[" + b",".join(pieces) + b"]\n"
+    assert digest == sha256_hex(data)
+    assert digest_rows(rows, data) == [
+        (r.record_ref, r.event_id, format_instant(r.timestamp_utc), sha256_hex(piece))
+        for r, piece in zip(records, pieces)
+    ]
+    # each batch but the last ends with the piece that took it to the size
+    assert len(writes) == len(data) // WRITE_BATCH_BYTES + 1
+    longest = max(map(len, pieces)) + 1
+    assert all(WRITE_BATCH_BYTES <= len(w) < WRITE_BATCH_BYTES + longest for w in writes[:-1])
 
 
 def test_read_records_refuses_records_not_joined_by_commas(tmp_path):
