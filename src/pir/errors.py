@@ -27,7 +27,8 @@ class XmlSyntaxError(ReviewError):
 
 
 class MissingSystemFieldError(ReviewError):
-    """An Event element lacks a usable EventID or TimeCreated."""
+    """An Event element has no System section, holds another Event, or
+    breaks the record rule: no usable EventID or TimeCreated."""
 
 
 class CsvSchemaError(ReviewError):

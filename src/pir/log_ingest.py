@@ -1,6 +1,7 @@
 """Evidence ingestion: event XML and flattened CSV.
 
-Two input formats feed the review with the same normalized records:
+Two input formats feed the review with the same normalized records, each
+built by one record rule (``_record``):
 
 * XML exports in the standard Windows event schema, parsed as a stream,
 * flattened CSV (as produced by :func:`flatten_to_csv`), which round-trips
@@ -43,6 +44,7 @@ from .errors import (
     DuplicateRecordRefError,
     MalformedContainerError,
     MissingSystemFieldError,
+    ReviewError,
     XmlSyntaxError,
 )
 
@@ -119,21 +121,18 @@ def _piece_template(channel: str, provider: str, *names: str) -> tuple[str, Call
     return template, itemgetter(*order) if len(order) > 1 else tuple
 
 
-def encode_record(record: EventRecord, time_text: str | None = None) -> tuple[str, str]:
-    """The record's time as canonical text and the record's canonical JSON,
-    ``canon_dumps(record.to_dict())`` byte for byte, written directly from
-    the template of the record's shape (_piece_template): the keys in
-    sorted order, the fields sorted by name, and every string escaped as
-    canon_dumps escapes it (``encode_basestring``, no ASCII escaping).
-    ``time_text`` is the time's canonical text when the parse that built
-    the record gave it (``canon.read_instant``); a record built any other
-    way has its time rendered by ``format_instant``. Each record's piece of
-    records.json is made here."""
-    if time_text is None:
-        time_text = format_instant(record.timestamp_utc)
+def encode_record(record: EventRecord, time_text: str) -> str:
+    """The record's canonical JSON, ``canon_dumps(record.to_dict())`` byte
+    for byte, written directly from the template of the record's shape
+    (_piece_template): the keys in sorted order, the fields sorted by name,
+    and every string escaped as canon_dumps escapes it
+    (``encode_basestring``, no ASCII escaping). ``time_text`` is the
+    canonical text of the record's time, as the parse that built the record
+    gave it (``canon.read_instant``). Each record's piece of records.json is
+    made here."""
     fields = record.fields
     template, in_sorted_order = _piece_template(record.channel, record.provider, *fields)
-    return time_text, template % (
+    return template % (
         record.event_id,
         *in_sorted_order([*map(encode_basestring, fields.values())]),
         encode_basestring(record.record_ref),
@@ -264,6 +263,45 @@ def _itself(record: EventRecord, time_text: str) -> EventRecord:
     return record
 
 
+def _record(
+    error: type[ReviewError], where: str, ref: str, event_id: str | None, time: str,
+    channel: str | None, provider: str, data: Iterable[tuple[str | None, str | None]],
+) -> tuple[EventRecord, str]:
+    """The record rule, one for XML and CSV evidence: the record built from
+    the raw texts of its parts, and the canonical text of its time; or
+    ``error`` raised with ``where`` (the record's ref, or its CSV row) in
+    front of its message.
+
+    The ref must not be empty. The event id, stripped of surrounding
+    whitespace, must be ASCII digits only: no sign, ``_`` or non-ASCII
+    digit, all of which ``int`` reads. The time is read by
+    ``canon.read_instant``, and one with no offset is logged as assumed UTC.
+    Channel and provider are stripped. A ``(name, value)`` pair of ``data``
+    is a field only when both are non-empty, so an empty value is an absent
+    field.
+    """
+    if not ref:
+        raise error(f"{where}: record_ref is empty")
+    digits = (event_id or "").strip()
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        number = int(digits)  # ValueError beyond the interpreter's digit limit
+    except ValueError:
+        raise error(f"{where}: event id {digits!r} is not a number in ASCII digits") from None
+    try:
+        timestamp, zoned, time_text = read_instant(time)
+    except ValueError:
+        raise error(f"{where}: time {time!r} is not a parseable timestamp") from None
+    if not zoned:
+        logger.warning("%s: offset-free timestamp %r assumed UTC", ref, time)
+    fields = {}
+    for name, value in data:
+        if name and value:
+            fields[name] = value
+    return EventRecord(ref, number, timestamp, (channel or "").strip(), provider.strip(), fields), time_text
+
+
 def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itself) -> list:
     """Parse Windows event-export XML into records, in document order, and
     return the list of what ``keep(record, time_text)`` returns for each
@@ -279,20 +317,20 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
     sibling is complete: the walk down the last-child path from the holder
     hands the Events in those subtrees to ``keep`` and takes the subtrees
     off the tree. It never steps into an Event, which may still be open.
-    What the tree holds does not grow with the file, and unless Events nest
-    or other elements stand between them, no Python step runs per element.
+    What the tree holds does not grow with the file, and unless other
+    elements stand between the Events, no Python step runs per element.
 
     ``source`` names the originating file; ordinals are assigned by position
-    so ``record_ref`` is ``<source>#<n>`` with n starting at 1. Records are
-    numbered as their Event end tags are read, so an Event nested inside
-    another is a record of its own and takes the lower ordinal. EventData
-    ``Data`` elements flatten into ``fields`` keyed by their Name attribute.
+    so ``record_ref`` is ``<source>#<n>`` with n starting at 1. Each Event's
+    record follows the record rule (_record); EventData ``Data`` elements
+    give its fields, keyed by their Name attribute.
 
     Raises XmlSyntaxError, with the line and column in the original text, on
-    malformed markup and MissingSystemFieldError when an Event lacks a
-    usable EventID or TimeCreated (records are never silently dropped). The
-    first problem in document order is the one raised: on a syntax error,
-    every Event that ended before it reaches ``keep`` first.
+    malformed markup, and MissingSystemFieldError when an Event has no
+    System section, holds another Event or breaks the record rule (records
+    are never silently dropped). An Event's problems are found at its end
+    tag, and the first problem in document order is the one raised: on a
+    syntax error, every Event that ended before it reaches ``keep`` first.
 
     The cyclic garbage collector is paused while the parse and ``keep`` run,
     as timeit pauses it: the parse allocates about a dozen short-lived
@@ -309,7 +347,7 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
     names = event_tags.names
     records: list = []
 
-    def prune(into_events: bool) -> None:
+    def prune() -> None:
         # Below the holder, the open elements are a last-child path.
         node = holder
         while len(node):
@@ -317,9 +355,12 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
             if len(node) > 1:
                 done = node[:-1]
                 del node[:-1]
-                for event in _events_in(done, event_tags):
+                events, nested = _events_in(done, event_tags)
+                for event in events:
                     records.append(keep(*_event_record(event, f"{source}#{len(records) + 1}", names)))
-            if event_tags[last.tag] and not into_events:
+                if nested:
+                    raise MissingSystemFieldError(f"{source}#{len(records) + 1}: Event holds another Event")
+            if event_tags[last.tag]:
                 return
             node = last
 
@@ -330,14 +371,14 @@ def parse_event_xml(document: str | TextIO, source: str = "<string>", keep=_itse
         try:
             for piece in chain((prolog + _WRAPPER_START + head,), pieces, (_WRAPPER_END,)):
                 parser.feed(piece)
-                prune(into_events=False)
+                prune()
             parser.close()
         except ET.ParseError as exc:
             error = exc
         # An element opened now lands under the innermost open one, so every
         # element on the path to it is open, and everything else complete.
         builder.start("", {})
-        prune(into_events=True)
+        prune()
         if error is not None:
             raise _syntax_error(error, prolog) from error
     finally:
@@ -362,34 +403,26 @@ class _EventTags(dict):
 _TAG = attrgetter("tag")
 
 
-def _events_in(done: list[ET.Element], event_tags: _EventTags) -> list[ET.Element]:
-    """The Event elements in the complete subtrees ``done``, in the order of
-    their end tags."""
+def _events_in(done: list[ET.Element], event_tags: _EventTags) -> tuple[list[ET.Element], bool]:
+    """The Event elements in the complete subtrees ``done``, in document
+    order up to the first that holds another Event, and whether one does."""
     elements = list(chain.from_iterable(map(ET.Element.iter, done)))
     events = list(compress(elements, map(event_tags.__getitem__, map(_TAG, elements))))
-    if events == done:  # a run of Events with none inside another
-        return events
-    # iter() is pre-order, which puts an Event before those nested in it;
-    # walk in post-order instead, with a stack, as nesting has no bound
-    events = []
-    stack = [(None, iter(done))]
-    while stack:
-        parent, children = stack[-1]
-        child = next(children, None)
-        if child is not None:
-            stack.append((child, iter(child)))
-        else:
-            stack.pop()
-            if parent is not None and event_tags[parent.tag]:
-                events.append(parent)
-    return events
+    if events == done:  # a run of Events, none inside another
+        return events, False
+    # iter() is pre-order, so an Event that holds others comes right before
+    # the first of them; ``in`` finds an Element by identity
+    for i, (event, after) in enumerate(zip(events, events[1:])):
+        if after in event.iter():
+            return events[:i], True
+    return events, False
 
 
 def _event_record(event: ET.Element, ref: str, names: dict[str, str]) -> tuple[EventRecord, str]:
-    """Build the record of one complete Event element from its first System
-    and every EventData child, found in one pass over its children, and
-    give the canonical text of its time with it. The scan that found the
-    Event entered every tag in it in ``names``."""
+    """The record of one complete Event element, and the canonical text of
+    its time, by the record rule (_record) from the raw texts of its first
+    System and every EventData child, found in one pass over its children.
+    The scan that found the Event entered every tag in it in ``names``."""
     system = None
     event_data = []
     for child in event:
@@ -402,52 +435,24 @@ def _event_record(event: ET.Element, ref: str, names: dict[str, str]) -> tuple[E
     if system is None:
         raise MissingSystemFieldError(f"{ref}: Event has no System section")
 
-    event_id_text: str | None = None
-    system_time: str | None = None
-    channel = ""
-    provider = ""
+    event_id = channel = None
+    time = provider = ""
     for child in system:
         name = names[child.tag]
         if name == "EventID":
-            event_id_text = (child.text or "").strip()
+            event_id = child.text
         elif name == "TimeCreated":
-            system_time = child.get("SystemTime")
+            time = child.get("SystemTime", "")
         elif name == "Channel":
-            channel = (child.text or "").strip()
+            channel = child.text
         elif name == "Provider":
-            provider = child.get("Name", "").strip()
-
-    if not event_id_text:
-        raise MissingSystemFieldError(f"{ref}: EventID absent")
-    try:
-        event_id = int(event_id_text)
-    except ValueError:
-        raise MissingSystemFieldError(
-            f"{ref}: EventID {event_id_text!r} is not an integer"
-        ) from None
-    if event_id < 0:
-        raise MissingSystemFieldError(f"{ref}: EventID {event_id} is negative")
-    if not system_time:
-        raise MissingSystemFieldError(f"{ref}: TimeCreated/@SystemTime absent")
-    try:
-        timestamp, zoned, time_text = read_instant(system_time)
-    except ValueError:
-        raise MissingSystemFieldError(
-            f"{ref}: TimeCreated {system_time!r} is not a parseable timestamp"
-        ) from None
-    if not zoned:
-        logger.warning("%s: offset-free timestamp %r assumed UTC", ref, system_time)
-
-    fields: dict[str, str] = {}
-    for child in event_data:
-        for data in child:
-            if names[data.tag] != "Data":
-                continue
-            name = data.get("Name")
-            if name:
-                fields[name] = data.text or ""
-
-    return EventRecord(ref, event_id, timestamp, channel, provider, fields), time_text
+            provider = child.get("Name", "")
+    data = []
+    for element in event_data:
+        for child in element:
+            if names[child.tag] == "Data":
+                data.append((child.get("Name"), child.text))
+    return _record(MissingSystemFieldError, ref, ref, event_id, time, channel, provider, data)
 
 
 def flatten_to_csv(records: list[EventRecord]) -> str:
@@ -476,26 +481,26 @@ def flatten_to_csv(records: list[EventRecord]) -> str:
 def load_csv(document: str | TextIO, keep=_itself) -> list:
     """Rebuild records from flattened CSV, in row order, and return the list
     of what ``keep(record, time_text)`` returns for each (by default the
-    record itself), as parse_event_xml does; empty cells become absent
-    fields.
+    record itself), as parse_event_xml does. Each row's record follows the
+    record rule (_record), so an empty cell is an absent field.
 
     ``document`` is the CSV text or a text file opened with ``newline=""``,
     which is read row by row.
 
-    Raises CsvSchemaError when the fixed header prefix is wrong or a cell
-    violates its column type.
+    Raises CsvSchemaError when the fixed header prefix is wrong, a row's
+    length differs from the header's or a row breaks the record rule.
     """
     reader = csv.reader(io.StringIO(document) if isinstance(document, str) else document)
     try:
         header = next(reader)
     except StopIteration:
         raise CsvSchemaError("CSV has no header row") from None
-    if tuple(header[: len(CSV_FIXED_COLUMNS)]) != CSV_FIXED_COLUMNS:
+    fixed = len(CSV_FIXED_COLUMNS)
+    if tuple(header[:fixed]) != CSV_FIXED_COLUMNS:
         raise CsvSchemaError(
-            f"header must start with {','.join(CSV_FIXED_COLUMNS)}; "
-            f"got {','.join(header[:len(CSV_FIXED_COLUMNS)])}"
+            f"header must start with {','.join(CSV_FIXED_COLUMNS)}; got {','.join(header[:fixed])}"
         )
-    field_keys = header[len(CSV_FIXED_COLUMNS) :]
+    field_keys = header[fixed:]
 
     records: list = []
     for lineno, row in enumerate(reader, start=2):
@@ -503,21 +508,9 @@ def load_csv(document: str | TextIO, keep=_itself) -> list:
             continue
         if len(row) != len(header):
             raise CsvSchemaError(f"row {lineno}: {len(row)} cells, header has {len(header)}")
-        ref, event_id_text, ts_text, channel, provider = row[: len(CSV_FIXED_COLUMNS)]
-        try:
-            event_id = int(event_id_text)
-        except ValueError:
-            raise CsvSchemaError(
-                f"row {lineno}: event_id {event_id_text!r} is not an integer"
-            ) from None
-        try:
-            timestamp, zoned, time_text = read_instant(ts_text)
-        except ValueError:
-            raise CsvSchemaError(f"row {lineno}: timestamp_utc {ts_text!r} unparseable") from None
-        if not zoned:
-            logger.warning("%s: offset-free timestamp %r assumed UTC", ref, ts_text)
-        fields = {k: v for k, v in zip(field_keys, row[len(CSV_FIXED_COLUMNS) :]) if v != ""}
-        records.append(keep(EventRecord(ref, event_id, timestamp, channel, provider, fields), time_text))
+        # the fixed columns are _record's ref, event id, time, channel and provider
+        record = _record(CsvSchemaError, f"row {lineno}", *row[:fixed], zip(field_keys, row[fixed:]))
+        records.append(keep(*record))
     return records
 
 

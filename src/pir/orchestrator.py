@@ -497,7 +497,7 @@ def state_dir(output_dir: Path) -> Path:
 
 def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
     """Encode the records that ``load(keep)`` hands to ``keep``, each once
-    (encode_record, with the time text the parse gave, if any), into the
+    (encode_record, with the time text the parse gave), into the
     bytes of records.json, passing them to ``write`` in batches of about
     WRITE_BATCH_BYTES as they are made; ``keep`` returns the record's
     PieceRow, and projects a logon record's auth event from the record's
@@ -517,10 +517,9 @@ def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
         write(data)
         sha.update(data)
 
-    def keep(record: EventRecord, time_text: str | None = None) -> PieceRow:
+    def keep(record: EventRecord, time_text: str) -> PieceRow:
         nonlocal separator, start, flush_at
-        time_text, piece = encode_record(record, time_text)
-        data = piece.encode("utf-8")
+        data = encode_record(record, time_text).encode("utf-8")
         batch.append(separator)
         batch.append(data)
         separator = b","

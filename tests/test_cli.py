@@ -299,6 +299,46 @@ def test_review_refuses_a_time_outside_the_grammar(tmp_path, capsys, suffix, ins
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+_INNER_EVENT = '<Event><System><EventID>4624</EventID><TimeCreated SystemTime="2026-06-01T12:00:05Z"/></System></Event>'
+
+
+@pytest.mark.parametrize(
+    "suffix, old, new, where",
+    [
+        *(
+            (suffix, ",4625," if suffix == "csv" else ">4625<", f",{form}," if suffix == "csv" else f">{form}<", where)
+            for suffix, where in (("xml", "edge#1: event id"), ("csv", "row 2: event id"))
+            # int() reads every one of these as 4625 or -4625
+            for form in ("4_625", "\u0664\u0666\u0662\u0665", "+4625", "-4625")
+        ),
+        ("csv", "edge#1,", ",", "row 2: record_ref is empty"),
+        ("xml", "<EventData>", "<EventData>" + _INNER_EVENT, "edge#1: Event holds another Event"),
+    ],
+)
+def test_review_refuses_a_record_outside_the_record_rule(tmp_path, capsys, suffix, old, new, where):
+    text = event_xml([{"event_id": 4625, "time": "2026-06-01T12:00:00Z", "fields": {"TargetUserName": "eve"}}])
+    if suffix == "csv":
+        text = flatten_to_csv(parse_event_xml(text, source="edge"))
+    assert text.count(old) == 1
+    evidence = tmp_path / f"edge.{suffix}"
+    evidence.write_text(text.replace(old, new), encoding="utf-8", newline="")
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for key in ("org_policy_paths", "baseline_policy_paths"):
+        raw[key] = [str(FIXTURES / p) for p in raw[key]]
+    raw["evidence_paths"] = [str(evidence)]
+    raw["gateway"]["cache_dir"] = str(FIXTURES / "llm_cache")
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    code, _out, err = run_cli(
+        capsys, "review", "--config", str(tmp_path / "config.json"), "--output", str(tmp_path / "out")
+    )
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    cause = {"xml": "MissingSystemFieldError", "csv": "CsvSchemaError"}[suffix]
+    assert (payload["stage"], payload["cause"]) == ("ProcessEvidence", cause)
+    assert f"failed: {where}" in payload["detail"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("suffix", ["xml", "csv"])
 @pytest.mark.parametrize("instant", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
 def test_ingest_refuses_an_instant_outside_years_1_to_9999_in_utc(tmp_path, capsys, suffix, instant):

@@ -477,48 +477,71 @@ def test_syntax_error_position_points_into_the_original_text(text, line, column)
     assert text.splitlines()[line - 1][column:] == "Event>"
 
 
-def test_nested_event_is_a_record_numbered_before_its_container():
-    ns = 'xmlns="http://schemas.microsoft.com/win/2004/08/events/event"'
-    text = (
-        f"<Events><Event {ns}>"
+_NS = 'xmlns="http://schemas.microsoft.com/win/2004/08/events/event"'
+_PLAIN_EVENT = (
+    "<Event><System><EventID>4625</EventID>"
+    '<TimeCreated SystemTime="2026-06-01T12:00:00Z"/></System></Event>'
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the inner Event in the outer one's EventData, in one namespace
+        f"<Events>{_PLAIN_EVENT}<Event {_NS}>"
         "<System><EventID>4625</EventID>"
         '<TimeCreated SystemTime="2026-06-01T12:00:00Z"/></System>'
         '<EventData><Data Name="TargetUserName">outer</Data>'
-        "<Event><System><EventID>4624</EventID>"
-        '<TimeCreated SystemTime="2026-06-01T12:00:05Z"/></System>'
-        '<EventData><Data Name="TargetUserName">inner</Data></EventData>'
-        "</Event></EventData></Event></Events>"
-    )
-    inner, outer = parse_event_xml(text, source="s")
-    assert (inner.record_ref, inner.event_id, inner.fields) == (
-        "s#1", 4624, {"TargetUserName": "inner"}
-    )
-    assert (outer.record_ref, outer.event_id, outer.fields) == (
-        "s#2", 4625, {"TargetUserName": "outer"}
-    )
+        f"{_PLAIN_EVENT}</EventData></Event></Events>",
+        # directly inside, two deep, and the outer Event breaks the rule too
+        f"{_PLAIN_EVENT}<Event><Event>{_PLAIN_EVENT}</Event></Event>",
+    ],
+)
+def test_an_event_inside_another_is_refused_at_its_end_tag(text):
+    for document in (text, RaggedReader(text, random.Random(0), 5)):
+        kept = []
+        with pytest.raises(MissingSystemFieldError, match=r"^s#2: Event holds another Event$"):
+            parse_event_xml(document, source="s", keep=lambda record, time_text: kept.append(record.record_ref))
+        assert kept == ["s#1"]
+    # an Event still open at a syntax error never ends
+    with pytest.raises(XmlSyntaxError):
+        parse_event_xml(f"{_PLAIN_EVENT}<Event><EventData>{_PLAIN_EVENT}<1>", source="s")
 
 
 def pull_parse_event_xml(document, source="<string>", keep=lambda record, time_text: record):
     """Reference for parse_event_xml: the pull parser it replaced, which
-    stepped through one end event per element and built each record from
-    the Event as its end tag was read. It hands ``keep`` the time text that
-    format_instant makes of the record's instant."""
+    stepped through the start and end of each element and built each record
+    from the Event as its end tag was read, refusing at its end tag an Event
+    that held another. It hands ``keep`` the time text that format_instant
+    makes of the record's instant."""
     pieces = _pieces(document)
     prolog, head = _split_prolog(pieces)
-    parser = ET.XMLPullParser(events=("end",))
+    parser = ET.XMLPullParser(events=("start", "end"))
     local = {}
     records = []
+    open_events, nested = 0, False
     try:
         for piece in chain((prolog + _WRAPPER_START + head,), pieces, (_WRAPPER_END,)):
             parser.feed(piece)
-            for _event, elem in parser.read_events():
+            for kind, elem in parser.read_events():
                 name = local.get(elem.tag)
                 if name is None:
                     name = local[elem.tag] = elem.tag.rsplit("}", 1)[-1]
-                if name == "Event":
-                    record = _pull_event_record(elem, f"{source}#{len(records) + 1}", local)
-                    records.append(keep(record, format_instant(record.timestamp_utc)))
-                    elem.clear()
+                if name != "Event":
+                    continue
+                if kind == "start":
+                    open_events += 1
+                    continue
+                open_events -= 1
+                if open_events:
+                    nested = True
+                    continue
+                ref = f"{source}#{len(records) + 1}"
+                if nested:
+                    raise MissingSystemFieldError(f"{ref}: Event holds another Event")
+                record = _pull_event_record(elem, ref, local)
+                records.append(keep(record, format_instant(record.timestamp_utc)))
+                elem.clear()
         parser.close()
     except ET.ParseError as exc:
         raise _syntax_error(exc, prolog) from exc
@@ -545,22 +568,14 @@ def _pull_event_record(event, ref, local):
             channel = (child.text or "").strip()
         elif name == "Provider":
             provider = child.attrib.get("Name", "").strip()
-    if not event_id_text:
-        raise MissingSystemFieldError(f"{ref}: EventID absent")
-    try:
-        event_id = int(event_id_text)
-    except ValueError:
-        raise MissingSystemFieldError(f"{ref}: EventID {event_id_text!r} is not an integer") from None
-    if event_id < 0:
-        raise MissingSystemFieldError(f"{ref}: EventID {event_id} is negative")
-    if not time_text:
-        raise MissingSystemFieldError(f"{ref}: TimeCreated/@SystemTime absent")
+    event_id_text = event_id_text or ""
+    if not re.fullmatch("[0-9]+", event_id_text):
+        raise MissingSystemFieldError(f"{ref}: event id {event_id_text!r} is not a number in ASCII digits")
+    time_text = time_text or ""
     try:
         timestamp = parse_instant(time_text)
     except ValueError:
-        raise MissingSystemFieldError(
-            f"{ref}: TimeCreated {time_text!r} is not a parseable timestamp"
-        ) from None
+        raise MissingSystemFieldError(f"{ref}: time {time_text!r} is not a parseable timestamp") from None
     fields = {}
     for child in event:
         if local[child.tag] != "EventData":
@@ -569,9 +584,9 @@ def _pull_event_record(event, ref, local):
             if local[data.tag] != "Data":
                 continue
             name = data.attrib.get("Name")
-            if name:
-                fields[name] = data.text or ""
-    return EventRecord(ref, event_id, timestamp, channel, provider, fields)
+            if name and data.text:
+                fields[name] = data.text
+    return EventRecord(ref, int(event_id_text), timestamp, channel, provider, fields)
 
 
 # Each element is written plain, in the export's default namespace, or with a
@@ -598,7 +613,11 @@ def _event(choose, depth):
     # one Event in ten lacks a usable EventID, TimeCreated or System
     fault = choose([None] * 27 + ["EventID", "TimeCreated", "System"])
     system = []
-    event_id = choose(["4625", "4624", " 4624 "] if fault != "EventID" else ["", "x", "-1", None])
+    event_id = choose(
+        ["4625", "4624", " 4624 "]
+        if fault != "EventID"
+        else ["", "x", "-1", "+4625", "4_625", "\u0664\u0666\u0662\u0665", None]
+    )
     if event_id is not None:
         system.append(_element(choose, "EventID", event_id))
     time_text = choose(
@@ -711,13 +730,13 @@ _NO_EVENT_ID = '<Event><System><TimeCreated SystemTime="2026-06-01T12:00:00Z"/><
         _NO_EVENT_ID + "<1>",
         # close() finds the CDATA section never closed
         _NO_EVENT_ID + "<![CDATA[ tail",
-        # the faulty Event ends inside one still open at the error
-        "<Event><EventData>" + _NO_EVENT_ID + "<1>",
+        # the faulty Event ends inside an element still open at the error
+        "<Other><EventData>" + _NO_EVENT_ID + "<1>",
     ],
 )
 def test_an_event_that_ends_before_a_syntax_error_is_reported_first(text):
     for document in (text, RaggedReader(text, random.Random(0), 3)):
-        with pytest.raises(MissingSystemFieldError, match="s#1: EventID absent"):
+        with pytest.raises(MissingSystemFieldError, match="s#1: event id '' is not"):
             parse_event_xml(document, source="s")
     with pytest.raises(XmlSyntaxError):
         parse_event_xml(text.replace("<System>", "<System><EventID>1</EventID>"), source="s")
@@ -860,6 +879,18 @@ def test_round_trip_preserves_records():
         make_record(2, event_id=4624, seconds=5, fields={"TargetUserName": "admin"}),
         make_record(3, event_id=4688, seconds=9.5, fields={"NewProcessName": "x, y"}),
     ]
+    assert load_csv(flatten_to_csv(records)) == records
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=export_documents())
+def test_every_accepted_xml_export_round_trips_through_csv_exactly(document):
+    # empty Data values, Data without a Name and whitespace around the
+    # channel, provider and event id among them
+    try:
+        records = parse_event_xml(document, source="s")
+    except (XmlSyntaxError, MissingSystemFieldError):
+        return
     assert load_csv(flatten_to_csv(records)) == records
 
 

@@ -859,7 +859,7 @@ _RECORDS = st.lists(
 def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     with tempfile.TemporaryDirectory() as tmp:
         file_digest, written, auth_events = write_records(
-            lambda keep: [keep(r) for r in records], Path(tmp)
+            lambda keep: [keep(r, format_instant(r.timestamp_utc)) for r in records], Path(tmp)
         )
         path = Path(tmp) / "state" / RECORDS_FILE
         assert os.listdir(path.parent) == [RECORDS_FILE]
@@ -966,7 +966,7 @@ def test_records_json_is_handed_to_write_in_batches():
         for i in range(1, 3_001)
     ]
     writes = []
-    digest, rows, _auth_events = encode_records(lambda keep: [keep(r) for r in records], writes.append)
+    digest, rows, _auth_events = encode_records(lambda keep: [keep(r, format_instant(r.timestamp_utc)) for r in records], writes.append)
     data = b"".join(writes)
     pieces = [canon.canon_dumps(r.to_dict()).encode("utf-8") for r in records]
     assert data == b"[" + b",".join(pieces) + b"]\n"
