@@ -8,6 +8,7 @@ in the truth stay identical across seeds; only noise placement varies.
 
 from __future__ import annotations
 
+import html
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -68,7 +69,7 @@ def _event_xml(
     data: dict[str, str],
 ) -> str:
     data_lines = "\n".join(
-        f'      <Data Name="{name}">{value}</Data>' for name, value in data.items()
+        f'      <Data Name="{name}">{html.escape(value, quote=False)}</Data>' for name, value in data.items()
     )
     return (
         '  <Event xmlns="http://schemas.microsoft.com/win/2004/08/events/event">\n'

@@ -67,6 +67,14 @@ def test_default_scenario_shape():
     assert success_gap == timedelta(seconds=SUCCESS_DELAY_SECONDS)
 
 
+def test_account_names_are_escaped_in_the_xml():
+    spec = ScenarioSpec(target_account="a&b<c", noise_events=3, noise_accounts=("x>y&amp;",))
+    records = events_of(generate(spec)[0])
+    assert [r.fields["TargetUserName"] for r in records[:7]] == ["a&b<c"] * 7
+    noise = [r.fields.get("TargetUserName", r.fields.get("SubjectUserName")) for r in records[7:]]
+    assert noise == ["x>y&amp;"] * 3
+
+
 def test_success_can_be_omitted():
     xml_text, truth = generate(ScenarioSpec(include_success=False))
     assert truth.success_expected is False
