@@ -19,12 +19,14 @@ the parsed record and the time text its parse gave
 through a running sha256; a logon record's auth event is projected from
 the same record's parts. The state keeps only the record count and the
 rows of the records its findings cite; ProcessEvidence.json names the
-file's sha256 as its records_digest. Loading hashes the file in blocks
-against that digest and decodes no record. The rows and auth events of
+file's sha256 as its records_digest, and each cited row the byte range
+of its record's piece. Loading hashes the file in blocks against that
+digest and checks each cited row against the piece in its range, which
+it decodes; it decodes no other record. The rows and auth events of
 every record stay answerable on any state
 (``records``, ``record_refs``, ``auth_events``): read_records, the one
-reader of records.json, reads them from the file when first asked, once per
-state. The state keeps only the report's time: write_report_files builds
+reader of every record, reads them from the file when first asked, once
+per state. The state keeps only the report's time: write_report_files builds
 the report from the count and the cited rows, which checks its citation
 closure, and writes it, for GenerateReport and for ``pir render`` alike.
 verify_report re-reads the evidence and policy files, encoding the records
@@ -107,9 +109,9 @@ STATUS_SKIPPED = "skipped"
 STATUS_FAILED = "failed"
 
 RECORDS_FILE = "records.json"
-RecordRow = tuple[str, int, str, str]  # see ReviewState.cited_records
-# A row as encode_records makes it: the start and end offsets of the record's
-# piece of records.json stand where the piece's sha256 goes (digest_rows).
+RecordRow = tuple[str, int, str, str, int, int]  # see ReviewState.cited_records
+# A row as encode_records makes it, before the piece's sha256 is taken
+# (digest_rows).
 PieceRow = tuple[str, int, str, int, int]
 # encode_records hands records.json to its ``write`` in batches of about
 # this many bytes.
@@ -136,9 +138,10 @@ class ReviewState:
     # The records are streamed to records.json, never held. The state keeps
     # their number, the sha256 of the file's bytes, and one row for each
     # record that a finding cites (BehaviorFinding.cited_refs), in record
-    # order: record_ref, event_id, timestamp_utc as canonical text, and the
-    # sha256 of the record's piece of records.json. The report's evidence
-    # appendix is made from these rows.
+    # order: record_ref, event_id, timestamp_utc as canonical text, the
+    # sha256 of the record's piece of records.json, and the start and end
+    # byte offsets of the piece in the file, by which a load checks the row.
+    # The report's evidence appendix is made from these rows.
     record_count: int = 0
     records_digest: str | None = None
     cited_records: tuple[RecordRow, ...] = ()
@@ -540,9 +543,9 @@ def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
 
 
 def digest_rows(rows: Iterable[PieceRow], data) -> list[RecordRow]:
-    """The RecordRows of ``rows``: each piece's offsets give way to the
-    sha256 of its bytes in ``data``, the bytes of records.json."""
-    return [(ref, event_id, ts, sha256_hex(data[start:end])) for ref, event_id, ts, start, end in rows]
+    """The RecordRows of ``rows``: each gains the sha256 of its piece's
+    bytes in ``data``, the bytes of records.json, before their offsets."""
+    return [(ref, event_id, ts, sha256_hex(data[start:end]), start, end) for ref, event_id, ts, start, end in rows]
 
 
 def write_records(load, output_dir: Path) -> tuple[str, object, list[AuthEvent]]:
@@ -567,7 +570,7 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
     digest taken from the file's bytes, and their auth events, as
     write_records returned them. A logon record's auth event is projected
     from the parts of its decoded JSON form; no record is rebuilt as an
-    EventRecord. This is the one reader of records.json, behind
+    EventRecord. This is the one reader of every record, behind
     ReviewState.records and ReviewState.auth_events."""
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
@@ -580,29 +583,46 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
     rows: list[RecordRow] = []
     auth_events: list[AuthEvent] = []
     pos, last = 1, len(text) - 2  # just past "[", and at the closing "]"
+    start = 1  # the byte offset of the character at ``pos``
     while pos < last:
         item, end = decode(text, pos)
         if text[end] not in ",]":
             raise RecordsFileError(f"{path} is not a canonical JSON array")
         ref, event_id, ts = item["record_ref"], item["event_id"], item["timestamp_utc"]
-        rows.append((ref, event_id, ts, sha256_hex(text[pos:end])))
+        piece = text[pos:end].encode("utf-8")
+        rows.append((ref, event_id, ts, sha256_hex(piece), start, start + len(piece)))
         if event_id in AUTH_EVENT_IDS:
             auth_events.append(auth_event(ref, event_id, item["fields"], parse_instant(ts)))
-        pos = end + 1
+        pos, start = end + 1, start + len(piece) + 1
     return rows, auth_events
 
 
-def check_records_file(path: Path, digest: str) -> None:
+def check_records_file(path: Path, digest: str, rows: Iterable[RecordRow] = ()) -> None:
     """Raise RecordsFileError unless ``path`` is a file whose sha256 is
-    ``digest``. The file is hashed in blocks and never held whole."""
+    ``digest`` and the bytes in each row's range are the piece of the
+    record the row names: their sha256 is the row's, and they decode to a
+    record of the row's ref, event id and time. The file is hashed in
+    blocks and never held whole; of the pieces, only the rows' are read."""
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
     sha = hashlib.sha256()
     with path.open("rb") as stream:
         for block in iter(lambda: stream.read(1 << 16), b""):
             sha.update(block)
-    if sha.hexdigest() != digest:
-        raise RecordsFileError(f"{path} does not match the checkpoint's records_digest")
+        if sha.hexdigest() != digest:
+            raise RecordsFileError(f"{path} does not match the checkpoint's records_digest")
+        for ref, event_id, ts, row_digest, start, end in rows:
+            piece = b""
+            if 0 <= start <= end:
+                stream.seek(start)
+                piece = stream.read(end - start)
+            try:
+                item = json.loads(piece)
+                named = item["record_ref"], item["event_id"], item["timestamp_utc"]
+            except (ValueError, LookupError, TypeError):
+                named = None
+            if sha256_hex(piece) != row_digest or named != (ref, event_id, ts):
+                raise RecordsFileError(f"{path}: bytes {start}-{end} are not the piece of cited record {ref}")
 
 
 def save_checkpoint(state: ReviewState, output_dir: Path, stage: str, base: ReviewState | None = None) -> Path:
@@ -630,7 +650,8 @@ def load_checkpoint(path: Path) -> ReviewState:
     names, folding the checkpoints from ProcessEvidence's on. The earlier
     ones must sit beside it, each matching the previous_digest after it, else
     MalformedCheckpointError names it; so must records.json, which must match
-    the records_digest (RecordsFileError). No record is decoded."""
+    the records_digest and hold the piece of each cited row in the row's
+    byte range (RecordsFileError). Only the cited records are decoded."""
     path = Path(path)
     try:
         docs = [json.loads(path.read_bytes())]
@@ -650,7 +671,7 @@ def load_checkpoint(path: Path) -> ReviewState:
             raise ValueError("the stage_log entries are not the stages in order")
         records_file = path.parent / RECORDS_FILE
         if d["records_digest"]:
-            check_records_file(records_file, d["records_digest"])
+            check_records_file(records_file, d["records_digest"], d["cited_records"])
         return ReviewState.from_dict(d, records_file)
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc

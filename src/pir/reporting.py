@@ -158,7 +158,7 @@ def evidence_appendix(records: "typing.Iterable[RecordRow]", refs) -> list[dict]
     cited = set(refs)
     return [
         {"record_ref": ref, "event_id": event_id, "timestamp_utc": ts, "digest": digest}
-        for ref, event_id, ts, digest in records
+        for ref, event_id, ts, digest, _start, _end in records
         if ref in cited
     ]
 

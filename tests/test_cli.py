@@ -576,6 +576,35 @@ def test_render_fails_closed_without_its_records(tmp_path, capsys, damage):
     assert not (rendered / "report.md").exists()
 
 
+@pytest.mark.parametrize("damage", ["zeroed digest", "another piece", "shifted range", "edited time"])
+def test_render_checks_each_cited_row_against_records_json(tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
+    assert code == 0
+    owner = out / "state" / "ProcessEvidence.json"
+    doc = json.loads(owner.read_text(encoding="utf-8"))
+    row, other = doc["cited_records"][:2]
+    if damage == "zeroed digest":
+        row[3] = "0" * 16 + row[3][16:]
+    elif damage == "another piece":
+        row[3:] = other[3:]
+    elif damage == "shifted range":
+        row[4:] = [row[4] + 1, row[5] + 1]
+    else:
+        row[2] = "2026-06-01T12:00:01Z"
+    rewrite_checkpoint(owner, doc)
+
+    rendered = tmp_path / "rendered"
+    code, _out, err = run_cli(
+        capsys, "render", "--state", str(owner.with_name("GenerateReport.json")), "--output", str(rendered)
+    )
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "RecordsFileError"
+    assert f"cited record {row[0]}" in payload["detail"]
+    assert not (rendered / "report.json").exists()
+
+
 @pytest.mark.parametrize("side", ["org_value", "baseline_value"])
 def test_render_fails_closed_on_a_fabricated_control_clause_ref(tmp_path, capsys, side):
     out = tmp_path / "out"

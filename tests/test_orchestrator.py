@@ -593,6 +593,19 @@ def test_stage_log_times_keep_their_microseconds(demo_config):
     assert state.report_generated_at.microsecond == 0
 
 
+def rows_of(pieces: list[dict]) -> list[tuple]:
+    """The rows of the records whose JSON forms are ``pieces``, written to
+    records.json in order: ref, event id, time text, and the sha256 and the
+    byte range of the record's piece, the pieces joined by commas after "[".
+    """
+    rows, start = [], 1
+    for d in pieces:
+        data = canon.canon_dumps(d).encode("utf-8")
+        rows.append((d["record_ref"], d["event_id"], d["timestamp_utc"], sha256_hex(data), start, start + len(data)))
+        start += len(data) + 1
+    return rows
+
+
 def test_records_are_stored_once_in_records_json(demo_config):
     state = run_review(demo_config)
     state_dir = demo_config.output_dir / "state"
@@ -603,10 +616,7 @@ def test_records_are_stored_once_in_records_json(demo_config):
     records_text = texts.pop("records.json")
     digest = sha256_hex(records_text.encode("utf-8"))
     # the file holds each record once, and the state one row per record
-    assert [
-        (d["record_ref"], d["event_id"], d["timestamp_utc"], digest_of(d))
-        for d in json.loads(records_text)
-    ] == list(state.records)
+    assert rows_of(json.loads(records_text)) == list(state.records)
 
     # checkpoints name the records file by digest and cite refs, never records
     cited = {ref for f in state.findings for ref in f.evidence}
@@ -869,10 +879,7 @@ def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     assert file_digest == sha256_hex(data)
     if not records:
         assert data == b"[]\n"
-    assert digest_rows(written, data) == read == [
-        (r.record_ref, r.event_id, format_instant(r.timestamp_utc), digest_of(r.to_dict()))
-        for r in records
-    ]
+    assert digest_rows(written, data) == read == rows_of([r.to_dict() for r in records])
     projected = [project(r) for r in records]
     assert auth_events == read_auth_events == [e for e in projected if e is not None]
 
@@ -953,10 +960,7 @@ def test_parsed_records_are_written_as_canon_dumps_writes_them(xml_events, csv_e
     assert len(records) == len(xml_events) + len(csv_events)
     assert data == (canon.canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
     assert digest == sha256_hex(data)
-    assert digest_rows(rows, data) == [
-        (r.record_ref, r.event_id, format_instant(r.timestamp_utc), digest_of(r.to_dict()))
-        for r in records
-    ]
+    assert digest_rows(rows, data) == rows_of([r.to_dict() for r in records])
     assert auth_events == [e for e in map(project, records) if e is not None]
 
 
@@ -971,10 +975,7 @@ def test_records_json_is_handed_to_write_in_batches():
     pieces = [canon.canon_dumps(r.to_dict()).encode("utf-8") for r in records]
     assert data == b"[" + b",".join(pieces) + b"]\n"
     assert digest == sha256_hex(data)
-    assert digest_rows(rows, data) == [
-        (r.record_ref, r.event_id, format_instant(r.timestamp_utc), sha256_hex(piece))
-        for r, piece in zip(records, pieces)
-    ]
+    assert digest_rows(rows, data) == rows_of([r.to_dict() for r in records])
     # each batch but the last ends with the piece that took it to the size
     assert len(writes) == len(data) // WRITE_BATCH_BYTES + 1
     longest = max(map(len, pieces)) + 1
@@ -1014,7 +1015,8 @@ def test_retrieval_serialises_to_pinned_bytes(demo_config):
 # clock, previous_digest and report_generated_at masked, taken
 # when each checkpoint became that stage's delta (PINNED_STAGE_STATES pins the
 # states they load); ProcessEvidence.json re-taken when it gained
-# record_count and cited_records, without which it gives the old pin. The
+# record_count and cited_records, and again when each cited row gained the
+# byte range of its piece, without which it gives the pin before. The
 # review runs on a copy of the fixtures with no overrides, as
 # test_fixture_reports_match_pinned_digests does.
 PINNED_STATE_FILES = {
@@ -1023,7 +1025,7 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "d6a77b7f61b4d6f0f7c49f7e98ae3f4faf3e0e4c9ae97439e4fa13dc1f43c69b"
+            "3b632a983d0da71e7e050db7ad2829bb77f208441933b2d313a4db2ddaaa3ca0"
         ),
         "MapAttack.json": (
             "288ebb8edafeb7b5427f0ffed0e089cad7e39c81201e763ecb1fc9ce837c7688"
@@ -1043,7 +1045,7 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "927b9fe157a15be0a0deef3aea6665609db16899e1992f7ed0d45a00b179b523"
+            "c7d92176dab125a4d814ab6adc2b88657cc567fd5da61409d68666279c181800"
         ),
         "MapAttack.json": (
             "288ebb8edafeb7b5427f0ffed0e089cad7e39c81201e763ecb1fc9ce837c7688"
@@ -1088,22 +1090,23 @@ def test_fixture_state_files_match_pinned_digests(config_name, tmp_path):
 # state_digest of the state after each stage, as load_checkpoint rebuilds it
 # from that stage's <Stage>.json; taken while every checkpoint still held the
 # whole state, so a change of checkpoint format must load the same states.
-# Re-taken when the state gained record_count and cited_records; without
-# those two fields each state gives the pin taken before.
+# Re-taken when the state gained record_count and cited_records, and again
+# when each cited row gained the byte range of its piece; without the
+# ranges each state gives the pin taken before.
 PINNED_STAGE_STATES = {
     "review_config.json": {
-        "ProcessEvidence": "27b5ba845fea9844481f8ee778f13ab4da6f1c4b46f24aeda26461238140efb1",
-        "MapAttack": "8eb1287da37a240892c68a1891bd4294b058bc8969ce4ffea63ad31fbe76ba96",
-        "RetrievePolicies": "71c6f4b49cf8ed76150bc2c2e8b2fca1dd21393521f81ee094467e09d131a6e3",
-        "ValidatePolicies": "90efe62fd1f9fbfbc31ffec8c7c3f8711f872d83cae918580a27c5d8ef18315b",
-        "GenerateReport": "55a8a93b731d22904c3f096163dc9d5b57eaf4930239c1f9b6605143040cbba5",
+        "ProcessEvidence": "b624e9ca46d635376a3fad6ed4bf166202b1d9f48abfd03c6088d87a964d09cf",
+        "MapAttack": "351cccd0e9cf1a8f20d1ba972ddb6b72f004011ce20cfed9f86d71494c8dc68f",
+        "RetrievePolicies": "9da97522c22bdb030ffc7c53b3799a258cb166eb4ce9156a7633d483695f4537",
+        "ValidatePolicies": "e1cc2c0371d65390b8a7ca672580b87a1e26e74270b56978a62009edcd0a386d",
+        "GenerateReport": "690bdcbeeae97cc6784e2fc2e438244f3e35fed80c97d65fa0ac098392142907",
     },
     "review_config_nogap.json": {
-        "ProcessEvidence": "da17f9d843eaacec575249f7924b584e6987b4562286d01f4b3f6f283abaee43",
-        "MapAttack": "31e4daf8b416278e1807c331c765427c13f84a562f26743a8f88a861d0be3c8d",
-        "RetrievePolicies": "0d50944a1f7465e085ef9bcc116fa9b965348f4abb1fe42ca16db620346696b1",
-        "ValidatePolicies": "442c4bf6c08b4b66940b11af41a73cce0bc1ea5008cf0fd95eb01c19d90b8a1e",
-        "GenerateReport": "d4d1a277e63b3bf1ea98bd71ef92fe603387784364498701ffea5ceaabb24b08",
+        "ProcessEvidence": "9f63fc26f9bf34ed49c0b28148846647dca20bf32a8909de55305e355263d73c",
+        "MapAttack": "873eb6a9c7f9759e92db6429fed14ab66e704d6d220af15a9470163aa8a36e9d",
+        "RetrievePolicies": "d34e568efffc6e829d206d950d1d08fb8208aefe3d132c18cc66d2984aaa1bac",
+        "ValidatePolicies": "f9c61682a0e8612c630be7e756b476e15c60f6d5b8c984b6f46658570c9b8d94",
+        "GenerateReport": "3bc2850de0e4794d6045fc2dc6916a88b731bc50c9721d9e96a65b2884403a1b",
     },
 }
 
