@@ -597,7 +597,7 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
     return rows, auth_events
 
 
-def check_records_file(path: Path, digest: str, rows: Iterable[RecordRow] = ()) -> None:
+def check_records_file(path: Path, digest: str, rows: Iterable[RecordRow]) -> None:
     """Raise RecordsFileError unless ``path`` is a file whose sha256 is
     ``digest`` and the bytes in each row's range are the piece of the
     record the row names: their sha256 is the row's, and they decode to a

@@ -8,7 +8,6 @@ in the truth stay identical across seeds; only noise placement varies.
 
 from __future__ import annotations
 
-import html
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -62,6 +61,13 @@ class GroundTruth(Canonical):
     success_record_ref: str | None = None
 
 
+def _xml_text(value: str) -> str:
+    """``value`` as XML character data, with &, < and > escaped as
+    xml.sax.saxutils.escape escapes them; that module is not imported, as
+    it loads the HTTP modules."""
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _event_xml(
     event_id: int,
     record_id: int,
@@ -69,7 +75,7 @@ def _event_xml(
     data: dict[str, str],
 ) -> str:
     data_lines = "\n".join(
-        f'      <Data Name="{name}">{html.escape(value, quote=False)}</Data>' for name, value in data.items()
+        f'      <Data Name="{name}">{_xml_text(value)}</Data>' for name, value in data.items()
     )
     return (
         '  <Event xmlns="http://schemas.microsoft.com/win/2004/08/events/event">\n'
