@@ -15,16 +15,10 @@ from pathlib import Path
 
 from .canon import canon_dumps, parse_instant
 from .config import ReviewConfig
-from .detection import detect_bruteforce
 from .errors import ConfigInvalidError, ReportMismatchError, ReviewError, StageFailureError
 from .llm_gateway import GATEWAY_MODES
-from .log_ingest import (
-    auth_event,
-    flatten_to_csv,
-    load_evidence,
-    normalize_auth_events,
-)
-from .orchestrator import load_checkpoint, run_review, verify_report, write_report_files
+from .log_ingest import flatten_to_csv, load_evidence
+from .orchestrator import load_checkpoint, read_evidence, run_review, verify_report, write_report_files
 from .policy_index import build_index, load_policy_documents
 from .scenario_gen import ScenarioSpec, generate
 
@@ -56,15 +50,6 @@ def _config(args, required: bool = True) -> ReviewConfig | None:
     return ReviewConfig.from_file(Path(args.config), overrides=overrides)
 
 
-def _load_evidence(config: ReviewConfig, *keep) -> list:
-    """What load_evidence's ``keep``, when one is given, returns for each
-    evidence record (by default the record itself), for the ingest and
-    detect commands."""
-    if not config.evidence_paths:
-        raise ConfigInvalidError("config lists no evidence_paths")
-    return load_evidence(config.evidence_paths, *keep)
-
-
 def cmd_review(args) -> int:
     config = _config(args)
     state = run_review(config)
@@ -79,7 +64,7 @@ def cmd_review(args) -> int:
 
 def cmd_ingest(args) -> int:
     config = _config(args)
-    records = _load_evidence(config)
+    records = load_evidence(config.evidence_paths)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "records.csv"
     out_path.write_text(flatten_to_csv(records), encoding="utf-8", newline="")
@@ -89,12 +74,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _config(args)
-    projected = _load_evidence(
-        config,
-        lambda r, _time_text: auth_event(r.record_ref, r.event_id, r.fields, r.timestamp_utc),
-    )
-    events, skipped = normalize_auth_events(projected)
-    findings = detect_bruteforce(events, config.detector)
+    # the same pass as a review's; the bytes of records.json are dropped
+    _digest, _rows, events, skipped, findings = read_evidence(config, lambda _data: None)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "findings.json"
     out_path.write_text(

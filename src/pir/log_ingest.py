@@ -278,7 +278,7 @@ def _record(
     ``canon.read_instant``, and one with no offset is logged as assumed UTC.
     Channel and provider are stripped. A ``(name, value)`` pair of ``data``
     is a field only when both are non-empty, so an empty value is an absent
-    field.
+    field; a name with two such values is refused, so no value is lost.
     """
     if not ref:
         raise error(f"{where}: record_ref is empty")
@@ -298,6 +298,8 @@ def _record(
     fields = {}
     for name, value in data:
         if name and value:
+            if name in fields:
+                raise error(f"{where}: field {name!r} has two values")
             fields[name] = value
     return EventRecord(ref, number, timestamp, (channel or "").strip(), provider.strip(), fields), time_text
 
@@ -559,11 +561,13 @@ def load_evidence(paths: list[Path], keep=_itself) -> list:
     text of its time to ``keep`` as it is parsed; returns the list of what
     ``keep`` returned (by default the records).
 
-    Raises ConfigInvalidError, before any file is read, for a missing file or
-    a suffix outside EVIDENCE_SUFFIXES (an ``.evtx`` file among them), and
-    DuplicateRecordRefError when two records share a record_ref, before the
-    second of them reaches ``keep``.
+    Raises ConfigInvalidError, before any file is read, for no paths, a
+    missing file or a suffix outside EVIDENCE_SUFFIXES (an ``.evtx`` file
+    among them), and DuplicateRecordRefError when two records share a
+    record_ref, before the second of them reaches ``keep``.
     """
+    if not paths:
+        raise ConfigInvalidError("config lists no evidence_paths")
     for path in paths:
         check_evidence_path(path)
     kept: list = []

@@ -12,26 +12,29 @@ run_review writes a canonical JSON checkpoint after every stage under
 holds that stage's delta, its own fields and the items it appended to each
 shared list, plus previous_digest, the sha256 of the previous stage's
 checkpoint bytes. Loading a checkpoint checks that chain back to
-ProcessEvidence.json and folds the deltas into the state. ProcessEvidence
-streams the records: each is encoded once as it is parsed, straight from
-the parsed record and the time text its parse gave
-(log_ingest.encode_record), and written to state/records.json in batches
-through a running sha256; a logon record's auth event is projected from
-the same record's parts. The state keeps only the record count and the
-rows of the records its findings cite; ProcessEvidence.json names the
-file's sha256 as its records_digest, and each cited row the byte range
-of its record's piece. Loading hashes the file in blocks against that
-digest and checks each cited row against the piece in its range, which
-it decodes; it decodes no other record. The rows and auth events of
-every record stay answerable on any state
-(``records``, ``record_refs``, ``auth_events``): read_records, the one
-reader of every record, reads them from the file when first asked, once
-per state. The state keeps only the report's time: write_report_files builds
-the report from the count and the cited rows, which checks its citation
-closure, and writes it, for GenerateReport and for ``pir render`` alike.
-verify_report re-reads the evidence and policy files, encoding the records
-through the same encode_records as write_records, and checks a report
-against them (``pir verify``).
+ProcessEvidence.json and folds the deltas into the state.
+
+ProcessEvidence, verify_report (``pir verify``) and ``pir detect`` read
+the evidence by one pass, read_evidence. Each record is encoded once as it
+is parsed (log_ingest.encode_record, with its parse's time text), and the
+bytes of records.json go in batches through a running sha256 to the
+caller's ``write``: into the file (write_records), into memory (verify) or
+nowhere (detect). A logon record's auth event is projected from the same
+record's parts, then normalised and run through the detector. Each caller
+hashes only the pieces of the records it cites (digest_rows).
+
+The state keeps only the record count and the rows of the records its
+findings cite; ProcessEvidence.json names the file's sha256 as its
+records_digest, and each cited row the byte range of its record's piece.
+Loading hashes the file in blocks against that digest and checks each
+cited row against the piece in its range, which it decodes; it decodes no
+other record. The rows and auth events of every record stay answerable on
+any state (``records``, ``record_refs``, ``auth_events``): read_records,
+the one reader of every record, reads them from the file when first
+asked, once per state. The state keeps only the report's time:
+write_report_files builds the report from the count and the cited rows,
+which checks its citation closure, and writes it, for GenerateReport and
+for ``pir render`` alike.
 """
 
 from __future__ import annotations
@@ -298,25 +301,23 @@ def _absorb(out: dict, result: NarrativeResult) -> None:
 
 def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     config = deps.config
-    out["records_digest"], rows, auth_events = write_records(
-        lambda keep: load_evidence(config.evidence_paths, keep), config.output_dir
-    )
     out["records_file"] = records_file = state_dir(config.output_dir) / RECORDS_FILE
+    out["records_digest"], rows, _auth_events, skipped, findings = write_records(
+        lambda write: read_evidence(config, write), records_file
+    )
     out["record_count"] = len(rows)
-
-    auth_events, skipped = normalize_auth_events(auth_events)
     if skipped:
         out["notes"].append(
             f"{skipped} auth record(s) skipped during normalization "
             f"(missing TargetUserName)"
         )
 
-    out["findings"] = findings = detect_bruteforce(auth_events, config.detector)
+    out["findings"] = findings
     if not findings:
         out["notes"].append("no qualifying behaviour detected in evidence")
     cited = {ref for finding in findings for ref in finding.cited_refs()}
     with records_file.open("rb") as stream, mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ) as data:
-        out["cited_records"] = digest_rows([row for row in rows if row[0] in cited], data)
+        out["cited_records"] = digest_rows(rows, cited, data)
 
     out["finding_summaries"] = summaries = []
     for finding in findings:
@@ -542,21 +543,33 @@ def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
     return sha.hexdigest(), loaded, auth_events
 
 
-def digest_rows(rows: Iterable[PieceRow], data) -> list[RecordRow]:
-    """The RecordRows of ``rows``: each gains the sha256 of its piece's
-    bytes in ``data``, the bytes of records.json, before their offsets."""
-    return [(ref, event_id, ts, sha256_hex(data[start:end]), start, end) for ref, event_id, ts, start, end in rows]
+def digest_rows(rows: Iterable[PieceRow], refs: Iterable[str], data) -> list[RecordRow]:
+    """The RecordRows of the rows whose ref is in ``refs``: each gains the
+    sha256 of its piece's bytes in ``data``, the bytes of records.json,
+    before their offsets. No other piece is hashed."""
+    cited = set(refs)
+    return [(ref, event_id, ts, sha256_hex(data[start:end]), start, end) for ref, event_id, ts, start, end in rows if ref in cited]
 
 
-def write_records(load, output_dir: Path) -> tuple[str, object, list[AuthEvent]]:
-    """encode_records into <output>/state/records.json, written as
-    records.json.tmp and renamed once ``load`` returns; when ``load`` raises,
-    the temp file is removed and no records.json is written."""
-    path = state_dir(output_dir) / RECORDS_FILE
-    tmp = path.with_name(RECORDS_FILE + ".tmp")
+def read_evidence(config: ReviewConfig, write) -> tuple[str, list[PieceRow], list[AuthEvent], int, list[BehaviorFinding]]:
+    """The one pass over the config's evidence: encode_records over
+    load_evidence, handing the bytes of records.json to ``write``, then
+    normalize_auth_events and detect_bruteforce. Returns the bytes' sha256,
+    the PieceRows, the auth events, the count normalisation skipped and the
+    findings."""
+    digest, rows, projected = encode_records(lambda keep: load_evidence(config.evidence_paths, keep), write)
+    auth_events, skipped = normalize_auth_events(projected)
+    return digest, rows, auth_events, skipped, detect_bruteforce(auth_events, config.detector)
+
+
+def write_records(encode, path: Path):
+    """Return ``encode(write)``, whose ``write`` writes ``path``.tmp: renamed
+    to ``path`` once ``encode`` returns, and removed when it raises, so a
+    failed encode writes nothing at ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("wb") as out:
-            result = encode_records(load, out.write)
+            result = encode(out.write)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -568,7 +581,7 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
     """Read a records.json that write_records wrote, after checking its bytes
     against ``digest``; returns the rows of all its records, each row's
     digest taken from the file's bytes, and their auth events, as
-    write_records returned them. A logon record's auth event is projected
+    encode_records returned them. A logon record's auth event is projected
     from the parts of its decoded JSON form; no record is rebuilt as an
     EventRecord. This is the one reader of every record, behind
     ReviewState.records and ReviewState.auth_events."""
@@ -715,18 +728,17 @@ def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path
 
 def verify_report(config: ReviewConfig, doc: dict) -> None:
     """Check a re-read report document against the config's evidence and
-    policy files (reporting.check_report). The records are encoded as
-    write_records encodes them, into memory and no file, to recompute their
-    rows and evidence digest. A document that lacks a section the check
-    reads is a ReportMismatchError too."""
+    policy files (reporting.check_report). The evidence is read by the same
+    pass as a review's (read_evidence), into memory and no file, and only
+    the pieces of the records the document cites are hashed. A document that
+    lacks a section the check reads is a ReportMismatchError too."""
+    refs, _clauses = reporting.collect_citations(doc)
     data = bytearray()
-    digest, rows, _auth_events = encode_records(
-        lambda keep: load_evidence(config.evidence_paths, keep), data.extend
-    )
-    rows = digest_rows(rows, data)
+    digest, rows, _auth_events, _skipped, _findings = read_evidence(config, data.extend)
+    cited = digest_rows(rows, refs, data)
     del data
     documents = load_policy_documents(config.org_policy_paths, config.baseline_policy_paths)
     try:
-        reporting.check_report(doc, rows, digest, documents)
+        reporting.check_report(doc, cited, digest, len(rows), documents)
     except (LookupError, TypeError, AttributeError) as exc:
         raise ReportMismatchError(f"malformed report: {type(exc).__name__}: {exc}") from exc

@@ -262,13 +262,14 @@ def check_report(
     doc: dict,
     records: "list[RecordRow]",
     records_digest: str,
+    record_count: int,
     documents: "typing.Iterable[PolicyDocument]",
 ) -> None:
-    """Check a re-read report document against the record rows and digest
-    of its evidence and the policy documents, all read afresh: its closure
-    against its own appendices, each appendix row against the one
-    recomputed for its cited record or clause, and then the evidence digest
-    and record count. Raises ReportMismatchError naming the first cited
+    """Check a re-read report document against the rows of the records it
+    cites, the digest and record count of its evidence and the policy
+    documents, all read afresh: its closure against its own appendices,
+    each appendix row against the one recomputed for its cited record or
+    clause, and then the evidence digest and record count. Raises ReportMismatchError naming the first cited
     record or clause that does not match, in record and then document
     order, or else the evidence digest."""
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
@@ -294,11 +295,11 @@ def check_report(
                 raise ReportMismatchError(f"cited {kind} {name} does not match its appendix row")
         if rows != recomputed:
             raise ReportMismatchError(f"the {kind} appendix repeats a row or is out of order")
-    if (doc["evidence_digest"], doc["record_count"]) != (records_digest, len(records)):
+    if (doc["evidence_digest"], doc["record_count"]) != (records_digest, record_count):
         raise ReportMismatchError(
             f"evidence_digest does not match the evidence files: the report has "
             f"{doc['evidence_digest']} over {doc['record_count']} record(s), the "
-            f"files give {records_digest} over {len(records)}"
+            f"files give {records_digest} over {record_count}"
         )
 
 

@@ -10,8 +10,9 @@ import pytest
 
 import pir
 from pir import orchestrator
-from pir.canon import canon_dumps
+from pir.canon import canon_dumps, sha256_hex
 from pir.cli import main
+from pir.config import ReviewConfig
 from pir.log_ingest import flatten_to_csv, load_csv, parse_event_xml
 from pir.scenario_gen import ScenarioSpec, generate
 
@@ -201,6 +202,19 @@ def test_evtx_evidence_exits_3_and_writes_nothing(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["review", "ingest", "detect", "verify"])
+def test_a_config_without_evidence_exits_3_and_writes_nothing(tmp_path, capsys, command):
+    raw = dict(json.loads((FIXTURES / "review_config.json").read_text()), evidence_paths=[])
+    raw["output_dir"] = str(tmp_path / "out")
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    (tmp_path / "report.json").write_text("{}")
+    argv = ["--config", str(tmp_path / "config.json")] + ([str(tmp_path / "report.json")] if command == "verify" else [])
+    code, _out, err = run_cli(capsys, command, *argv)
+    assert code == 3
+    assert json.loads(err.strip().splitlines()[-1])["detail"] == "config lists no evidence_paths"
+    assert not (tmp_path / "out").exists()
+
+
 def test_review_output_flag_leaves_the_report_unchanged(tmp_path, capsys, monkeypatch):
     # fix the clock, so any difference between the two reports is the output path's
     monkeypatch.setattr(orchestrator, "utc_now", lambda: BASE_TIME)
@@ -244,6 +258,21 @@ def test_detect_matches_recorded_truth(tmp_path, capsys):
     assert len(findings) == 1
     assert findings[0]["evidence"] == truth["injected_record_refs"]
     assert findings[0]["success_record"] == truth["success_record_ref"]
+
+
+@pytest.mark.parametrize(
+    "config_name", ["review_config.json", "review_config_nogap.json", "review_config_bad_citation.json"]
+)
+def test_detect_finds_what_a_review_finds(tmp_path, capsys, config_name):
+    config = FIXTURES / config_name
+    code, *_ = run_cli(capsys, "detect", "--config", str(config), "--output", str(tmp_path / "detect"))
+    assert code == 0
+    state = orchestrator.run_review(
+        ReviewConfig.from_file(config, overrides={"output_dir": str(tmp_path / "review"), "gateway_mode": "disabled"})
+    )
+    assert state.findings
+    written = (tmp_path / "detect" / "findings.json").read_text(encoding="utf-8")
+    assert written == canon_dumps([f.to_dict() for f in state.findings]) + "\n"
 
 
 def test_review_rejects_evidence_that_repeats_a_record_ref(tmp_path, capsys):
@@ -300,6 +329,7 @@ def test_review_refuses_a_time_outside_the_grammar(tmp_path, capsys, suffix, ins
 
 
 _INNER_EVENT = '<Event><System><EventID>4624</EventID><TimeCreated SystemTime="2026-06-01T12:00:05Z"/></System></Event>'
+_CSV_ROW = "edge#1,4625,2026-06-01T12:00:00Z,Security,Microsoft-Windows-Security-Auditing,eve"
 
 
 @pytest.mark.parametrize(
@@ -313,6 +343,11 @@ _INNER_EVENT = '<Event><System><EventID>4624</EventID><TimeCreated SystemTime="2
         ),
         ("csv", "edge#1,", ",", "row 2: record_ref is empty"),
         ("xml", "<EventData>", "<EventData>" + _INNER_EVENT, "edge#1: Event holds another Event"),
+        # a second value for one name is refused rather than let the last one win
+        ("xml", "</EventData>", '<Data Name="TargetUserName">mallory</Data></EventData>',
+         "edge#1: field 'TargetUserName' has two values"),
+        ("csv", f"Name\r\n{_CSV_ROW}\r\n", f"Name,TargetUserName\r\n{_CSV_ROW},mallory\r\n",
+         "row 2: field 'TargetUserName' has two values"),
     ],
 )
 def test_review_refuses_a_record_outside_the_record_rule(tmp_path, capsys, suffix, old, new, where):
@@ -804,6 +839,16 @@ def test_verify_passes_on_a_fresh_review(tmp_path, capsys, config_name):
     code, out, err = verify(capsys, config, report)
     assert (code, err) == (0, "")
     assert "cited record(s)" in out
+
+
+def test_verify_hashes_only_the_cited_pieces(tmp_path, capsys, monkeypatch):
+    config, report = review_a_copy(tmp_path, capsys)
+    doc = json.loads(report.read_text())
+    hashed = []
+    monkeypatch.setattr(orchestrator, "sha256_hex", lambda data: hashed.append(len(data)) or sha256_hex(data))
+    code, _out, err = verify(capsys, config, report)
+    assert (code, err) == (0, "")
+    assert len(hashed) == len(doc["evidence_appendix"]) < doc["record_count"]
 
 
 def test_verify_names_an_edited_clause(tmp_path, capsys):

@@ -585,6 +585,8 @@ def _pull_event_record(event, ref, local):
                 continue
             name = data.attrib.get("Name")
             if name and data.text:
+                if name in fields:
+                    raise MissingSystemFieldError(f"{ref}: field {name!r} has two values")
                 fields[name] = data.text
     return EventRecord(ref, int(event_id_text), timestamp, channel, provider, fields)
 

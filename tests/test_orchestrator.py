@@ -869,9 +869,10 @@ _RECORDS = st.lists(
 def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     with tempfile.TemporaryDirectory() as tmp:
         file_digest, written, auth_events = write_records(
-            lambda keep: [keep(r, format_instant(r.timestamp_utc)) for r in records], Path(tmp)
+            lambda write: encode_records(lambda keep: [keep(r, format_instant(r.timestamp_utc)) for r in records], write),
+            Path(tmp) / RECORDS_FILE,
         )
-        path = Path(tmp) / "state" / RECORDS_FILE
+        path = Path(tmp) / RECORDS_FILE
         assert os.listdir(path.parent) == [RECORDS_FILE]
         data = path.read_bytes()
         read, read_auth_events = read_records(path, file_digest)
@@ -879,7 +880,7 @@ def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     assert file_digest == sha256_hex(data)
     if not records:
         assert data == b"[]\n"
-    assert digest_rows(written, data) == read == rows_of([r.to_dict() for r in records])
+    assert digest_rows(written, [r.record_ref for r in records], data) == read == rows_of([r.to_dict() for r in records])
     projected = [project(r) for r in records]
     assert auth_events == read_auth_events == [e for e in projected if e is not None]
 
@@ -910,11 +911,11 @@ def _xml_attr(text: str) -> str:
 @st.composite
 def _evidence(draw, alphabet):
     """Events of at most three shapes, interleaved, each shape a channel, a
-    provider and Data names (a name may repeat): (channel, provider, event
-    id, time, [(name, value), ...]) for each."""
+    provider and distinct Data names, as the record rule requires: (channel,
+    provider, event id, time, [(name, value), ...]) for each."""
     text = st.lists(st.sampled_from(alphabet), max_size=4).map("".join)
     name = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map("".join)
-    shapes = draw(st.lists(st.tuples(text, text, st.lists(name, max_size=4)), min_size=1, max_size=3))
+    shapes = draw(st.lists(st.tuples(text, text, st.lists(name, max_size=4, unique=True)), min_size=1, max_size=3))
     events = []
     for _ in range(draw(st.integers(0, 8))):
         channel, provider, names = draw(st.sampled_from(shapes))
@@ -955,12 +956,14 @@ def test_parsed_records_are_written_as_canon_dumps_writes_them(xml_events, csv_e
         paths[0].write_text(_xml_export(xml_events), encoding="utf-8")
         paths[1].write_text(_csv_export(csv_events), encoding="utf-8", newline="")
         records = load_evidence(paths)
-        digest, rows, auth_events = write_records(lambda keep: load_evidence(paths, keep), Path(tmp) / "out")
-        data = (Path(tmp) / "out" / "state" / RECORDS_FILE).read_bytes()
+        digest, rows, auth_events = write_records(
+            lambda write: encode_records(lambda keep: load_evidence(paths, keep), write), Path(tmp) / RECORDS_FILE
+        )
+        data = (Path(tmp) / RECORDS_FILE).read_bytes()
     assert len(records) == len(xml_events) + len(csv_events)
     assert data == (canon.canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
     assert digest == sha256_hex(data)
-    assert digest_rows(rows, data) == rows_of([r.to_dict() for r in records])
+    assert digest_rows(rows, [r.record_ref for r in records], data) == rows_of([r.to_dict() for r in records])
     assert auth_events == [e for e in map(project, records) if e is not None]
 
 
@@ -975,7 +978,7 @@ def test_records_json_is_handed_to_write_in_batches():
     pieces = [canon.canon_dumps(r.to_dict()).encode("utf-8") for r in records]
     assert data == b"[" + b",".join(pieces) + b"]\n"
     assert digest == sha256_hex(data)
-    assert digest_rows(rows, data) == rows_of([r.to_dict() for r in records])
+    assert digest_rows(rows, [r.record_ref for r in records], data) == rows_of([r.to_dict() for r in records])
     # each batch but the last ends with the piece that took it to the size
     assert len(writes) == len(data) // WRITE_BATCH_BYTES + 1
     longest = max(map(len, pieces)) + 1
