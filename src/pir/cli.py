@@ -75,7 +75,7 @@ def cmd_ingest(args) -> int:
 def cmd_detect(args) -> int:
     config = _config(args)
     # the same pass as a review's; the bytes of records.json are dropped
-    _digest, _rows, events, skipped, findings = read_evidence(config, lambda _data: None)
+    _digest, _count, _rows, events, skipped, findings = read_evidence(config, lambda _data: None)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "findings.json"
     out_path.write_text(

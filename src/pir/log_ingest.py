@@ -264,13 +264,14 @@ def _itself(record: EventRecord, time_text: str) -> EventRecord:
 
 
 def _record(
-    error: type[ReviewError], where: str, ref: str, event_id: str | None, time: str,
+    error: Callable[[str], ReviewError], where: object, ref: str, event_id: str | None, time: str,
     channel: str | None, provider: str, data: Iterable[tuple[str | None, str | None]],
 ) -> tuple[EventRecord, str]:
     """The record rule, one for XML and CSV evidence: the record built from
-    the raw texts of its parts, and the canonical text of its time; or
-    ``error`` raised with ``where`` (the record's ref, or its CSV row) in
-    front of its message.
+    the raw texts of its parts, and the canonical text of its time; or the
+    exception that ``error`` makes of a message with ``where`` (the
+    record's ref, or its CSV row number) in front, raised. ``where`` is
+    formatted only then.
 
     The ref must not be empty. The event id, stripped of surrounding
     whitespace, must be ASCII digits only: no sign, ``_`` or non-ASCII
@@ -511,9 +512,14 @@ def load_csv(document: str | TextIO, keep=_itself) -> list:
         if len(row) != len(header):
             raise CsvSchemaError(f"row {lineno}: {len(row)} cells, header has {len(header)}")
         # the fixed columns are _record's ref, event id, time, channel and provider
-        record = _record(CsvSchemaError, f"row {lineno}", *row[:fixed], zip(field_keys, row[fixed:]))
+        record = _record(_row_error, lineno, row[0], row[1], row[2], row[3], row[4], zip(field_keys, row[fixed:]))
         records.append(keep(*record))
     return records
+
+
+def _row_error(message: str) -> CsvSchemaError:
+    """load_csv's refusal of a row, whose number starts ``message``."""
+    return CsvSchemaError("row " + message)
 
 
 def auth_event(

@@ -11,27 +11,34 @@ run_review writes a canonical JSON checkpoint after every stage under
 <output>/state/, and each fact goes into one checkpoint only: <Stage>.json
 holds that stage's delta, its own fields and the items it appended to each
 shared list, plus previous_digest, the sha256 of the previous stage's
-checkpoint bytes. Loading a checkpoint checks that chain back to
-ProcessEvidence.json and folds the deltas into the state.
+checkpoint bytes, which run_review takes as it writes them. A checkpoint
+writes as null what a load reads from elsewhere in the checkpoints: a
+finding summary, mapping rationale or incident summary that is the
+response of its stage's transcript at the same position, and a mapping's
+evidence that is its finding's. Loading a checkpoint checks the chain back
+to ProcessEvidence.json, folds the deltas into the state and restores what
+was written as null.
 
 ProcessEvidence, verify_report (``pir verify``) and ``pir detect`` read
 the evidence by one pass, read_evidence. Each record is encoded once as it
 is parsed (log_ingest.encode_record, with its parse's time text), and the
 bytes of records.json go in batches through a running sha256 to the
 caller's ``write``: into the file (write_records), into memory (verify) or
-nowhere (detect). A logon record's auth event is projected from the same
-record's parts, then normalised and run through the detector. Each caller
+nowhere (detect). Only a logon record, the one kind a finding can cite,
+keeps a row and has its auth event projected from the record's parts; the
+auth events are then normalised and run through the detector. Each caller
 hashes only the pieces of the records it cites (digest_rows).
 
 The state keeps only the record count and the rows of the records its
 findings cite; ProcessEvidence.json names the file's sha256 as its
-records_digest, and each cited row the byte range of its record's piece.
-Loading hashes the file in blocks against that digest and checks each
-cited row against the piece in its range, which it decodes; it decodes no
-other record. The rows and auth events of every record stay answerable on
-any state (``records``, ``record_refs``, ``auth_events``): read_records,
-the one reader of every record, reads them from the file when first
-asked, once per state. The state keeps only the report's time:
+records_digest, and each cited row the byte range of its record's piece,
+but not the piece's sha256. Loading hashes the file in blocks against that
+digest, checks each cited row against the piece in its range, which it
+decodes, and takes the piece's sha256 for the row; it decodes no other
+record. The rows and auth events of every record stay answerable on any
+state (``records``, ``record_refs``, ``auth_events``): read_records, the
+one reader of every record, reads them from the file when first asked,
+once per state. The state keeps only the report's time:
 write_report_files builds the report from the count and the cited rows,
 which checks its citation closure, and writes it, for GenerateReport and
 for ``pir render`` alike.
@@ -113,8 +120,8 @@ STATUS_FAILED = "failed"
 
 RECORDS_FILE = "records.json"
 RecordRow = tuple[str, int, str, str, int, int]  # see ReviewState.cited_records
-# A row as encode_records makes it, before the piece's sha256 is taken
-# (digest_rows).
+# A row without the piece's sha256: as encode_records makes it, before
+# digest_rows takes the sha256, and as a checkpoint stores a cited row.
 PieceRow = tuple[str, int, str, int, int]
 # encode_records hands records.json to its ``write`` in batches of about
 # this many bytes.
@@ -302,10 +309,9 @@ def _absorb(out: dict, result: NarrativeResult) -> None:
 def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     config = deps.config
     out["records_file"] = records_file = state_dir(config.output_dir) / RECORDS_FILE
-    out["records_digest"], rows, _auth_events, skipped, findings = write_records(
+    out["records_digest"], out["record_count"], rows, _auth_events, skipped, findings = write_records(
         lambda write: read_evidence(config, write), records_file
     )
-    out["record_count"] = len(rows)
     if skipped:
         out["notes"].append(
             f"{skipped} auth record(s) skipped during normalization "
@@ -499,16 +505,19 @@ def state_dir(output_dir: Path) -> Path:
     return path
 
 
-def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
+def encode_records(load, write) -> tuple[str, int, list[PieceRow], list[AuthEvent]]:
     """Encode the records that ``load(keep)`` hands to ``keep``, each once
     (encode_record, with the time text the parse gave), into the
     bytes of records.json, passing them to ``write`` in batches of about
-    WRITE_BATCH_BYTES as they are made; ``keep`` returns the record's
-    PieceRow, and projects a logon record's auth event from the record's
-    parts. Returns the sha256 of the bytes, what ``load`` returned and the
-    records' auth events. The bytes are the canonical JSON of the record
-    list: the pieces joined by commas inside brackets."""
+    WRITE_BATCH_BYTES as they are made. For a logon record, the only kind
+    a finding can cite, ``keep`` also makes its PieceRow and projects its
+    auth event from the record's parts. ``load`` returns a list of one item
+    per record. Returns the sha256 of the bytes, the number of records, and
+    the logon records' PieceRows and auth events. The bytes are the
+    canonical JSON of the record list: the pieces joined by commas inside
+    brackets."""
     sha = hashlib.sha256()
+    rows: list[PieceRow] = []
     auth_events: list[AuthEvent] = []
     batch: list[bytes] = []
     separator = b"["
@@ -521,7 +530,7 @@ def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
         write(data)
         sha.update(data)
 
-    def keep(record: EventRecord, time_text: str) -> PieceRow:
+    def keep(record: EventRecord, time_text: str) -> None:
         nonlocal separator, start, flush_at
         data = encode_record(record, time_text).encode("utf-8")
         batch.append(separator)
@@ -530,17 +539,16 @@ def encode_records(load, write) -> tuple[str, object, list[AuthEvent]]:
         ref, event_id = record.record_ref, record.event_id
         if event_id in AUTH_EVENT_IDS:
             auth_events.append(auth_event(ref, event_id, record.fields, record.timestamp_utc))
-        row = ref, event_id, time_text, start, start + len(data)
+            rows.append((ref, event_id, time_text, start, start + len(data)))
         start += len(data) + 1
         if start > flush_at:
             emit()
             flush_at = start + WRITE_BATCH_BYTES
-        return row
 
-    loaded = load(keep)
+    count = len(load(keep))
     batch.append(b"]\n" if separator == b"," else b"[]\n")
     emit()
-    return sha.hexdigest(), loaded, auth_events
+    return sha.hexdigest(), count, rows, auth_events
 
 
 def digest_rows(rows: Iterable[PieceRow], refs: Iterable[str], data) -> list[RecordRow]:
@@ -551,15 +559,15 @@ def digest_rows(rows: Iterable[PieceRow], refs: Iterable[str], data) -> list[Rec
     return [(ref, event_id, ts, sha256_hex(data[start:end]), start, end) for ref, event_id, ts, start, end in rows if ref in cited]
 
 
-def read_evidence(config: ReviewConfig, write) -> tuple[str, list[PieceRow], list[AuthEvent], int, list[BehaviorFinding]]:
+def read_evidence(config: ReviewConfig, write) -> tuple[str, int, list[PieceRow], list[AuthEvent], int, list[BehaviorFinding]]:
     """The one pass over the config's evidence: encode_records over
     load_evidence, handing the bytes of records.json to ``write``, then
     normalize_auth_events and detect_bruteforce. Returns the bytes' sha256,
-    the PieceRows, the auth events, the count normalisation skipped and the
-    findings."""
-    digest, rows, projected = encode_records(lambda keep: load_evidence(config.evidence_paths, keep), write)
+    the record count, the logon records' PieceRows, the auth events, the
+    count normalisation skipped and the findings."""
+    digest, count, rows, projected = encode_records(lambda keep: load_evidence(config.evidence_paths, keep), write)
     auth_events, skipped = normalize_auth_events(projected)
-    return digest, rows, auth_events, skipped, detect_bruteforce(auth_events, config.detector)
+    return digest, count, rows, auth_events, skipped, detect_bruteforce(auth_events, config.detector)
 
 
 def write_records(encode, path: Path):
@@ -610,21 +618,27 @@ def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEve
     return rows, auth_events
 
 
-def check_records_file(path: Path, digest: str, rows: Iterable[RecordRow]) -> None:
-    """Raise RecordsFileError unless ``path`` is a file whose sha256 is
-    ``digest`` and the bytes in each row's range are the piece of the
-    record the row names: their sha256 is the row's, and they decode to a
-    record of the row's ref, event id and time. The file is hashed in
-    blocks and never held whole; of the pieces, only the rows' are read."""
+def check_records_file(path: Path, digest: str, rows: Iterable[PieceRow]) -> list[RecordRow]:
+    """The RecordRows of ``rows``, each with the sha256 of the bytes in its
+    range, once ``path`` is found to be a file whose sha256 is ``digest``
+    and the bytes in each row's range the piece of the record the row
+    names: they decode to a record of the row's ref, event id and time.
+    Raises RecordsFileError otherwise. The file is hashed in blocks and
+    never held whole; of the pieces, only the rows' are read.
+
+    A row's sha256 needs no stored copy: ``digest`` pins the file's bytes,
+    and a range that decodes to a record holds exactly its piece, since a
+    quote inside a JSON string is always escaped."""
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
     sha = hashlib.sha256()
+    checked: list[RecordRow] = []
     with path.open("rb") as stream:
         for block in iter(lambda: stream.read(1 << 16), b""):
             sha.update(block)
         if sha.hexdigest() != digest:
             raise RecordsFileError(f"{path} does not match the checkpoint's records_digest")
-        for ref, event_id, ts, row_digest, start, end in rows:
+        for ref, event_id, ts, start, end in rows:
             piece = b""
             if 0 <= start <= end:
                 stream.seek(start)
@@ -634,37 +648,92 @@ def check_records_file(path: Path, digest: str, rows: Iterable[RecordRow]) -> No
                 named = item["record_ref"], item["event_id"], item["timestamp_utc"]
             except (ValueError, LookupError, TypeError):
                 named = None
-            if sha256_hex(piece) != row_digest or named != (ref, event_id, ts):
+            if named != (ref, event_id, ts):
                 raise RecordsFileError(f"{path}: bytes {start}-{end} are not the piece of cited record {ref}")
+            checked.append((ref, event_id, ts, sha256_hex(piece), start, end))
+    return checked
 
 
-def save_checkpoint(state: ReviewState, output_dir: Path, stage: str, base: ReviewState | None = None) -> Path:
+# --- checkpoint codec ---------------------------------------------------------
+# A checkpoint writes as null what a load reads from elsewhere in the
+# checkpoints (_write_once), and a load restores it (_read_back).
+
+
+def _narrated(stage: str, doc: dict) -> list[tuple[list | dict, int | str]]:
+    """(holder, key) of each text in ``stage``'s checkpoint dict ``doc``
+    that the stage narrated, in the order of its narrations: the finding
+    summaries, the mapping rationales, or the incident summary."""
+    if stage == "ProcessEvidence":
+        return [(doc["finding_summaries"], i) for i in range(len(doc["finding_summaries"]))]
+    if stage == "MapAttack":
+        return [(mapping, "rationale") for mapping in doc["mappings"]]
+    if stage == "GenerateReport":
+        return [(doc, "incident_summary")]
+    return []
+
+
+def _write_once(stage: str, doc: dict, findings: Sequence[BehaviorFinding]) -> None:
+    """Write as null, in ``stage``'s checkpoint dict ``doc``, each narrated
+    text that is the response of the stage's transcript at its position,
+    and each mapping's evidence that is its finding's, of ``findings``; a
+    fallback text stays. Drop the sha256 from each cited row."""
+    for (holder, key), transcript in zip(_narrated(stage, doc), doc["transcripts"]):
+        if holder[key] == transcript["response"]:
+            holder[key] = None
+    for mapping in doc.get("mappings", ()):
+        if tuple(mapping["evidence"]) == findings[mapping["finding_ref"]].evidence:
+            mapping["evidence"] = None
+    if "cited_records" in doc:
+        doc["cited_records"] = [row[:3] + row[4:] for row in doc["cited_records"]]
+
+
+def _read_back(stage: str, doc: dict, findings: list[dict]) -> None:
+    """Restore in ``stage``'s checkpoint dict ``doc`` what _write_once wrote
+    as null: a narrated text from the response of the stage's transcript at
+    its position (a null with no transcript there stays null), and a
+    mapping's evidence from its finding's, of the checkpoint dicts
+    ``findings``."""
+    for (holder, key), transcript in zip(_narrated(stage, doc), doc["transcripts"]):
+        if holder[key] is None:
+            holder[key] = transcript["response"]
+    for mapping in doc.get("mappings", ()):
+        if mapping["evidence"] is None:
+            mapping["evidence"] = findings[mapping["finding_ref"]]["evidence"]
+
+
+def save_checkpoint(
+    state: ReviewState, output_dir: Path, stage: str, base: ReviewState | None = None,
+    previous_digest: str | None = None,
+) -> bytes:
     """Write <stage>.json: the fields ``stage`` owns, the items it appended to
     each shared list after ``base`` (the state it started from, None for an
-    empty one), and previous_digest, the sha256 of the bytes of the previous
-    stage's checkpoint (None for the first stage)."""
+    empty one), each fact that the other checkpoints hold written as null
+    (_write_once), and ``previous_digest``, the sha256 of the bytes of the
+    previous stage's checkpoint (None for the first stage). Returns the
+    bytes written."""
     if state.record_count and state.records_digest is None:
         raise RecordsFileError(f"{stage}: the state holds records but no records_digest")
-    directory = state_dir(output_dir)
     values = {k: getattr(state, k) for k in OWNED_FIELDS[stage]}
     for name in SHARED_FIELDS:
         values[name] = getattr(state, name)[len(getattr(base, name)) if base else 0 :]
     delta = ReviewState(**{"run_id": None, "config_digest": None, **values}).to_dict()
     d = {k: delta[k] for k in [*_STORED_KEYS[stage], *SHARED_FIELDS]}
-    i = STAGES.index(stage)
-    d["previous_digest"] = sha256_hex((directory / f"{STAGES[i - 1]}.json").read_bytes()) if i else None
-    path = directory / f"{stage}.json"
-    path.write_text(canon_dumps(d) + "\n", encoding="utf-8")
-    return path
+    _write_once(stage, d, state.findings)
+    d["previous_digest"] = previous_digest
+    data = (canon_dumps(d) + "\n").encode("utf-8")
+    (state_dir(output_dir) / f"{stage}.json").write_bytes(data)
+    return data
 
 
 def load_checkpoint(path: Path) -> ReviewState:
     """Load the state after the stage that ``path``'s own stage_log entry
-    names, folding the checkpoints from ProcessEvidence's on. The earlier
-    ones must sit beside it, each matching the previous_digest after it, else
-    MalformedCheckpointError names it; so must records.json, which must match
-    the records_digest and hold the piece of each cited row in the row's
-    byte range (RecordsFileError). Only the cited records are decoded."""
+    names, folding the checkpoints from ProcessEvidence's on and restoring
+    what each wrote as null (_read_back). The earlier ones must sit beside
+    it, each matching the previous_digest after it, else
+    MalformedCheckpointError names it; so must records.json, which must
+    match the records_digest and hold the piece of each cited row in the
+    row's byte range (RecordsFileError). Only the cited records are
+    decoded, and each cited row gains its piece's sha256 from the file."""
     path = Path(path)
     try:
         docs = [json.loads(path.read_bytes())]
@@ -678,13 +747,14 @@ def load_checkpoint(path: Path) -> ReviewState:
             docs.append(json.loads(data))
         d = ReviewState(run_id="", config_digest="").to_dict()
         for stage, doc in zip(STAGES, reversed(docs)):
+            _read_back(stage, doc, d["findings"])
             d.update((k, doc[k]) for k in _STORED_KEYS[stage])
             d.update((k, d[k] + doc[k]) for k in SHARED_FIELDS)
         if [r["stage"] for r in d["stage_log"]] != list(STAGES[: len(docs)]):
             raise ValueError("the stage_log entries are not the stages in order")
         records_file = path.parent / RECORDS_FILE
-        if d["records_digest"]:
-            check_records_file(records_file, d["records_digest"], d["cited_records"])
+        if d["records_digest"] or d["cited_records"]:
+            d["cited_records"] = check_records_file(records_file, d["records_digest"], d["cited_records"])
         return ReviewState.from_dict(d, records_file)
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
@@ -697,6 +767,7 @@ def run_review(config: ReviewConfig, transport=None) -> ReviewState:
     deps = build_deps(config, transport=transport)
     config.validate()
     state = ReviewState(run_id=f"run-{config.digest[:12]}", config_digest=config.digest)
+    previous_digest = None
     for stage in STAGES:
         started = time.perf_counter()
         try:
@@ -704,8 +775,9 @@ def run_review(config: ReviewConfig, transport=None) -> ReviewState:
         except StageFailureError as exc:
             next_state, failure = exc.partial_state, exc
         elapsed_ms = (time.perf_counter() - started) * 1000
-        size = save_checkpoint(next_state, config.output_dir, stage, state).stat().st_size
-        logger.info("%s %s: checkpoint %d bytes, %.1f ms", stage, next_state.stage_log[-1].status, size, elapsed_ms)
+        data = save_checkpoint(next_state, config.output_dir, stage, state, previous_digest)
+        previous_digest = sha256_hex(data)
+        logger.info("%s %s: checkpoint %d bytes, %.1f ms", stage, next_state.stage_log[-1].status, len(data), elapsed_ms)
         if failure is not None:
             raise failure
         state = next_state
@@ -734,11 +806,11 @@ def verify_report(config: ReviewConfig, doc: dict) -> None:
     lacks a section the check reads is a ReportMismatchError too."""
     refs, _clauses = reporting.collect_citations(doc)
     data = bytearray()
-    digest, rows, _auth_events, _skipped, _findings = read_evidence(config, data.extend)
+    digest, count, rows, _auth_events, _skipped, _findings = read_evidence(config, data.extend)
     cited = digest_rows(rows, refs, data)
     del data
     documents = load_policy_documents(config.org_policy_paths, config.baseline_policy_paths)
     try:
-        reporting.check_report(doc, cited, digest, len(rows), documents)
+        reporting.check_report(doc, cited, digest, count, documents)
     except (LookupError, TypeError, AttributeError) as exc:
         raise ReportMismatchError(f"malformed report: {type(exc).__name__}: {exc}") from exc

@@ -10,7 +10,7 @@ import pytest
 
 import pir
 from pir import orchestrator
-from pir.canon import canon_dumps, sha256_hex
+from pir.canon import canon_dumps, digest_of, sha256_hex
 from pir.cli import main
 from pir.config import ReviewConfig
 from pir.log_ingest import flatten_to_csv, load_csv, parse_event_xml
@@ -611,20 +611,21 @@ def test_render_fails_closed_without_its_records(tmp_path, capsys, damage):
     assert not (rendered / "report.md").exists()
 
 
-@pytest.mark.parametrize("damage", ["zeroed digest", "another piece", "shifted range", "edited time"])
+@pytest.mark.parametrize("damage", ["edited event id", "another piece", "shifted range", "edited time"])
 def test_render_checks_each_cited_row_against_records_json(tmp_path, capsys, damage):
     out = tmp_path / "out"
     code, *_ = run_cli(capsys, "review", "--config", CONFIG, "--output", str(out))
     assert code == 0
     owner = out / "state" / "ProcessEvidence.json"
     doc = json.loads(owner.read_text(encoding="utf-8"))
+    # a stored row is [ref, event id, time, start, end]
     row, other = doc["cited_records"][:2]
-    if damage == "zeroed digest":
-        row[3] = "0" * 16 + row[3][16:]
+    if damage == "edited event id":
+        row[1] = 4624 if row[1] == 4625 else 4625
     elif damage == "another piece":
         row[3:] = other[3:]
     elif damage == "shifted range":
-        row[4:] = [row[4] + 1, row[5] + 1]
+        row[3:] = [row[3] + 1, row[4] + 1]
     else:
         row[2] = "2026-06-01T12:00:01Z"
     rewrite_checkpoint(owner, doc)
@@ -735,14 +736,25 @@ def _break_checkpoint(checkpoint, damage):
         return
     # each edit goes into the checkpoint of the stage that owns the field
     owner = checkpoint.with_name(
-        {"no incident_summary": "GenerateReport.json", "numeric window_start": "ProcessEvidence.json"}
-        .get(damage, "RetrievePolicies.json")
+        {
+            "no incident_summary": "GenerateReport.json",
+            "numeric window_start": "ProcessEvidence.json",
+            "six-field cited rows": "ProcessEvidence.json",
+        }.get(damage, "RetrievePolicies.json")
     )
     doc = json.loads(owner.read_text(encoding="utf-8"))
     if damage == "no incident_summary":
         del doc["incident_summary"]
     elif damage == "numeric window_start":
         doc["findings"][0]["window_start"] = 5
+    elif damage == "six-field cited rows":
+        # the rows as they were stored with their piece's sha256, which a
+        # load now takes from records.json itself
+        records = checkpoint.with_name("records.json").read_bytes()
+        doc["cited_records"] = [
+            [ref, event_id, ts, sha256_hex(records[start:end]), start, end]
+            for ref, event_id, ts, start, end in doc["cited_records"]
+        ]
     else:
         doc["retrieval"][0]["clause_id"] = "nowhere:1-1"
     rewrite_checkpoint(owner, doc)
@@ -750,7 +762,7 @@ def _break_checkpoint(checkpoint, damage):
 
 @pytest.mark.parametrize(
     "damage",
-    ["corrupt json", "no incident_summary", "numeric window_start", "unknown clause"],
+    ["corrupt json", "no incident_summary", "numeric window_start", "unknown clause", "six-field cited rows"],
 )
 def test_render_of_a_malformed_checkpoint_exits_2(tmp_path, capsys, damage):
     out = tmp_path / "out"
@@ -873,6 +885,27 @@ def test_verify_names_an_edited_cited_record(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ReportMismatchError"
     assert "cited record bruteforce_scenario#3 " in payload["detail"]
+
+
+def test_verify_names_a_cited_record_that_is_not_a_logon(tmp_path, capsys):
+    # a report edited to cite a process-creation record, with a true
+    # appendix row for it: only a logon record can back a finding, so the
+    # evidence pass keeps no row for any other
+    config, report = review_a_copy(tmp_path, capsys)
+    doc = json.loads(report.read_text())
+    pieces = json.loads((tmp_path / "out" / "state" / "records.json").read_bytes())
+    process = next(piece for piece in pieces if piece["event_id"] == 4688)
+    ref = process["record_ref"]
+    doc["findings"][0]["evidence"].append(ref)
+    row = {"record_ref": ref, "event_id": 4688, "timestamp_utc": process["timestamp_utc"], "digest": digest_of(process)}
+    order = [piece["record_ref"] for piece in pieces]
+    doc["evidence_appendix"] = sorted([*doc["evidence_appendix"], row], key=lambda r: order.index(r["record_ref"]))
+    report.write_text(canon_dumps(doc), encoding="utf-8")
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert f"cited record {ref} is not in the files read" in payload["detail"]
 
 
 def test_verify_names_the_evidence_digest_for_an_edited_uncited_record(tmp_path, capsys):

@@ -606,6 +606,12 @@ def rows_of(pieces: list[dict]) -> list[tuple]:
     return rows
 
 
+def logon_rows(rows: list[tuple]) -> list[tuple]:
+    """The rows of logon records, the only ones encode_records keeps a row
+    for."""
+    return [row for row in rows if row[1] in AUTH_EVENT_IDS]
+
+
 def test_records_are_stored_once_in_records_json(demo_config):
     state = run_review(demo_config)
     state_dir = demo_config.output_dir / "state"
@@ -868,7 +874,7 @@ _RECORDS = st.lists(
 )
 def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     with tempfile.TemporaryDirectory() as tmp:
-        file_digest, written, auth_events = write_records(
+        file_digest, count, written, auth_events = write_records(
             lambda write: encode_records(lambda keep: [keep(r, format_instant(r.timestamp_utc)) for r in records], write),
             Path(tmp) / RECORDS_FILE,
         )
@@ -880,7 +886,9 @@ def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     assert file_digest == sha256_hex(data)
     if not records:
         assert data == b"[]\n"
-    assert digest_rows(written, [r.record_ref for r in records], data) == read == rows_of([r.to_dict() for r in records])
+    assert count == len(records)
+    assert read == rows_of([r.to_dict() for r in records])
+    assert digest_rows(written, [r.record_ref for r in records], data) == logon_rows(read)
     projected = [project(r) for r in records]
     assert auth_events == read_auth_events == [e for e in projected if e is not None]
 
@@ -956,29 +964,29 @@ def test_parsed_records_are_written_as_canon_dumps_writes_them(xml_events, csv_e
         paths[0].write_text(_xml_export(xml_events), encoding="utf-8")
         paths[1].write_text(_csv_export(csv_events), encoding="utf-8", newline="")
         records = load_evidence(paths)
-        digest, rows, auth_events = write_records(
+        digest, count, rows, auth_events = write_records(
             lambda write: encode_records(lambda keep: load_evidence(paths, keep), write), Path(tmp) / RECORDS_FILE
         )
         data = (Path(tmp) / RECORDS_FILE).read_bytes()
-    assert len(records) == len(xml_events) + len(csv_events)
+    assert len(records) == len(xml_events) + len(csv_events) == count
     assert data == (canon.canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
     assert digest == sha256_hex(data)
-    assert digest_rows(rows, [r.record_ref for r in records], data) == rows_of([r.to_dict() for r in records])
+    assert digest_rows(rows, [r.record_ref for r in records], data) == logon_rows(rows_of([r.to_dict() for r in records]))
     assert auth_events == [e for e in map(project, records) if e is not None]
 
 
 def test_records_json_is_handed_to_write_in_batches():
     records = [
-        make_record(i, fields={"TargetUserName": f"user{i}", "Note": "é" * (i % 7)})
+        make_record(i, event_id=4688 if i % 5 == 0 else 4625, fields={"TargetUserName": f"user{i}", "Note": "é" * (i % 7)})
         for i in range(1, 3_001)
     ]
     writes = []
-    digest, rows, _auth_events = encode_records(lambda keep: [keep(r, format_instant(r.timestamp_utc)) for r in records], writes.append)
+    digest, count, rows, _auth_events = encode_records(lambda keep: [keep(r, format_instant(r.timestamp_utc)) for r in records], writes.append)
     data = b"".join(writes)
     pieces = [canon.canon_dumps(r.to_dict()).encode("utf-8") for r in records]
     assert data == b"[" + b",".join(pieces) + b"]\n"
-    assert digest == sha256_hex(data)
-    assert digest_rows(rows, [r.record_ref for r in records], data) == rows_of([r.to_dict() for r in records])
+    assert (digest, count) == (sha256_hex(data), len(records))
+    assert digest_rows(rows, [r.record_ref for r in records], data) == logon_rows(rows_of([r.to_dict() for r in records]))
     # each batch but the last ends with the piece that took it to the size
     assert len(writes) == len(data) // WRITE_BATCH_BYTES + 1
     longest = max(map(len, pieces)) + 1
@@ -1127,12 +1135,85 @@ def test_each_checkpoint_loads_the_pinned_state(config_name, tmp_path):
     assert digests == PINNED_STAGE_STATES[config_name]
 
 
+def _ungrounded_mappings(request_body):
+    """The scripted model, except that a mapping justification cites
+    nothing, so its fallback is used."""
+    if "ATT&CK" in request_body["messages"][0]["content"]:
+        return "The behaviour matches the technique."
+    return workloads.scripted_transport(request_body)
+
+
+# Reviews of the committed fixture configs, of a disabled gateway (every text
+# a fallback, no transcript) and of a model whose mapping justifications
+# fail grounding (fallbacks beside transcripts).
+FIXTURE_REVIEWS = {
+    "review_config.json": ("review_config.json", None, None),
+    "review_config_bad_citation.json": ("review_config_bad_citation.json", None, None),
+    "review_config_nogap.json": ("review_config_nogap.json", None, None),
+    "disabled": ("review_config.json", "disabled", None),
+    "ungrounded mappings": ("review_config.json", "live", _ungrounded_mappings),
+}
+
+
+def review_fixture_copy(tmp_path, review):
+    """Run one of FIXTURE_REVIEWS on a copy of the fixtures; returns the
+    config."""
+    config_name, mode, transport = FIXTURE_REVIEWS[review]
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    overrides = {"gateway_mode": mode} if mode else None
+    config = ReviewConfig.from_file(tmp_path / "fixtures" / config_name, overrides)
+    run_review(config, transport=transport)
+    return config
+
+
+@pytest.mark.parametrize("review", sorted(FIXTURE_REVIEWS))
+def test_each_checkpoint_loads_the_state_the_review_held(review, tmp_path, monkeypatch):
+    held = {}
+    save = orchestrator.save_checkpoint
+
+    def recording_save(state, output_dir, stage, *args):
+        held[stage] = state_digest(state)
+        return save(state, output_dir, stage, *args)
+
+    monkeypatch.setattr(orchestrator, "save_checkpoint", recording_save)
+    config = review_fixture_copy(tmp_path, review)
+    state_dir = config.output_dir / "state"
+    loaded = {stage: state_digest(load_checkpoint(state_dir / f"{stage}.json")) for stage in STAGES}
+    assert loaded == held
+    assert list(held) == list(STAGES)
+
+
+HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+@pytest.mark.parametrize("review", sorted(FIXTURE_REVIEWS))
+def test_checkpoints_write_no_fact_that_another_holds(review, tmp_path):
+    config = review_fixture_copy(tmp_path, review)
+    docs = {stage: json.loads((config.output_dir / "state" / f"{stage}.json").read_bytes()) for stage in STAGES}
+    responses = {t["response"] for doc in docs.values() for t in doc["transcripts"]}
+    mappings = docs["MapAttack"]["mappings"]
+    narrated = [
+        *docs["ProcessEvidence"]["finding_summaries"],
+        *(m["rationale"] for m in mappings),
+        docs["GenerateReport"]["incident_summary"],
+    ]
+    assert responses.isdisjoint(narrated)
+    # the fallbacks are written, and only they
+    fallbacks = {"disabled": 3, "ungrounded mappings": len(mappings)}.get(review, 0)
+    assert len(narrated) - narrated.count(None) == fallbacks
+    # each mapping's evidence is its finding's
+    assert mappings
+    assert all(m["evidence"] is None for m in mappings)
+    rows = docs["ProcessEvidence"]["cited_records"]
+    assert rows
+    assert all(len(row) == 5 and not any(HEX_DIGEST.fullmatch(str(v)) for v in row) for row in rows)
+
+
 def test_save_checkpoint_is_canonical(demo_config, tmp_path):
     state = fresh_state(demo_config)
-    path_a = save_checkpoint(state, tmp_path / "a", "ProcessEvidence")
-    path_b = save_checkpoint(state, tmp_path / "b", "ProcessEvidence")
-    assert path_a.read_bytes() == path_b.read_bytes()
-    assert path_a.name == "ProcessEvidence.json"
+    data_a = save_checkpoint(state, tmp_path / "a", "ProcessEvidence")
+    data_b = save_checkpoint(state, tmp_path / "b", "ProcessEvidence")
+    assert data_a == data_b == (tmp_path / "a" / "state" / "ProcessEvidence.json").read_bytes()
 
 
 # --- dependency wiring ------------------------------------------------------------------
