@@ -1027,19 +1027,23 @@ def test_retrieval_serialises_to_pinned_bytes(demo_config):
 # when each checkpoint became that stage's delta (PINNED_STAGE_STATES pins the
 # states they load); ProcessEvidence.json re-taken when it gained
 # record_count and cited_records, and again when each cited row gained the
-# byte range of its piece, without which it gives the pin before. The
-# review runs on a copy of the fixtures with no overrides, as
-# test_fixture_reports_match_pinned_digests does.
+# byte range of its piece, without which it gives the pin before.
+# ProcessEvidence.json, MapAttack.json and GenerateReport.json re-taken when
+# a checkpoint began to write as null each narrated text that is its
+# transcript's response and each mapping's evidence that is its finding's,
+# and to store a cited row without its piece's sha256; with those restored,
+# each gives the pin before. The review runs on a copy of the fixtures with
+# no overrides, as test_fixture_reports_match_pinned_digests does.
 PINNED_STATE_FILES = {
     "review_config.json": {
         "records.json": (
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "3b632a983d0da71e7e050db7ad2829bb77f208441933b2d313a4db2ddaaa3ca0"
+            "ab33a3d9dfad7de80cde56ef4aa136799e975b1bef456fed24099829632e9644"
         ),
         "MapAttack.json": (
-            "288ebb8edafeb7b5427f0ffed0e089cad7e39c81201e763ecb1fc9ce837c7688"
+            "4db700a8713f4ec0b4477a16a9db90f4c1abb97457c4ce071afb65502ec2a4bb"
         ),
         "RetrievePolicies.json": (
             "93c0efd119f6a719c477e737b1d6868dd180da493e7c7292ad404cf979cd28fe"
@@ -1048,7 +1052,7 @@ PINNED_STATE_FILES = {
             "fb424d1d52b059c51690e87966a96b7008bdba792325fdb9a05273e353c427cf"
         ),
         "GenerateReport.json": (
-            "e0ab9c27e29f792c2144cc0d4d2a5c8070a1787bf10f81a8799fd74f8b51b62a"
+            "412edc5fa00ace6883ebb572d777a485aa355816af2ef555da220f7e5408a741"
         ),
     },
     "review_config_nogap.json": {
@@ -1056,10 +1060,10 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "c7d92176dab125a4d814ab6adc2b88657cc567fd5da61409d68666279c181800"
+            "d723c10560c095a4615ec80600c21ad71fa996e7818ef6e6775084bc18ce6a02"
         ),
         "MapAttack.json": (
-            "288ebb8edafeb7b5427f0ffed0e089cad7e39c81201e763ecb1fc9ce837c7688"
+            "4db700a8713f4ec0b4477a16a9db90f4c1abb97457c4ce071afb65502ec2a4bb"
         ),
         "RetrievePolicies.json": (
             "920c9051e4f47d73b08d3800021406d7ed10ac745dc41e0db9f4905afe260a41"
@@ -1068,7 +1072,7 @@ PINNED_STATE_FILES = {
             "79936d4e682dd184808b820176fdf91dc5e1b1dab38cd73cb811d62af66f1662"
         ),
         "GenerateReport.json": (
-            "55ccdb70193c78665156ae5e7c4af13614ab42376208dd971272ec6fdb408e52"
+            "8f790312ad9d25d6701aaf9989b059c4075bbbbf5267da4ad47aefeb5eb398f1"
         ),
     },
 }
