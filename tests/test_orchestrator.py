@@ -59,7 +59,9 @@ from pir.scenario_gen import ScenarioSpec, generate
 from conftest import FIXTURES, event_xml, make_record, project
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import workloads  # noqa: E402
+from cross_python_review import masked_checkpoint_digest  # noqa: E402
 
 
 def fresh_state(config):
@@ -1076,17 +1078,6 @@ PINNED_STATE_FILES = {
         ),
     },
 }
-
-
-def masked_checkpoint_digest(text: str) -> str:
-    d = json.loads(text)
-    for entry in d["stage_log"]:
-        entry["started"] = entry["finished"] = None
-    # previous_digest covers the earlier checkpoints' bytes, clocks included
-    d["previous_digest"] = None
-    if "report_generated_at" in d:
-        d["report_generated_at"] = None
-    return digest_of(d)
 
 
 @pytest.mark.parametrize("config_name", sorted(PINNED_STATE_FILES))

@@ -4,8 +4,9 @@
 Runs the replay review of fixtures/review_config.json into a temporary
 directory, once under the running interpreter and once under each
 interpreter named on the command line, and compares the sha256 of the
-bytes of state/records.json and of report.json, with report.json's
-generated_at value replaced by null. Prints one line per interpreter and
+bytes of state/records.json, of report.json with its generated_at value
+replaced by null, and of each state/<Stage>.json as
+masked_checkpoint_digest masks it. Prints one line per interpreter and
 exits 1 when a review fails or any digest differs from the running
 interpreter's.
 
@@ -24,11 +25,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "fixtures" / "review_config.json"
+sys.path.insert(0, str(ROOT / "src"))
+
+from pir.canon import digest_of  # noqa: E402
+from pir.orchestrator import STAGES  # noqa: E402
 
 
-def review_digests(python: str) -> tuple[str, str, str]:
-    """(version, records.json digest, masked report.json digest) of the
-    fixture review run under ``python``; raises RuntimeError when it fails."""
+def masked_checkpoint_digest(text: str) -> str:
+    """digest_of a <Stage>.json's JSON with the stage clock, previous_digest
+    and report_generated_at replaced by null."""
+    d = json.loads(text)
+    for entry in d["stage_log"]:
+        entry["started"] = entry["finished"] = None
+    # previous_digest covers the earlier checkpoints' bytes, clocks included
+    d["previous_digest"] = None
+    if "report_generated_at" in d:
+        d["report_generated_at"] = None
+    return digest_of(d)
+
+
+def review_digests(python: str) -> tuple[str, dict[str, str]]:
+    """The version of ``python`` and the digest of each file its fixture
+    review wrote, by file name; raises RuntimeError when it fails."""
     version = subprocess.run(
         [python, "-c", "import platform; print(platform.python_version())"],
         capture_output=True, text=True, check=True,
@@ -42,18 +60,27 @@ def review_digests(python: str) -> tuple[str, str, str]:
         )
         if run.returncode != 0:
             raise RuntimeError(f"{python} ({version}): review exited {run.returncode}: {run.stderr.strip()}")
-        records = (Path(tmp) / "state" / "records.json").read_bytes()
+        state = Path(tmp) / "state"
+        records = (state / "records.json").read_bytes()
         report = (Path(tmp) / "report.json").read_text(encoding="utf-8")
+        checkpoints = {
+            f"{stage}.json": masked_checkpoint_digest((state / f"{stage}.json").read_text(encoding="utf-8"))
+            for stage in STAGES
+        }
     stamp = '"generated_at":' + json.dumps(json.loads(report)["generated_at"])
     masked = report.replace(stamp, '"generated_at":null').encode("utf-8")
-    return version, hashlib.sha256(records).hexdigest(), hashlib.sha256(masked).hexdigest()
+    return version, {
+        "records.json": hashlib.sha256(records).hexdigest(),
+        "report.json": hashlib.sha256(masked).hexdigest(),
+        **checkpoints,
+    }
 
 
 def main(argv: list[str]) -> int:
     status, reference = 0, None
     for python in [sys.executable, *argv]:
         try:
-            version, *digests = review_digests(python)
+            version, digests = review_digests(python)
         except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
             print(exc)
             if reference is None:
@@ -63,7 +90,8 @@ def main(argv: list[str]) -> int:
         reference = reference or digests
         differs = digests != reference
         mark = "  DIFFERS" if differs else ""
-        print(f"{version:8} records.json {digests[0]}  report.json {digests[1]}  {python}{mark}")
+        files = "  ".join(f"{name} {digest}" for name, digest in digests.items())
+        print(f"{version:8} {files}  {python}{mark}")
         status |= differs
     return status
 
