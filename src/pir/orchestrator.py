@@ -151,7 +151,8 @@ class ReviewState:
     # order: record_ref, event_id, timestamp_utc as canonical text, the
     # sha256 of the record's piece of records.json, and the start and end
     # byte offsets of the piece in the file, by which a load checks the row.
-    # The report's evidence appendix is made from these rows.
+    # A checkpoint stores the row without the sha256, which a load takes
+    # from the piece. The report's evidence appendix is made from these rows.
     record_count: int = 0
     records_digest: str | None = None
     cited_records: tuple[RecordRow, ...] = ()
