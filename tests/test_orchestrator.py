@@ -219,6 +219,22 @@ def test_review_logs_one_line_per_stage(demo_config, caplog):
         assert int(match.group(1)) == checkpoint.stat().st_size
 
 
+def test_review_reads_back_no_checkpoint(demo_config, monkeypatch):
+    # each previous_digest is the sha256 of the bytes just written
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    run_review(demo_config)
+    assert [name for name in reads if name.removesuffix(".json") in STAGES] == []
+    monkeypatch.undo()
+    assert state_digest(load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json"))
+
+
 def test_checkpoints_hold_each_fact_once(tmp_path, monkeypatch):
     # a many-incidents review of 20 hosts in record mode; gated on bytes,
     # never on seconds
