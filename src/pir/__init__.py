@@ -9,7 +9,7 @@ reproduces a review byte-for-byte without network access.
 from .config import ReviewConfig
 from .detection import BehaviorFinding, DetectorParams, detect_bruteforce, oracle_detect
 from .errors import ReviewError
-from .llm_gateway import Gateway, GatewaySettings, Transcript
+from .llm_gateway import Gateway, Transcript
 from .orchestrator import ReviewState, run_review, run_stage
 from .reporting import build_trace_ledger
 from .scenario_gen import GroundTruth, ScenarioSpec, generate
@@ -20,7 +20,6 @@ __all__ = [
     "BehaviorFinding",
     "DetectorParams",
     "Gateway",
-    "GatewaySettings",
     "GroundTruth",
     "ReviewConfig",
     "ReviewError",

@@ -15,7 +15,7 @@ from pathlib import Path
 from .canon import digest_of
 from .detection import DetectorParams
 from .errors import ConfigInvalidError
-from .llm_gateway import ENV_MODEL, MODE_REPLAY, GenerationParams
+from .llm_gateway import GATEWAY_MODES, MODE_REPLAY, GenerationParams
 from .log_ingest import check_evidence_path
 
 POLICY_SUFFIXES = (".md", ".txt")
@@ -73,7 +73,9 @@ class ReviewConfig:
         digest, and with it the run id, covers the file's own ``output_dir``.
 
         Raises ConfigInvalidError naming any unknown key, top-level or under
-        ``gateway`` or ``detector``, or any value of the wrong JSON type."""
+        ``gateway`` or ``detector``, any value of the wrong JSON type, an
+        empty ``gateway.model_id`` or a ``gateway_mode`` not in
+        GATEWAY_MODES."""
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         output = overrides.pop("output_dir", None) or raw.get("output_dir")
         effective = {**raw, **overrides}
@@ -96,9 +98,9 @@ class ReviewConfig:
         unknown += sorted(f"gateway.{k}" for k in gw.keys() - GATEWAY_KEYS)
         if unknown:
             raise ConfigInvalidError(f"unknown config key(s): {', '.join(unknown)}")
-        model_id = _typed(
-            "gateway.model_id", gw.get("model_id") or os.environ.get(ENV_MODEL) or "gpt-4o", str
-        )
+        model_id = _typed("gateway.model_id", gw.get("model_id", "gpt-4o"), str)
+        if not model_id:
+            raise ConfigInvalidError("config field 'gateway.model_id' must not be empty")
         try:
             detector = DetectorParams.from_dict(det)
             temperature = _typed("gateway.temperature", gw.get("temperature", 0.0), _NUMBER)
@@ -111,7 +113,11 @@ class ReviewConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigInvalidError(f"invalid parameter in config: {exc}") from exc
 
-        mode = _typed("gateway_mode", effective.get("gateway_mode") or MODE_REPLAY, str)
+        mode = _typed("gateway_mode", effective.get("gateway_mode", MODE_REPLAY), str)
+        if mode not in GATEWAY_MODES:
+            raise ConfigInvalidError(
+                f"gateway_mode must be one of {GATEWAY_MODES}, got {mode!r}"
+            )
         if not output:
             raise ConfigInvalidError("config requires output_dir")
 

@@ -11,7 +11,9 @@ markers ([EVT:<record_ref>], [POL:<clause_id>]) against the caller's
 resolution scope and substitutes a deterministic fallback when grounding
 fails, flagging the transcript degraded.
 
-Environment: PIR_LLM_ENDPOINT, PIR_LLM_API_KEY, PIR_LLM_MODEL.
+The review config sets the mode, the decoding parameters, the model id and
+the cache dir. The environment holds only the live provider's credentials,
+PIR_LLM_ENDPOINT and PIR_LLM_API_KEY, read when a live call is made.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -47,7 +49,6 @@ GATEWAY_MODES = (MODE_LIVE, MODE_RECORD, MODE_REPLAY, MODE_DISABLED)
 
 ENV_ENDPOINT = "PIR_LLM_ENDPOINT"
 ENV_API_KEY = "PIR_LLM_API_KEY"
-ENV_MODEL = "PIR_LLM_MODEL"
 
 RETRY_BACKOFF_SECONDS = (1.0, 4.0)
 HTTP_TIMEOUT_SECONDS = 30.0
@@ -289,61 +290,42 @@ def http_transport(
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise TransientTransportError(str(exc)) from exc
         try:
-            parsed = json.loads(body)
-            return parsed["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError("message content is not a string")
+            return content
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(200, f"unparseable provider response: {exc}") from exc
 
     return call
 
 
-@dataclass
-class GatewaySettings:
-    mode: str = MODE_REPLAY
-    params: GenerationParams = field(default_factory=GenerationParams)
-    cache_dir: Path = Path("llm_cache")
-    endpoint: str | None = None
-    api_key: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in GATEWAY_MODES:
-            raise ConfigInvalidError(
-                f"gateway_mode must be one of {GATEWAY_MODES}, got {self.mode!r}"
-            )
-        self.cache_dir = Path(self.cache_dir)
-
-    @classmethod
-    def from_env(cls, mode: str, cache_dir: Path, params: GenerationParams
-                 ) -> "GatewaySettings":
-        return cls(
-            mode=mode,
-            params=params,
-            cache_dir=cache_dir,
-            endpoint=os.environ.get(ENV_ENDPOINT),
-            api_key=os.environ.get(ENV_API_KEY),
-        )
-
-
 class Gateway:
     """One gateway per review run, called from one thread.
 
-    A non-default ``transport`` callable (request body dict -> response text)
-    replaces the HTTP layer, which is how tests and the fixture recorder stay
-    offline.
+    ``mode`` is one of GATEWAY_MODES, as checked by the review config;
+    ``params`` fix the model and its decoding, and ``cache_dir`` holds the
+    transcripts that record writes and replay reads. A non-default
+    ``transport`` callable (request body dict -> response text) replaces the
+    HTTP layer, which is how tests and the fixture recorder stay offline.
     """
 
     def __init__(
         self,
-        settings: GatewaySettings,
+        mode: str,
+        params: GenerationParams,
+        cache_dir: Path,
         transport: Callable[[dict], str] | None = None,
     ):
-        self.settings = settings
+        self.mode = mode
+        self.params = params
+        self.cache_dir = cache_dir
         self._transport = transport
 
     # -- cache ------------------------------------------------------------
 
     def _cache_path(self, transcript_id: str) -> Path:
-        return self.settings.cache_dir / f"{transcript_id}.json"
+        return self.cache_dir / f"{transcript_id}.json"
 
     def _write_cache(self, entry: dict) -> None:
         path = self._cache_path(entry["transcript_id"])
@@ -359,13 +341,14 @@ class Gateway:
     def _read_cache(self, transcript_id: str) -> dict:
         path = self._cache_path(transcript_id)
         if not path.is_file():
-            raise ReplayMissError(transcript_id, str(self.settings.cache_dir))
+            raise ReplayMissError(transcript_id, str(self.cache_dir))
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
-            entry["response"]
-        except (json.JSONDecodeError, KeyError) as exc:
+            if not isinstance(entry["response"], str):
+                raise TypeError("response is not a string")
+        except (ValueError, KeyError, TypeError) as exc:
             raise ReplayMissError(
-                transcript_id, f"{self.settings.cache_dir} (corrupt entry: {exc})"
+                transcript_id, f"{self.cache_dir} (corrupt entry: {exc})"
             ) from exc
         return entry
 
@@ -374,14 +357,15 @@ class Gateway:
     def _live_response(self, rendered_prompt: str) -> str:
         transport = self._transport
         if transport is None:
-            if not self.settings.endpoint:
+            endpoint = os.environ.get(ENV_ENDPOINT)
+            if not endpoint:
                 raise GatewayUnavailableError(
                     f"no endpoint configured; set {ENV_ENDPOINT}"
                 )
             transport = http_transport(
-                self.settings.endpoint, self.settings.api_key, HTTP_TIMEOUT_SECONDS
+                endpoint, os.environ.get(ENV_API_KEY), HTTP_TIMEOUT_SECONDS
             )
-        p = self.settings.params
+        p = self.params
         request_body = {
             "model": p.model_id,
             "messages": [{"role": "user", "content": rendered_prompt}],
@@ -407,29 +391,29 @@ class Gateway:
 
     def complete(self, template_id: str, bindings: dict[str, str]) -> Transcript:
         """One gateway call; grounding is the caller's concern (see narrate)."""
-        if self.settings.mode == MODE_DISABLED:
+        if self.mode == MODE_DISABLED:
             raise GatewayDisabledError("gateway is disabled by configuration")
         template = TEMPLATES.get(template_id)
         if template is None:
             raise ConfigInvalidError(f"unknown prompt template {template_id!r}")
         rendered = render(template, bindings)
-        tid = transcript_id_for(template_id, rendered, self.settings.params)
+        tid = transcript_id_for(template_id, rendered, self.params)
 
-        if self.settings.mode == MODE_REPLAY:
+        if self.mode == MODE_REPLAY:
             response = self._read_cache(tid)["response"]
             mode, latency_ms = "Replay", 0
         else:
             start = time.monotonic()
             response = self._live_response(rendered)
             mode, latency_ms = "Live", int((time.monotonic() - start) * 1000)
-            if self.settings.mode == MODE_RECORD:
+            if self.mode == MODE_RECORD:
                 self._write_cache(
                     {
                         "transcript_id": tid,
                         "template_id": template_id,
                         "stage": template.stage,
-                        "model_id": self.settings.params.model_id,
-                        "params": self.settings.params.decoding(),
+                        "model_id": self.params.model_id,
+                        "params": self.params.decoding(),
                         "rendered_prompt": rendered,
                         "response": response,
                     }
@@ -456,7 +440,7 @@ class Gateway:
         """Grounded narration: model text is used only when every citation
         resolves; otherwise the deterministic fallback takes its place. The
         prompt lists the scope as ``evidence_refs`` and ``clause_refs``."""
-        if self.settings.mode == MODE_DISABLED:
+        if self.mode == MODE_DISABLED:
             return NarrativeResult(
                 text=fallback,
                 degraded=True,

@@ -91,7 +91,7 @@ from .gap_analysis import (
     load_default_rules,
     select_effective,
 )
-from .llm_gateway import Gateway, GatewaySettings, NarrativeResult, Transcript
+from .llm_gateway import Gateway, NarrativeResult, Transcript
 from .log_ingest import (
     AUTH_EVENT_IDS,
     AuthEvent,
@@ -286,12 +286,7 @@ class StageDeps:
 
 
 def build_deps(config: ReviewConfig, transport=None) -> StageDeps:
-    settings = GatewaySettings.from_env(
-        mode=config.gateway_mode,
-        cache_dir=config.cache_dir,
-        params=config.generation,
-    )
-    gateway = Gateway(settings, transport=transport)
+    gateway = Gateway(config.gateway_mode, config.generation, config.cache_dir, transport=transport)
     return StageDeps(config=config, gateway=gateway, catalog=load_default_catalog())
 
 

@@ -8,7 +8,7 @@ from pir.attack_catalog import (
     map_finding,
 )
 from pir.detection import DetectorParams, detect_bruteforce
-from pir.llm_gateway import Gateway, GatewaySettings
+from pir.llm_gateway import Gateway, GenerationParams
 
 from conftest import make_auth
 
@@ -52,9 +52,7 @@ def test_mapping_round_trips_through_dict(finding):
 
 
 def test_justify_with_disabled_gateway_keeps_rule_rationale(finding, tmp_path):
-    gateway = Gateway(
-        GatewaySettings(mode="disabled", cache_dir=str(tmp_path / "cache"))
-    )
+    gateway = Gateway("disabled", GenerationParams(), tmp_path / "cache")
     mapping = map_finding(finding, load_default_catalog())
     result = justify_mapping(mapping, finding, gateway)
     assert result.degraded is True

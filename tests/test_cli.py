@@ -126,6 +126,10 @@ def test_review_whose_report_cannot_be_written_exits_2(tmp_path, capsys):
         (None, "detector", []),
         (None, "gateway_mode", 5),
         (None, "gateway_mode", "sometimes"),
+        (None, "gateway_mode", ""),
+        (None, "gateway_mode", None),
+        ("gateway", "model_id", ""),
+        ("gateway", "model_id", None),
         (None, "output_dir", 5),
     ],
 )
@@ -147,6 +151,17 @@ def test_review_rejects_unknown_keys_and_mistyped_detector_values(
     assert payload["error"] == "ConfigInvalidError"
     assert key in payload["detail"]
     assert not (tmp_path / "out").exists()
+
+
+def test_the_environment_sets_no_model_id(monkeypatch):
+    # the model id enters every transcript id, so only the config may set it
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    del raw["gateway"]["model_id"]
+    before = ReviewConfig.from_dict(raw, FIXTURES)
+    monkeypatch.setenv("PIR_LLM_MODEL", "gpt-4o-mini")
+    after = ReviewConfig.from_dict(raw, FIXTURES)
+    assert after.generation.model_id == before.generation.model_id == "gpt-4o"
+    assert after.digest == before.digest
 
 
 @pytest.mark.parametrize(

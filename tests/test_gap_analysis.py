@@ -18,7 +18,7 @@ from pir.gap_analysis import (
     load_default_rules,
     select_effective,
 )
-from pir.llm_gateway import Gateway, GatewaySettings
+from pir.llm_gateway import Gateway, GenerationParams
 from pir.policy_index import DOC_KIND_BASELINE, DOC_KIND_ORGANISATION, ingest_document
 
 from conftest import FIXTURES, make_auth
@@ -362,10 +362,7 @@ def test_draft_rationale_degrades_on_unstructured_response(tmp_path):
         # grounded (cites real refs) but missing the required paragraphs
         return f"Weak lockout [POL:{gap.evidence_clauses[0]}] [EVT:{gap.evidence_events[0]}]."
 
-    gateway = Gateway(
-        GatewaySettings(mode="record", cache_dir=str(tmp_path / "cache")),
-        transport=transport,
-    )
+    gateway = Gateway("record", GenerationParams(), tmp_path / "cache", transport=transport)
     det = deterministic_rationale(gap)
     rationale, remediation, result = draft_rationale(gap, gateway)
     assert (rationale, remediation) == det
@@ -384,10 +381,7 @@ def test_draft_rationale_accepts_structured_grounded_response(tmp_path):
             f"REMEDIATION: lower it [POL:{gap.evidence_clauses[1]}]."
         )
 
-    gateway = Gateway(
-        GatewaySettings(mode="record", cache_dir=str(tmp_path / "cache")),
-        transport=transport,
-    )
+    gateway = Gateway("record", GenerationParams(), tmp_path / "cache", transport=transport)
     rationale, remediation, result = draft_rationale(gap, gateway)
     assert result.degraded is False
     assert rationale.startswith("threshold is lax")

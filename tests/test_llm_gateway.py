@@ -7,18 +7,17 @@ import threading
 import pytest
 
 from pir.errors import (
-    ConfigInvalidError,
     GatewayDisabledError,
     GatewayUnavailableError,
     MissingPlaceholderError,
     ProviderError,
     ReplayMissError,
 )
+from pir import llm_gateway
 from pir.llm_gateway import (
     TEMPLATES,
     _PLACEHOLDER,
     Gateway,
-    GatewaySettings,
     GenerationParams,
     TransientTransportError,
     http_transport,
@@ -37,8 +36,8 @@ BINDINGS = {
 }
 
 
-def settings(tmp_path, mode="record", **kwargs):
-    return GatewaySettings(mode=mode, cache_dir=tmp_path / "cache", **kwargs)
+def gateway(tmp_path, mode="record", transport=None):
+    return Gateway(mode, GenerationParams(), tmp_path / "cache", transport=transport)
 
 
 def echo_transport(request_body):
@@ -81,11 +80,6 @@ def test_generation_params_validated():
         GenerationParams(max_tokens=0)
 
 
-def test_unknown_gateway_mode_rejected(tmp_path):
-    with pytest.raises(ConfigInvalidError):
-        GatewaySettings(mode="offline", cache_dir=tmp_path)
-
-
 # --- transcript identity -----------------------------------------------------------
 
 
@@ -104,7 +98,7 @@ def test_transcript_id_depends_on_prompt_and_params():
 
 
 def test_binding_insertion_order_does_not_change_identity(tmp_path):
-    gw = Gateway(settings(tmp_path), transport=echo_transport)
+    gw = gateway(tmp_path, transport=echo_transport)
     forward = gw.complete("finding_summary", dict(BINDINGS))
     backward = gw.complete(
         "finding_summary", dict(reversed(list(BINDINGS.items())))
@@ -118,12 +112,12 @@ def test_binding_insertion_order_does_not_change_identity(tmp_path):
 
 
 def test_record_then_replay_round_trip(tmp_path):
-    recorded = Gateway(settings(tmp_path), transport=echo_transport).complete(
+    recorded = gateway(tmp_path, transport=echo_transport).complete(
         "finding_summary", BINDINGS
     )
     assert recorded.mode == "Live"
 
-    replayed = Gateway(settings(tmp_path, mode="replay")).complete(
+    replayed = gateway(tmp_path, "replay").complete(
         "finding_summary", BINDINGS
     )
     assert replayed.mode == "Replay"
@@ -133,7 +127,7 @@ def test_record_then_replay_round_trip(tmp_path):
 
 
 def test_replay_miss_names_the_transcript(tmp_path):
-    gw = Gateway(settings(tmp_path, mode="replay"))
+    gw = gateway(tmp_path, "replay")
     with pytest.raises(ReplayMissError) as err:
         gw.complete("finding_summary", BINDINGS)
     expected = transcript_id_for(
@@ -145,18 +139,30 @@ def test_replay_miss_names_the_transcript(tmp_path):
 
 
 def test_corrupt_cache_entry_is_a_replay_miss(tmp_path):
-    gw = Gateway(settings(tmp_path), transport=echo_transport)
+    gw = gateway(tmp_path, transport=echo_transport)
     transcript = gw.complete("finding_summary", BINDINGS)
     path = tmp_path / "cache" / f"{transcript.transcript_id}.json"
     path.write_text("{not json")
     with pytest.raises(ReplayMissError, match="corrupt"):
-        Gateway(settings(tmp_path, mode="replay")).complete(
+        gateway(tmp_path, "replay").complete(
             "finding_summary", BINDINGS
         )
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"response": None}, {"response": ["text"]}, {"response": 5}, ["response"], "response"],
+    ids=["null", "list", "number", "array-entry", "string-entry"],
+)
+def test_cache_entry_without_a_string_response_is_a_replay_miss(tmp_path, entry):
+    transcript = gateway(tmp_path, transport=echo_transport).complete("finding_summary", BINDINGS)
+    (tmp_path / "cache" / f"{transcript.transcript_id}.json").write_text(json.dumps(entry))
+    with pytest.raises(ReplayMissError, match="corrupt"):
+        gateway(tmp_path, "replay").complete("finding_summary", BINDINGS)
+
+
 def test_cache_entry_carries_reproduction_context(tmp_path):
-    gw = Gateway(settings(tmp_path), transport=echo_transport)
+    gw = gateway(tmp_path, transport=echo_transport)
     transcript = gw.complete("finding_summary", BINDINGS)
     entry = json.loads(
         (tmp_path / "cache" / f"{transcript.transcript_id}.json").read_text()
@@ -169,7 +175,7 @@ def test_cache_entry_carries_reproduction_context(tmp_path):
 
 
 def test_two_threads_recording_one_transcript_keep_one_valid_entry(tmp_path, monkeypatch):
-    gw = Gateway(settings(tmp_path), transport=echo_transport)
+    gw = gateway(tmp_path, transport=echo_transport)
     entry = {"transcript_id": "t" * 64, "response": echo_transport({})}
     # both threads have written their temp file before either renames it
     barrier = threading.Barrier(2, timeout=10)
@@ -217,7 +223,7 @@ def test_transient_failures_are_retried_with_backoff(tmp_path, monkeypatch):
     delays = []
     monkeypatch.setattr("pir.llm_gateway.time.sleep", delays.append)
     transport, calls = flaky(failures=2)
-    transcript = Gateway(settings(tmp_path), transport=transport).complete(
+    transcript = gateway(tmp_path, transport=transport).complete(
         "finding_summary", BINDINGS
     )
     assert transcript.response.startswith("recovered")
@@ -230,7 +236,7 @@ def test_persistent_failure_exhausts_retries(tmp_path, monkeypatch):
     monkeypatch.setattr("pir.llm_gateway.time.sleep", delays.append)
     transport, calls = flaky(failures=99)
     with pytest.raises(GatewayUnavailableError, match="after 2 retries"):
-        Gateway(settings(tmp_path), transport=transport).complete(
+        gateway(tmp_path, transport=transport).complete(
             "finding_summary", BINDINGS
         )
     assert calls["n"] == 3
@@ -245,26 +251,33 @@ def test_provider_errors_are_not_retried(tmp_path, monkeypatch):
         raise ProviderError(400, "bad request")
 
     with pytest.raises(ProviderError):
-        Gateway(settings(tmp_path), transport=transport).complete(
+        gateway(tmp_path, transport=transport).complete(
             "finding_summary", BINDINGS
         )
     assert delays == []
 
 
 def test_live_mode_without_endpoint_is_unavailable(tmp_path):
-    gw = Gateway(settings(tmp_path, mode="live"))
+    gw = gateway(tmp_path, "live")
     with pytest.raises(GatewayUnavailableError, match="PIR_LLM_ENDPOINT"):
         gw.complete("finding_summary", BINDINGS)
 
 
-def test_settings_read_provider_env(tmp_path, monkeypatch):
+def test_live_call_reads_provider_env_when_it_calls(tmp_path, monkeypatch):
+    built = []
+
+    def fake_http_transport(endpoint, api_key, timeout_seconds):
+        built.append((endpoint, api_key, timeout_seconds))
+        return echo_transport
+
+    monkeypatch.setattr(llm_gateway, "http_transport", fake_http_transport)
+    gw = gateway(tmp_path, "live")
+    # set after the gateway is built: the call, not the constructor, reads them
     monkeypatch.setenv("PIR_LLM_ENDPOINT", "https://llm.example/v1/chat")
     monkeypatch.setenv("PIR_LLM_API_KEY", "sk-test")
-    s = GatewaySettings.from_env(
-        "live", tmp_path / "cache", GenerationParams()
-    )
-    assert s.endpoint == "https://llm.example/v1/chat"
-    assert s.api_key == "sk-test"
+    transcript = gw.complete("finding_summary", BINDINGS)
+    assert built == [("https://llm.example/v1/chat", "sk-test", llm_gateway.HTTP_TIMEOUT_SECONDS)]
+    assert transcript.response == echo_transport({})
 
 
 # --- grounding ------------------------------------------------------------------------
@@ -306,7 +319,7 @@ def test_duplicate_markers_counted_once():
 
 
 def test_narrate_accepts_grounded_text(tmp_path):
-    gw = Gateway(settings(tmp_path), transport=echo_transport)
+    gw = gateway(tmp_path, transport=echo_transport)
     result = gw.narrate(
         "finding_summary",
         BINDINGS,
@@ -324,7 +337,7 @@ def test_narrate_falls_back_on_grounding_failure(tmp_path):
     def fabricator(request_body):
         return "Looks bad [EVT:ghost#9]."
 
-    gw = Gateway(settings(tmp_path), transport=fabricator)
+    gw = gateway(tmp_path, transport=fabricator)
     result = gw.narrate(
         "finding_summary",
         BINDINGS,
@@ -342,7 +355,7 @@ def test_narrate_falls_back_on_grounding_failure(tmp_path):
 
 
 def test_disabled_mode_never_calls_out(tmp_path):
-    gw = Gateway(settings(tmp_path, mode="disabled"))
+    gw = gateway(tmp_path, "disabled")
     with pytest.raises(GatewayDisabledError):
         gw.complete("finding_summary", BINDINGS)
     result = gw.narrate(
@@ -359,7 +372,7 @@ def test_disabled_mode_never_calls_out(tmp_path):
 
 
 def test_replay_works_with_sockets_blocked(tmp_path, monkeypatch):
-    Gateway(settings(tmp_path), transport=echo_transport).complete(
+    gateway(tmp_path, transport=echo_transport).complete(
         "finding_summary", BINDINGS
     )
 
@@ -368,7 +381,7 @@ def test_replay_works_with_sockets_blocked(tmp_path, monkeypatch):
 
     monkeypatch.setattr(socket, "socket", no_network)
     monkeypatch.setattr(socket, "create_connection", no_network)
-    replayed = Gateway(settings(tmp_path, mode="replay")).complete(
+    replayed = gateway(tmp_path, "replay").complete(
         "finding_summary", BINDINGS
     )
     assert replayed.mode == "Replay"
@@ -388,6 +401,9 @@ class _Provider(http.server.BaseHTTPRequestHandler):
             body = json.dumps(
                 {"choices": [{"message": {"content": "provider says hi"}}]}
             ).encode()
+            self.send_response(200)
+        elif self.behavior == "null-content":
+            body = json.dumps({"choices": [{"message": {"content": None}}]}).encode()
             self.send_response(200)
         elif self.behavior == "garbage":
             body = b"<html>oops</html>"
@@ -446,6 +462,12 @@ def test_http_transport_maps_server_errors_as_transient(provider):
 def test_http_transport_rejects_unparseable_body(provider):
     _Provider.behavior = "garbage"
     with pytest.raises(ProviderError, match="unparseable"):
+        http_transport(provider, None, 5.0)(REQUEST)
+
+
+def test_http_transport_refuses_a_reply_without_text(provider):
+    _Provider.behavior = "null-content"
+    with pytest.raises(ProviderError, match="not a string"):
         http_transport(provider, None, 5.0)(REQUEST)
 
 
