@@ -12,15 +12,13 @@ because a review encodes every record: its bytes are those of
 tests/test_orchestrator.py pin. The time in that piece is the canonical
 text :func:`read_instant` gave when the evidence was parsed, which is what
 :func:`format_instant` makes of the instant. Floats are written as given
-(Python's shortest round-tripping form); a computed float is rounded where
-it is serialised, as ``RetrievalHit.to_dict`` rounds BM25 scores to 6
-decimals.
+(Python's shortest round-tripping form), so a float reads back equal.
 
 Record types written to JSON inherit :class:`Canonical`, whose
 ``to_dict``/``from_dict`` follow from the dataclass fields and their type
-hints; ``RetrievalHit``, ``Index`` and ``ReviewState`` keep their own code,
-and ``ReviewState`` uses :func:`encode_fields`/:func:`decode_fields` for the
-fields it stores unchanged. A record's JSON form is an object with one key
+hints; ``ReviewState`` converts its stored fields by
+:func:`encode_fields`/:func:`decode_fields`, and ``Index`` keeps its own
+code. A record's JSON form is an object with one key
 per field, named as the field, and each value is converted by its type:
 
 * ``datetime`` goes through :func:`format_instant` / :func:`parse_instant`,

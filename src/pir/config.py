@@ -74,14 +74,17 @@ class ReviewConfig:
 
         Raises ConfigInvalidError naming any unknown key, top-level or under
         ``gateway`` or ``detector``, any value of the wrong JSON type, an
-        empty ``gateway.model_id`` or a ``gateway_mode`` not in
+        empty ``gateway.model_id`` or path, or a ``gateway_mode`` not in
         GATEWAY_MODES."""
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         output = overrides.pop("output_dir", None) or raw.get("output_dir")
         effective = {**raw, **overrides}
 
         def _path(key, p) -> Path:
-            candidate = Path(_typed(key, p, str))
+            text = _typed(key, p, str)
+            if not text:
+                raise ConfigInvalidError(f"config field {key!r} must not be empty")
+            candidate = Path(text)
             return candidate if candidate.is_absolute() else base_dir / candidate
 
         def _paths(key) -> list[Path]:

@@ -81,7 +81,6 @@ from .errors import (
     StageOrderViolationError,
 )
 from .gap_analysis import (
-    ControlParameter,
     PolicyGap,
     assign_confidence,
     compare_controls,
@@ -105,7 +104,6 @@ from .policy_index import (
     DOC_KIND_BASELINE,
     DOC_KIND_ORGANISATION,
     PolicyDocument,
-    RetrievalHit,
     build_index,
     load_policy_documents,
     retrieve,
@@ -162,10 +160,8 @@ class ReviewState:
     finding_summaries: tuple[str, ...] = ()
     mappings: tuple[TechniqueMapping, ...] = ()
     policy_documents: tuple[PolicyDocument, ...] = ()
-    retrieval_query: str | None = None
-    retrieval: tuple[RetrievalHit, ...] = ()
-    org_params: tuple[ControlParameter, ...] = ()
-    baseline_params: tuple[ControlParameter, ...] = ()
+    # the ids of the clauses retrieve ranked, best first
+    retrieval: tuple[str, ...] = ()
     gaps: tuple[PolicyGap, ...] = ()
     transcripts: tuple[Transcript, ...] = ()
     stage_log: tuple[StageRecord, ...] = ()
@@ -204,27 +200,18 @@ class ReviewState:
         }
 
     def to_dict(self) -> dict:
-        d = encode_fields(ReviewState, {k: getattr(self, k) for k in _CODEC_FIELDS})
-        d["retrieval"] = [h.to_dict() for h in self.retrieval]
-        return d
+        return encode_fields(ReviewState, {k: getattr(self, k) for k in _CODEC_FIELDS})
 
     @classmethod
     def from_dict(cls, d: dict, records_file: Path) -> "ReviewState":
         """Rebuild a state from a checkpoint dict; its records are in
-        ``records_file``."""
-        kwargs = decode_fields(cls, {k: d[k] for k in _CODEC_FIELDS})
-        clause_by_id = {
-            c.clause_id: c for doc in kwargs["policy_documents"] for c in doc.clauses
-        }
-        kwargs["retrieval"] = tuple(
-            RetrievalHit(
-                clause=clause_by_id[h["clause_id"]],
-                score=float(h["score"]),
-                rank=int(h["rank"]),
-            )
-            for h in d["retrieval"]
-        )
-        return cls(records_file=records_file, **kwargs)
+        ``records_file``. A retrieval that names a clause of no policy
+        document is a ValueError."""
+        state = cls(records_file=records_file, **decode_fields(cls, {k: d[k] for k in _CODEC_FIELDS}))
+        unknown = set(state.retrieval) - state.clause_ids()
+        if unknown:
+            raise ValueError(f"retrieval names no clause of the policy documents: {', '.join(sorted(unknown))}")
+        return state
 
 
 class RecordRows(Sequence):
@@ -242,11 +229,8 @@ class RecordRows(Sequence):
 
 
 # A checkpoint stores every ReviewState field as the codec writes it, except
-# these: the records file is the one beside the checkpoint, and the
-# retrieval hits are stored by clause id.
-_CODEC_FIELDS = tuple(
-    f.name for f in dataclasses.fields(ReviewState) if f.name not in {"records_file", "retrieval"}
-)
+# the records file, which is the one beside the checkpoint.
+_CODEC_FIELDS = tuple(f.name for f in dataclasses.fields(ReviewState) if f.name != "records_file")
 
 
 # The fields each stage sets in its ``out``; no other stage may set them.
@@ -254,15 +238,15 @@ OWNED_FIELDS = {
     "ProcessEvidence": ("run_id", "config_digest", "record_count", "records_digest", "cited_records",
                         "records_file", "findings", "finding_summaries"),
     "MapAttack": ("mappings",),
-    "RetrievePolicies": ("policy_documents", "retrieval_query", "retrieval"),
-    "ValidatePolicies": ("org_params", "baseline_params", "gaps"),
+    "RetrievePolicies": ("policy_documents", "retrieval"),
+    "ValidatePolicies": ("gaps",),
     "GenerateReport": ("incident_summary", "report_generated_at"),
 }
 # The lists every stage appends to, through the lists its ``out`` starts with;
 # a stage owns the items it appended.
 SHARED_FIELDS = ("transcripts", "notes", "degradation_notes", "stage_log")
 # The keys of each stage's own fields in its checkpoint
-_STORED_KEYS = {stage: [k for k in names if k in {*_CODEC_FIELDS, "retrieval"}] for stage, names in OWNED_FIELDS.items()}
+_STORED_KEYS = {stage: [k for k in names if k in _CODEC_FIELDS] for stage, names in OWNED_FIELDS.items()}
 
 
 def state_digest(state: ReviewState) -> str:
@@ -349,8 +333,8 @@ def _stage_retrieve_policies(state: ReviewState, deps: StageDeps, out: dict):
     index = build_index(documents)
     if not state.mappings:
         return STATUS_OK, "no technique mapping; retrieval skipped"
-    out["retrieval_query"] = query = technique_query(state.mappings[0], deps.catalog)
-    out["retrieval"] = retrieve(index, query, config.retrieval_k)
+    query = technique_query(state.mappings[0], deps.catalog)
+    out["retrieval"] = [hit.clause.clause_id for hit in retrieve(index, query, config.retrieval_k)]
     return STATUS_OK, None
 
 
@@ -358,12 +342,14 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps, out: dict):
     if not state.findings:
         return STATUS_SKIPPED, "no findings; incident-driven gap analysis skipped"
 
-    kind_by_doc = {d.doc_id: d.kind for d in state.policy_documents}
+    # the retrieved clauses of each kind, in rank order
+    by_id = {c.clause_id: (doc.kind, c) for doc in state.policy_documents for c in doc.clauses}
     clauses = {DOC_KIND_ORGANISATION: [], DOC_KIND_BASELINE: []}
-    for hit in state.retrieval:
-        clauses[kind_by_doc[hit.clause.doc_id]].append(hit.clause)
-    out["org_params"] = org_params = extract_control_parameters(clauses[DOC_KIND_ORGANISATION])
-    out["baseline_params"] = baseline_params = extract_control_parameters(clauses[DOC_KIND_BASELINE])
+    for clause_id in state.retrieval:
+        kind, clause = by_id[clause_id]
+        clauses[kind].append(clause)
+    org_params = extract_control_parameters(clauses[DOC_KIND_ORGANISATION])
+    baseline_params = extract_control_parameters(clauses[DOC_KIND_BASELINE])
 
     rules = load_default_rules()
     effective_org, org_warnings = select_effective(org_params, rules)
@@ -709,11 +695,10 @@ def save_checkpoint(
     bytes written."""
     if state.record_count and state.records_digest is None:
         raise RecordsFileError(f"{stage}: the state holds records but no records_digest")
-    values = {k: getattr(state, k) for k in OWNED_FIELDS[stage]}
+    values = {k: getattr(state, k) for k in _STORED_KEYS[stage]}
     for name in SHARED_FIELDS:
         values[name] = getattr(state, name)[len(getattr(base, name)) if base else 0 :]
-    delta = ReviewState(**{"run_id": None, "config_digest": None, **values}).to_dict()
-    d = {k: delta[k] for k in [*_STORED_KEYS[stage], *SHARED_FIELDS]}
+    d = encode_fields(ReviewState, values)
     _write_once(stage, d, state.findings)
     d["previous_digest"] = previous_digest
     data = (canon_dumps(d) + "\n").encode("utf-8")

@@ -81,14 +81,6 @@ class RetrievalHit:
     score: float
     rank: int
 
-    def to_dict(self) -> dict:
-        return {
-            "clause_id": self.clause.clause_id,
-            "doc_id": self.clause.doc_id,
-            "score": round(self.score, 6),
-            "rank": self.rank,
-        }
-
 
 def _is_all_caps_heading(line: str) -> bool:
     stripped = line.strip()
@@ -260,6 +252,10 @@ def idf(index: Index, term: str) -> float:
 def score_clause(index: Index, clause_id: str, query_terms: list[str]) -> float:
     """BM25 score of one clause for sorted unique query terms."""
     dl = index.clause_lengths[clause_id]
+    if dl == 0:
+        # no query term occurs in it, and a corpus of such clauses has no
+        # average length to divide by
+        return 0.0
     norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / index.avg_clause_length)
     total = 0.0
     for term in query_terms:

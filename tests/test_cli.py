@@ -91,6 +91,28 @@ def test_review_replay_miss_exits_2_with_stage_context(tmp_path, capsys):
     assert payload["cause"] == "ReplayMissError"
 
 
+def test_review_of_policies_without_tokens_exits_2(tmp_path, capsys):
+    # no clause of either policy has a token, so BM25 has no average clause
+    # length; every clause scores 0 and the baseline yields no parameters
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    raw["evidence_paths"] = [str(FIXTURES / p) for p in raw["evidence_paths"]]
+    raw["gateway"]["cache_dir"] = str(FIXTURES / "llm_cache")
+    raw["output_dir"] = str(tmp_path / "out")
+    for key in ("org_policy_paths", "baseline_policy_paths"):
+        policy = tmp_path / f"{key}.md"
+        policy.write_text("# Policy\n\nThe of a.\n", encoding="utf-8")
+        raw[key] = [str(policy)]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+
+    code, _out, err = run_cli(capsys, "review", "--config", str(config_path))
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "StageFailureError"
+    assert payload["stage"] == "ValidatePolicies"
+    assert payload["cause"] == "NoBaselineError"
+
+
 def test_review_whose_report_cannot_be_written_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "report.json").mkdir(parents=True)
@@ -120,6 +142,8 @@ def test_review_whose_report_cannot_be_written_exits_2(tmp_path, capsys):
         ("gateway", "max_tokens", True),
         ("gateway", "temperature", "0.5"),
         ("gateway", "cache_dir", 5),
+        ("gateway", "cache_dir", ""),
+        (None, "evidence_paths", [""]),
         ("gateway", "model_id", 5),
         (None, "evidence_paths", [5]),
         (None, "catalog_path", 5),
@@ -771,7 +795,7 @@ def _break_checkpoint(checkpoint, damage):
             for ref, event_id, ts, start, end in doc["cited_records"]
         ]
     else:
-        doc["retrieval"][0]["clause_id"] = "nowhere:1-1"
+        doc["retrieval"][0] = "nowhere:1-1"
     rewrite_checkpoint(owner, doc)
 
 

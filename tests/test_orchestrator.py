@@ -780,9 +780,8 @@ def test_records_are_read_on_demand_once_per_state(demo_config, monkeypatch, tmp
     assert moved.records_file != loaded.records_file
     assert moved == loaded
     assert hash(moved) == hash(loaded)
-    # the review's state differs from its loaded state only in the BM25
-    # scores, which a checkpoint rounds to six places
-    assert dataclasses.replace(review, retrieval=loaded.retrieval) == loaded
+    # a checkpoint stores what the review held, so its load is that state
+    assert review == loaded
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -1028,14 +1027,30 @@ def test_checkpoint_of_records_without_digest_is_refused(demo_config, tmp_path):
     assert not (tmp_path / "state" / "ProcessEvidence.json").exists()
 
 
-def test_retrieval_serialises_to_pinned_bytes(demo_config):
-    # Taken when canon_dumps still rounded every float it met; the BM25
-    # scores are now rounded in RetrievalHit.to_dict alone.
-    pinned = "e352787ffaeb62ce5e7210e1bd7f38bd00c818dee21d24e930dadd338039efe8"
+# The query and the clause ids that retrieve ranks for the fixture review,
+# best first: all 12 clauses, since retrieval_k is 16.
+FIXTURE_QUERY = (
+    "Brute Force auth-failure-burst credential-guessing repeated-failed-logons "
+    "account lockout password authentication multi-factor"
+)
+FIXTURE_RETRIEVAL = (
+    "org_policy:17-17", "org_policy:5-5", "baseline_policy:17-17", "baseline_policy:21-21",
+    "org_policy:7-7", "baseline_policy:5-5", "baseline_policy:11-11", "baseline_policy:13-13",
+    "baseline_policy:7-7", "org_policy:11-11", "org_policy:13-13", "org_policy:21-21",
+)
+
+
+def test_retrieval_is_the_ranked_clause_ids(demo_config):
     state = run_review(demo_config)
-    assert digest_of(state.to_dict()["retrieval"]) == pinned
-    loaded = load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json")
-    assert digest_of(loaded.to_dict()["retrieval"]) == pinned
+    assert state.retrieval == FIXTURE_RETRIEVAL
+    loaded = load_checkpoint(demo_config.output_dir / "state" / "RetrievePolicies.json")
+    assert loaded.retrieval == FIXTURE_RETRIEVAL
+    # the order retrieve gives on the fixture's documents and query
+    catalog = build_deps(demo_config).catalog
+    assert policy_index.technique_query(state.mappings[0], catalog) == FIXTURE_QUERY
+    documents = policy_index.load_policy_documents(demo_config.org_policy_paths, demo_config.baseline_policy_paths)
+    hits = policy_index.retrieve(policy_index.build_index(documents), FIXTURE_QUERY, demo_config.retrieval_k)
+    assert [(h.clause.clause_id, h.rank) for h in hits] == [(cid, rank) for rank, cid in enumerate(FIXTURE_RETRIEVAL, 1)]
 
 
 # Digests of the state/ files a review of the committed fixtures writes:
