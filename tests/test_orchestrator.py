@@ -1065,8 +1065,13 @@ def test_retrieval_is_the_ranked_clause_ids(demo_config):
 # a checkpoint began to write as null each narrated text that is its
 # transcript's response and each mapping's evidence that is its finding's,
 # and to store a cited row without its piece's sha256; with those restored,
-# each gives the pin before. The review runs on a copy of the fixtures with
-# no overrides, as test_fixture_reports_match_pinned_digests does.
+# each gives the pin before. RetrievePolicies.json and ValidatePolicies.json
+# re-taken when the state dropped retrieval_query, org_params and
+# baseline_params and began to store retrieval as the ranked clause ids;
+# the checkpoints before, with those keys dropped and each hit as its
+# clause_id, are the checkpoints now. The review runs on a copy of the
+# fixtures with no overrides, as test_fixture_reports_match_pinned_digests
+# does.
 PINNED_STATE_FILES = {
     "review_config.json": {
         "records.json": (
@@ -1079,10 +1084,10 @@ PINNED_STATE_FILES = {
             "4db700a8713f4ec0b4477a16a9db90f4c1abb97457c4ce071afb65502ec2a4bb"
         ),
         "RetrievePolicies.json": (
-            "93c0efd119f6a719c477e737b1d6868dd180da493e7c7292ad404cf979cd28fe"
+            "2959be32055eebdc3adfbc31b91737d35a86a0a4a1e7800597a66efe269d0e89"
         ),
         "ValidatePolicies.json": (
-            "fb424d1d52b059c51690e87966a96b7008bdba792325fdb9a05273e353c427cf"
+            "6642940a12d3f113c7a803cb1f9b6eed4fa7ea8fe96d9b3e999c67610884a883"
         ),
         "GenerateReport.json": (
             "412edc5fa00ace6883ebb572d777a485aa355816af2ef555da220f7e5408a741"
@@ -1099,10 +1104,10 @@ PINNED_STATE_FILES = {
             "4db700a8713f4ec0b4477a16a9db90f4c1abb97457c4ce071afb65502ec2a4bb"
         ),
         "RetrievePolicies.json": (
-            "920c9051e4f47d73b08d3800021406d7ed10ac745dc41e0db9f4905afe260a41"
+            "113afc5081af6d996a9379997977aabec392d9ac3b54e273317e69fbf1b4905f"
         ),
         "ValidatePolicies.json": (
-            "79936d4e682dd184808b820176fdf91dc5e1b1dab38cd73cb811d62af66f1662"
+            "4a0babe620052aab1be86881ec72501eff44ba835d11bfb75cc28a087ae988b1"
         ),
         "GenerateReport.json": (
             "8f790312ad9d25d6701aaf9989b059c4075bbbbf5267da4ad47aefeb5eb398f1"
@@ -1129,21 +1134,23 @@ def test_fixture_state_files_match_pinned_digests(config_name, tmp_path):
 # whole state, so a change of checkpoint format must load the same states.
 # Re-taken when the state gained record_count and cited_records, and again
 # when each cited row gained the byte range of its piece; without the
-# ranges each state gives the pin taken before.
+# ranges each state gives the pin taken before. Re-taken when the state
+# lost retrieval_query, org_params and baseline_params and retrieval became
+# the ranked clause ids, which the state dict of every stage shows.
 PINNED_STAGE_STATES = {
     "review_config.json": {
-        "ProcessEvidence": "b624e9ca46d635376a3fad6ed4bf166202b1d9f48abfd03c6088d87a964d09cf",
-        "MapAttack": "351cccd0e9cf1a8f20d1ba972ddb6b72f004011ce20cfed9f86d71494c8dc68f",
-        "RetrievePolicies": "9da97522c22bdb030ffc7c53b3799a258cb166eb4ce9156a7633d483695f4537",
-        "ValidatePolicies": "e1cc2c0371d65390b8a7ca672580b87a1e26e74270b56978a62009edcd0a386d",
-        "GenerateReport": "690bdcbeeae97cc6784e2fc2e438244f3e35fed80c97d65fa0ac098392142907",
+        "ProcessEvidence": "d404b89f60415cb2ba1c5730158317da51d3e31b9e75d6cddff545cbdb59c5ba",
+        "MapAttack": "5dcfaa44b6fbc2e43ccc73bf83bda814802066cf9dbe47422003f516a65ed2d0",
+        "RetrievePolicies": "1c4c5ab66af327f59a5bb5841535d7b4b4944645aadb3600f807b03533fba653",
+        "ValidatePolicies": "a41e7adcb5e7cc6054eaa2d26268458b73a30f6605a622d043738e7b983e835c",
+        "GenerateReport": "c9cc9f159077476cba75d327696f38b5107febcb8836052455d49b8ef370456c",
     },
     "review_config_nogap.json": {
-        "ProcessEvidence": "9f63fc26f9bf34ed49c0b28148846647dca20bf32a8909de55305e355263d73c",
-        "MapAttack": "873eb6a9c7f9759e92db6429fed14ab66e704d6d220af15a9470163aa8a36e9d",
-        "RetrievePolicies": "d34e568efffc6e829d206d950d1d08fb8208aefe3d132c18cc66d2984aaa1bac",
-        "ValidatePolicies": "f9c61682a0e8612c630be7e756b476e15c60f6d5b8c984b6f46658570c9b8d94",
-        "GenerateReport": "3bc2850de0e4794d6045fc2dc6916a88b731bc50c9721d9e96a65b2884403a1b",
+        "ProcessEvidence": "8fb25cd6c28436008ce6e9ded640846b923632ae6af7179a2deab6b13456ac35",
+        "MapAttack": "61f4a570089c6c91a7f22818048a95c88b9264b2693a857a83f514b071e3df9d",
+        "RetrievePolicies": "724bf7d091aa28e772902d6f235dd653fae82aeb0a84584264c4b9fa00733bc2",
+        "ValidatePolicies": "ff6bfb409a362eac888f14663bae3331e27ab041696603f9eb356eb50b1a69fb",
+        "GenerateReport": "fdb0f125f5b540633eac1300f6f7d18a3f236f2a9b3cadf6a40ab5c15ad4c84b",
     },
 }
 
