@@ -18,8 +18,8 @@ Record types written to JSON inherit :class:`Canonical`, whose
 ``to_dict``/``from_dict`` follow from the dataclass fields and their type
 hints; ``ReviewState`` converts its stored fields by
 :func:`encode_fields`/:func:`decode_fields`, and ``Index`` keeps its own
-code. A record's JSON form is an object with one key
-per field, named as the field, and each value is converted by its type:
+code. A record's JSON form is an object with one key per field, named as
+the field, and each value is converted by its type:
 
 * ``datetime`` goes through :func:`format_instant` / :func:`parse_instant`,
 * a nested record uses its own ``to_dict`` / ``from_dict``,

@@ -142,8 +142,6 @@ def test_review_whose_report_cannot_be_written_exits_2(tmp_path, capsys):
         ("gateway", "max_tokens", True),
         ("gateway", "temperature", "0.5"),
         ("gateway", "cache_dir", 5),
-        ("gateway", "cache_dir", ""),
-        (None, "evidence_paths", [""]),
         ("gateway", "model_id", 5),
         (None, "evidence_paths", [5]),
         (None, "catalog_path", 5),
@@ -155,6 +153,8 @@ def test_review_whose_report_cannot_be_written_exits_2(tmp_path, capsys):
         ("gateway", "model_id", ""),
         ("gateway", "model_id", None),
         (None, "output_dir", 5),
+        ("gateway", "cache_dir", ""),
+        (None, "evidence_paths", [""]),
     ],
 )
 def test_review_rejects_unknown_keys_and_mistyped_detector_values(
