@@ -149,7 +149,7 @@ class ReviewConfig:
             raise ConfigInvalidError(f"config file not found: {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise ConfigInvalidError(f"cannot parse config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigInvalidError(f"config {path} must contain a JSON object")

@@ -569,8 +569,9 @@ def load_evidence(paths: list[Path], keep=_itself) -> list:
 
     Raises ConfigInvalidError, before any file is read, for no paths, a
     missing file or a suffix outside EVIDENCE_SUFFIXES (an ``.evtx`` file
-    among them), and DuplicateRecordRefError when two records share a
-    record_ref, before the second of them reaches ``keep``.
+    among them), DuplicateRecordRefError when two records share a
+    record_ref, before the second of them reaches ``keep``, and
+    XmlSyntaxError or CsvSchemaError naming a file that is not UTF-8.
     """
     if not paths:
         raise ConfigInvalidError("config lists no evidence_paths")
@@ -589,11 +590,12 @@ def load_evidence(paths: list[Path], keep=_itself) -> list:
         return keep(record, time_text)
 
     for path in paths:
+        xml = path.suffix.lower() == ".xml"
         # newline="" hands line ends to the parsers untranslated: the csv
         # module needs that for quoted fields, and XML normalises them itself.
-        with path.open(encoding="utf-8", newline="") as stream:
-            if path.suffix.lower() == ".xml":
-                kept.extend(parse_event_xml(stream, path.stem, keep_new))
-            else:
-                kept.extend(load_csv(stream, keep_new))
+        try:
+            with path.open(encoding="utf-8", newline="") as stream:
+                kept.extend(parse_event_xml(stream, path.stem, keep_new) if xml else load_csv(stream, keep_new))
+        except UnicodeDecodeError as exc:
+            raise (XmlSyntaxError if xml else CsvSchemaError)(f"{path} is not UTF-8: {exc}") from exc
     return kept

@@ -35,10 +35,10 @@ records_digest, and each cited row the byte range of its record's piece,
 but not the piece's sha256. Loading hashes the file in blocks against that
 digest, checks each cited row against the piece in its range, which it
 decodes, and takes the piece's sha256 for the row; it decodes no other
-record. The rows and auth events of every record stay answerable on any
-state (``records``, ``record_refs``, ``auth_events``): read_records, the
-one reader of every record, reads them from the file when first asked,
-once per state. The state keeps only the report's time:
+record. Every record's ref and every logon record's auth event stay
+answerable on any state (``records``, ``record_refs``, ``auth_events``):
+read_records, the one reader of every record, reads them from the file when
+first asked, once per state. The state keeps only the report's time:
 write_report_files builds the report from the count and the cited rows,
 which checks its citation closure, and writes it, for GenerateReport and
 for ``pir render`` alike.
@@ -117,7 +117,7 @@ STATUS_SKIPPED = "skipped"
 STATUS_FAILED = "failed"
 
 RECORDS_FILE = "records.json"
-RecordRow = tuple[str, int, str, str, int, int]  # see ReviewState.cited_records
+RecordRow = tuple[str, int, str, str, int, int]  # a cited row: see ReviewState.cited_records
 # A row without the piece's sha256: as encode_records makes it, before
 # digest_rows takes the sha256, and as a checkpoint stores a cited row.
 PieceRow = tuple[str, int, str, int, int]
@@ -170,29 +170,29 @@ class ReviewState:
     incident_summary: str | None = None
     report_generated_at: datetime | None = None
 
-    # Every record's row and auth event, read from records.json on demand.
-    # Neither a review nor a render asks for them.
+    # Every record's ref and every logon record's auth event, read from
+    # records.json on demand. Neither a review nor a render asks for them.
 
     @functools.cached_property
-    def _read(self) -> tuple[tuple[RecordRow, ...], tuple[AuthEvent, ...]]:
-        """The rows of all records and their normalised auth events, read
-        once per state (read_records)."""
+    def _read(self) -> tuple[tuple[str, ...], tuple[AuthEvent, ...]]:
+        """The refs of all records, in file order, and the normalised auth
+        events of the logon records, read once per state (read_records)."""
         if self.records_digest is None:
             return (), ()
-        rows, projected = read_records(self.records_file, self.records_digest)
+        refs, projected = read_records(self.records_file, self.records_digest)
         auth_events, _skipped = normalize_auth_events(projected)
-        return tuple(rows), tuple(auth_events)
+        return tuple(refs), tuple(auth_events)
 
     @property
-    def records(self) -> "RecordRows":
-        return RecordRows(self)
+    def records(self) -> "RecordRefs":
+        return RecordRefs(self)
 
     @property
     def auth_events(self) -> tuple[AuthEvent, ...]:
         return self._read[1]
 
     def record_refs(self) -> set[str]:
-        return {row[0] for row in self.records}
+        return set(self.records)
 
     def clause_ids(self) -> set[str]:
         return {
@@ -214,9 +214,10 @@ class ReviewState:
         return state
 
 
-class RecordRows(Sequence):
-    """``ReviewState.records``: the rows of all records. Its length is the
-    state's record_count and reads no file; a row is read on demand."""
+class RecordRefs(Sequence):
+    """``ReviewState.records``: the refs of all records, in file order. Its
+    length is the state's record_count and reads no file; a ref is read on
+    demand."""
 
     def __init__(self, state: ReviewState):
         self._state = state
@@ -567,37 +568,29 @@ def write_records(encode, path: Path):
     return result
 
 
-def read_records(path: Path, digest: str) -> tuple[list[RecordRow], list[AuthEvent]]:
+def read_records(path: Path, digest: str) -> tuple[list[str], list[AuthEvent]]:
     """Read a records.json that write_records wrote, after checking its bytes
-    against ``digest``; returns the rows of all its records, each row's
-    digest taken from the file's bytes, and their auth events, as
-    encode_records returned them. A logon record's auth event is projected
-    from the parts of its decoded JSON form; no record is rebuilt as an
-    EventRecord. This is the one reader of every record, behind
-    ReviewState.records and ReviewState.auth_events."""
+    against ``digest``; returns every record's ref, in file order, and the
+    logon records' auth events, as encode_records returned them, each
+    projected from the parts of its record's decoded JSON form. This is the
+    one reader of every record, behind ReviewState.records and
+    ReviewState.auth_events."""
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
     data = path.read_bytes()
     if sha256_hex(data) != digest:
         raise RecordsFileError(f"{path} does not match the checkpoint's records_digest")
-    text = data.decode("utf-8")
-    del data
-    decode = json.JSONDecoder().raw_decode
-    rows: list[RecordRow] = []
+    refs: list[str] = []
     auth_events: list[AuthEvent] = []
-    pos, last = 1, len(text) - 2  # just past "[", and at the closing "]"
-    start = 1  # the byte offset of the character at ``pos``
-    while pos < last:
-        item, end = decode(text, pos)
-        if text[end] not in ",]":
-            raise RecordsFileError(f"{path} is not a canonical JSON array")
-        ref, event_id, ts = item["record_ref"], item["event_id"], item["timestamp_utc"]
-        piece = text[pos:end].encode("utf-8")
-        rows.append((ref, event_id, ts, sha256_hex(piece), start, start + len(piece)))
-        if event_id in AUTH_EVENT_IDS:
-            auth_events.append(auth_event(ref, event_id, item["fields"], parse_instant(ts)))
-        pos, start = end + 1, start + len(piece) + 1
-    return rows, auth_events
+    try:
+        for item in json.loads(data):
+            ref, event_id = item["record_ref"], item["event_id"]
+            refs.append(ref)
+            if event_id in AUTH_EVENT_IDS:
+                auth_events.append(auth_event(ref, event_id, item["fields"], parse_instant(item["timestamp_utc"])))
+    except (ValueError, LookupError, TypeError) as exc:
+        raise RecordsFileError(f"{path} is not a JSON array of records") from exc
+    return refs, auth_events
 
 
 def check_records_file(path: Path, digest: str, rows: Iterable[PieceRow]) -> list[RecordRow]:

@@ -163,7 +163,8 @@ def load_policy_documents(
     org_paths: list[Path], baseline_paths: list[Path]
 ) -> list[PolicyDocument]:
     """Ingest the organisation files, then the baseline files; each file's
-    stem is its doc_id. Raises ConfigInvalidError for a missing file."""
+    stem is its doc_id. Raises ConfigInvalidError for a missing file or
+    one that is not UTF-8."""
     documents = []
     for kind, paths in (
         (DOC_KIND_ORGANISATION, org_paths),
@@ -172,9 +173,11 @@ def load_policy_documents(
         for path in paths:
             if not path.is_file():
                 raise ConfigInvalidError(f"policy path not found: {path}")
-            documents.append(
-                ingest_document(path.stem, kind, path.read_text(encoding="utf-8"))
-            )
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigInvalidError(f"policy {path} is not UTF-8: {exc}") from exc
+            documents.append(ingest_document(path.stem, kind, text))
     return documents
 
 

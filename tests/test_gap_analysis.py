@@ -102,6 +102,60 @@ def test_first_match_per_control_per_clause():
     assert (p.control, p.value) == ("LockoutThreshold", 5)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "The account lockout threshold is reviewed yearly. Passwords must be rotated every 90 days.",
+            {"PasswordMaxAgeDays": 90},
+        ),
+        ("The lockout duration is set by IT. Sessions time out after 30 minutes.", {}),
+        (
+            "The minimum password length is under review. Accounts lock after 3 failed attempts.",
+            {"LockoutThreshold": 3},
+        ),
+    ],
+)
+def test_a_value_is_not_read_across_a_full_stop(text, expected):
+    assert {p.control: p.value for p in extract_control_parameters(clause_of(text))} == expected
+
+
+# sentences that name a numeric control but hold no number and no full stop
+_NUMBERLESS = [
+    "The account lockout threshold is reviewed yearly",
+    "The lockout duration is set by IT",
+    "The minimum password length is under review",
+    "Passwords are changed when staff leave",
+    "Accounts are locked by the help desk",
+]
+_NUMBERED = [
+    "Accounts are locked after {} failed attempts.",
+    "The account lockout threshold is {} failed logon attempts.",
+    "The lockout duration is {} minutes.",
+    "Accounts stay locked for {} minutes.",
+    "Passwords must be rotated every {} days.",
+    "A {}-day rotation applies.",
+    "Passwords must be at least {} characters long.",
+    "The minimum password length is {}.",
+    "Sessions time out after {} minutes.",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    control=st.sampled_from(_NUMBERLESS),
+    numbered=st.sampled_from(_NUMBERED),
+    value=st.integers(min_value=1, max_value=999),
+)
+def test_a_numberless_sentence_before_a_value_changes_nothing(control, numbered, value):
+    sentence = numbered.format(value)
+
+    def numeric(text):
+        return {p.control: p.value for p in extract_control_parameters(clause_of(text)) if p.unit}
+
+    assert numeric(f"{control}. {sentence}") == numeric(sentence)
+
+
 def test_fixture_policies_extract_expected_controls():
     org = ingest_document(
         "org_policy",

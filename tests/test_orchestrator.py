@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pir import canon, gap_analysis, log_ingest, orchestrator, policy_index, reporting
-from pir.canon import digest_of, format_instant, sha256_hex
+from pir.canon import format_instant, sha256_hex
 from pir.config import ReviewConfig
 from pir.errors import (
     DuplicateRecordRefError,
@@ -639,8 +639,8 @@ def test_records_are_stored_once_in_records_json(demo_config):
     )
     records_text = texts.pop("records.json")
     digest = sha256_hex(records_text.encode("utf-8"))
-    # the file holds each record once, and the state one row per record
-    assert rows_of(json.loads(records_text)) == list(state.records)
+    # the file holds each record once, and the state one ref per record
+    assert [d["record_ref"] for d in json.loads(records_text)] == list(state.records)
 
     # checkpoints name the records file by digest and cite refs, never records
     cited = {ref for f in state.findings for ref in f.evidence}
@@ -695,8 +695,8 @@ def test_review_encodes_each_record_once(demo_config, monkeypatch):
     assert state.records
     assert counts == {"encode_record": len(state.records), "to_dict": 0, "digest_of": 0}
     records_path = demo_config.output_dir / "state" / RECORDS_FILE
-    pieces = json.loads(records_path.read_text(encoding="utf-8"))
-    assert [row[3] for row in state.records] == [digest_of(d) for d in pieces]
+    text = records_path.read_text(encoding="utf-8")
+    assert text == canon.canon_dumps(json.loads(text)) + "\n"
 
 
 def test_rerender_encodes_no_record(demo_config, monkeypatch, tmp_path):
@@ -764,11 +764,11 @@ def test_records_are_read_on_demand_once_per_state(demo_config, monkeypatch, tmp
         assert state.records
     assert reads == []
 
-    # the rows, refs and auth events come from one read per state
+    # the refs and auth events come from one read per state
     records_path.write_bytes(data)
     refs = [d["record_ref"] for d in json.loads(data)]
     for state in (review, loaded):
-        assert [row[0] for row in state.records] == refs
+        assert list(state.records) == refs
         assert state.record_refs() == set(refs)
         assert state.auth_events
         assert not any("skipped during normalization" in note for note in state.notes)
@@ -904,8 +904,8 @@ def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
     if not records:
         assert data == b"[]\n"
     assert count == len(records)
-    assert read == rows_of([r.to_dict() for r in records])
-    assert digest_rows(written, [r.record_ref for r in records], data) == logon_rows(read)
+    assert read == [r.record_ref for r in records]
+    assert digest_rows(written, read, data) == logon_rows(rows_of([r.to_dict() for r in records]))
     projected = [project(r) for r in records]
     assert auth_events == read_auth_events == [e for e in projected if e is not None]
 
@@ -1010,13 +1010,13 @@ def test_records_json_is_handed_to_write_in_batches():
     assert all(WRITE_BATCH_BYTES <= len(w) < WRITE_BATCH_BYTES + longest for w in writes[:-1])
 
 
-def test_read_records_refuses_records_not_joined_by_commas(tmp_path):
+def test_read_records_refuses_bytes_that_are_not_a_json_array_of_records(tmp_path):
     # a records.json written by hand, with a checkpoint naming its digest
     piece = canon.canon_dumps(make_record(1).to_dict())
     data = f"[{piece} {piece}]\n".encode("utf-8")
     path = tmp_path / RECORDS_FILE
     path.write_bytes(data)
-    with pytest.raises(RecordsFileError, match="not a canonical JSON array"):
+    with pytest.raises(RecordsFileError, match="not a JSON array of records"):
         read_records(path, sha256_hex(data))
 
 

@@ -162,7 +162,7 @@ def test_report_structure(state):
     refs, clauses = collect_citations(report)
     # the appendix holds exactly the cited records, in record order
     appendix_refs = [row["record_ref"] for row in report["evidence_appendix"]]
-    assert appendix_refs == [row[0] for row in state.records if row[0] in refs]
+    assert appendix_refs == [ref for ref in state.records if ref in refs]
     assert sorted(appendix_refs) == sorted(refs)
     assert len(appendix_refs) < len(state.records)
     assert all(len(row["digest"]) == 64 for row in report["evidence_appendix"])

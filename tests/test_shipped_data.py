@@ -26,6 +26,16 @@ def test_shipped_catalog_and_rules_are_well_formed():
     directions = load_default_rules().direction
     read_by_is_weaker = ("lower_is_stricter", "higher_is_stricter", "true_is_stricter")
     assert [c for c in CONTROLS if directions.get(c) not in read_by_is_weaker] == []
+    # the shapes _severity reads: a level, or a ratio rule between two levels
+    levels = ("Low", "Medium", "High")
     for gap_kind in (GAP_INSUFFICIENT, GAP_MISSING):
         assert [c for c in CONTROLS if c not in rules["severity"][gap_kind]] == []
+        for control, entry in rules["severity"][gap_kind].items():
+            if isinstance(entry, str):
+                assert entry in levels, control
+                continue
+            assert set(entry) == {"kind", "ratio", "at_or_above", "below"}, control
+            assert entry["kind"] == "ratio", control
+            assert isinstance(entry["ratio"], (int, float)), control
+            assert entry["at_or_above"] in levels and entry["below"] in levels, control
     assert [c for c in rules["relevance"]["T1110"] if c not in CONTROLS] == []
