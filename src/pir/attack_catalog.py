@@ -18,7 +18,7 @@ from .canon import Canonical, format_instant
 
 if TYPE_CHECKING:
     from .detection import BehaviorFinding
-    from .llm_gateway import Gateway
+    from .llm_gateway import Gateway, Request
 
 TECHNIQUE_BRUTE_FORCE = "T1110"
 
@@ -87,20 +87,28 @@ def map_finding(
     )
 
 
+def mapping_request(mapping: TechniqueMapping, finding: "BehaviorFinding") -> "Request":
+    """The bindings, record refs and clause ids of a mapping's justification
+    narration, from the mapping and its finding alone."""
+    bindings = {
+        "technique_id": mapping.technique_id,
+        "technique_name": mapping.technique_name,
+        "tactic": mapping.tactic,
+        "account": finding.account,
+        "failure_count": str(finding.failure_count),
+    }
+    return bindings, finding.cited_refs(), ()
+
+
 def justify_mapping(
     mapping: TechniqueMapping, finding: "BehaviorFinding", gateway: "Gateway"
 ):
     """Grounded narrative justification; falls back to the rule rationale."""
+    bindings, record_refs, clause_ids = mapping_request(mapping, finding)
     return gateway.narrate(
         "mapping_justification",
-        {
-            "technique_id": mapping.technique_id,
-            "technique_name": mapping.technique_name,
-            "tactic": mapping.tactic,
-            "account": finding.account,
-            "failure_count": str(finding.failure_count),
-        },
-        record_refs=finding.cited_refs(),
-        clause_ids=(),
+        bindings,
+        record_refs=record_refs,
+        clause_ids=clause_ids,
         fallback=mapping.rationale,
     )

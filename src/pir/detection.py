@@ -25,7 +25,7 @@ from .errors import UnsortedInputError
 from .log_ingest import AuthEvent
 
 if TYPE_CHECKING:
-    from .llm_gateway import Gateway
+    from .llm_gateway import Gateway, Request
 
 FINDING_KIND_BRUTE_FORCE = "BruteForceSuspected"
 
@@ -255,21 +255,29 @@ def fallback_summary(finding: BehaviorFinding) -> str:
     return " ".join(parts)
 
 
-def narrative_for_finding(finding: BehaviorFinding, gateway: "Gateway"):
-    """Gateway round-trip for a finding summary; returns a NarrativeResult."""
+def finding_request(finding: BehaviorFinding) -> "Request":
+    """The bindings, record refs and clause ids of a finding's summary
+    narration, from the finding alone."""
     success_line = (
         f"yes, record {finding.success_record}" if finding.success_record else "none"
     )
+    bindings = {
+        "account": finding.account,
+        "failure_count": str(finding.failure_count),
+        "window_start": format_instant(finding.window_start),
+        "window_end": format_instant(finding.window_end),
+        "success_line": success_line,
+    }
+    return bindings, finding.cited_refs(), ()
+
+
+def narrative_for_finding(finding: BehaviorFinding, gateway: "Gateway"):
+    """Gateway round-trip for a finding summary; returns a NarrativeResult."""
+    bindings, record_refs, clause_ids = finding_request(finding)
     return gateway.narrate(
         "finding_summary",
-        {
-            "account": finding.account,
-            "failure_count": str(finding.failure_count),
-            "window_start": format_instant(finding.window_start),
-            "window_end": format_instant(finding.window_end),
-            "success_line": success_line,
-        },
-        record_refs=finding.cited_refs(),
-        clause_ids=(),
+        bindings,
+        record_refs=record_refs,
+        clause_ids=clause_ids,
         fallback=fallback_summary(finding),
     )

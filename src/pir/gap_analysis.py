@@ -23,7 +23,7 @@ from .policy_index import PolicyClause
 
 if TYPE_CHECKING:
     from .attack_catalog import TechniqueMapping
-    from .llm_gateway import Gateway, NarrativeResult
+    from .llm_gateway import Gateway, NarrativeResult, Request
 
 CONTROLS = (
     "LockoutThreshold",
@@ -393,31 +393,46 @@ _RATIONALE_SPLIT = re.compile(
 )
 
 
+def split_rationale(text: str) -> tuple[str, str] | None:
+    """The rationale and remediation of a text in RATIONALE/REMEDIATION
+    paragraphs, or None when it lacks that structure."""
+    m = _RATIONALE_SPLIT.search(text)
+    return None if m is None else (m.group("rationale"), m.group("remediation"))
+
+
+def gap_request(gap: PolicyGap) -> "Request":
+    """The bindings, record refs and clause ids of a gap's rationale
+    narration, from the gap alone."""
+    bindings = {
+        "control": gap.control,
+        "gap_kind": gap.gap_kind,
+        "org_summary": _fmt_value(gap.org_value),
+        "baseline_summary": _fmt_value(gap.baseline_value),
+    }
+    return bindings, gap.evidence_events, gap.evidence_clauses
+
+
 def draft_rationale(
     gap: PolicyGap, gateway: "Gateway"
 ) -> tuple[str, str, "NarrativeResult"]:
     """Grounded rationale and remediation for one gap.
 
     The model must answer in RATIONALE/REMEDIATION paragraphs; a response
-    that fails grounding or the format check degrades to the deterministic
-    template pair.
+    that fails grounding or the format check (split_rationale) degrades to
+    the deterministic template pair.
     """
     det_rationale, det_remediation = deterministic_rationale(gap)
     fallback = f"RATIONALE: {det_rationale}\n\nREMEDIATION: {det_remediation}"
+    bindings, record_refs, clause_ids = gap_request(gap)
     result = gateway.narrate(
         "gap_rationale",
-        {
-            "control": gap.control,
-            "gap_kind": gap.gap_kind,
-            "org_summary": _fmt_value(gap.org_value),
-            "baseline_summary": _fmt_value(gap.baseline_value),
-        },
-        record_refs=gap.evidence_events,
-        clause_ids=gap.evidence_clauses,
+        bindings,
+        record_refs=record_refs,
+        clause_ids=clause_ids,
         fallback=fallback,
     )
-    m = _RATIONALE_SPLIT.search(result.text)
-    if m is None:
+    parts = split_rationale(result.text)
+    if parts is None:
         result = dataclasses.replace(
             result,
             degraded=True,
@@ -426,4 +441,4 @@ def draft_rationale(
             f"structure; deterministic text used",
         )
         return det_rationale, det_remediation, result
-    return m.group("rationale"), m.group("remediation"), result
+    return *parts, result

@@ -27,6 +27,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from collections.abc import Sequence
 from typing import Callable
 
 from .canon import Canonical, canon_dumps, sha256_hex
@@ -212,6 +213,23 @@ def validate_grounding(response: str, record_refs, clause_ids) -> GroundingRepor
         unresolved=unresolved,
         passed=passed,
     )
+
+
+# What a narration renders and grounds against: the template's bindings, and
+# the record refs and clause ids its text may cite. Each narration site has
+# one function that makes it from the state alone, so a load re-renders the
+# prompt and re-grounds the response the review kept.
+Request = tuple[dict[str, str], Sequence[str], Sequence[str]]
+
+
+def scoped(bindings: dict[str, str], record_refs, clause_ids) -> dict[str, str]:
+    """The bindings of a narration with its scope listed as every prompt
+    names it: ``evidence_refs`` and ``clause_refs``."""
+    return {
+        **bindings,
+        "evidence_refs": ", ".join(record_refs),
+        "clause_refs": ", ".join(clause_ids) or "none",
+    }
 
 
 @dataclass(frozen=True)
@@ -439,7 +457,7 @@ class Gateway:
     ) -> NarrativeResult:
         """Grounded narration: model text is used only when every citation
         resolves; otherwise the deterministic fallback takes its place. The
-        prompt lists the scope as ``evidence_refs`` and ``clause_refs``."""
+        prompt lists the scope (scoped)."""
         if self.mode == MODE_DISABLED:
             return NarrativeResult(
                 text=fallback,
@@ -447,12 +465,7 @@ class Gateway:
                 transcript=None,
                 note=f"gateway disabled; deterministic {template_id} text used",
             )
-        bindings = {
-            **bindings,
-            "evidence_refs": ", ".join(record_refs),
-            "clause_refs": ", ".join(clause_ids) or "none",
-        }
-        transcript = self.complete(template_id, bindings)
+        transcript = self.complete(template_id, scoped(bindings, record_refs, clause_ids))
         report = validate_grounding(transcript.response, record_refs, clause_ids)
         transcript = dataclasses.replace(transcript, grounding=report, degraded=not report.passed)
         if report.passed:

@@ -14,10 +14,16 @@ shared list, plus previous_digest, the sha256 of the previous stage's
 checkpoint bytes, which run_review takes as it writes them. A checkpoint
 writes as null what a load reads from elsewhere in the checkpoints: a
 finding summary, mapping rationale or incident summary that is the
-response of its stage's transcript at the same position, and a mapping's
-evidence that is its finding's. Loading a checkpoint checks the chain back
-to ProcessEvidence.json, folds the deltas into the state and restores what
-was written as null.
+response of its stage's transcript at the same position, a mapping's
+evidence that is its finding's, and a gap's evidence that is the union of
+the findings' in first-seen order. It writes each transcript without its
+rendered prompt and grounding report: each narration site makes its
+request (bindings, record refs, clause ids) from the state alone, so a
+load renders the prompt and grounds the response as narrate does, and
+refuses a transcript whose stored ``degraded`` is not what narration
+decides. Loading a checkpoint checks the chain back to
+ProcessEvidence.json, folds the deltas into the state and restores what
+was written as null or left out.
 
 ProcessEvidence, verify_report (``pir verify``) and ``pir detect`` read
 the evidence by one pass, read_evidence. Each record is encoded once as it
@@ -59,7 +65,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import reporting
-from .attack_catalog import TechniqueEntry, TechniqueMapping, justify_mapping, load_default_catalog, map_finding
+from .attack_catalog import (
+    TechniqueEntry,
+    TechniqueMapping,
+    justify_mapping,
+    load_default_catalog,
+    map_finding,
+    mapping_request,
+)
 from .canon import (
     Canonical,
     canon_dumps,
@@ -71,7 +84,7 @@ from .canon import (
     utc_now,
 )
 from .config import ReviewConfig
-from .detection import BehaviorFinding, detect_bruteforce, narrative_for_finding
+from .detection import BehaviorFinding, detect_bruteforce, finding_request, narrative_for_finding
 from .errors import (
     MalformedCheckpointError,
     RecordsFileError,
@@ -79,6 +92,7 @@ from .errors import (
     ReviewError,
     StageFailureError,
     StageOrderViolationError,
+    UnresolvedReferenceError,
 )
 from .gap_analysis import (
     PolicyGap,
@@ -87,10 +101,21 @@ from .gap_analysis import (
     dedupe_gaps,
     draft_rationale,
     extract_control_parameters,
+    gap_request,
     load_default_rules,
     select_effective,
+    split_rationale,
 )
-from .llm_gateway import Gateway, NarrativeResult, Transcript
+from .llm_gateway import (
+    TEMPLATES,
+    Gateway,
+    NarrativeResult,
+    Request,
+    Transcript,
+    render,
+    scoped,
+    validate_grounding,
+)
 from .log_ingest import (
     AUTH_EVENT_IDS,
     AuthEvent,
@@ -365,41 +390,47 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps, out: dict):
         all_gaps.extend(
             compare_controls(effective_org, effective_base, mapping, finding.evidence, rules)
         )
-    gaps = []
+    # in place before the narrations, so a failed one leaves the gaps before it
+    out["gaps"] = gaps = []
     for gap in dedupe_gaps(all_gaps):
         gap = assign_confidence(gap, min_evidence=deps.config.detector.min_failures)
         rationale, remediation, result = draft_rationale(gap, deps.gateway)
         _absorb(out, result)
         gaps.append(dataclasses.replace(gap, rationale=rationale, remediation=remediation))
-    out["gaps"] = gaps
     if not gaps:
         return STATUS_OK, "no gaps against baseline"
     return STATUS_OK, None
 
 
+def incident_request(state: ReviewState) -> Request:
+    """The bindings, record refs and clause ids of the incident summary's
+    narration, from the findings, mappings and gaps of ``state``."""
+    bindings = {
+        "findings_digest": "; ".join(
+            f"{f.failure_count} failed logons for '{f.account}'" for f in state.findings
+        ),
+        "technique_digest": "; ".join(
+            f"{m.technique_id} {m.technique_name}" for m in state.mappings
+        )
+        or "none",
+        "gap_digest": "; ".join(
+            f"{g.control} ({g.gap_kind}, severity {g.severity})" for g in state.gaps
+        )
+        or "none identified",
+    }
+    refs = [ref for finding in state.findings for ref in finding.cited_refs()]
+    clause_ids = list(dict.fromkeys(cid for gap in state.gaps for cid in gap.evidence_clauses))
+    return bindings, refs, clause_ids
+
+
 def _stage_generate_report(state: ReviewState, deps: StageDeps, out: dict):
     fallback = reporting.deterministic_incident_summary(state)
     if state.findings:
-        refs = [ref for finding in state.findings for ref in finding.cited_refs()]
-        clause_ids = list(dict.fromkeys(cid for gap in state.gaps for cid in gap.evidence_clauses))
+        bindings, record_refs, clause_ids = incident_request(state)
         result = deps.gateway.narrate(
             "incident_summary",
-            {
-                "findings_digest": "; ".join(
-                    f"{f.failure_count} failed logons for '{f.account}'"
-                    for f in state.findings
-                ),
-                "technique_digest": "; ".join(
-                    f"{m.technique_id} {m.technique_name}" for m in state.mappings
-                )
-                or "none",
-                "gap_digest": "; ".join(
-                    f"{g.control} ({g.gap_kind}, severity {g.severity})"
-                    for g in state.gaps
-                )
-                or "none identified",
-            },
-            record_refs=refs,
+            bindings,
+            record_refs=record_refs,
             clause_ids=clause_ids,
             fallback=fallback,
         )
@@ -588,7 +619,7 @@ def read_records(path: Path, digest: str) -> tuple[list[str], list[AuthEvent]]:
             refs.append(ref)
             if event_id in AUTH_EVENT_IDS:
                 auth_events.append(auth_event(ref, event_id, item["fields"], parse_instant(item["timestamp_utc"])))
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise RecordsFileError(f"{path} is not a JSON array of records") from exc
     return refs, auth_events
 
@@ -631,7 +662,9 @@ def check_records_file(path: Path, digest: str, rows: Iterable[PieceRow]) -> lis
 
 # --- checkpoint codec ---------------------------------------------------------
 # A checkpoint writes as null what a load reads from elsewhere in the
-# checkpoints (_write_once), and a load restores it (_read_back).
+# checkpoints (_write_once), and a load restores it (_read_back). It leaves
+# out each transcript's prompt and grounding report, which a load re-derives
+# from the state (_rederived).
 
 
 def _narrated(stage: str, doc: dict) -> list[tuple[list | dict, int | str]]:
@@ -647,17 +680,47 @@ def _narrated(stage: str, doc: dict) -> list[tuple[list | dict, int | str]]:
     return []
 
 
+def _narrations(stage: str, state: ReviewState) -> tuple[str | None, list[Request]]:
+    """The template of ``stage``'s narrations and the request of each, in
+    the order the stage makes them, made from ``state``, a state after the
+    stage, by the function its narration site calls."""
+    if stage == "ProcessEvidence":
+        return "finding_summary", [finding_request(f) for f in state.findings]
+    if stage == "MapAttack":
+        return "mapping_justification", [mapping_request(m, state.findings[m.finding_ref]) for m in state.mappings]
+    if stage == "ValidatePolicies":
+        return "gap_rationale", [gap_request(gap) for gap in state.gaps]
+    if stage == "GenerateReport":
+        return "incident_summary", [incident_request(state)] if state.findings else []
+    return None, []
+
+
+def _evidence_union(evidences: Iterable[Iterable[str]]) -> list[str]:
+    """The refs of ``evidences`` in first-seen order: a gap's evidence when
+    every finding's mapping gave it (dedupe_gaps)."""
+    return list(dict.fromkeys(ref for evidence in evidences for ref in evidence))
+
+
 def _write_once(stage: str, doc: dict, findings: Sequence[BehaviorFinding]) -> None:
     """Write as null, in ``stage``'s checkpoint dict ``doc``, each narrated
     text that is the response of the stage's transcript at its position,
-    and each mapping's evidence that is its finding's, of ``findings``; a
-    fallback text stays. Drop the sha256 from each cited row."""
+    each mapping's evidence that is its finding's, of ``findings``, and
+    each gap's evidence that is the union of theirs; a fallback text stays.
+    Drop each transcript's prompt and grounding report, and the sha256 from
+    each cited row."""
     for (holder, key), transcript in zip(_narrated(stage, doc), doc["transcripts"]):
         if holder[key] == transcript["response"]:
             holder[key] = None
+    for transcript in doc["transcripts"]:
+        del transcript["rendered_prompt"], transcript["grounding"]
     for mapping in doc.get("mappings", ()):
         if tuple(mapping["evidence"]) == findings[mapping["finding_ref"]].evidence:
             mapping["evidence"] = None
+    if doc.get("gaps"):
+        union = _evidence_union(f.evidence for f in findings)
+        for gap in doc["gaps"]:
+            if gap["evidence_events"] == union:
+                gap["evidence_events"] = None
     if "cited_records" in doc:
         doc["cited_records"] = [row[:3] + row[4:] for row in doc["cited_records"]]
 
@@ -665,15 +728,56 @@ def _write_once(stage: str, doc: dict, findings: Sequence[BehaviorFinding]) -> N
 def _read_back(stage: str, doc: dict, findings: list[dict]) -> None:
     """Restore in ``stage``'s checkpoint dict ``doc`` what _write_once wrote
     as null: a narrated text from the response of the stage's transcript at
-    its position (a null with no transcript there stays null), and a
-    mapping's evidence from its finding's, of the checkpoint dicts
-    ``findings``."""
+    its position (a null with no transcript there stays null), a mapping's
+    evidence from its finding's, of the checkpoint dicts ``findings``, and
+    a gap's evidence from the union of theirs."""
     for (holder, key), transcript in zip(_narrated(stage, doc), doc["transcripts"]):
         if holder[key] is None:
             holder[key] = transcript["response"]
     for mapping in doc.get("mappings", ()):
         if mapping["evidence"] is None:
             mapping["evidence"] = findings[mapping["finding_ref"]]["evidence"]
+    for gap in doc.get("gaps", ()):
+        if gap["evidence_events"] is None:
+            gap["evidence_events"] = _evidence_union(f["evidence"] for f in findings)
+
+
+def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Transcript, ...]:
+    """The transcripts that each stage's checkpoint holds in ``stored``,
+    each completed by its narration's request at its position (_narrations)
+    on ``state``: the prompt rendered and the response grounded as narrate
+    renders and grounds them. A transcript with no narration at its
+    position, of another stage or template, or whose ``degraded`` is not
+    what narration decides (grounding failed, or for a gap rationale the
+    RATIONALE/REMEDIATION format check failed) is a ValueError. A marker
+    resolves against its narration's scope alone, so a scope that names a
+    record or clause the state does not hold is an UnresolvedReferenceError,
+    as it is when the report is built."""
+    known_refs = {row[0] for row in state.cited_records}
+    known_clauses = state.clause_ids()
+    transcripts = []
+    for stage, docs in stored.items():
+        template_id, requests = _narrations(stage, state)
+        if len(docs) > len(requests):
+            raise ValueError(f"{stage} holds {len(docs)} transcripts for {len(requests)} narrations")
+        for t, (bindings, record_refs, clause_ids) in zip(docs, requests):
+            if (t["stage"], t["template_id"]) != (stage, template_id):
+                raise ValueError(f"{stage} holds a {t['stage']} {t['template_id']} transcript")
+            unknown = sorted({*record_refs} - known_refs | {*clause_ids} - known_clauses)
+            if unknown:
+                raise UnresolvedReferenceError(f"{stage} narration scope names unknown references: {', '.join(unknown)}")
+            grounding = validate_grounding(t["response"], record_refs, clause_ids)
+            degraded = not grounding.passed or (
+                template_id == "gap_rationale" and split_rationale(t["response"]) is None
+            )
+            if t["degraded"] is not degraded:
+                raise ValueError(
+                    f"{stage} transcript {t['transcript_id']} is stored with degraded {t['degraded']}, "
+                    f"but its narration gives {degraded}"
+                )
+            prompt = render(TEMPLATES[template_id], scoped(bindings, record_refs, clause_ids))
+            transcripts.append(Transcript(rendered_prompt=prompt, grounding=grounding, **t))
+    return tuple(transcripts)
 
 
 def save_checkpoint(
@@ -683,7 +787,8 @@ def save_checkpoint(
     """Write <stage>.json: the fields ``stage`` owns, the items it appended to
     each shared list after ``base`` (the state it started from, None for an
     empty one), each fact that the other checkpoints hold written as null
-    (_write_once), and ``previous_digest``, the sha256 of the bytes of the
+    and each transcript without its prompt and grounding (_write_once), and
+    ``previous_digest``, the sha256 of the bytes of the
     previous stage's checkpoint (None for the first stage). Returns the
     bytes written."""
     if state.record_count and state.records_digest is None:
@@ -701,13 +806,16 @@ def save_checkpoint(
 
 def load_checkpoint(path: Path) -> ReviewState:
     """Load the state after the stage that ``path``'s own stage_log entry
-    names, folding the checkpoints from ProcessEvidence's on and restoring
-    what each wrote as null (_read_back). The earlier ones must sit beside
+    names, folding the checkpoints from ProcessEvidence's on, restoring
+    what each wrote as null (_read_back) and re-deriving each transcript's
+    prompt and grounding (_rederived). The earlier ones must sit beside
     it, each matching the previous_digest after it, else
     MalformedCheckpointError names it; so must records.json, which must
     match the records_digest and hold the piece of each cited row in the
     row's byte range (RecordsFileError). Only the cited records are
-    decoded, and each cited row gains its piece's sha256 from the file."""
+    decoded, and each cited row gains its piece's sha256 from the file. A
+    transcript that its narration does not give is a
+    MalformedCheckpointError."""
     path = Path(path)
     try:
         docs = [json.loads(path.read_bytes())]
@@ -720,16 +828,19 @@ def load_checkpoint(path: Path) -> ReviewState:
                 )
             docs.append(json.loads(data))
         d = ReviewState(run_id="", config_digest="").to_dict()
+        transcripts = {}
         for stage, doc in zip(STAGES, reversed(docs)):
             _read_back(stage, doc, d["findings"])
+            transcripts[stage] = doc["transcripts"]
             d.update((k, doc[k]) for k in _STORED_KEYS[stage])
-            d.update((k, d[k] + doc[k]) for k in SHARED_FIELDS)
+            d.update((k, d[k] + doc[k]) for k in SHARED_FIELDS if k != "transcripts")
         if [r["stage"] for r in d["stage_log"]] != list(STAGES[: len(docs)]):
             raise ValueError("the stage_log entries are not the stages in order")
         records_file = path.parent / RECORDS_FILE
         if d["records_digest"] or d["cited_records"]:
             d["cited_records"] = check_records_file(records_file, d["records_digest"], d["cited_records"])
-        return ReviewState.from_dict(d, records_file)
+        state = ReviewState.from_dict(d, records_file)
+        return dataclasses.replace(state, transcripts=_rederived(state, transcripts))
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 

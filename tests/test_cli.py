@@ -829,6 +829,8 @@ def _break_checkpoint(checkpoint, damage):
             "no incident_summary": "GenerateReport.json",
             "numeric window_start": "ProcessEvidence.json",
             "six-field cited rows": "ProcessEvidence.json",
+            "flipped degraded": "MapAttack.json",
+            "stored prompt": "MapAttack.json",
         }.get(damage, "RetrievePolicies.json")
     )
     doc = json.loads(owner.read_text(encoding="utf-8"))
@@ -844,6 +846,12 @@ def _break_checkpoint(checkpoint, damage):
             [ref, event_id, ts, sha256_hex(records[start:end]), start, end]
             for ref, event_id, ts, start, end in doc["cited_records"]
         ]
+    elif damage == "flipped degraded":
+        # the transcript's re-derived grounding passes, so narration used it
+        doc["transcripts"][0]["degraded"] = True
+    elif damage == "stored prompt":
+        # a load renders the prompt from the state and trusts no stored one
+        doc["transcripts"][0]["rendered_prompt"] = "Explain nothing."
     else:
         doc["retrieval"][0] = "nowhere:1-1"
     rewrite_checkpoint(owner, doc)
@@ -851,7 +859,10 @@ def _break_checkpoint(checkpoint, damage):
 
 @pytest.mark.parametrize(
     "damage",
-    ["corrupt json", "no incident_summary", "numeric window_start", "unknown clause", "six-field cited rows"],
+    [
+        "corrupt json", "no incident_summary", "numeric window_start", "unknown clause", "six-field cited rows",
+        "flipped degraded", "stored prompt",
+    ],
 )
 def test_render_of_a_malformed_checkpoint_exits_2(tmp_path, capsys, damage):
     out = tmp_path / "out"

@@ -20,6 +20,7 @@ from pir.canon import format_instant, sha256_hex
 from pir.config import ReviewConfig
 from pir.errors import (
     DuplicateRecordRefError,
+    ProviderError,
     RecordsFileError,
     StageFailureError,
     StageOrderViolationError,
@@ -235,15 +236,22 @@ def test_review_reads_back_no_checkpoint(demo_config, monkeypatch):
     assert state_digest(load_checkpoint(demo_config.output_dir / "state" / "GenerateReport.json"))
 
 
-def test_checkpoints_hold_each_fact_once(tmp_path, monkeypatch):
-    # a many-incidents review of 20 hosts in record mode; gated on bytes,
-    # never on seconds
-    hosts = 20
+def many_incidents_config(tmp_path, monkeypatch, hosts):
+    """The record-mode config of a seed-1 many-incidents set-up of ``hosts``
+    hosts in ``tmp_path``, as test_traced_runs_give_metrics_without_errors
+    builds it."""
     monkeypatch.setattr(workloads, "HOSTS", hosts)
     for name in ("HOST_FAILURES", "HOST_SPACING_S", "HOST_SUCCESS"):
         monkeypatch.setattr(workloads, name, getattr(workloads, name)[:hosts])
     manifest = workloads.set_up("many-incidents", 1, tmp_path)
-    config = workloads.review_config(tmp_path, manifest["evidence"], "record")
+    return workloads.review_config(tmp_path, manifest["evidence"], "record")
+
+
+def test_checkpoints_hold_each_fact_once(tmp_path, monkeypatch):
+    # a many-incidents review of 20 hosts in record mode; gated on bytes,
+    # never on seconds
+    hosts = 20
+    config = many_incidents_config(tmp_path, monkeypatch, hosts)
     state = run_review(config, transport=workloads.scripted_transport)
     assert len(state.findings) >= hosts
     state_dir = config.output_dir / "state"
@@ -1020,6 +1028,35 @@ def test_read_records_refuses_bytes_that_are_not_a_json_array_of_records(tmp_pat
         read_records(path, sha256_hex(data))
 
 
+def test_read_records_refuses_a_logon_record_whose_fields_are_not_an_object(tmp_path):
+    piece = canon.canon_dumps(dict(make_record(1).to_dict(), fields=[]))
+    data = f"[{piece}]\n".encode("utf-8")
+    path = tmp_path / RECORDS_FILE
+    path.write_bytes(data)
+    with pytest.raises(RecordsFileError, match="not a JSON array of records"):
+        read_records(path, sha256_hex(data))
+
+
+def test_check_records_file_refuses_a_range_that_starts_inside_its_record(tmp_path):
+    # A record with a field named channel holds a second {"channel": inside
+    # its piece. The range from there to the piece's end starts as a piece
+    # does, holds one "record_ref": and ends with the row's ref and time, so
+    # a check of those bytes alone would take it; the decode refuses it.
+    record = make_record(1, fields={"channel": "Security", "logon": "3"})
+    piece = canon.canon_dumps(record.to_dict()).encode("utf-8")
+    data = b"[" + piece + b"]\n"
+    path = tmp_path / RECORDS_FILE
+    path.write_bytes(data)
+    time_text = format_instant(record.timestamp_utc)
+    start, end = 1 + piece.index(b'{"channel":', 1), 1 + len(piece)
+    inner = data[start:end]
+    assert inner.startswith(b'{"channel":') and inner.count(b'"record_ref":') == 1
+    assert inner.endswith(f'"record_ref":"{record.record_ref}","timestamp_utc":"{time_text}"}}'.encode("utf-8"))
+    assert orchestrator.check_records_file(path, sha256_hex(data), [(record.record_ref, 4625, time_text, 1, end)])
+    with pytest.raises(RecordsFileError, match="are not the piece of cited record src#1"):
+        orchestrator.check_records_file(path, sha256_hex(data), [(record.record_ref, 4625, time_text, start, end)])
+
+
 def test_checkpoint_of_records_without_digest_is_refused(demo_config, tmp_path):
     state = dataclasses.replace(fresh_state(demo_config), record_count=1)
     with pytest.raises(RecordsFileError, match="no records_digest"):
@@ -1176,25 +1213,41 @@ def _ungrounded_mappings(request_body):
     return workloads.scripted_transport(request_body)
 
 
+def _unformatted_gap_rationales(request_body):
+    """The scripted model, except that a gap rationale, still grounded,
+    lacks its RATIONALE/REMEDIATION paragraphs, so its fallback is used."""
+    text = workloads.scripted_transport(request_body)
+    if "Control:" in request_body["messages"][0]["content"]:
+        return text.replace("RATIONALE: ", "").replace("REMEDIATION: ", "")
+    return text
+
+
 # Reviews of the committed fixture configs, of a disabled gateway (every text
-# a fallback, no transcript) and of a model whose mapping justifications
-# fail grounding (fallbacks beside transcripts).
+# a fallback, no transcript), of a model whose mapping justifications
+# fail grounding (fallbacks beside transcripts), of one whose gap rationales
+# fail only the format check, and of a 3-host many-incidents set-up (three
+# findings, each gap's evidence the union of theirs).
 FIXTURE_REVIEWS = {
     "review_config.json": ("review_config.json", None, None),
     "review_config_bad_citation.json": ("review_config_bad_citation.json", None, None),
     "review_config_nogap.json": ("review_config_nogap.json", None, None),
     "disabled": ("review_config.json", "disabled", None),
     "ungrounded mappings": ("review_config.json", "live", _ungrounded_mappings),
+    "unformatted gap rationales": ("review_config.json", "live", _unformatted_gap_rationales),
+    "many incidents": (None, "record", workloads.scripted_transport),
 }
 
 
-def review_fixture_copy(tmp_path, review):
-    """Run one of FIXTURE_REVIEWS on a copy of the fixtures; returns the
-    config."""
+def review_fixture_copy(tmp_path, review, monkeypatch):
+    """Run one of FIXTURE_REVIEWS on a copy of the fixtures, or on a
+    many-incidents set-up; returns the config."""
     config_name, mode, transport = FIXTURE_REVIEWS[review]
-    shutil.copytree(FIXTURES, tmp_path / "fixtures")
-    overrides = {"gateway_mode": mode} if mode else None
-    config = ReviewConfig.from_file(tmp_path / "fixtures" / config_name, overrides)
+    if config_name is None:
+        config = many_incidents_config(tmp_path, monkeypatch, hosts=3)
+    else:
+        shutil.copytree(FIXTURES, tmp_path / "fixtures")
+        overrides = {"gateway_mode": mode} if mode else None
+        config = ReviewConfig.from_file(tmp_path / "fixtures" / config_name, overrides)
     run_review(config, transport=transport)
     return config
 
@@ -1209,21 +1262,56 @@ def test_each_checkpoint_loads_the_state_the_review_held(review, tmp_path, monke
         return save(state, output_dir, stage, *args)
 
     monkeypatch.setattr(orchestrator, "save_checkpoint", recording_save)
-    config = review_fixture_copy(tmp_path, review)
+    config = review_fixture_copy(tmp_path, review, monkeypatch)
     state_dir = config.output_dir / "state"
-    loaded = {stage: state_digest(load_checkpoint(state_dir / f"{stage}.json")) for stage in STAGES}
-    assert loaded == held
+    loaded = {stage: load_checkpoint(state_dir / f"{stage}.json") for stage in STAGES}
+    assert {stage: state_digest(state) for stage, state in loaded.items()} == held
     assert list(held) == list(STAGES)
+    if review == "unformatted gap rationales":
+        # grounded, yet degraded by the format check alone
+        gap_transcripts = [t for t in loaded["GenerateReport"].transcripts if t.template_id == "gap_rationale"]
+        assert gap_transcripts
+        assert all(t.degraded and t.grounding.passed for t in gap_transcripts)
+
+
+def test_a_failed_gap_narration_leaves_the_gaps_before_it(tmp_path):
+    # the fixture review has two gaps; the model refuses the second
+    gap_prompts = []
+
+    def fails_on_the_second_gap(request_body):
+        if "Control:" in request_body["messages"][0]["content"]:
+            gap_prompts.append(request_body["messages"][0]["content"])
+            if len(gap_prompts) == 2:
+                raise ProviderError(400, "refused")
+        return workloads.scripted_transport(request_body)
+
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    config = ReviewConfig.from_file(tmp_path / "fixtures" / "review_config.json", {"gateway_mode": "live"})
+    with pytest.raises(StageFailureError) as err:
+        run_review(config, transport=fails_on_the_second_gap)
+    assert err.value.stage == "ValidatePolicies"
+    partial = err.value.partial_state
+    loaded = load_checkpoint(config.output_dir / "state" / "ValidatePolicies.json")
+    assert state_digest(loaded) == state_digest(partial)
+    [gap] = loaded.gaps
+    assert gap.control == "LockoutThreshold"
+    transcript = loaded.transcripts[-1]
+    assert transcript.template_id == "gap_rationale"
+    assert transcript.rendered_prompt == gap_prompts[0]
+    assert transcript.grounding.passed
 
 
 HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 @pytest.mark.parametrize("review", sorted(FIXTURE_REVIEWS))
-def test_checkpoints_write_no_fact_that_another_holds(review, tmp_path):
-    config = review_fixture_copy(tmp_path, review)
+def test_checkpoints_write_no_fact_that_another_holds(review, tmp_path, monkeypatch):
+    config = review_fixture_copy(tmp_path, review, monkeypatch)
     docs = {stage: json.loads((config.output_dir / "state" / f"{stage}.json").read_bytes()) for stage in STAGES}
-    responses = {t["response"] for doc in docs.values() for t in doc["transcripts"]}
+    transcripts = [t for doc in docs.values() for t in doc["transcripts"]]
+    # a load re-derives each prompt and grounding report from the state
+    assert [t for t in transcripts if "rendered_prompt" in t or "grounding" in t] == []
+    responses = {t["response"] for t in transcripts}
     mappings = docs["MapAttack"]["mappings"]
     narrated = [
         *docs["ProcessEvidence"]["finding_summaries"],
@@ -1237,6 +1325,12 @@ def test_checkpoints_write_no_fact_that_another_holds(review, tmp_path):
     # each mapping's evidence is its finding's
     assert mappings
     assert all(m["evidence"] is None for m in mappings)
+    # each gap's evidence is the union of the findings'
+    gaps = docs["ValidatePolicies"]["gaps"]
+    assert all(g["evidence_events"] is None for g in gaps)
+    if review == "many incidents":
+        assert len(docs["ProcessEvidence"]["findings"]) == 3
+        assert len(gaps) == 2
     rows = docs["ProcessEvidence"]["cited_records"]
     assert rows
     assert all(len(row) == 5 and not any(HEX_DIGEST.fullmatch(str(v)) for v in row) for row in rows)
