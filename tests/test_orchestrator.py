@@ -1106,28 +1106,32 @@ def test_retrieval_is_the_ranked_clause_ids(demo_config):
 # re-taken when the state dropped retrieval_query, org_params and
 # baseline_params and began to store retrieval as the ranked clause ids;
 # the checkpoints before, with those keys dropped and each hit as its
-# clause_id, are the checkpoints now. The review runs on a copy of the
-# fixtures with no overrides, as test_fixture_reports_match_pinned_digests
-# does.
+# clause_id, are the checkpoints now. ProcessEvidence.json, MapAttack.json,
+# ValidatePolicies.json and GenerateReport.json re-taken when a checkpoint
+# began to write each transcript without its rendered_prompt and grounding,
+# and as null each gap's evidence_events that is the union of the findings'
+# evidence; with those restored from the loaded state, each gives the pin
+# before. The review runs on a copy of the fixtures with no overrides, as
+# test_fixture_reports_match_pinned_digests does.
 PINNED_STATE_FILES = {
     "review_config.json": {
         "records.json": (
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "ab33a3d9dfad7de80cde56ef4aa136799e975b1bef456fed24099829632e9644"
+            "25377fc746ee99bb515c024b8d8bd26edeefdf0094d0103cbf01a6f201d30455"
         ),
         "MapAttack.json": (
-            "4db700a8713f4ec0b4477a16a9db90f4c1abb97457c4ce071afb65502ec2a4bb"
+            "bbd1813960607078bdc6a7ec62d720a699ad0af40bc9fadb4f99b1f6e4ee34cf"
         ),
         "RetrievePolicies.json": (
             "2959be32055eebdc3adfbc31b91737d35a86a0a4a1e7800597a66efe269d0e89"
         ),
         "ValidatePolicies.json": (
-            "6642940a12d3f113c7a803cb1f9b6eed4fa7ea8fe96d9b3e999c67610884a883"
+            "9ad6cdfd5fd2466f50304fcbf0569926d5eac9079519577c5efedcacbcac457d"
         ),
         "GenerateReport.json": (
-            "412edc5fa00ace6883ebb572d777a485aa355816af2ef555da220f7e5408a741"
+            "883f390d5ffdbd0336c0eb6db574a8485fc70cf5d8f62034cfe8970332311acf"
         ),
     },
     "review_config_nogap.json": {
@@ -1135,10 +1139,10 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "d723c10560c095a4615ec80600c21ad71fa996e7818ef6e6775084bc18ce6a02"
+            "19d701c39726f572c335e5c71dd97eca02267268ce3c66ad244c865285db3419"
         ),
         "MapAttack.json": (
-            "4db700a8713f4ec0b4477a16a9db90f4c1abb97457c4ce071afb65502ec2a4bb"
+            "bbd1813960607078bdc6a7ec62d720a699ad0af40bc9fadb4f99b1f6e4ee34cf"
         ),
         "RetrievePolicies.json": (
             "113afc5081af6d996a9379997977aabec392d9ac3b54e273317e69fbf1b4905f"
@@ -1147,7 +1151,7 @@ PINNED_STATE_FILES = {
             "4a0babe620052aab1be86881ec72501eff44ba835d11bfb75cc28a087ae988b1"
         ),
         "GenerateReport.json": (
-            "8f790312ad9d25d6701aaf9989b059c4075bbbbf5267da4ad47aefeb5eb398f1"
+            "a7b2682ac0258ae445a2e41a627d4015d29e0a72d3e64f3b0cfcd67ce1b5d595"
         ),
     },
 }
