@@ -104,11 +104,4 @@ def justify_mapping(
     mapping: TechniqueMapping, finding: "BehaviorFinding", gateway: "Gateway"
 ):
     """Grounded narrative justification; falls back to the rule rationale."""
-    bindings, record_refs, clause_ids = mapping_request(mapping, finding)
-    return gateway.narrate(
-        "mapping_justification",
-        bindings,
-        record_refs=record_refs,
-        clause_ids=clause_ids,
-        fallback=mapping.rationale,
-    )
+    return gateway.narrate("mapping_justification", *mapping_request(mapping, finding), fallback=mapping.rationale)

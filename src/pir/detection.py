@@ -273,11 +273,4 @@ def finding_request(finding: BehaviorFinding) -> "Request":
 
 def narrative_for_finding(finding: BehaviorFinding, gateway: "Gateway"):
     """Gateway round-trip for a finding summary; returns a NarrativeResult."""
-    bindings, record_refs, clause_ids = finding_request(finding)
-    return gateway.narrate(
-        "finding_summary",
-        bindings,
-        record_refs=record_refs,
-        clause_ids=clause_ids,
-        fallback=fallback_summary(finding),
-    )
+    return gateway.narrate("finding_summary", *finding_request(finding), fallback=fallback_summary(finding))

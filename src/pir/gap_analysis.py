@@ -423,14 +423,7 @@ def draft_rationale(
     """
     det_rationale, det_remediation = deterministic_rationale(gap)
     fallback = f"RATIONALE: {det_rationale}\n\nREMEDIATION: {det_remediation}"
-    bindings, record_refs, clause_ids = gap_request(gap)
-    result = gateway.narrate(
-        "gap_rationale",
-        bindings,
-        record_refs=record_refs,
-        clause_ids=clause_ids,
-        fallback=fallback,
-    )
+    result = gateway.narrate("gap_rationale", *gap_request(gap), fallback=fallback)
     parts = split_rationale(result.text)
     if parts is None:
         result = dataclasses.replace(

@@ -19,15 +19,16 @@ PIR_LLM_ENDPOINT and PIR_LLM_API_KEY, read when a live call is made.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import os
 import re
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Sequence
 from typing import Callable
 
 from .canon import Canonical, canon_dumps, sha256_hex
@@ -94,19 +95,25 @@ class PromptTemplate:
     body: str
 
 
+@functools.cache
+def _format(body: str) -> str:
+    """A template body as a %-format: each ``{{name}}`` becomes
+    ``%(name)s`` and every other ``%`` is doubled."""
+    return _PLACEHOLDER.sub(r"%(\1)s", body.replace("%", "%%"))
+
+
 def render(template: PromptTemplate, bindings: dict[str, str]) -> str:
     """Deterministic placeholder substitution; nothing else.
 
     Every placeholder of the template body must be bound. Bound values go in
     as they are, so evidence text that looks like a placeholder stays text.
     """
-    for m in _PLACEHOLDER.finditer(template.body):
-        if m.group(1) not in bindings:
-            raise MissingPlaceholderError(
-                f"template {template.template_id} placeholder "
-                f"{m.group(1)!r} left unbound"
-            )
-    return _PLACEHOLDER.sub(lambda m: bindings[m.group(1)], template.body)
+    try:
+        return _format(template.body) % bindings
+    except KeyError as exc:
+        raise MissingPlaceholderError(
+            f"template {template.template_id} placeholder {exc.args[0]!r} left unbound"
+        ) from None
 
 
 # Spelled out in words rather than shown literally: a bracketed example such
@@ -450,14 +457,14 @@ class Gateway:
         self,
         template_id: str,
         bindings: dict[str, str],
-        *,
         record_refs,
         clause_ids,
+        *,
         fallback: str,
     ) -> NarrativeResult:
-        """Grounded narration: model text is used only when every citation
-        resolves; otherwise the deterministic fallback takes its place. The
-        prompt lists the scope (scoped)."""
+        """Grounded narration of a Request: model text is used only when
+        every citation resolves; otherwise the deterministic fallback takes
+        its place. The prompt lists the scope (scoped)."""
         if self.mode == MODE_DISABLED:
             return NarrativeResult(
                 text=fallback,

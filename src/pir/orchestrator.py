@@ -426,14 +426,7 @@ def incident_request(state: ReviewState) -> Request:
 def _stage_generate_report(state: ReviewState, deps: StageDeps, out: dict):
     fallback = reporting.deterministic_incident_summary(state)
     if state.findings:
-        bindings, record_refs, clause_ids = incident_request(state)
-        result = deps.gateway.narrate(
-            "incident_summary",
-            bindings,
-            record_refs=record_refs,
-            clause_ids=clause_ids,
-            fallback=fallback,
-        )
+        result = deps.gateway.narrate("incident_summary", *incident_request(state), fallback=fallback)
         out["incident_summary"] = result.text
         _absorb(out, result)
     else:

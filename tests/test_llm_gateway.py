@@ -5,6 +5,7 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pir.errors import (
     GatewayDisabledError,
@@ -19,6 +20,7 @@ from pir.llm_gateway import (
     _PLACEHOLDER,
     Gateway,
     GenerationParams,
+    PromptTemplate,
     TransientTransportError,
     http_transport,
     render,
@@ -62,6 +64,19 @@ def test_render_is_pure_substitution():
     template = TEMPLATES["finding_summary"]
     assert render(template, BINDINGS) == render(template, dict(BINDINGS))
     assert "admin" in render(template, BINDINGS)
+
+
+@given(
+    st.lists(st.text(alphabet="%(){}sdx ", max_size=8), min_size=2, max_size=2),
+    st.text(alphabet="%(){}sdx a", max_size=12),
+)
+def test_render_puts_each_value_in_as_text(values, literal):
+    # a % or a placeholder-shaped text, in a value or in the template's own
+    # text, comes out as it went in
+    template = PromptTemplate("t", "s", f"{literal}{{{{a}}}}{literal}{{{{b}}}}{{{{a}}}}")
+    bindings = dict(zip("ab", values))
+    expected = _PLACEHOLDER.sub(lambda m: bindings[m.group(1)], template.body)
+    assert render(template, bindings) == expected
 
 
 def test_missing_binding_is_an_error():
