@@ -19,11 +19,11 @@ from typing import TYPE_CHECKING
 
 from .canon import Canonical
 from .errors import NoBaselineError
+from .llm_gateway import TEMPLATES, Gateway, NarrativeResult, Request, sections
 from .policy_index import PolicyClause
 
 if TYPE_CHECKING:
     from .attack_catalog import TechniqueMapping
-    from .llm_gateway import Gateway, NarrativeResult, Request
 
 CONTROLS = (
     "LockoutThreshold",
@@ -387,19 +387,6 @@ def deterministic_rationale(gap: PolicyGap) -> tuple[str, str]:
     return rationale, remediation
 
 
-_RATIONALE_SPLIT = re.compile(
-    r"RATIONALE:\s*(?P<rationale>.+?)\s*REMEDIATION:\s*(?P<remediation>.+)\s*$",
-    re.S,
-)
-
-
-def split_rationale(text: str) -> tuple[str, str] | None:
-    """The rationale and remediation of a text in RATIONALE/REMEDIATION
-    paragraphs, or None when it lacks that structure."""
-    m = _RATIONALE_SPLIT.search(text)
-    return None if m is None else (m.group("rationale"), m.group("remediation"))
-
-
 def gap_request(gap: PolicyGap) -> "Request":
     """The bindings, record refs and clause ids of a gap's rationale
     narration, from the gap alone."""
@@ -415,23 +402,13 @@ def gap_request(gap: PolicyGap) -> "Request":
 def draft_rationale(
     gap: PolicyGap, gateway: "Gateway"
 ) -> tuple[str, str, "NarrativeResult"]:
-    """Grounded rationale and remediation for one gap.
-
-    The model must answer in RATIONALE/REMEDIATION paragraphs; a response
-    that fails grounding or the format check (split_rationale) degrades to
-    the deterministic template pair.
-    """
+    """Grounded rationale and remediation for one gap: the RATIONALE and
+    REMEDIATION paragraphs of a response that narration accepts
+    (llm_gateway.verdict), else the deterministic template pair."""
     det_rationale, det_remediation = deterministic_rationale(gap)
     fallback = f"RATIONALE: {det_rationale}\n\nREMEDIATION: {det_remediation}"
     result = gateway.narrate("gap_rationale", *gap_request(gap), fallback=fallback)
-    parts = split_rationale(result.text)
-    if parts is None:
-        result = dataclasses.replace(
-            result,
-            degraded=True,
-            transcript=dataclasses.replace(result.transcript, degraded=True),
-            note=f"gap narrative for {gap.control} lacked RATIONALE/REMEDIATION "
-            f"structure; deterministic text used",
-        )
+    if result.degraded:
         return det_rationale, det_remediation, result
-    return *parts, result
+    rationale, remediation = sections(TEMPLATES["gap_rationale"], result.text)
+    return rationale, remediation, result

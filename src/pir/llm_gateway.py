@@ -6,10 +6,10 @@ HTTP chat-completion request (live/record) or reads the committed cache file
 for that id (replay). Replay never touches the network, which is what makes
 review runs reproducible offline.
 
-Model output never reaches a report directly: narrate() validates citation
-markers ([EVT:<record_ref>], [POL:<clause_id>]) against the caller's
-resolution scope and substitutes a deterministic fallback when grounding
-fails, flagging the transcript degraded.
+Model output never reaches a report directly: verdict() resolves citation
+markers ([EVT:<record_ref>], [POL:<clause_id>]) against the caller's scope
+and checks the paragraphs the template asks for; narrate() substitutes a
+deterministic fallback when either fails, flagging the transcript degraded.
 
 The review config sets the mode, the decoding parameters, the model id and
 the cache dir. The environment holds only the live provider's credentials,
@@ -93,6 +93,8 @@ class PromptTemplate:
     template_id: str
     stage: str
     body: str
+    # the labels of the paragraphs the body asks for, in order (sections)
+    sections: tuple[str, ...] = ()
 
 
 @functools.cache
@@ -174,6 +176,7 @@ TEMPLATES: dict[str, PromptTemplate] = {
                 "Available record refs: {{evidence_refs}}\n"
                 "Available clause refs: {{clause_refs}}"
             ),
+            sections=("RATIONALE", "REMEDIATION"),
         ),
         PromptTemplate(
             template_id="incident_summary",
@@ -220,6 +223,33 @@ def validate_grounding(response: str, record_refs, clause_ids) -> GroundingRepor
         unresolved=unresolved,
         passed=passed,
     )
+
+
+def sections(template: PromptTemplate, response: str) -> tuple[str, ...] | None:
+    """The text of each paragraph ``template`` asks for, each begun by its
+    label and a colon, in order, the last running to the end; None when
+    ``response`` lacks them."""
+    *heads, last = template.sections
+    pattern = "".join(rf"{re.escape(label)}:\s*(.+?)\s*" for label in heads) + rf"{re.escape(last)}:\s*(.+)\s*$"
+    m = re.search(pattern, response, re.S)
+    return None if m is None else m.groups()
+
+
+def verdict(
+    template: PromptTemplate, response: str, record_refs, clause_ids
+) -> tuple[GroundingReport, str | None]:
+    """The grounding report of a response to ``template`` and why the
+    response may not enter a report, or None when it may: grounding comes
+    first, then the paragraphs the template asks for (sections). narrate
+    and a checkpoint load both decide by this."""
+    report = validate_grounding(response, record_refs, clause_ids)
+    if not report.passed:
+        unresolved = ", ".join(report.unresolved)
+        detail = f"unresolved markers: {unresolved}" if unresolved else "no citation markers present"
+        return report, f"grounding failed for {template.template_id} ({detail})"
+    if template.sections and sections(template, response) is None:
+        return report, f"{template.template_id} response lacked {'/'.join(template.sections)} paragraphs"
+    return report, None
 
 
 # What a narration renders and grounds against: the template's bindings, and
@@ -463,8 +493,9 @@ class Gateway:
         fallback: str,
     ) -> NarrativeResult:
         """Grounded narration of a Request: model text is used only when
-        every citation resolves; otherwise the deterministic fallback takes
-        its place. The prompt lists the scope (scoped)."""
+        verdict finds no fault in it; otherwise the deterministic fallback
+        takes its place, with a note naming the fault. The prompt lists the
+        scope (scoped)."""
         if self.mode == MODE_DISABLED:
             return NarrativeResult(
                 text=fallback,
@@ -473,21 +504,9 @@ class Gateway:
                 note=f"gateway disabled; deterministic {template_id} text used",
             )
         transcript = self.complete(template_id, scoped(bindings, record_refs, clause_ids))
-        report = validate_grounding(transcript.response, record_refs, clause_ids)
-        transcript = dataclasses.replace(transcript, grounding=report, degraded=not report.passed)
-        if report.passed:
-            return NarrativeResult(
-                text=transcript.response, degraded=False, transcript=transcript
-            )
-        detail = (
-            f"unresolved markers: {', '.join(report.unresolved)}"
-            if report.unresolved
-            else "no citation markers present"
-        )
-        return NarrativeResult(
-            text=fallback,
-            degraded=True,
-            transcript=transcript,
-            note=f"grounding failed for {template_id} ({detail}); "
-            f"deterministic text used",
-        )
+        report, fault = verdict(TEMPLATES[template_id], transcript.response, record_refs, clause_ids)
+        transcript = dataclasses.replace(transcript, grounding=report, degraded=fault is not None)
+        if fault is None:
+            return NarrativeResult(text=transcript.response, degraded=False, transcript=transcript)
+        note = f"{fault}; deterministic text used"
+        return NarrativeResult(text=fallback, degraded=True, transcript=transcript, note=note)

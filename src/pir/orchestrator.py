@@ -17,11 +17,11 @@ finding summary, mapping rationale or incident summary that is the
 response of its stage's transcript at the same position, a mapping's
 evidence that is its finding's, and a gap's evidence that is the union of
 the findings' in first-seen order. It writes each transcript without its
-rendered prompt and grounding report: each narration site makes its
-request (bindings, record refs, clause ids) from the state alone, so a
-load renders the prompt and grounds the response as narrate does, and
-refuses a transcript whose stored ``degraded`` is not what narration
-decides. Loading a checkpoint checks the chain back to
+stage, template id, rendered prompt and grounding report: a load knows the
+first two from the transcript's position, and each narration site makes
+its request from the state alone, so a load renders the prompt and judges
+the response as narrate does, refusing a transcript whose ``degraded`` is
+not what narration decides. Loading a checkpoint checks the chain back to
 ProcessEvidence.json, folds the deltas into the state and restores what
 was written as null or left out.
 
@@ -104,7 +104,6 @@ from .gap_analysis import (
     gap_request,
     load_default_rules,
     select_effective,
-    split_rationale,
 )
 from .llm_gateway import (
     TEMPLATES,
@@ -114,7 +113,7 @@ from .llm_gateway import (
     Transcript,
     render,
     scoped,
-    validate_grounding,
+    verdict,
 )
 from .log_ingest import (
     AUTH_EVENT_IDS,
@@ -368,10 +367,11 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps, out: dict):
     if not state.findings:
         return STATUS_SKIPPED, "no findings; incident-driven gap analysis skipped"
 
-    # the retrieved clauses of each kind, in rank order
+    # every clause of each kind: the ranked ones in rank order, then the
+    # rest in document order, so no verdict hangs on the retrieval cut-off
     by_id = {c.clause_id: (doc.kind, c) for doc in state.policy_documents for c in doc.clauses}
     clauses = {DOC_KIND_ORGANISATION: [], DOC_KIND_BASELINE: []}
-    for clause_id in state.retrieval:
+    for clause_id in dict.fromkeys([*state.retrieval, *by_id]):
         kind, clause = by_id[clause_id]
         clauses[kind].append(clause)
     org_params = extract_control_parameters(clauses[DOC_KIND_ORGANISATION])
@@ -656,8 +656,8 @@ def check_records_file(path: Path, digest: str, rows: Iterable[PieceRow]) -> lis
 # --- checkpoint codec ---------------------------------------------------------
 # A checkpoint writes as null what a load reads from elsewhere in the
 # checkpoints (_write_once), and a load restores it (_read_back). It leaves
-# out each transcript's prompt and grounding report, which a load re-derives
-# from the state (_rederived).
+# out each transcript's stage, template id, prompt and grounding report,
+# which a load re-derives from its position and the state (_rederived).
 
 
 def _narrated(stage: str, doc: dict) -> list[tuple[list | dict, int | str]]:
@@ -673,19 +673,23 @@ def _narrated(stage: str, doc: dict) -> list[tuple[list | dict, int | str]]:
     return []
 
 
-def _narrations(stage: str, state: ReviewState) -> tuple[str | None, list[Request]]:
-    """The template of ``stage``'s narrations and the request of each, in
-    the order the stage makes them, made from ``state``, a state after the
-    stage, by the function its narration site calls."""
+def _narrations(stage: str, state: ReviewState) -> list[Request]:
+    """The request of each of ``stage``'s narrations, in the order the
+    stage makes them, made from ``state``, a state after the stage, by the
+    function its narration site calls."""
     if stage == "ProcessEvidence":
-        return "finding_summary", [finding_request(f) for f in state.findings]
+        return [finding_request(f) for f in state.findings]
     if stage == "MapAttack":
-        return "mapping_justification", [mapping_request(m, state.findings[m.finding_ref]) for m in state.mappings]
+        return [mapping_request(m, state.findings[m.finding_ref]) for m in state.mappings]
     if stage == "ValidatePolicies":
-        return "gap_rationale", [gap_request(gap) for gap in state.gaps]
+        return [gap_request(gap) for gap in state.gaps]
     if stage == "GenerateReport":
-        return "incident_summary", [incident_request(state)] if state.findings else []
-    return None, []
+        return [incident_request(state)] if state.findings else []
+    return []
+
+
+# the template of each narrating stage, which names its stage
+_STAGE_TEMPLATES = {template.stage: template for template in TEMPLATES.values()}
 
 
 def _evidence_union(evidences: Iterable[Iterable[str]]) -> list[str]:
@@ -699,13 +703,13 @@ def _write_once(stage: str, doc: dict, findings: Sequence[BehaviorFinding]) -> N
     text that is the response of the stage's transcript at its position,
     each mapping's evidence that is its finding's, of ``findings``, and
     each gap's evidence that is the union of theirs; a fallback text stays.
-    Drop each transcript's prompt and grounding report, and the sha256 from
-    each cited row."""
+    Drop each transcript's stage, template id, prompt and grounding report,
+    and the sha256 from each cited row."""
     for (holder, key), transcript in zip(_narrated(stage, doc), doc["transcripts"]):
         if holder[key] == transcript["response"]:
             holder[key] = None
     for transcript in doc["transcripts"]:
-        del transcript["rendered_prompt"], transcript["grounding"]
+        del transcript["stage"], transcript["template_id"], transcript["rendered_prompt"], transcript["grounding"]
     for mapping in doc.get("mappings", ()):
         if tuple(mapping["evidence"]) == findings[mapping["finding_ref"]].evidence:
             mapping["evidence"] = None
@@ -737,12 +741,11 @@ def _read_back(stage: str, doc: dict, findings: list[dict]) -> None:
 
 def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Transcript, ...]:
     """The transcripts that each stage's checkpoint holds in ``stored``,
-    each completed by its narration's request at its position (_narrations)
-    on ``state``: the prompt rendered and the response grounded as narrate
-    renders and grounds them. A transcript with no narration at its
-    position, of another stage or template, or whose ``degraded`` is not
-    what narration decides (grounding failed, or for a gap rationale the
-    RATIONALE/REMEDIATION format check failed) is a ValueError. A marker
+    each completed by its stage, its stage's template and its narration's
+    request at its position (_narrations) on ``state``: the prompt rendered
+    and the response judged as narrate renders and judges them (verdict). A
+    transcript with no narration at its position, or whose ``degraded`` is
+    not what the verdict gives, is a ValueError. A marker
     resolves against its narration's scope alone, so a scope that names a
     record or clause the state does not hold is an UnresolvedReferenceError,
     as it is when the report is built."""
@@ -750,26 +753,25 @@ def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Trans
     known_clauses = state.clause_ids()
     transcripts = []
     for stage, docs in stored.items():
-        template_id, requests = _narrations(stage, state)
+        requests = _narrations(stage, state)
         if len(docs) > len(requests):
             raise ValueError(f"{stage} holds {len(docs)} transcripts for {len(requests)} narrations")
         for t, (bindings, record_refs, clause_ids) in zip(docs, requests):
-            if (t["stage"], t["template_id"]) != (stage, template_id):
-                raise ValueError(f"{stage} holds a {t['stage']} {t['template_id']} transcript")
+            template = _STAGE_TEMPLATES[stage]
             unknown = sorted({*record_refs} - known_refs | {*clause_ids} - known_clauses)
             if unknown:
                 raise UnresolvedReferenceError(f"{stage} narration scope names unknown references: {', '.join(unknown)}")
-            grounding = validate_grounding(t["response"], record_refs, clause_ids)
-            degraded = not grounding.passed or (
-                template_id == "gap_rationale" and split_rationale(t["response"]) is None
-            )
+            grounding, fault = verdict(template, t["response"], record_refs, clause_ids)
+            degraded = fault is not None
             if t["degraded"] is not degraded:
                 raise ValueError(
                     f"{stage} transcript {t['transcript_id']} is stored with degraded {t['degraded']}, "
                     f"but its narration gives {degraded}"
                 )
-            prompt = render(TEMPLATES[template_id], scoped(bindings, record_refs, clause_ids))
-            transcripts.append(Transcript(rendered_prompt=prompt, grounding=grounding, **t))
+            prompt = render(template, scoped(bindings, record_refs, clause_ids))
+            transcripts.append(
+                Transcript(stage=stage, template_id=template.template_id, rendered_prompt=prompt, grounding=grounding, **t)
+            )
     return tuple(transcripts)
 
 
@@ -780,7 +782,7 @@ def save_checkpoint(
     """Write <stage>.json: the fields ``stage`` owns, the items it appended to
     each shared list after ``base`` (the state it started from, None for an
     empty one), each fact that the other checkpoints hold written as null
-    and each transcript without its prompt and grounding (_write_once), and
+    and each transcript without what a load re-derives (_write_once), and
     ``previous_digest``, the sha256 of the bytes of the
     previous stage's checkpoint (None for the first stage). Returns the
     bytes written."""
@@ -801,8 +803,8 @@ def load_checkpoint(path: Path) -> ReviewState:
     """Load the state after the stage that ``path``'s own stage_log entry
     names, folding the checkpoints from ProcessEvidence's on, restoring
     what each wrote as null (_read_back) and re-deriving each transcript's
-    prompt and grounding (_rederived). The earlier ones must sit beside
-    it, each matching the previous_digest after it, else
+    stage, template, prompt and grounding (_rederived). The earlier ones
+    must sit beside it, each matching the previous_digest after it, else
     MalformedCheckpointError names it; so must records.json, which must
     match the records_digest and hold the piece of each cited row in the
     row's byte range (RecordsFileError). Only the cited records are

@@ -53,6 +53,27 @@ def test_review_replay_succeeds(tmp_path, capsys):
     assert (tmp_path / "out" / "report.md").is_file()
 
 
+@pytest.mark.parametrize("retrieval_k", range(1, 13))
+def test_review_gaps_do_not_depend_on_retrieval_k(tmp_path, capsys, retrieval_k):
+    # the org policy's lockout threshold (10) and password rotation (365
+    # days) are weaker than the baseline's (5 and 90), and every other
+    # control equals it; org_equals_baseline.md is the baseline itself
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    gaps = {}
+    for name in ("review_config.json", "review_config_nogap.json"):
+        config = tmp_path / "fixtures" / name
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        config.write_text(json.dumps({**raw, "retrieval_k": retrieval_k, "gateway_mode": "disabled"}), encoding="utf-8")
+        code, *_ = run_cli(capsys, "review", "--config", str(config), "--output", str(tmp_path / name))
+        assert code == 0
+        report = json.loads((tmp_path / name / "report.json").read_text(encoding="utf-8"))
+        gaps[name] = [(g["control"], g["gap_kind"]) for g in report["gaps_section"]]
+    assert gaps == {
+        "review_config.json": [("LockoutThreshold", "Insufficient"), ("PasswordMaxAgeDays", "Insufficient")],
+        "review_config_nogap.json": [],
+    }
+
+
 def test_review_without_config_exits_3(capsys):
     code, _out, err = run_cli(capsys, "review")
     assert code == 3
@@ -831,6 +852,8 @@ def _break_checkpoint(checkpoint, damage):
             "six-field cited rows": "ProcessEvidence.json",
             "flipped degraded": "MapAttack.json",
             "stored prompt": "MapAttack.json",
+            "extra transcript": "MapAttack.json",
+            "stored stage": "MapAttack.json",
         }.get(damage, "RetrievePolicies.json")
     )
     doc = json.loads(owner.read_text(encoding="utf-8"))
@@ -852,6 +875,13 @@ def _break_checkpoint(checkpoint, damage):
     elif damage == "stored prompt":
         # a load renders the prompt from the state and trusts no stored one
         doc["transcripts"][0]["rendered_prompt"] = "Explain nothing."
+    elif damage == "extra transcript":
+        # a load takes each transcript's stage and template from its
+        # position, so one past the stage's narrations has none
+        doc["transcripts"].append(dict(doc["transcripts"][0]))
+    elif damage == "stored stage":
+        # nor does it take a stored one
+        doc["transcripts"][0]["stage"] = "MapAttack"
     else:
         doc["retrieval"][0] = "nowhere:1-1"
     rewrite_checkpoint(owner, doc)
@@ -861,7 +891,7 @@ def _break_checkpoint(checkpoint, damage):
     "damage",
     [
         "corrupt json", "no incident_summary", "numeric window_start", "unknown clause", "six-field cited rows",
-        "flipped degraded", "stored prompt",
+        "flipped degraded", "stored prompt", "extra transcript", "stored stage",
     ],
 )
 def test_render_of_a_malformed_checkpoint_exits_2(tmp_path, capsys, damage):

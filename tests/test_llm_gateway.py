@@ -369,6 +369,56 @@ def test_narrate_falls_back_on_grounding_failure(tmp_path):
     assert "grounding" in result.note
 
 
+GAP_BINDINGS = {
+    "control": "LockoutThreshold",
+    "gap_kind": "Insufficient",
+    "org_summary": "10 attempts",
+    "baseline_summary": "5 attempts",
+}
+
+
+@pytest.mark.parametrize(
+    "response, degraded, note",
+    [
+        ("RATIONALE: lax [POL:pol:1-1].\n\nREMEDIATION: lower it [EVT:src#1].", False, None),
+        # grounded, but without the paragraphs the template asks for
+        (
+            "Lax [POL:pol:1-1]; lower it [EVT:src#1].",
+            True,
+            "gap_rationale response lacked RATIONALE/REMEDIATION paragraphs; deterministic text used",
+        ),
+        # both faults: grounding is judged first, so its note is the one kept
+        (
+            "Lax [POL:ghost:9-9].",
+            True,
+            "grounding failed for gap_rationale (unresolved markers: [POL:ghost:9-9]); deterministic text used",
+        ),
+    ],
+)
+def test_narrate_judges_a_gap_rationale_by_its_template(tmp_path, response, degraded, note):
+    gw = gateway(tmp_path, transport=lambda request_body: response)
+    result = gw.narrate("gap_rationale", GAP_BINDINGS, ["src#1"], ["pol:1-1"], fallback="fallback text")
+    assert (result.degraded, result.transcript.degraded, result.note) == (degraded, degraded, note)
+    assert result.text == ("fallback text" if degraded else response)
+    assert result.transcript.grounding.passed is ("ghost" not in response)
+
+
+@pytest.mark.parametrize("template_id", sorted(TEMPLATES))
+def test_verdict_asks_only_a_gap_rationale_for_paragraphs(template_id):
+    template = TEMPLATES[template_id]
+    report, fault = llm_gateway.verdict(template, "Lax [EVT:src#1].", ["src#1"], ())
+    assert report.passed
+    assert (fault is None) is (template_id != "gap_rationale")
+    assert template.sections == (("RATIONALE", "REMEDIATION") if template_id == "gap_rationale" else ())
+
+
+def test_sections_split_the_labelled_paragraphs():
+    template = TEMPLATES["gap_rationale"]
+    assert llm_gateway.sections(template, "Intro.\nRATIONALE:  lax\n\n REMEDIATION: fix it\n") == ("lax", "fix it\n")
+    assert llm_gateway.sections(template, "REMEDIATION: fix it\n\nRATIONALE: lax") is None
+    assert llm_gateway.sections(template, "RATIONALE: lax") is None
+
+
 def test_disabled_mode_never_calls_out(tmp_path):
     gw = gateway(tmp_path, "disabled")
     with pytest.raises(GatewayDisabledError):

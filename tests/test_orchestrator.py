@@ -1090,6 +1090,34 @@ def test_retrieval_is_the_ranked_clause_ids(demo_config):
     assert [(h.clause.clause_id, h.rank) for h in hits] == [(cid, rank) for rank, cid in enumerate(FIXTURE_RETRIEVAL, 1)]
 
 
+# Words of the fixture query, which rank a clause high, and filler; no
+# digit and no obligation word, so no clause of them states a control.
+PADDING_WORDS = (*re.findall(r"[a-z]+", FIXTURE_QUERY.lower()), "the", "of", "for", "users", "guidance", "should")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    policy=st.sampled_from(["org_policy.md", "baseline_policy.md"]),
+    padding=st.lists(st.lists(st.sampled_from(PADDING_WORDS), min_size=1, max_size=12), max_size=30),
+    retrieval_k=st.integers(1, 16),
+)
+def test_clauses_that_state_no_control_change_no_gap(policy, padding, retrieval_k):
+    clauses = [" ".join(words) + "." for words in padding]
+    assert gap_analysis.extract_control_parameters(
+        [policy_index.PolicyClause("pad", f"pad:{i}-{i}", None, i, i, text) for i, text in enumerate(clauses, 1)]
+    ) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(FIXTURES, Path(tmp) / "fixtures")
+        path = Path(tmp) / "fixtures" / "policies" / policy
+        path.write_text(path.read_text(encoding="utf-8") + "".join(f"\n{text}\n" for text in clauses), encoding="utf-8")
+        overrides = {"gateway_mode": "disabled", "retrieval_k": retrieval_k}
+        gaps = run_review(ReviewConfig.from_file(Path(tmp) / "fixtures" / "review_config.json", overrides)).gaps
+    assert [(g.control, g.gap_kind, g.severity, g.evidence_clauses) for g in gaps] == [
+        ("LockoutThreshold", "Insufficient", "High", ("org_policy:5-5", "baseline_policy:5-5")),
+        ("PasswordMaxAgeDays", "Insufficient", "Medium", ("org_policy:11-11", "baseline_policy:11-11")),
+    ]
+
+
 # Digests of the state/ files a review of the committed fixtures writes:
 # records.json by sha256 of its bytes, taken before the record types shared
 # one codec, and each <Stage>.json by digest_of its JSON with the stage
