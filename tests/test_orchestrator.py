@@ -1139,7 +1139,11 @@ def test_clauses_that_state_no_control_change_no_gap(policy, padding, retrieval_
 # began to write each transcript without its rendered_prompt and grounding,
 # and as null each gap's evidence_events that is the union of the findings'
 # evidence; with those restored from the loaded state, each gives the pin
-# before. The review runs on a copy of the fixtures with no overrides, as
+# before. ProcessEvidence.json, MapAttack.json, ValidatePolicies.json and
+# GenerateReport.json re-taken when a checkpoint began to write each
+# transcript without its stage and template_id; with those restored from
+# the checkpoint's stage and its template, each gives the pin before. The
+# review runs on a copy of the fixtures with no overrides, as
 # test_fixture_reports_match_pinned_digests does.
 PINNED_STATE_FILES = {
     "review_config.json": {
@@ -1147,19 +1151,19 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "25377fc746ee99bb515c024b8d8bd26edeefdf0094d0103cbf01a6f201d30455"
+            "963a124968dd97f8f78657c40bd090dfddfdf9440f90217cb2d8cbee910f7b32"
         ),
         "MapAttack.json": (
-            "bbd1813960607078bdc6a7ec62d720a699ad0af40bc9fadb4f99b1f6e4ee34cf"
+            "ed6235d43038b332f2a40ef18660301a8f955844c50fbb8e249ebc5ac055b99c"
         ),
         "RetrievePolicies.json": (
             "2959be32055eebdc3adfbc31b91737d35a86a0a4a1e7800597a66efe269d0e89"
         ),
         "ValidatePolicies.json": (
-            "9ad6cdfd5fd2466f50304fcbf0569926d5eac9079519577c5efedcacbcac457d"
+            "f358531a77b7363c66a359993f02e06ffb33eec7d6c0cda4e96a99f401273401"
         ),
         "GenerateReport.json": (
-            "883f390d5ffdbd0336c0eb6db574a8485fc70cf5d8f62034cfe8970332311acf"
+            "40f3403aa525fe631a5b415321dc96d55915cc0314c0749eb95cf4331d394579"
         ),
     },
     "review_config_nogap.json": {
@@ -1167,10 +1171,10 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "19d701c39726f572c335e5c71dd97eca02267268ce3c66ad244c865285db3419"
+            "96a3bc1200703c1720e1aefd26f79d43f76831e406db144abd3deda8fd0cf416"
         ),
         "MapAttack.json": (
-            "bbd1813960607078bdc6a7ec62d720a699ad0af40bc9fadb4f99b1f6e4ee34cf"
+            "ed6235d43038b332f2a40ef18660301a8f955844c50fbb8e249ebc5ac055b99c"
         ),
         "RetrievePolicies.json": (
             "113afc5081af6d996a9379997977aabec392d9ac3b54e273317e69fbf1b4905f"
@@ -1179,7 +1183,7 @@ PINNED_STATE_FILES = {
             "4a0babe620052aab1be86881ec72501eff44ba835d11bfb75cc28a087ae988b1"
         ),
         "GenerateReport.json": (
-            "a7b2682ac0258ae445a2e41a627d4015d29e0a72d3e64f3b0cfcd67ce1b5d595"
+            "270e97b4067c81115b2a5fec815336438314af834d86f2a2689be9a3df13bab1"
         ),
     },
 }
