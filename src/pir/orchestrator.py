@@ -745,19 +745,18 @@ def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Trans
     request at its position (_narrations) on ``state``: the prompt rendered
     and the response judged as narrate renders and judges them (verdict). A
     transcript with no narration at its position, or whose ``degraded`` is
-    not what the verdict gives, is a ValueError. A marker
-    resolves against its narration's scope alone, so a scope that names a
-    record or clause the state does not hold is an UnresolvedReferenceError,
-    as it is when the report is built."""
+    not what the verdict gives, is a ValueError. A marker resolves against
+    its narration's scope alone, so a scope that names a record or clause
+    the state does not hold is an UnresolvedReferenceError, as it is when
+    the report is built."""
     known_refs = {row[0] for row in state.cited_records}
     known_clauses = state.clause_ids()
     transcripts = []
     for stage, docs in stored.items():
-        requests = _narrations(stage, state)
+        requests, template = _narrations(stage, state), _STAGE_TEMPLATES.get(stage)
         if len(docs) > len(requests):
             raise ValueError(f"{stage} holds {len(docs)} transcripts for {len(requests)} narrations")
         for t, (bindings, record_refs, clause_ids) in zip(docs, requests):
-            template = _STAGE_TEMPLATES[stage]
             unknown = sorted({*record_refs} - known_refs | {*clause_ids} - known_clauses)
             if unknown:
                 raise UnresolvedReferenceError(f"{stage} narration scope names unknown references: {', '.join(unknown)}")
