@@ -180,9 +180,9 @@ def cmd_verify(args) -> int:
         raise ReportMismatchError(f"{report_path} is not JSON: {exc}") from exc
     verify_report(config, doc)
     print(
-        f"verified {report_path}: {len(doc['evidence_appendix'])} cited record(s), "
-        f"{len(doc['policy_appendix'])} cited clause(s) and the evidence digest "
-        f"over {doc['record_count']} record(s) match the files"
+        f"verified {report_path}: its conclusions, {len(doc['evidence_appendix'])} cited record(s), "
+        f"{len(doc['policy_appendix'])} cited clause(s) and the evidence digest over "
+        f"{doc['record_count']} record(s) match a review of the files"
     )
     return EXIT_OK
 
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify",
         parents=[common],
-        help="check a report.json against the config's evidence and policy files",
+        help="check a report.json against a fresh review of the config's files",
     )
     verify.add_argument("report", help="path to a report.json")
     verify.set_defaults(handler=cmd_verify)

@@ -138,5 +138,5 @@ class UnresolvedReferenceError(ReviewError):
 
 
 class ReportMismatchError(ReviewError):
-    """A re-read report.json does not match the evidence and policy files:
-    a cited record or clause, or the evidence digest."""
+    """A re-read report.json does not match the report a fresh review of the
+    config's files builds: its config digest, a cited row or a conclusion."""

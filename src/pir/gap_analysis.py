@@ -360,8 +360,8 @@ def deterministic_rationale(gap: PolicyGap) -> tuple[str, str]:
     base_ref = base.clause_ref if base else ""
     if gap.gap_kind == GAP_MISSING:
         rationale = (
-            f"No organisational control for {gap.control} was found among the "
-            f"retrieved clauses, while the baseline requires {base_text} "
+            f"No organisational control for {gap.control} was found in any "
+            f"clause of the organisation's policies, while the baseline requires {base_text} "
             f"([POL:{base_ref}]): an {phrase}. The incident's "
             f"{len(gap.evidence_events)} failed logon attempts "
             f"([EVT:{first}]..[EVT:{last}]) underline the exposure."

@@ -25,15 +25,15 @@ not what narration decides. Loading a checkpoint checks the chain back to
 ProcessEvidence.json, folds the deltas into the state and restores what
 was written as null or left out.
 
-ProcessEvidence, verify_report (``pir verify``) and ``pir detect`` read
-the evidence by one pass, read_evidence. Each record is encoded once as it
-is parsed (log_ingest.encode_record, with its parse's time text), and the
-bytes of records.json go in batches through a running sha256 to the
-caller's ``write``: into the file (write_records), into memory (verify) or
+ProcessEvidence and ``pir detect`` read the evidence by one pass,
+read_evidence; ``pir verify`` runs the whole review (verify_report). Each
+record is encoded once as it is parsed (log_ingest.encode_record, with its
+parse's time text), and the bytes of records.json go in batches through a
+running sha256 to the caller's ``write``: into the file (write_records) or
 nowhere (detect). Only a logon record, the one kind a finding can cite,
 keeps a row and has its auth event projected from the record's parts; the
-auth events are then normalised and run through the detector. Each caller
-hashes only the pieces of the records it cites (digest_rows).
+auth events are then normalised and run through the detector. Only the
+cited pieces are hashed (digest_rows).
 
 The state keeps only the record count and the rows of the records its
 findings cite; ProcessEvidence.json names the file's sha256 as its
@@ -58,6 +58,7 @@ import hashlib
 import json
 import logging
 import mmap
+import tempfile
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -106,6 +107,7 @@ from .gap_analysis import (
     select_effective,
 )
 from .llm_gateway import (
+    MODE_DISABLED,
     TEMPLATES,
     Gateway,
     NarrativeResult,
@@ -839,10 +841,10 @@ def load_checkpoint(path: Path) -> ReviewState:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def run_review(config: ReviewConfig, transport=None) -> ReviewState:
-    """Run the whole pipeline, checkpointing each stage; GenerateReport
-    writes the report files into the configured output directory. Nothing is
-    written before the deps and the config pass their checks."""
+def run_review(config: ReviewConfig, transport=None, checkpoints: bool = True) -> ReviewState:
+    """Run the whole pipeline, checkpointing each stage if ``checkpoints``;
+    GenerateReport writes the report files into the configured output
+    directory. Nothing is written before the deps and the config pass their checks."""
     deps = build_deps(config, transport=transport)
     config.validate()
     state = ReviewState(run_id=f"run-{config.digest[:12]}", config_digest=config.digest)
@@ -854,8 +856,8 @@ def run_review(config: ReviewConfig, transport=None) -> ReviewState:
         except StageFailureError as exc:
             next_state, failure = exc.partial_state, exc
         elapsed_ms = (time.perf_counter() - started) * 1000
-        data = save_checkpoint(next_state, config.output_dir, stage, state, previous_digest)
-        previous_digest = sha256_hex(data)
+        data = save_checkpoint(next_state, config.output_dir, stage, state, previous_digest) if checkpoints else b""
+        previous_digest = sha256_hex(data) if checkpoints else None
         logger.info("%s %s: checkpoint %d bytes, %.1f ms", stage, next_state.stage_log[-1].status, len(data), elapsed_ms)
         if failure is not None:
             raise failure
@@ -878,18 +880,18 @@ def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path
 
 
 def verify_report(config: ReviewConfig, doc: dict) -> None:
-    """Check a re-read report document against the config's evidence and
-    policy files (reporting.check_report). The evidence is read by the same
-    pass as a review's (read_evidence), into memory and no file, and only
-    the pieces of the records the document cites are hashed. A document that
-    lacks a section the check reads is a ReportMismatchError too."""
-    refs, _clauses = reporting.collect_citations(doc)
-    data = bytearray()
-    digest, count, rows, _auth_events, _skipped, _findings = read_evidence(config, data.extend)
-    cited = digest_rows(rows, refs, data)
-    del data
-    documents = load_policy_documents(config.org_policy_paths, config.baseline_policy_paths)
+    """Check a re-read report document against the report that run_review
+    builds from the config's files, with the gateway disabled, no checkpoint
+    and a temporary output directory (reporting.check_report). A stage that
+    fails raises its cause; a document that lacks a section the check reads
+    is a ReportMismatchError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            run_review(dataclasses.replace(config, output_dir=Path(tmp), gateway_mode=MODE_DISABLED), checkpoints=False)
+        except StageFailureError as exc:
+            raise exc.cause
+        expected = json.loads((Path(tmp) / "report.json").read_bytes())
     try:
-        reporting.check_report(doc, cited, digest, count, documents)
+        reporting.check_report(doc, expected)
     except (LookupError, TypeError, AttributeError) as exc:
         raise ReportMismatchError(f"malformed report: {type(exc).__name__}: {exc}") from exc

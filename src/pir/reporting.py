@@ -19,14 +19,15 @@ appendix holds a row for each cited record only, taken from the state's
 ``cited_records``, and the policy appendix one for each cited clause, with
 the sha256 of its text. An uncited record is covered by ``evidence_digest``,
 the sha256 of records.json, and ``record_count``; building a report reads no
-record. :func:`check_report` checks a re-read report against its
-own appendices and against rows recomputed from the evidence and policy
-files, as ``pir verify`` does.
+record. :func:`check_report` checks a re-read report against its own
+appendices and against the report a fresh review of the same config builds,
+as ``pir verify`` does: every field but the narrated texts.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import typing
 from datetime import datetime
 
@@ -35,8 +36,7 @@ from .errors import ReportMismatchError, UnresolvedReferenceError
 from .llm_gateway import EVT_MARKER, POL_MARKER
 
 if typing.TYPE_CHECKING:
-    from .orchestrator import RecordRow, ReviewState
-    from .policy_index import PolicyDocument
+    from .orchestrator import ReviewState
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -145,40 +145,22 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
         raise UnresolvedReferenceError(
             f"report cites unknown references: {', '.join(missing)}"
         )
-    report["evidence_appendix"] = evidence_appendix(state.cited_records, refs)
+    cited_refs, cited_clauses = set(refs), set(clauses)
+    report["evidence_appendix"] = [
+        {"record_ref": ref, "event_id": event_id, "timestamp_utc": ts, "digest": digest}
+        for ref, event_id, ts, digest, _start, _end in state.cited_records
+        if ref in cited_refs
+    ]
     report["evidence_digest"] = state.records_digest
     report["record_count"] = state.record_count
-    report["policy_appendix"] = policy_appendix(state.policy_documents, clauses)
-    return report
-
-
-def evidence_appendix(records: "typing.Iterable[RecordRow]", refs) -> list[dict]:
-    """The rows of the records in ``refs``, in record order. Every row is
-    unpacked, cited or not, so a row of the wrong shape raises ValueError."""
-    cited = set(refs)
-    return [
-        {"record_ref": ref, "event_id": event_id, "timestamp_utc": ts, "digest": digest}
-        for ref, event_id, ts, digest, _start, _end in records
-        if ref in cited
-    ]
-
-
-def policy_appendix(documents: "typing.Iterable[PolicyDocument]", clause_ids) -> list[dict]:
-    """The clauses in ``clause_ids``, in document and clause order: each
-    one's id, document, line range and the sha256 of its text."""
-    cited = set(clause_ids)
-    return [
-        {
-            "clause_id": c.clause_id,
-            "doc_id": c.doc_id,
-            "line_start": c.line_start,
-            "line_end": c.line_end,
-            "digest": sha256_hex(c.text),
-        }
-        for doc in documents
+    report["policy_appendix"] = [
+        {"clause_id": c.clause_id, "doc_id": c.doc_id, "line_start": c.line_start, "line_end": c.line_end,
+         "digest": sha256_hex(c.text)}
+        for doc in state.policy_documents
         for c in doc.clauses
-        if c.clause_id in cited
+        if c.clause_id in cited_clauses
     ]
+    return report
 
 
 def render_json(report: dict) -> str:
@@ -258,49 +240,69 @@ def appendix_closure(doc: dict) -> list[str]:
     )
 
 
-def check_report(
-    doc: dict,
-    records: "list[RecordRow]",
-    records_digest: str,
-    record_count: int,
-    documents: "typing.Iterable[PolicyDocument]",
-) -> None:
-    """Check a re-read report document against the rows of the records it
-    cites, the digest and record count of its evidence and the policy
-    documents, all read afresh: its closure against its own appendices,
-    each appendix row against the one recomputed for its cited record or
-    clause, and then the evidence digest and record count. Raises ReportMismatchError naming the first cited
-    record or clause that does not match, in record and then document
-    order, or else the evidence digest."""
+# The fields that check_report compares apart, the appendices, or not at
+# all: the narrated texts, top-level or in each item of a section ("[]"). A
+# review with no model words them otherwise, and they state no conclusion.
+_UNCOMPARED = frozenset(
+    {"evidence_appendix", "policy_appendix", "generated_at", "incident_summary", "finding_summaries",
+     "transcripts", "degradation_notes", "technique_section[].rationale", "gaps_section[].rationale",
+     "gaps_section[].remediation"}
+)
+
+
+def check_report(doc: dict, expected: dict) -> None:
+    """Check a re-read report document against ``expected``, the report
+    that a review of the same config builds afresh (``pir verify``): first
+    its config digest; then its closure against its own appendices, and
+    each appendix row against ``expected``'s row for the same record or
+    clause; then every other field (_first_difference). Raises
+    ReportMismatchError naming the first difference, by section and index."""
+    if doc.get("config_digest") != expected["config_digest"]:
+        raise ReportMismatchError(f"config_digest {doc.get('config_digest')!r} is not the config's")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ReportMismatchError(
-            f"schema_version {doc.get('schema_version')!r} is not {REPORT_SCHEMA_VERSION}"
-        )
+        raise ReportMismatchError(f"schema_version {doc.get('schema_version')!r} is not {REPORT_SCHEMA_VERSION}")
     missing = appendix_closure(doc)
     if missing:
         raise ReportMismatchError(f"{missing[0]} is cited but has no appendix row")
     refs, clauses = collect_citations(doc)
-    for kind, key, cited, recomputed, rows in (
-        ("record", "record_ref", refs, evidence_appendix(records, refs), doc["evidence_appendix"]),
-        ("clause", "clause_id", clauses, policy_appendix(documents, clauses), doc["policy_appendix"]),
+    for kind, key, cited, section in (
+        ("record", "record_ref", refs, "evidence_appendix"),
+        ("clause", "clause_id", clauses, "policy_appendix"),
     ):
-        expected = {row[key]: row for row in recomputed}
-        written = {row[key]: row for row in rows}
-        for name in dict.fromkeys([*expected, *cited, *written]):
+        fresh = {row[key]: row for row in expected[section]}
+        written = {row[key]: row for row in doc[section]}
+        for name in dict.fromkeys([*cited, *written]):
             if name not in cited:
                 raise ReportMismatchError(f"{kind} {name} has an appendix row but is not cited")
-            if name not in expected:
+            if name not in fresh:
                 raise ReportMismatchError(f"cited {kind} {name} is not in the files read")
-            if written[name] != expected[name]:
+            if _first_difference(written[name], fresh[name]) is not None:
                 raise ReportMismatchError(f"cited {kind} {name} does not match its appendix row")
-        if rows != recomputed:
+        if doc[section] != [row for row in expected[section] if row[key] in written]:
             raise ReportMismatchError(f"the {kind} appendix repeats a row or is out of order")
-    if (doc["evidence_digest"], doc["record_count"]) != (records_digest, record_count):
-        raise ReportMismatchError(
-            f"evidence_digest does not match the evidence files: the report has "
-            f"{doc['evidence_digest']} over {doc['record_count']} record(s), the "
-            f"files give {records_digest} over {record_count}"
-        )
+    path = _first_difference(doc, expected)
+    if path is not None:
+        raise ReportMismatchError(f"{path} does not match what a review of the config's files gives")
+
+
+def _first_difference(written, expected, path: str = "") -> str | None:
+    """The path, as ``findings[0].failure_count``, of the first place in
+    ``expected``'s order, outside ``_UNCOMPARED``, where ``written`` differs:
+    a key or item that one side lacks, or a value of another type or value,
+    so 1 is not 1.0."""
+    if isinstance(expected, list) and isinstance(written, list):
+        written, expected = dict(enumerate(written)), dict(enumerate(expected))
+    if not (isinstance(expected, dict) and isinstance(written, dict)):
+        return None if type(written) is type(expected) and written == expected else path
+    for key in dict.fromkeys([*expected, *written]):
+        where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        if re.sub(r"\[\d+\]", "[]", where) in _UNCOMPARED:
+            continue
+        if key not in written or key not in expected:
+            return where
+        if (found := _first_difference(written[key], expected[key], where)) is not None:
+            return found
+    return None
 
 
 def _md_escape(text: str) -> str:

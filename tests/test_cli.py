@@ -1,18 +1,25 @@
+import copy
+import functools
 import json
+import operator
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pir
 from pir import orchestrator
 from pir.canon import canon_dumps, digest_of, sha256_hex
 from pir.cli import main
 from pir.config import ReviewConfig
+from pir.errors import ReportMismatchError
 from pir.log_ingest import flatten_to_csv, load_csv, parse_event_xml
 from pir.scenario_gen import ScenarioSpec, generate
 
@@ -975,7 +982,7 @@ def edit_event(xml_path, ordinal):
     xml_path.write_text("<Event ".join([head, *events]), encoding="utf-8")
 
 
-@pytest.mark.parametrize("config_name", ["review_config.json", "review_config_nogap.json"])
+@pytest.mark.parametrize("config_name", ["review_config.json", "review_config_nogap.json", "review_config_bad_citation.json"])
 def test_verify_passes_on_a_fresh_review(tmp_path, capsys, config_name):
     config, report = review_a_copy(tmp_path, capsys, config_name)
     code, out, err = verify(capsys, config, report)
@@ -1075,6 +1082,144 @@ def test_verify_refuses_a_tampered_report(tmp_path, capsys, damage, detail):
     payload = json.loads(err)
     assert payload["error"] == "ReportMismatchError"
     assert detail in payload["detail"]
+
+
+def test_verify_names_the_first_edited_conclusion(tmp_path, capsys):
+    # fewer failures and a milder gap, with every citation and appendix row
+    # left as the review wrote them
+    config, report = review_a_copy(tmp_path, capsys)
+    doc = json.loads(report.read_text())
+    assert (doc["findings"][0]["failure_count"], doc["gaps_section"][0]["severity"]) == (6, "High")
+    doc["findings"][0]["failure_count"] = 2
+    doc["gaps_section"][0]["severity"] = "Low"
+    report.write_text(canon_dumps(doc), encoding="utf-8")
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert payload["detail"].startswith("findings[0].failure_count does not match")
+
+
+def test_verify_against_another_config_names_the_config_digest(tmp_path, capsys):
+    config, report = review_a_copy(tmp_path, capsys)
+    code, _out, err = verify(capsys, config.with_name("review_config_nogap.json"), report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert payload["detail"].startswith("config_digest ")
+
+
+def test_verify_needs_no_model_cache(tmp_path, capsys):
+    # the review that verify runs has the gateway disabled, so a replay
+    # config whose cache is gone still verifies
+    config, report = review_a_copy(tmp_path, capsys)
+    shutil.rmtree(tmp_path / "fixtures" / "llm_cache")
+    code, _out, err = verify(capsys, config, report)
+    assert (code, err) == (0, "")
+
+
+def test_verify_leaves_the_output_dir_as_the_review_left_it(tmp_path, capsys, monkeypatch):
+    config, report = review_a_copy(tmp_path, capsys)
+    out = tmp_path / "out"
+    before = {path: path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    code, _out, err = run_cli(capsys, "verify", "--config", str(config), "--output", str(out), str(report))
+    assert (code, err) == (0, "")
+    assert {path: path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()} == before
+    assert list(temp.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def reviewed(tmp_path_factory):
+    """The fixture config and the report document a review of it wrote."""
+    out = tmp_path_factory.mktemp("reviewed")
+    config = ReviewConfig.from_file(FIXTURES / "review_config.json", overrides={"output_dir": str(out)})
+    orchestrator.run_review(config)
+    return config, json.loads((out / "report.json").read_bytes())
+
+
+def leaf_paths(node, path=()):
+    """The path of every number, string, boolean and null in ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaf_paths(value, (*path, key))
+    else:
+        yield path
+
+
+def at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def edited(doc, path, value):
+    """A copy of ``doc`` with ``value`` at ``path``."""
+    doc = copy.deepcopy(doc)
+    at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=12))
+
+
+# capped at 25 examples, since each runs a whole review of the fixture
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_verify_refuses_any_edited_conclusion_leaf(reviewed, data):
+    config, doc = reviewed
+    paths = [
+        path for section in ("findings", "technique_section", "gaps_section", "trace_ledger")
+        for path in leaf_paths(doc[section], (section,)) if path[2] not in ("rationale", "remediation")
+    ]
+    path = data.draw(st.sampled_from(paths))
+    old = at(doc, path)
+    value = data.draw(JSON_SCALARS.filter(lambda v: type(v) is not type(old) or v != old))
+    with pytest.raises(ReportMismatchError):
+        orchestrator.verify_report(config, edited(doc, path, value))
+
+
+# capped at 25 examples, since each runs a whole review of the fixture
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_verify_leaves_the_words_of_a_narrated_text_unchecked(reviewed, data):
+    # the new text cites only records and clauses the appendices hold
+    config, doc = reviewed
+    paths = [("incident_summary",), *(("finding_summaries", i) for i in range(len(doc["finding_summaries"])))]
+    for section in ("technique_section", "gaps_section"):
+        paths.extend(path for path in leaf_paths(doc[section], (section,)) if path[2] in ("rationale", "remediation"))
+    markers = [f"[EVT:{row['record_ref']}]" for row in doc["evidence_appendix"]]
+    markers += [f"[POL:{row['clause_id']}]" for row in doc["policy_appendix"]]
+    words = st.text(st.characters(blacklist_characters="[]"), max_size=20)
+    text = st.lists(st.one_of(words, st.sampled_from(markers)), max_size=6).map("".join)
+    orchestrator.verify_report(config, edited(doc, data.draw(st.sampled_from(paths)), data.draw(text)))
+
+
+def test_verify_memory_does_not_grow_with_the_encoded_records(tmp_path):
+    # the review that verify runs streams the encoded records to a file and
+    # keeps about 340 B a record, for the logon rows and auth events; a
+    # verify that also held every encoded byte grows by about 630 B a record
+    held = []
+    for count in (1_000, 6_000):
+        xml, _truth = generate(ScenarioSpec(seed=3, noise_events=count, noise_accounts=("jdoe", "svc")), source_name="big")
+        (tmp_path / "big.xml").write_text(xml, encoding="utf-8")
+        del xml
+        raw = json.loads((FIXTURES / "review_config.json").read_text())
+        for key in ("org_policy_paths", "baseline_policy_paths"):
+            raw[key] = [str(FIXTURES / p) for p in raw[key]]
+        raw.update(evidence_paths=[str(tmp_path / "big.xml")], output_dir=str(tmp_path / "out"), gateway_mode="disabled")
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        config = ReviewConfig.from_file(tmp_path / "config.json")
+        orchestrator.run_review(config)
+        doc = json.loads((tmp_path / "out" / "report.json").read_bytes())
+        tracemalloc.start()
+        try:
+            orchestrator.verify_report(config, doc)
+            _retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held.append(peak)
+    assert held[1] - held[0] < 450 * 5_000
 
 
 def test_verify_without_a_report_exits_3(tmp_path, capsys):

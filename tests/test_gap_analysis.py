@@ -409,6 +409,17 @@ def test_missing_gap_rationale_leans_on_baseline():
     assert "[POL:base:1-1]" in remediation
 
 
+def test_missing_gap_rationale_names_every_clause_not_the_retrieved_ones():
+    # ValidatePolicies reads every clause, so a Missing control is absent
+    # from all of them, not only from the ones retrieval ranked
+    gap = assign_confidence(make_gap(gap_kind="Missing", org_value=None))
+    rationale, _remediation = deterministic_rationale(gap)
+    assert rationale.startswith(
+        "No organisational control for LockoutThreshold was found in any clause of the organisation's policies, "
+    )
+    assert "retrieved" not in rationale
+
+
 def test_draft_rationale_degrades_on_unstructured_response(tmp_path):
     gap = assign_confidence(make_gap())
 
