@@ -26,7 +26,9 @@ ProcessEvidence.json, folds the deltas into the state and restores what
 was written as null or left out.
 
 ProcessEvidence and ``pir detect`` read the evidence by one pass,
-read_evidence; ``pir verify`` runs the whole review (verify_report). Each
+read_evidence; ``pir verify`` runs the whole review with the gateway
+disabled and re-derives a report's transcripts from its state, as a load
+re-derives a checkpoint's (verify_report). Each
 record is encoded once as it is parsed (log_ingest.encode_record, with its
 parse's time text), and the bytes of records.json go in batches through a
 running sha256 to the caller's ``write``: into the file (write_records) or
@@ -110,11 +112,14 @@ from .llm_gateway import (
     MODE_DISABLED,
     TEMPLATES,
     Gateway,
+    GenerationParams,
     NarrativeResult,
     Request,
     Transcript,
     render,
     scoped,
+    sections,
+    transcript_id_for,
     verdict,
 )
 from .log_ingest import (
@@ -742,15 +747,15 @@ def _read_back(stage: str, doc: dict, findings: list[dict]) -> None:
 
 
 def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Transcript, ...]:
-    """The transcripts that each stage's checkpoint holds in ``stored``,
-    each completed by its stage, its stage's template and its narration's
-    request at its position (_narrations) on ``state``: the prompt rendered
-    and the response judged as narrate renders and judges them (verdict). A
-    transcript with no narration at its position, or whose ``degraded`` is
-    not what the verdict gives, is a ValueError. A marker resolves against
-    its narration's scope alone, so a scope that names a record or clause
-    the state does not hold is an UnresolvedReferenceError, as it is when
-    the report is built."""
+    """The transcripts that each stage holds in ``stored``, as its
+    checkpoint or a report's transcripts hold them, each completed by its
+    stage, its stage's template and its narration's request at its position
+    (_narrations) on ``state``: the prompt rendered and the response judged
+    as narrate renders and judges them (verdict), which gives ``degraded``.
+    A transcript with no narration at its position is a ValueError. A
+    marker resolves against its narration's scope alone, so a scope that
+    names a record or clause the state does not hold is an
+    UnresolvedReferenceError, as it is when the report is built."""
     known_refs = {row[0] for row in state.cited_records}
     known_clauses = state.clause_ids()
     transcripts = []
@@ -763,16 +768,11 @@ def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Trans
             if unknown:
                 raise UnresolvedReferenceError(f"{stage} narration scope names unknown references: {', '.join(unknown)}")
             grounding, fault = verdict(template, t["response"], record_refs, clause_ids)
-            degraded = fault is not None
-            if t["degraded"] is not degraded:
-                raise ValueError(
-                    f"{stage} transcript {t['transcript_id']} is stored with degraded {t['degraded']}, "
-                    f"but its narration gives {degraded}"
-                )
             prompt = render(template, scoped(bindings, record_refs, clause_ids))
-            transcripts.append(
-                Transcript(stage=stage, template_id=template.template_id, rendered_prompt=prompt, grounding=grounding, **t)
-            )
+            transcripts.append(Transcript(
+                stage=stage, template_id=template.template_id, rendered_prompt=prompt, grounding=grounding,
+                **{**t, "degraded": fault is not None},
+            ))
     return tuple(transcripts)
 
 
@@ -836,7 +836,11 @@ def load_checkpoint(path: Path) -> ReviewState:
         if d["records_digest"] or d["cited_records"]:
             d["cited_records"] = check_records_file(records_file, d["records_digest"], d["cited_records"])
         state = ReviewState.from_dict(d, records_file)
-        return dataclasses.replace(state, transcripts=_rederived(state, transcripts))
+        rederived = _rederived(state, transcripts)
+        for t, stored in zip(rederived, (t for docs in transcripts.values() for t in docs)):
+            if t.degraded is not stored["degraded"]:
+                raise ValueError(f"{t.stage} transcript {t.transcript_id} is stored with degraded {stored['degraded']}")
+        return dataclasses.replace(state, transcripts=rederived)
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
@@ -856,9 +860,10 @@ def run_review(config: ReviewConfig, transport=None, checkpoints: bool = True) -
         except StageFailureError as exc:
             next_state, failure = exc.partial_state, exc
         elapsed_ms = (time.perf_counter() - started) * 1000
-        data = save_checkpoint(next_state, config.output_dir, stage, state, previous_digest) if checkpoints else b""
+        data = save_checkpoint(next_state, config.output_dir, stage, state, previous_digest) if checkpoints else None
         previous_digest = sha256_hex(data) if checkpoints else None
-        logger.info("%s %s: checkpoint %d bytes, %.1f ms", stage, next_state.stage_log[-1].status, len(data), elapsed_ms)
+        saved = f"checkpoint {len(data)} bytes, " if checkpoints else ""
+        logger.info("%s %s: %s%.1f ms", stage, next_state.stage_log[-1].status, saved, elapsed_ms)
         if failure is not None:
             raise failure
         state = next_state
@@ -882,16 +887,46 @@ def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path
 def verify_report(config: ReviewConfig, doc: dict) -> None:
     """Check a re-read report document against the report that run_review
     builds from the config's files, with the gateway disabled, no checkpoint
-    and a temporary output directory (reporting.check_report). A stage that
-    fails raises its cause; a document that lacks a section the check reads
-    is a ReportMismatchError."""
+    and a temporary output directory, and, unless the config disables the
+    gateway, the document's transcripts re-derived into it (_as_narrated;
+    reporting.check_report). A stage that fails raises its cause; a document
+    that lacks a section the check reads is a ReportMismatchError."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            run_review(dataclasses.replace(config, output_dir=Path(tmp), gateway_mode=MODE_DISABLED), checkpoints=False)
+            state = run_review(dataclasses.replace(config, output_dir=Path(tmp), gateway_mode=MODE_DISABLED), checkpoints=False)
         except StageFailureError as exc:
             raise exc.cause
         expected = json.loads((Path(tmp) / "report.json").read_bytes())
     try:
+        if config.gateway_mode != MODE_DISABLED:
+            _as_narrated(expected, state, doc["transcripts"], config.generation)
         reporting.check_report(doc, expected)
     except (LookupError, TypeError, AttributeError) as exc:
         raise ReportMismatchError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+
+
+def _as_narrated(expected: dict, state: ReviewState, written: list[dict], params: GenerationParams) -> None:
+    """Make ``expected``, the report of ``state``'s review with no model,
+    that of a review whose model gave the responses of ``written``: split
+    by each stage's narration count, each is re-derived at its position
+    (_rederived) under the id of its template, prompt and ``params``, and
+    None stands for a missing one. A narrated text whose transcript is not
+    degraded becomes its response, or a gap's its paragraphs (sections)."""
+    texts = {
+        "ProcessEvidence": [(expected["finding_summaries"], (i,)) for i in range(len(expected["finding_summaries"]))],
+        "MapAttack": [(mapping, ("rationale",)) for mapping in expected["technique_section"]],
+        "ValidatePolicies": [(gap, ("rationale", "remediation")) for gap in expected["gaps_section"]],
+        "GenerateReport": [(expected, ("incident_summary",))],
+    }
+    transcripts = expected["transcripts"] = []
+    for stage in STAGES:
+        count, at = len(_narrations(stage, state)), len(transcripts)
+        kept = [{key: t.get(key) for key in ("transcript_id", "response", "mode", "latency_ms")} for t in written[at : at + count]]
+        for (holder, keys), t in zip(texts.get(stage, ()), _rederived(state, {stage: kept})):
+            t = dataclasses.replace(t, transcript_id=transcript_id_for(t.template_id, t.rendered_prompt, params))
+            transcripts.append({key: getattr(t, key) for key in reporting.TRANSCRIPT_KEYS})
+            if not t.degraded:
+                template = TEMPLATES[t.template_id]
+                for key, text in zip(keys, sections(template, t.response) if template.sections else (t.response,)):
+                    holder[key] = text
+        transcripts.extend([None] * (count - len(kept)))

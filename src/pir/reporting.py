@@ -19,15 +19,17 @@ appendix holds a row for each cited record only, taken from the state's
 ``cited_records``, and the policy appendix one for each cited clause, with
 the sha256 of its text. An uncited record is covered by ``evidence_digest``,
 the sha256 of records.json, and ``record_count``; building a report reads no
-record. :func:`check_report` checks a re-read report against its own
-appendices and against the report a fresh review of the same config builds,
-as ``pir verify`` does: every field but the narrated texts.
+record. Each transcript keeps what the model said and how narration
+judged it (TRANSCRIPT_KEYS), not its prompt or grounding report, which
+``pir verify`` re-derives. :func:`check_report` checks a re-read report
+against its own appendices and against the report a fresh review of the
+same config builds with the re-read transcripts, as ``pir verify`` does:
+every field but the report's time and its degradation notes.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import typing
 from datetime import datetime
 
@@ -38,7 +40,12 @@ from .llm_gateway import EVT_MARKER, POL_MARKER
 if typing.TYPE_CHECKING:
     from .orchestrator import ReviewState
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
+
+# The keys of each transcript in a report: what the model said and how
+# narration judged it. Its prompt and grounding report are left out, since
+# ``pir verify`` re-derives both from the review's state.
+TRANSCRIPT_KEYS = ("transcript_id", "stage", "template_id", "response", "mode", "degraded", "latency_ms")
 
 KIND_FINDING = "finding"
 KIND_MAPPING = "mapping"
@@ -133,7 +140,7 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
         "technique_section": [m.to_dict() for m in state.mappings],
         "gaps_section": [g.to_dict() for g in state.gaps],
         "trace_ledger": build_trace_ledger(state),
-        "transcripts": [t.to_dict() for t in state.transcripts],
+        "transcripts": [{key: getattr(t, key) for key in TRANSCRIPT_KEYS} for t in state.transcripts],
         "degradation_notes": list(state.degradation_notes),
         "notes": list(state.notes),
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -241,22 +248,20 @@ def appendix_closure(doc: dict) -> list[str]:
 
 
 # The fields that check_report compares apart, the appendices, or not at
-# all: the narrated texts, top-level or in each item of a section ("[]"). A
-# review with no model words them otherwise, and they state no conclusion.
-_UNCOMPARED = frozenset(
-    {"evidence_appendix", "policy_appendix", "generated_at", "incident_summary", "finding_summaries",
-     "transcripts", "degradation_notes", "technique_section[].rationale", "gaps_section[].rationale",
-     "gaps_section[].remediation"}
-)
+# all: the report's time, and the degradation notes, which quote the faults
+# that narration found and the transcripts already show.
+_UNCOMPARED = frozenset({"evidence_appendix", "policy_appendix", "generated_at", "degradation_notes"})
 
 
 def check_report(doc: dict, expected: dict) -> None:
     """Check a re-read report document against ``expected``, the report
-    that a review of the same config builds afresh (``pir verify``): first
-    its config digest; then its closure against its own appendices, and
-    each appendix row against ``expected``'s row for the same record or
-    clause; then every other field (_first_difference). Raises
-    ReportMismatchError naming the first difference, by section and index."""
+    that a review of the same config builds afresh, with the transcripts
+    and narrated texts that the document's transcripts give
+    (``pir verify``): first its config digest and schema version; then its
+    closure against its own appendices, and each appendix row against
+    ``expected``'s row for the same record or clause; then its transcripts;
+    then every other field (_first_difference). Raises ReportMismatchError
+    naming the first difference, by section and index."""
     if doc.get("config_digest") != expected["config_digest"]:
         raise ReportMismatchError(f"config_digest {doc.get('config_digest')!r} is not the config's")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
@@ -275,28 +280,29 @@ def check_report(doc: dict, expected: dict) -> None:
             if name not in cited:
                 raise ReportMismatchError(f"{kind} {name} has an appendix row but is not cited")
             if name not in fresh:
-                raise ReportMismatchError(f"cited {kind} {name} is not in the files read")
+                raise ReportMismatchError(f"no conclusion of a review of the config's files rests on cited {kind} {name}")
             if _first_difference(written[name], fresh[name]) is not None:
                 raise ReportMismatchError(f"cited {kind} {name} does not match its appendix row")
         if doc[section] != [row for row in expected[section] if row[key] in written]:
             raise ReportMismatchError(f"the {kind} appendix repeats a row or is out of order")
-    path = _first_difference(doc, expected)
+    path = _first_difference(doc.get("transcripts"), expected["transcripts"], "transcripts")
+    path = path or _first_difference(doc, expected)
     if path is not None:
         raise ReportMismatchError(f"{path} does not match what a review of the config's files gives")
 
 
 def _first_difference(written, expected, path: str = "") -> str | None:
     """The path, as ``findings[0].failure_count``, of the first place in
-    ``expected``'s order, outside ``_UNCOMPARED``, where ``written`` differs:
-    a key or item that one side lacks, or a value of another type or value,
-    so 1 is not 1.0."""
+    ``expected``'s order, outside the top-level fields of ``_UNCOMPARED``,
+    where ``written`` differs: a key or item that one side lacks, or a
+    value of another type or value, so 1 is not 1.0."""
     if isinstance(expected, list) and isinstance(written, list):
         written, expected = dict(enumerate(written)), dict(enumerate(expected))
     if not (isinstance(expected, dict) and isinstance(written, dict)):
         return None if type(written) is type(expected) and written == expected else path
     for key in dict.fromkeys([*expected, *written]):
         where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
-        if re.sub(r"\[\d+\]", "[]", where) in _UNCOMPARED:
+        if where in _UNCOMPARED:
             continue
         if key not in written or key not in expected:
             return where

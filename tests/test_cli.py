@@ -1,8 +1,10 @@
 import copy
 import functools
 import json
+import logging
 import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1042,7 +1044,7 @@ def test_verify_names_a_cited_record_that_is_not_a_logon(tmp_path, capsys):
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "ReportMismatchError"
-    assert f"cited record {ref} is not in the files read" in payload["detail"]
+    assert f"no conclusion of a review of the config's files rests on cited record {ref}" in payload["detail"]
 
 
 def test_verify_names_the_evidence_digest_for_an_edited_uncited_record(tmp_path, capsys):
@@ -1063,7 +1065,7 @@ def test_verify_names_the_evidence_digest_for_an_edited_uncited_record(tmp_path,
     [
         ("uncited row", "record bruteforce_scenario#12 has an appendix row but is not cited"),
         ("dropped row", "org_policy:5-5 is cited but has no appendix row"),
-        ("schema 1", "schema_version 1 is not 2"),
+        ("schema 1", "schema_version 1 is not 3"),
         ("not json", "is not JSON"),
     ],
 )
@@ -1098,6 +1100,59 @@ def test_verify_names_the_first_edited_conclusion(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ReportMismatchError"
     assert payload["detail"].startswith("findings[0].failure_count does not match")
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        ("edited transcript_id", "transcripts[1].transcript_id"),
+        ("flipped degraded", "transcripts[0].degraded"),
+        ("dropped transcript", "transcripts[4]"),
+        ("swapped stages", "transcripts[0].stage"),
+        ("edited finding summary", "finding_summaries[0]"),
+    ],
+)
+def test_verify_names_an_edited_transcript_or_narrated_text(tmp_path, capsys, edit, path):
+    # each transcript is re-derived at its position from the state of the
+    # review that verify runs, and a text narrated by a transcript that is
+    # not degraded must be its response
+    config, report = review_a_copy(tmp_path, capsys)
+    doc = json.loads(report.read_text())
+    transcripts = doc["transcripts"]
+    assert [t["stage"] for t in transcripts] == [
+        "ProcessEvidence", "MapAttack", "ValidatePolicies", "ValidatePolicies", "GenerateReport"
+    ]
+    assert not any(t["degraded"] for t in transcripts)
+    assert doc["finding_summaries"][0] == transcripts[0]["response"]
+    if edit == "edited transcript_id":
+        transcripts[1]["transcript_id"] = transcripts[0]["transcript_id"]
+    elif edit == "flipped degraded":
+        transcripts[0]["degraded"] = True
+    elif edit == "dropped transcript":
+        del transcripts[4]
+    elif edit == "swapped stages":
+        transcripts[0]["stage"], transcripts[1]["stage"] = transcripts[1]["stage"], transcripts[0]["stage"]
+    else:
+        doc["finding_summaries"][0] += " Edited."
+    report.write_text(canon_dumps(doc), encoding="utf-8")
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert payload["detail"] == f"{path} does not match what a review of the config's files gives"
+
+
+def test_verify_verbose_names_no_checkpoint(tmp_path, capsys, caplog):
+    # the review that verify runs writes no checkpoint
+    config, report = review_a_copy(tmp_path, capsys)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="pir.orchestrator"):
+        code, _out, err = run_cli(capsys, "verify", "--verbose", "--config", str(config), str(report))
+    assert (code, err) == (0, "")
+    lines = [r.getMessage() for r in caplog.records if r.name == "pir.orchestrator"]
+    assert len(lines) == len(orchestrator.STAGES)
+    for stage, line in zip(orchestrator.STAGES, lines):
+        assert re.fullmatch(rf"{stage} ok: \d+\.\d ms", line), line
 
 
 def test_verify_against_another_config_names_the_config_digest(tmp_path, capsys):
@@ -1182,8 +1237,9 @@ def test_verify_refuses_any_edited_conclusion_leaf(reviewed, data):
 # capped at 25 examples, since each runs a whole review of the fixture
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_verify_leaves_the_words_of_a_narrated_text_unchecked(reviewed, data):
-    # the new text cites only records and clauses the appendices hold
+def test_verify_refuses_any_edited_narrated_text(reviewed, data):
+    # the new text cites only records and clauses the appendices hold, so
+    # only its transcript's response can tell it from the text narrated
     config, doc = reviewed
     paths = [("incident_summary",), *(("finding_summaries", i) for i in range(len(doc["finding_summaries"])))]
     for section in ("technique_section", "gaps_section"):
@@ -1191,8 +1247,13 @@ def test_verify_leaves_the_words_of_a_narrated_text_unchecked(reviewed, data):
     markers = [f"[EVT:{row['record_ref']}]" for row in doc["evidence_appendix"]]
     markers += [f"[POL:{row['clause_id']}]" for row in doc["policy_appendix"]]
     words = st.text(st.characters(blacklist_characters="[]"), max_size=20)
-    text = st.lists(st.one_of(words, st.sampled_from(markers)), max_size=6).map("".join)
-    orchestrator.verify_report(config, edited(doc, data.draw(st.sampled_from(paths)), data.draw(text)))
+    path = data.draw(st.sampled_from(paths))
+    text = data.draw(st.lists(st.one_of(words, st.sampled_from(markers)), max_size=6).map("".join).filter(
+        lambda text: text != at(doc, path)
+    ))
+    name = path[0] + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path[1:])
+    with pytest.raises(ReportMismatchError, match=re.escape(f"{name} does not match")):
+        orchestrator.verify_report(config, edited(doc, path, text))
 
 
 def test_verify_memory_does_not_grow_with_the_encoded_records(tmp_path):

@@ -1310,6 +1310,14 @@ def test_each_checkpoint_loads_the_state_the_review_held(review, tmp_path, monke
         assert all(t.degraded and t.grounding.passed for t in gap_transcripts)
 
 
+@pytest.mark.parametrize("review", sorted(FIXTURE_REVIEWS))
+def test_verify_passes_on_each_fixture_review(review, tmp_path, monkeypatch):
+    # degraded, absent and recorded transcripts alike re-derive to what the
+    # review wrote, and so do the texts they narrated
+    config = review_fixture_copy(tmp_path, review, monkeypatch)
+    orchestrator.verify_report(config, json.loads((config.output_dir / "report.json").read_bytes()))
+
+
 def test_a_failed_gap_narration_leaves_the_gaps_before_it(tmp_path):
     # the fixture review has two gaps; the model refuses the second
     gap_prompts = []

@@ -181,7 +181,19 @@ def test_report_structure(state):
         )
         assert row["digest"] == sha256_hex(clause.text)
     assert appendix_closure(report) == []
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
+
+
+def test_report_transcripts_keep_what_the_model_said(state):
+    # the prompt and grounding report are re-derived by pir verify, so a
+    # report leaves both out
+    report = build_report(state, generated_at=utc_now())
+    assert len(report["transcripts"]) == len(state.transcripts) > 0
+    for written, transcript in zip(report["transcripts"], state.transcripts):
+        assert list(written) == [
+            "transcript_id", "stage", "template_id", "response", "mode", "degraded", "latency_ms"
+        ]
+        assert written == {key: getattr(transcript, key) for key in written}
 
 
 @pytest.mark.parametrize("digests", ["one short", "one over"])
