@@ -120,6 +120,21 @@ def make_auth(
     )
 
 
+def as_schema_2(doc: dict, checkpoint) -> dict:
+    """A schema_version 3 report document as schema_version 2 wrote it: each
+    transcript with its rendered_prompt and grounding, from the state that
+    ``checkpoint`` loads."""
+    from pir.orchestrator import load_checkpoint
+
+    loaded = load_checkpoint(checkpoint).transcripts
+    assert len(loaded) == len(doc["transcripts"])
+    transcripts = [
+        {**written, "rendered_prompt": t.rendered_prompt, "grounding": t.to_dict()["grounding"]}
+        for written, t in zip(doc["transcripts"], loaded)
+    ]
+    return {**doc, "transcripts": transcripts, "schema_version": 2}
+
+
 def rewrite_checkpoint(path: Path, doc: dict) -> None:
     """Write ``doc`` as the <Stage>.json at ``path``, then re-seal the chain:
     each later stage's checkpoint gets the previous_digest of its

@@ -15,6 +15,8 @@ from pir.canon import canon_dumps, sha256_hex
 from pir.detection import DetectorParams, oracle_detect
 from pir.reporting import json_report_digest
 
+from conftest import as_schema_2
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402
 import spans  # noqa: E402
@@ -38,14 +40,20 @@ def test_traced_stages_are_the_pipeline_stages():
 # For seed 1 at 1,000 noise records: the sha256 of state/records.json, taken
 # at the commit before XML evidence was parsed as a stream, and the report
 # digest with transcript latencies masked, as perfbench/run.py checks it,
-# taken when the report's appendices became cite-only (schema_version 2).
-# SMOKE_SCHEMA_1_SECTIONS is the report digest without the sections that
-# schema_version 2 changed, taken at the commit before it.
+# re-taken when the report's transcripts came to keep only what the model
+# said and how narration judged it (schema_version 3). SMOKE_SCHEMA_2_DIGEST
+# is the report digest that schema_version 2 gave, taken when the report's
+# appendices became cite-only: the report gives it with every transcript's
+# rendered_prompt and grounding put back and schema_version 2, so nothing
+# else moved. SMOKE_SCHEMA_1_SECTIONS is that schema_version 2 report's
+# digest without the sections that schema_version 2 changed, taken at the
+# commit before it.
 SMOKE_RECORDS = 1_011
 SMOKE_DIGESTS = (
     "d625e27b802c26fcc3ec711f17f5c2cab3290f3e688a36df49b77239ef086337",
-    "074a2e98df7f643b65e6aedc81bca040bd9d3e27f0ab2865c7d7e5d8c0d0a5e9",
+    "41f95cfabc6166b075a0fb4738cba5cda66252b0490d84aae3c45d5136d2e9f9",
 )
+SMOKE_SCHEMA_2_DIGEST = "074a2e98df7f643b65e6aedc81bca040bd9d3e27f0ab2865c7d7e5d8c0d0a5e9"
 SCHEMA_2_KEYS = ("evidence_appendix", "policy_appendix", "evidence_digest", "record_count", "schema_version")
 SMOKE_SCHEMA_1_SECTIONS = "1b7743f286a090f26873a46a932c36e44cec431ca68a208683051226816fbf52"
 
@@ -73,6 +81,8 @@ def test_small_bulk_replay_review_gives_pinned_results(tmp_path, monkeypatch):
         json_report_digest(canon_dumps(report)),
     )
     assert digests == SMOKE_DIGESTS
+    report = as_schema_2(report, config.output_dir / "state" / "GenerateReport.json")
+    assert json_report_digest(canon_dumps(report)) == SMOKE_SCHEMA_2_DIGEST
     unchanged = {key: value for key, value in report.items() if key not in SCHEMA_2_KEYS}
     assert json_report_digest(canon_dumps(unchanged)) == SMOKE_SCHEMA_1_SECTIONS
     assert (report["evidence_digest"], report["record_count"]) == (digests[0], SMOKE_RECORDS)

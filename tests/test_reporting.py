@@ -23,7 +23,7 @@ from pir.reporting import (
 )
 from pir.scenario_gen import ScenarioSpec, generate
 
-from conftest import FIXTURES
+from conftest import FIXTURES, as_schema_2
 
 
 @pytest.fixture(scope="module")
@@ -310,24 +310,34 @@ def test_markdown_lists_degradation_notes(fixture_config_raw, tmp_path):
 
 # --- pinned fixture outputs ---------------------------------------------------------------
 
-# Digests of the committed fixtures' reports, taken when the appendices came
-# to hold only the cited records and clauses (schema_version 2): report.json
-# by json_report_digest, report.md by sha256 with its Generated line masked.
+# Digests of the committed fixtures' reports: report.json by
+# json_report_digest, report.md by sha256 with its Generated line masked.
 # The config digest (and so the run id) covers the config's own relative
 # paths, so the review runs on a copy of the fixtures with no overrides.
+# report.json re-taken when its transcripts came to keep only what the
+# model said and how narration judged it (schema_version 3); report.md,
+# which never rendered a transcript, did not move.
 PINNED_REPORTS = {
     "review_config.json": (
-        "8ceaa7e82a6d9b4d39a7c61289b3239d9348c69318889b221c315c65f04848b5",
+        "ca42e3d221307a1bf640224b6d479e1fe9b83daa20dce3b55299848665058995",
         "3b42a716fa8409b10658f390612407b534155020dee13a195fefddd339b2f8ad",
     ),
     "review_config_nogap.json": (
-        "a32d4fea84c885d8015e70ddffd2bb99b50d63adaad0fe6cb75063f6cb1fc168",
+        "cbac5cf73d464050feb82e8a3a9f38cfb1ec622cafa7fb6656d345f6f727ea5a",
         "eff6de1cd8ad9a2fbbe037a30c0fb442d095afdde9efa8bc63514246df59eb11",
     ),
 }
-# The sections schema_version 2 changed. json_report_digest of each report
-# without them was taken at the commit before the change, so every other
-# section is byte for byte what schema_version 1 wrote.
+# json_report_digest of each report.json that schema_version 2 wrote, taken
+# when the appendices came to hold only the cited records and clauses: each
+# report with every transcript's rendered_prompt and grounding put back from
+# the final checkpoint, and schema_version 2, gives it, so nothing else moved.
+PINNED_SCHEMA_2_REPORTS = {
+    "review_config.json": "8ceaa7e82a6d9b4d39a7c61289b3239d9348c69318889b221c315c65f04848b5",
+    "review_config_nogap.json": "a32d4fea84c885d8015e70ddffd2bb99b50d63adaad0fe6cb75063f6cb1fc168",
+}
+# The sections schema_version 2 changed. json_report_digest of each
+# schema_version 2 report without them was taken at the commit before the
+# change, so every other section is byte for byte what schema_version 1 wrote.
 SCHEMA_2_KEYS = ("evidence_appendix", "policy_appendix", "evidence_digest", "record_count", "schema_version")
 PINNED_SCHEMA_1_SECTIONS = {
     "review_config.json": "ccff72683216afb1e23faff5a06d6e7b1b9ba501d7161e023812a94e58912907",
@@ -348,7 +358,8 @@ def test_fixture_reports_match_pinned_digests(config_name, tmp_path):
         config_name
     ]
 
-    doc = json.loads(report_json)
+    doc = as_schema_2(json.loads(report_json), config.output_dir / "state" / "GenerateReport.json")
+    assert json_report_digest(canon_dumps(doc)) == PINNED_SCHEMA_2_REPORTS[config_name]
     changed = {key: doc.pop(key) for key in SCHEMA_2_KEYS}
     assert json_report_digest(canon_dumps(doc)) == PINNED_SCHEMA_1_SECTIONS[config_name]
     assert (changed["evidence_digest"], changed["record_count"], changed["schema_version"]) == (
