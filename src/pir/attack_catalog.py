@@ -38,7 +38,6 @@ class TechniqueMapping(Canonical):
     technique_id: str
     technique_name: str
     tactic: str
-    rationale: str
     evidence: tuple[str, ...]
     deterministic: bool
 
@@ -65,25 +64,29 @@ def map_finding(
     """Deterministic technique attribution for a finding: a
     BruteForceSuspected finding maps to T1110."""
     technique = catalog[TECHNIQUE_BRUTE_FORCE]
-
-    span = int((finding.window_end - finding.window_start).total_seconds())
-    first, last = finding.evidence[0], finding.evidence[-1]
-    rationale = (
-        f"{finding.failure_count} failed logon attempts against account "
-        f"'{finding.account}' within {span} seconds "
-        f"({format_instant(finding.window_start)} to "
-        f"{format_instant(finding.window_end)}, [EVT:{first}]..[EVT:{last}]) "
-        f"match the repeated credential-guessing pattern of "
-        f"{technique.technique_id} {technique.name}."
-    )
     return TechniqueMapping(
         finding_ref=finding_ref,
         technique_id=technique.technique_id,
         technique_name=technique.name,
         tactic=technique.tactic,
-        rationale=rationale,
         evidence=finding.evidence,
         deterministic=True,
+    )
+
+
+def rule_rationale(mapping: TechniqueMapping, finding: "BehaviorFinding") -> str:
+    """The rule rationale of a mapping, citing its finding's window and
+    records: its text when the justification's narration is degraded or
+    absent (reporting.narrated_texts)."""
+    span = int((finding.window_end - finding.window_start).total_seconds())
+    first, last = finding.evidence[0], finding.evidence[-1]
+    return (
+        f"{finding.failure_count} failed logon attempts against account "
+        f"'{finding.account}' within {span} seconds "
+        f"({format_instant(finding.window_start)} to "
+        f"{format_instant(finding.window_end)}, [EVT:{first}]..[EVT:{last}]) "
+        f"match the repeated credential-guessing pattern of "
+        f"{mapping.technique_id} {mapping.technique_name}."
     )
 
 
@@ -103,5 +106,6 @@ def mapping_request(mapping: TechniqueMapping, finding: "BehaviorFinding") -> "R
 def justify_mapping(
     mapping: TechniqueMapping, finding: "BehaviorFinding", gateway: "Gateway"
 ):
-    """Grounded narrative justification; falls back to the rule rationale."""
-    return gateway.narrate("mapping_justification", *mapping_request(mapping, finding), fallback=mapping.rationale)
+    """Grounded narrative justification; a report falls back to the rule
+    rationale (rule_rationale)."""
+    return gateway.narrate("mapping_justification", *mapping_request(mapping, finding))

@@ -238,7 +238,8 @@ def oracle_detect(
 
 
 def fallback_summary(finding: BehaviorFinding) -> str:
-    """Deterministic summary used when the gateway is disabled or degraded."""
+    """Deterministic summary used when the finding's narration is degraded
+    or absent (reporting.narrated_texts)."""
     first, last = finding.evidence[0], finding.evidence[-1]
     parts = [
         f"Account '{finding.account}' recorded {finding.failure_count} failed "
@@ -273,4 +274,4 @@ def finding_request(finding: BehaviorFinding) -> "Request":
 
 def narrative_for_finding(finding: BehaviorFinding, gateway: "Gateway"):
     """Gateway round-trip for a finding summary; returns a NarrativeResult."""
-    return gateway.narrate("finding_summary", *finding_request(finding), fallback=fallback_summary(finding))
+    return gateway.narrate("finding_summary", *finding_request(finding))

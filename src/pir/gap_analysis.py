@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .canon import Canonical
 from .errors import NoBaselineError
-from .llm_gateway import TEMPLATES, Gateway, NarrativeResult, Request, sections
+from .llm_gateway import Gateway, NarrativeResult, Request
 from .policy_index import PolicyClause
 
 if TYPE_CHECKING:
@@ -134,8 +134,6 @@ class PolicyGap(Canonical):
     gap_kind: str
     severity: str
     confidence: str | None
-    rationale: str
-    remediation: str
     evidence_events: tuple[str, ...]
     evidence_clauses: tuple[str, ...]
 
@@ -259,10 +257,10 @@ def compare_controls(
     Both sides are the per-control values select_effective chose. Only
     controls relevant to the technique are compared. org weaker than
     baseline yields Insufficient; org absent while baseline present yields
-    Missing; org-only controls are not gaps. Gaps carry empty rationale and
-    confidence. A stage returns its additions, and the state and its items
-    are frozen, so ValidatePolicies builds each final gap whole with
-    dataclasses.replace from assign_confidence and draft_rationale.
+    Missing; org-only controls are not gaps. Gaps carry no confidence,
+    which assign_confidence sets on a new gap, since the state and its
+    items are frozen. A gap holds no rationale or remediation: a report
+    takes both from the gap's narration (reporting.narrated_texts).
     """
     if not evidence_events:
         raise ValueError("gap analysis is incident-driven; evidence_events is empty")
@@ -300,8 +298,6 @@ def compare_controls(
                     base_param.value,
                 ),
                 confidence=None,
-                rationale="",
-                remediation="",
                 evidence_events=tuple(evidence_events),
                 evidence_clauses=tuple(clauses),
             )
@@ -399,16 +395,9 @@ def gap_request(gap: PolicyGap) -> "Request":
     return bindings, gap.evidence_events, gap.evidence_clauses
 
 
-def draft_rationale(
-    gap: PolicyGap, gateway: "Gateway"
-) -> tuple[str, str, "NarrativeResult"]:
-    """Grounded rationale and remediation for one gap: the RATIONALE and
-    REMEDIATION paragraphs of a response that narration accepts
-    (llm_gateway.verdict), else the deterministic template pair."""
-    det_rationale, det_remediation = deterministic_rationale(gap)
-    fallback = f"RATIONALE: {det_rationale}\n\nREMEDIATION: {det_remediation}"
-    result = gateway.narrate("gap_rationale", *gap_request(gap), fallback=fallback)
-    if result.degraded:
-        return det_rationale, det_remediation, result
-    rationale, remediation = sections(TEMPLATES["gap_rationale"], result.text)
-    return rationale, remediation, result
+def draft_rationale(gap: PolicyGap, gateway: "Gateway") -> "NarrativeResult":
+    """Grounded rationale and remediation narration for one gap. A report
+    takes the RATIONALE and REMEDIATION paragraphs of a response that
+    narration accepts (llm_gateway.verdict), else the deterministic pair
+    (deterministic_rationale)."""
+    return gateway.narrate("gap_rationale", *gap_request(gap))

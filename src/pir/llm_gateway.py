@@ -8,8 +8,9 @@ review runs reproducible offline.
 
 Model output never reaches a report directly: verdict() resolves citation
 markers ([EVT:<record_ref>], [POL:<clause_id>]) against the caller's scope
-and checks the paragraphs the template asks for; narrate() substitutes a
-deterministic fallback when either fails, flagging the transcript degraded.
+and checks the paragraphs the template asks for; narrate() flags the
+transcript degraded when either fails, and the report then takes its
+narration site's deterministic fallback instead (reporting.narrated_texts).
 
 The review config sets the mode, the decoding parameters, the model id and
 the cache dir. The environment holds only the live provider's credentials,
@@ -286,7 +287,6 @@ class Transcript(Canonical):
 class NarrativeResult:
     """Outcome of one grounded narration request."""
 
-    text: str
     degraded: bool
     transcript: Transcript | None
     note: str | None = None
@@ -483,22 +483,13 @@ class Gateway:
             latency_ms=latency_ms,
         )
 
-    def narrate(
-        self,
-        template_id: str,
-        bindings: dict[str, str],
-        record_refs,
-        clause_ids,
-        *,
-        fallback: str,
-    ) -> NarrativeResult:
-        """Grounded narration of a Request: model text is used only when
-        verdict finds no fault in it; otherwise the deterministic fallback
-        takes its place, with a note naming the fault. The prompt lists the
-        scope (scoped)."""
+    def narrate(self, template_id: str, bindings: dict[str, str], record_refs, clause_ids) -> NarrativeResult:
+        """Grounded narration of a Request. The transcript is degraded when
+        verdict finds a fault in the model's text, with a note naming the
+        fault; a report then takes its narration site's deterministic
+        fallback in its place. The prompt lists the scope (scoped)."""
         if self.mode == MODE_DISABLED:
             return NarrativeResult(
-                text=fallback,
                 degraded=True,
                 transcript=None,
                 note=f"gateway disabled; deterministic {template_id} text used",
@@ -507,6 +498,5 @@ class Gateway:
         report, fault = verdict(TEMPLATES[template_id], transcript.response, record_refs, clause_ids)
         transcript = dataclasses.replace(transcript, grounding=report, degraded=fault is not None)
         if fault is None:
-            return NarrativeResult(text=transcript.response, degraded=False, transcript=transcript)
-        note = f"{fault}; deterministic text used"
-        return NarrativeResult(text=fallback, degraded=True, transcript=transcript, note=note)
+            return NarrativeResult(degraded=False, transcript=transcript)
+        return NarrativeResult(degraded=True, transcript=transcript, note=f"{fault}; deterministic text used")

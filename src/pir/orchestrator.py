@@ -112,13 +112,11 @@ from .llm_gateway import (
     MODE_DISABLED,
     TEMPLATES,
     Gateway,
-    GenerationParams,
     NarrativeResult,
     Request,
     Transcript,
     render,
     scoped,
-    sections,
     transcript_id_for,
     verdict,
 )
@@ -188,7 +186,6 @@ class ReviewState:
     # where records.json lies; not stored, and no part of equality or hashing
     records_file: Path | None = field(default=None, compare=False)
     findings: tuple[BehaviorFinding, ...] = ()
-    finding_summaries: tuple[str, ...] = ()
     mappings: tuple[TechniqueMapping, ...] = ()
     policy_documents: tuple[PolicyDocument, ...] = ()
     # the ids of the clauses retrieve ranked, best first
@@ -198,7 +195,6 @@ class ReviewState:
     stage_log: tuple[StageRecord, ...] = ()
     notes: tuple[str, ...] = ()
     degradation_notes: tuple[str, ...] = ()
-    incident_summary: str | None = None
     report_generated_at: datetime | None = None
 
     # Every record's ref and every logon record's auth event, read from
@@ -268,11 +264,11 @@ _CODEC_FIELDS = tuple(f.name for f in dataclasses.fields(ReviewState) if f.name 
 # The fields each stage sets in its ``out``; no other stage may set them.
 OWNED_FIELDS = {
     "ProcessEvidence": ("run_id", "config_digest", "record_count", "records_digest", "cited_records",
-                        "records_file", "findings", "finding_summaries"),
+                        "records_file", "findings"),
     "MapAttack": ("mappings",),
     "RetrievePolicies": ("policy_documents", "retrieval"),
     "ValidatePolicies": ("gaps",),
-    "GenerateReport": ("incident_summary", "report_generated_at"),
+    "GenerateReport": ("report_generated_at",),
 }
 # The lists every stage appends to, through the lists its ``out`` starts with;
 # a stage owns the items it appended.
@@ -337,11 +333,8 @@ def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     with records_file.open("rb") as stream, mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ) as data:
         out["cited_records"] = digest_rows(rows, cited, data)
 
-    out["finding_summaries"] = summaries = []
     for finding in findings:
-        result = narrative_for_finding(finding, deps.gateway)
-        summaries.append(result.text)
-        _absorb(out, result)
+        _absorb(out, narrative_for_finding(finding, deps.gateway))
     return STATUS_OK, None
 
 
@@ -351,9 +344,8 @@ def _stage_map_attack(state: ReviewState, deps: StageDeps, out: dict):
     out["mappings"] = mappings = []
     for i, finding in enumerate(state.findings):
         mapping = map_finding(finding, deps.catalog, finding_ref=i)
-        result = justify_mapping(mapping, finding, deps.gateway)
-        _absorb(out, result)
-        mappings.append(dataclasses.replace(mapping, rationale=result.text))
+        _absorb(out, justify_mapping(mapping, finding, deps.gateway))
+        mappings.append(mapping)
     return STATUS_OK, None
 
 
@@ -401,9 +393,8 @@ def _stage_validate_policies(state: ReviewState, deps: StageDeps, out: dict):
     out["gaps"] = gaps = []
     for gap in dedupe_gaps(all_gaps):
         gap = assign_confidence(gap, min_evidence=deps.config.detector.min_failures)
-        rationale, remediation, result = draft_rationale(gap, deps.gateway)
-        _absorb(out, result)
-        gaps.append(dataclasses.replace(gap, rationale=rationale, remediation=remediation))
+        _absorb(out, draft_rationale(gap, deps.gateway))
+        gaps.append(gap)
     if not gaps:
         return STATUS_OK, "no gaps against baseline"
     return STATUS_OK, None
@@ -431,13 +422,8 @@ def incident_request(state: ReviewState) -> Request:
 
 
 def _stage_generate_report(state: ReviewState, deps: StageDeps, out: dict):
-    fallback = reporting.deterministic_incident_summary(state)
     if state.findings:
-        result = deps.gateway.narrate("incident_summary", *incident_request(state), fallback=fallback)
-        out["incident_summary"] = result.text
-        _absorb(out, result)
-    else:
-        out["incident_summary"] = fallback
+        _absorb(out, deps.gateway.narrate("incident_summary", *incident_request(state)))
 
     # the report covers this stage's additions, the summary's transcript too
     out["report_generated_at"] = utc_now()
@@ -667,19 +653,6 @@ def check_records_file(path: Path, digest: str, rows: Iterable[PieceRow]) -> lis
 # which a load re-derives from its position and the state (_rederived).
 
 
-def _narrated(stage: str, doc: dict) -> list[tuple[list | dict, int | str]]:
-    """(holder, key) of each text in ``stage``'s checkpoint dict ``doc``
-    that the stage narrated, in the order of its narrations: the finding
-    summaries, the mapping rationales, or the incident summary."""
-    if stage == "ProcessEvidence":
-        return [(doc["finding_summaries"], i) for i in range(len(doc["finding_summaries"]))]
-    if stage == "MapAttack":
-        return [(mapping, "rationale") for mapping in doc["mappings"]]
-    if stage == "GenerateReport":
-        return [(doc, "incident_summary")]
-    return []
-
-
 def _narrations(stage: str, state: ReviewState) -> list[Request]:
     """The request of each of ``stage``'s narrations, in the order the
     stage makes them, made from ``state``, a state after the stage, by the
@@ -705,16 +678,12 @@ def _evidence_union(evidences: Iterable[Iterable[str]]) -> list[str]:
     return list(dict.fromkeys(ref for evidence in evidences for ref in evidence))
 
 
-def _write_once(stage: str, doc: dict, findings: Sequence[BehaviorFinding]) -> None:
-    """Write as null, in ``stage``'s checkpoint dict ``doc``, each narrated
-    text that is the response of the stage's transcript at its position,
-    each mapping's evidence that is its finding's, of ``findings``, and
-    each gap's evidence that is the union of theirs; a fallback text stays.
-    Drop each transcript's stage, template id, prompt and grounding report,
-    and the sha256 from each cited row."""
-    for (holder, key), transcript in zip(_narrated(stage, doc), doc["transcripts"]):
-        if holder[key] == transcript["response"]:
-            holder[key] = None
+def _write_once(doc: dict, findings: Sequence[BehaviorFinding]) -> None:
+    """Write as null, in a stage's checkpoint dict ``doc``, each mapping's
+    evidence that is its finding's, of ``findings``, and each gap's
+    evidence that is the union of theirs. Drop each transcript's stage,
+    template id, prompt and grounding report, and the sha256 from each
+    cited row."""
     for transcript in doc["transcripts"]:
         del transcript["stage"], transcript["template_id"], transcript["rendered_prompt"], transcript["grounding"]
     for mapping in doc.get("mappings", ()):
@@ -729,15 +698,10 @@ def _write_once(stage: str, doc: dict, findings: Sequence[BehaviorFinding]) -> N
         doc["cited_records"] = [row[:3] + row[4:] for row in doc["cited_records"]]
 
 
-def _read_back(stage: str, doc: dict, findings: list[dict]) -> None:
-    """Restore in ``stage``'s checkpoint dict ``doc`` what _write_once wrote
-    as null: a narrated text from the response of the stage's transcript at
-    its position (a null with no transcript there stays null), a mapping's
-    evidence from its finding's, of the checkpoint dicts ``findings``, and
-    a gap's evidence from the union of theirs."""
-    for (holder, key), transcript in zip(_narrated(stage, doc), doc["transcripts"]):
-        if holder[key] is None:
-            holder[key] = transcript["response"]
+def _read_back(doc: dict, findings: list[dict]) -> None:
+    """Restore in a stage's checkpoint dict ``doc`` what _write_once wrote
+    as null: a mapping's evidence from its finding's, of the checkpoint
+    dicts ``findings``, and a gap's evidence from the union of theirs."""
     for mapping in doc.get("mappings", ()):
         if mapping["evidence"] is None:
             mapping["evidence"] = findings[mapping["finding_ref"]]["evidence"]
@@ -793,7 +757,7 @@ def save_checkpoint(
     for name in SHARED_FIELDS:
         values[name] = getattr(state, name)[len(getattr(base, name)) if base else 0 :]
     d = encode_fields(ReviewState, values)
-    _write_once(stage, d, state.findings)
+    _write_once(d, state.findings)
     d["previous_digest"] = previous_digest
     data = (canon_dumps(d) + "\n").encode("utf-8")
     (state_dir(output_dir) / f"{stage}.json").write_bytes(data)
@@ -826,7 +790,7 @@ def load_checkpoint(path: Path) -> ReviewState:
         d = ReviewState(run_id="", config_digest="").to_dict()
         transcripts = {}
         for stage, doc in zip(STAGES, reversed(docs)):
-            _read_back(stage, doc, d["findings"])
+            _read_back(doc, d["findings"])
             transcripts[stage] = doc["transcripts"]
             d.update((k, doc[k]) for k in _STORED_KEYS[stage])
             d.update((k, d[k] + doc[k]) for k in SHARED_FIELDS if k != "transcripts")
@@ -885,48 +849,41 @@ def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path
 
 
 def verify_report(config: ReviewConfig, doc: dict) -> None:
-    """Check a re-read report document against the report that run_review
-    builds from the config's files, with the gateway disabled, no checkpoint
-    and a temporary output directory, and, unless the config disables the
-    gateway, the document's transcripts re-derived into it (_as_narrated;
-    reporting.check_report). A stage that fails raises its cause; a document
-    that lacks a section the check reads is a ReportMismatchError."""
+    """Check a re-read report document against the report that build_report
+    builds from the state of a review of the config's files, run with the
+    gateway disabled, no checkpoint and a temporary output directory, and,
+    unless the config disables the gateway, with the document's transcripts
+    re-derived into it (_as_narrated; reporting.check_report). A stage that
+    fails raises its cause; a document that lacks a section the check reads
+    is a ReportMismatchError."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
             state = run_review(dataclasses.replace(config, output_dir=Path(tmp), gateway_mode=MODE_DISABLED), checkpoints=False)
         except StageFailureError as exc:
             raise exc.cause
-        expected = json.loads((Path(tmp) / "report.json").read_bytes())
     try:
-        if config.gateway_mode != MODE_DISABLED:
-            _as_narrated(expected, state, doc["transcripts"], config.generation)
+        transcripts = [] if config.gateway_mode == MODE_DISABLED else _as_narrated(state, doc["transcripts"], config)
+        narrated = dataclasses.replace(state, transcripts=tuple(t for t in transcripts if t is not None))
+        expected = json.loads(reporting.render_json(reporting.build_report(narrated, state.report_generated_at)))
+        expected["transcripts"] = [t and {key: getattr(t, key) for key in reporting.TRANSCRIPT_KEYS} for t in transcripts]
         reporting.check_report(doc, expected)
     except (LookupError, TypeError, AttributeError) as exc:
         raise ReportMismatchError(f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
-def _as_narrated(expected: dict, state: ReviewState, written: list[dict], params: GenerationParams) -> None:
-    """Make ``expected``, the report of ``state``'s review with no model,
-    that of a review whose model gave the responses of ``written``: split
-    by each stage's narration count, each is re-derived at its position
-    (_rederived) under the id of its template, prompt and ``params``, and
-    None stands for a missing one. A narrated text whose transcript is not
-    degraded becomes its response, or a gap's its paragraphs (sections)."""
-    texts = {
-        "ProcessEvidence": [(expected["finding_summaries"], (i,)) for i in range(len(expected["finding_summaries"]))],
-        "MapAttack": [(mapping, ("rationale",)) for mapping in expected["technique_section"]],
-        "ValidatePolicies": [(gap, ("rationale", "remediation")) for gap in expected["gaps_section"]],
-        "GenerateReport": [(expected, ("incident_summary",))],
-    }
-    transcripts = expected["transcripts"] = []
+def _as_narrated(state: ReviewState, written: list[dict], config: ReviewConfig) -> list[Transcript | None]:
+    """The transcripts of a review of ``state`` whose model gave the
+    responses of ``written``, a report's transcripts: split by each
+    stage's narration count, each is re-derived at its position
+    (_rederived) under the id of its template, prompt and the config's
+    generation parameters, and None stands for a missing one."""
+    transcripts: list[Transcript | None] = []
     for stage in STAGES:
         count, at = len(_narrations(stage, state)), len(transcripts)
         kept = [{key: t.get(key) for key in ("transcript_id", "response", "mode", "latency_ms")} for t in written[at : at + count]]
-        for (holder, keys), t in zip(texts.get(stage, ()), _rederived(state, {stage: kept})):
-            t = dataclasses.replace(t, transcript_id=transcript_id_for(t.template_id, t.rendered_prompt, params))
-            transcripts.append({key: getattr(t, key) for key in reporting.TRANSCRIPT_KEYS})
-            if not t.degraded:
-                template = TEMPLATES[t.template_id]
-                for key, text in zip(keys, sections(template, t.response) if template.sections else (t.response,)):
-                    holder[key] = text
+        transcripts.extend(
+            dataclasses.replace(t, transcript_id=transcript_id_for(t.template_id, t.rendered_prompt, config.generation))
+            for t in _rederived(state, {stage: kept})
+        )
         transcripts.extend([None] * (count - len(kept)))
+    return transcripts

@@ -29,13 +29,18 @@ every field but the report's time and its degradation notes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import typing
+from collections.abc import Iterator
 from datetime import datetime
 
+from .attack_catalog import rule_rationale
 from .canon import canon_dumps, digest_of, format_instant, sha256_hex
+from .detection import fallback_summary
 from .errors import ReportMismatchError, UnresolvedReferenceError
-from .llm_gateway import EVT_MARKER, POL_MARKER
+from .gap_analysis import deterministic_rationale
+from .llm_gateway import EVT_MARKER, POL_MARKER, TEMPLATES, sections
 
 if typing.TYPE_CHECKING:
     from .orchestrator import ReviewState
@@ -113,6 +118,37 @@ def build_trace_ledger(state: "ReviewState") -> list[dict]:
     return [dict(zip(_LEDGER_KEYS, row)) for row in rows]
 
 
+def narrated_texts(state: "ReviewState") -> tuple[list[str], list[str], list[tuple[str, str]], str]:
+    """Every narrated text of ``state``: the finding summaries, the mapping
+    rationales, each gap's rationale and remediation, and the incident
+    summary. Each is the response of its stage's transcript at its
+    position, a gap's its RATIONALE and REMEDIATION paragraphs (sections),
+    unless that transcript is degraded or absent; then it is its narration
+    site's deterministic fallback, computed only then. The incident summary
+    is "" until GenerateReport sets report_generated_at, which it does
+    before it builds the report and before its stage_log entry exists."""
+    responses: dict[str, list[str | None]] = {}
+    for t in state.transcripts:
+        responses.setdefault(t.stage, []).append(None if t.degraded else t.response)
+
+    def told(stage: str) -> Iterator[str | None]:
+        """The response at each of ``stage``'s positions: None for a
+        degraded transcript, and past its last one."""
+        return itertools.chain(responses.get(stage, ()), itertools.repeat(None))
+
+    findings, template = state.findings, TEMPLATES["gap_rationale"]
+    summaries = [text or fallback_summary(f) for f, text in zip(findings, told("ProcessEvidence"))]
+    rationales = [text or rule_rationale(m, findings[m.finding_ref]) for m, text in zip(state.mappings, told("MapAttack"))]
+    gap_texts = [
+        sections(template, text) if text else deterministic_rationale(gap)
+        for gap, text in zip(state.gaps, told("ValidatePolicies"))
+    ]
+    incident = ""
+    if state.report_generated_at is not None:
+        incident = next(told("GenerateReport")) or deterministic_incident_summary(state)
+    return summaries, rationales, gap_texts, incident
+
+
 def build_report(state: "ReviewState", generated_at: datetime) -> dict:
     """Build the report document, the dict that :func:`render_json` dumps
     and :func:`render_markdown` reads, and check its citation closure
@@ -123,6 +159,7 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
     and its degradation note record the rejected model output, fabricated
     citations included, as the audit trail of why the fallback text was used.
 
+    Its narrated texts follow from the state's transcripts (narrated_texts).
     The citations are collected once. The evidence appendix is the rows of
     ``cited_records`` that the report cites, in record order, and the policy
     appendix the cited clauses, in document order; ``evidence_digest`` and
@@ -130,15 +167,18 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
     and the document shares no list with them: the items' ``to_dict`` turns
     their tuples into new lists.
     """
+    summaries, rationales, gap_texts, incident = narrated_texts(state)
     report = {
         "run_id": state.run_id,
         "config_digest": state.config_digest,
         "generated_at": format_instant(generated_at),
-        "incident_summary": state.incident_summary or "",
+        "incident_summary": incident,
         "findings": [f.to_dict() for f in state.findings],
-        "finding_summaries": list(state.finding_summaries),
-        "technique_section": [m.to_dict() for m in state.mappings],
-        "gaps_section": [g.to_dict() for g in state.gaps],
+        "finding_summaries": summaries,
+        "technique_section": [{**m.to_dict(), "rationale": r} for m, r in zip(state.mappings, rationales)],
+        "gaps_section": [
+            {**g.to_dict(), "rationale": r, "remediation": m} for g, (r, m) in zip(state.gaps, gap_texts)
+        ],
         "trace_ledger": build_trace_ledger(state),
         "transcripts": [{key: getattr(t, key) for key in TRANSCRIPT_KEYS} for t in state.transcripts],
         "degradation_notes": list(state.degradation_notes),

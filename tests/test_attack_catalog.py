@@ -6,9 +6,12 @@ from pir.attack_catalog import (
     justify_mapping,
     load_default_catalog,
     map_finding,
+    rule_rationale,
 )
 from pir.detection import DetectorParams, detect_bruteforce
 from pir.llm_gateway import Gateway, GenerationParams
+from pir.orchestrator import ReviewState
+from pir.reporting import narrated_texts
 
 from conftest import make_auth
 
@@ -39,11 +42,11 @@ def test_map_finding_attributes_brute_force(finding):
 
 
 def test_rationale_cites_window_and_evidence(finding):
-    mapping = map_finding(finding, load_default_catalog())
-    assert "6 failed logon attempts" in mapping.rationale
-    assert "[EVT:src#1]" in mapping.rationale
-    assert "[EVT:src#6]" in mapping.rationale
-    assert "T1110" in mapping.rationale
+    rationale = rule_rationale(map_finding(finding, load_default_catalog()), finding)
+    assert "6 failed logon attempts" in rationale
+    assert "[EVT:src#1]" in rationale
+    assert "[EVT:src#6]" in rationale
+    assert "T1110" in rationale
 
 
 def test_mapping_round_trips_through_dict(finding):
@@ -57,4 +60,5 @@ def test_justify_with_disabled_gateway_keeps_rule_rationale(finding, tmp_path):
     result = justify_mapping(mapping, finding, gateway)
     assert result.degraded is True
     assert result.transcript is None
-    assert result.text == mapping.rationale
+    state = ReviewState(run_id="run", config_digest="", findings=(finding,), mappings=(mapping,))
+    assert narrated_texts(state)[1] == [rule_rationale(mapping, finding)]

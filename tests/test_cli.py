@@ -856,7 +856,6 @@ def _break_checkpoint(checkpoint, damage):
     # each edit goes into the checkpoint of the stage that owns the field
     owner = checkpoint.with_name(
         {
-            "no incident_summary": "GenerateReport.json",
             "numeric window_start": "ProcessEvidence.json",
             "six-field cited rows": "ProcessEvidence.json",
             "flipped degraded": "MapAttack.json",
@@ -866,9 +865,7 @@ def _break_checkpoint(checkpoint, damage):
         }.get(damage, "RetrievePolicies.json")
     )
     doc = json.loads(owner.read_text(encoding="utf-8"))
-    if damage == "no incident_summary":
-        del doc["incident_summary"]
-    elif damage == "numeric window_start":
+    if damage == "numeric window_start":
         doc["findings"][0]["window_start"] = 5
     elif damage == "six-field cited rows":
         # the rows as they were stored with their piece's sha256, which a
@@ -899,7 +896,7 @@ def _break_checkpoint(checkpoint, damage):
 @pytest.mark.parametrize(
     "damage",
     [
-        "corrupt json", "no incident_summary", "numeric window_start", "unknown clause", "six-field cited rows",
+        "corrupt json", "numeric window_start", "unknown clause", "six-field cited rows",
         "flipped degraded", "stored prompt", "extra transcript", "stored stage",
     ],
 )

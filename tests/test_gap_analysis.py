@@ -19,7 +19,9 @@ from pir.gap_analysis import (
     select_effective,
 )
 from pir.llm_gateway import Gateway, GenerationParams
+from pir.orchestrator import ReviewState
 from pir.policy_index import DOC_KIND_BASELINE, DOC_KIND_ORGANISATION, ingest_document
+from pir.reporting import narrated_texts
 
 from conftest import FIXTURES, make_auth
 
@@ -420,6 +422,13 @@ def test_missing_gap_rationale_names_every_clause_not_the_retrieved_ones():
     assert "retrieved" not in rationale
 
 
+def gap_texts(gap, result):
+    """The rationale and remediation a report gives ``gap`` when its
+    narration had ``result`` (reporting.narrated_texts)."""
+    state = ReviewState(run_id="run", config_digest="", gaps=(gap,), transcripts=(result.transcript,))
+    return narrated_texts(state)[2]
+
+
 def test_draft_rationale_degrades_on_unstructured_response(tmp_path):
     gap = assign_confidence(make_gap())
 
@@ -429,7 +438,8 @@ def test_draft_rationale_degrades_on_unstructured_response(tmp_path):
 
     gateway = Gateway("record", GenerationParams(), tmp_path / "cache", transport=transport)
     det = deterministic_rationale(gap)
-    rationale, remediation, result = draft_rationale(gap, gateway)
+    result = draft_rationale(gap, gateway)
+    [(rationale, remediation)] = gap_texts(gap, result)
     assert (rationale, remediation) == det
     assert result.degraded is True
     assert result.transcript.degraded is True
@@ -447,7 +457,8 @@ def test_draft_rationale_accepts_structured_grounded_response(tmp_path):
         )
 
     gateway = Gateway("record", GenerationParams(), tmp_path / "cache", transport=transport)
-    rationale, remediation, result = draft_rationale(gap, gateway)
+    result = draft_rationale(gap, gateway)
+    [(rationale, remediation)] = gap_texts(gap, result)
     assert result.degraded is False
     assert rationale.startswith("threshold is lax")
     assert remediation.startswith("lower it")

@@ -340,10 +340,9 @@ def test_narrate_accepts_grounded_text(tmp_path):
         BINDINGS,
         record_refs=["src#1"],
         clause_ids=(),
-        fallback="fallback text",
     )
     assert result.degraded is False
-    assert result.text == "All quiet [EVT:src#1]."
+    assert result.transcript.response == "All quiet [EVT:src#1]."
     assert result.transcript is not None
     assert result.transcript.grounding.passed is True
 
@@ -358,10 +357,8 @@ def test_narrate_falls_back_on_grounding_failure(tmp_path):
         BINDINGS,
         record_refs=["src#1"],
         clause_ids=(),
-        fallback="deterministic replacement [EVT:src#1]",
     )
     assert result.degraded is True
-    assert result.text == "deterministic replacement [EVT:src#1]"
     # rejected output stays on the transcript for audit
     assert result.transcript.degraded is True
     assert result.transcript.response == "Looks bad [EVT:ghost#9]."
@@ -397,9 +394,9 @@ GAP_BINDINGS = {
 )
 def test_narrate_judges_a_gap_rationale_by_its_template(tmp_path, response, degraded, note):
     gw = gateway(tmp_path, transport=lambda request_body: response)
-    result = gw.narrate("gap_rationale", GAP_BINDINGS, ["src#1"], ["pol:1-1"], fallback="fallback text")
+    result = gw.narrate("gap_rationale", GAP_BINDINGS, ["src#1"], ["pol:1-1"])
     assert (result.degraded, result.transcript.degraded, result.note) == (degraded, degraded, note)
-    assert result.text == ("fallback text" if degraded else response)
+    assert result.transcript.response == response
     assert result.transcript.grounding.passed is ("ghost" not in response)
 
 
@@ -428,10 +425,8 @@ def test_disabled_mode_never_calls_out(tmp_path):
         BINDINGS,
         record_refs=["src#1"],
         clause_ids=(),
-        fallback="fallback text",
     )
     assert result.degraded is True
-    assert result.text == "fallback text"
     assert result.transcript is None
     assert not (tmp_path / "cache").exists()
 

@@ -100,9 +100,9 @@ def test_replay_pipeline_populates_every_stage(demo_config):
         "LockoutThreshold",
         "PasswordMaxAgeDays",
     ]
-    assert state.incident_summary
     out = demo_config.output_dir
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["incident_summary"]
     assert report["generated_at"] == format_instant(state.report_generated_at)
 
     for stage in STAGES:
@@ -1348,6 +1348,17 @@ def test_a_failed_gap_narration_leaves_the_gaps_before_it(tmp_path):
 HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
+def keys_of(node):
+    """Every dict key in ``node``, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from keys_of(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from keys_of(item)
+
+
 @pytest.mark.parametrize("review", sorted(FIXTURE_REVIEWS))
 def test_checkpoints_write_no_fact_that_another_holds(review, tmp_path, monkeypatch):
     config = review_fixture_copy(tmp_path, review, monkeypatch)
@@ -1355,17 +1366,9 @@ def test_checkpoints_write_no_fact_that_another_holds(review, tmp_path, monkeypa
     transcripts = [t for doc in docs.values() for t in doc["transcripts"]]
     # a load re-derives each prompt and grounding report from the state
     assert [t for t in transcripts if "rendered_prompt" in t or "grounding" in t] == []
-    responses = {t["response"] for t in transcripts}
+    # a report derives each narrated text from the transcripts
+    assert set(keys_of(docs)).isdisjoint({"finding_summaries", "incident_summary", "rationale", "remediation"})
     mappings = docs["MapAttack"]["mappings"]
-    narrated = [
-        *docs["ProcessEvidence"]["finding_summaries"],
-        *(m["rationale"] for m in mappings),
-        docs["GenerateReport"]["incident_summary"],
-    ]
-    assert responses.isdisjoint(narrated)
-    # the fallbacks are written, and only they
-    fallbacks = {"disabled": 3, "ungrounded mappings": len(mappings)}.get(review, 0)
-    assert len(narrated) - narrated.count(None) == fallbacks
     # each mapping's evidence is its finding's
     assert mappings
     assert all(m["evidence"] is None for m in mappings)

@@ -107,14 +107,31 @@ def test_conclusion_without_references_is_rejected(state):
 # --- narrative closure ---------------------------------------------------------------
 
 
+def replace_transcript(state, index, response):
+    """``state`` with the response of its transcript at ``index`` changed,
+    its verdict left as it was."""
+    transcripts = list(state.transcripts)
+    transcripts[index] = dataclasses.replace(transcripts[index], response=response)
+    return dataclasses.replace(state, transcripts=tuple(transcripts))
+
+
 def test_fabricated_marker_in_summary_fails_the_report(state):
-    state = dataclasses.replace(state, incident_summary=state.incident_summary + " Also [EVT:ghost#42].")
+    # the incident summary is the response of GenerateReport's transcript
+    summary = state.transcripts[-1]
+    assert (summary.stage, summary.degraded) == ("GenerateReport", False)
+    state = replace_transcript(state, -1, summary.response + " Also [EVT:ghost#42].")
     with pytest.raises(UnresolvedReferenceError, match="ghost#42"):
         build_report(state, generated_at=utc_now())
 
 
 def test_fabricated_marker_in_gap_rationale_fails_the_report(state):
-    state = replace_item(state, "gaps", rationale=state.gaps[0].rationale + " See [POL:nowhere:1-1].")
+    # the first gap's rationale is the RATIONALE paragraph of the first
+    # ValidatePolicies transcript
+    index = [t.stage for t in state.transcripts].index("ValidatePolicies")
+    rationale = build_report(state, generated_at=utc_now())["gaps_section"][0]["rationale"]
+    response = state.transcripts[index].response
+    assert rationale in response
+    state = replace_transcript(state, index, response.replace(rationale, rationale + " See [POL:nowhere:1-1].", 1))
     with pytest.raises(UnresolvedReferenceError, match="nowhere:1-1"):
         build_report(state, generated_at=utc_now())
 
@@ -247,7 +264,7 @@ def test_collect_citations_walks_structure_and_markers(state):
     assert finding.success_record in refs
     assert set(state.gaps[0].evidence_clauses) <= set(clauses)
     # markers inside narrative strings are collected too
-    assert any(r in state.incident_summary for r in refs)
+    assert any(r in doc["incident_summary"] for r in refs)
 
 
 def test_verify_citation_closure_reports_missing():
