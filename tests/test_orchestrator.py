@@ -1142,8 +1142,14 @@ def test_clauses_that_state_no_control_change_no_gap(policy, padding, retrieval_
 # before. ProcessEvidence.json, MapAttack.json, ValidatePolicies.json and
 # GenerateReport.json re-taken when a checkpoint began to write each
 # transcript without its stage and template_id; with those restored from
-# the checkpoint's stage and its template, each gives the pin before. The
-# review runs on a copy of the fixtures with no overrides, as
+# the checkpoint's stage and its template, each gives the pin before.
+# Every <Stage>.json but RetrievePolicies.json, and ValidatePolicies.json
+# of the no-gap review, re-taken when the narrated texts left the state
+# (a report derives them from the transcripts): with the finding
+# summaries, mapping rationales, gap rationales and remediations and the
+# incident summary put back from report.json, each written as null where
+# it is its transcript's response, each gives the pin before. The review
+# runs on a copy of the fixtures with no overrides, as
 # test_fixture_reports_match_pinned_digests does.
 PINNED_STATE_FILES = {
     "review_config.json": {
@@ -1151,19 +1157,19 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "963a124968dd97f8f78657c40bd090dfddfdf9440f90217cb2d8cbee910f7b32"
+            "a5dd0872dc647b35b5b1dc18c4818779a3e071cf7f3de024d55c989549ab4562"
         ),
         "MapAttack.json": (
-            "ed6235d43038b332f2a40ef18660301a8f955844c50fbb8e249ebc5ac055b99c"
+            "f51c887d01d52b0aff58ae2dc957a22ea2a698bbae21a606987b8c7a30554c41"
         ),
         "RetrievePolicies.json": (
             "2959be32055eebdc3adfbc31b91737d35a86a0a4a1e7800597a66efe269d0e89"
         ),
         "ValidatePolicies.json": (
-            "f358531a77b7363c66a359993f02e06ffb33eec7d6c0cda4e96a99f401273401"
+            "ec0ec394544e0d8114eb5ad9107688d275384ed516c8b659c738f06bb3904cf8"
         ),
         "GenerateReport.json": (
-            "40f3403aa525fe631a5b415321dc96d55915cc0314c0749eb95cf4331d394579"
+            "67ae250b96139263be599d10d517b532e1aa3bd87bb94f76b5c36c7d029a3e0a"
         ),
     },
     "review_config_nogap.json": {
@@ -1171,10 +1177,10 @@ PINNED_STATE_FILES = {
             "82c8465488d0683b57ad5231bb877d22b77c36bf862352fbc0ed70f54817c3b3"
         ),
         "ProcessEvidence.json": (
-            "96a3bc1200703c1720e1aefd26f79d43f76831e406db144abd3deda8fd0cf416"
+            "8f235d44c9e55c5e7574d75625284ea58600cf6c12e951a9992ab58552a7c2db"
         ),
         "MapAttack.json": (
-            "ed6235d43038b332f2a40ef18660301a8f955844c50fbb8e249ebc5ac055b99c"
+            "f51c887d01d52b0aff58ae2dc957a22ea2a698bbae21a606987b8c7a30554c41"
         ),
         "RetrievePolicies.json": (
             "113afc5081af6d996a9379997977aabec392d9ac3b54e273317e69fbf1b4905f"
@@ -1183,7 +1189,7 @@ PINNED_STATE_FILES = {
             "4a0babe620052aab1be86881ec72501eff44ba835d11bfb75cc28a087ae988b1"
         ),
         "GenerateReport.json": (
-            "270e97b4067c81115b2a5fec815336438314af834d86f2a2689be9a3df13bab1"
+            "386500c83479b236e42c013ca49d1cbc3ef09a6a0c22680d2e14e71a1123679b"
         ),
     },
 }
@@ -1210,20 +1216,24 @@ def test_fixture_state_files_match_pinned_digests(config_name, tmp_path):
 # ranges each state gives the pin taken before. Re-taken when the state
 # lost retrieval_query, org_params and baseline_params and retrieval became
 # the ranked clause ids, which the state dict of every stage shows.
+# Re-taken when the state lost finding_summaries and incident_summary, and
+# each mapping its rationale and each gap its rationale and remediation;
+# with those put back from report.json (the incident summary only after
+# GenerateReport), each state gives the pin taken before.
 PINNED_STAGE_STATES = {
     "review_config.json": {
-        "ProcessEvidence": "d404b89f60415cb2ba1c5730158317da51d3e31b9e75d6cddff545cbdb59c5ba",
-        "MapAttack": "5dcfaa44b6fbc2e43ccc73bf83bda814802066cf9dbe47422003f516a65ed2d0",
-        "RetrievePolicies": "1c4c5ab66af327f59a5bb5841535d7b4b4944645aadb3600f807b03533fba653",
-        "ValidatePolicies": "a41e7adcb5e7cc6054eaa2d26268458b73a30f6605a622d043738e7b983e835c",
-        "GenerateReport": "c9cc9f159077476cba75d327696f38b5107febcb8836052455d49b8ef370456c",
+        "ProcessEvidence": "502bda90b8fc9ce0d59dde9582ab68c0231d7f9f879af6c9f2addd31835b0e8d",
+        "MapAttack": "1dced8b3d9af6ff24f2a04fb9d2d6ea9a2e8ce2a6e88d3a2462c0c22bf0e4abd",
+        "RetrievePolicies": "cd655db17f272f840798494b8c7677f86dc7d68687c2b628891352f432f91156",
+        "ValidatePolicies": "13bef4c34166417547494e4347cde31a2991c630a78bf5126137da8e92f950f4",
+        "GenerateReport": "989da79b6408dd04adf76facbb2778b4fafe0e67af509fddd77f3649fc38018d",
     },
     "review_config_nogap.json": {
-        "ProcessEvidence": "8fb25cd6c28436008ce6e9ded640846b923632ae6af7179a2deab6b13456ac35",
-        "MapAttack": "61f4a570089c6c91a7f22818048a95c88b9264b2693a857a83f514b071e3df9d",
-        "RetrievePolicies": "724bf7d091aa28e772902d6f235dd653fae82aeb0a84584264c4b9fa00733bc2",
-        "ValidatePolicies": "ff6bfb409a362eac888f14663bae3331e27ab041696603f9eb356eb50b1a69fb",
-        "GenerateReport": "fdb0f125f5b540633eac1300f6f7d18a3f236f2a9b3cadf6a40ab5c15ad4c84b",
+        "ProcessEvidence": "94ed0d5a624de92f40c9f43433df1016e81db46f0318eb37cf16bc3ee24c6e36",
+        "MapAttack": "84da1c8c550f073d9b58e881a2aa5ea7dc6f3be9ee113d8736bc0551d74787f8",
+        "RetrievePolicies": "1ee6ff4447ace0329eec2158a936d9b4a0cabe758054cf87d59569e313ba5db0",
+        "ValidatePolicies": "16b4beedbf1d46e17016b4a3902899a7fab42183cb85111b87b673f43ed23e37",
+        "GenerateReport": "770f352f5ad3bd4202c99c4a435dd1351b898117238608371efc392cd15d9df3",
     },
 }
 
