@@ -407,6 +407,14 @@ class Gateway:
             ) from exc
         return entry
 
+    def recorded(self, transcript_id: str) -> str | None:
+        """The response the cache holds for ``transcript_id``, or None when
+        it holds no entry; a corrupt entry is a ReplayMissError, as in
+        replay."""
+        if not self._cache_path(transcript_id).is_file():
+            return None
+        return self._read_cache(transcript_id)["response"]
+
     # -- live call with retries -------------------------------------------
 
     def _live_response(self, rendered_prompt: str) -> str:

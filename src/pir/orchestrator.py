@@ -110,6 +110,8 @@ from .gap_analysis import (
 )
 from .llm_gateway import (
     MODE_DISABLED,
+    MODE_RECORD,
+    MODE_REPLAY,
     TEMPLATES,
     Gateway,
     NarrativeResult,
@@ -876,14 +878,19 @@ def _as_narrated(state: ReviewState, written: list[dict], config: ReviewConfig) 
     responses of ``written``, a report's transcripts: split by each
     stage's narration count, each is re-derived at its position
     (_rederived) under the id of its template, prompt and the config's
-    generation parameters, and None stands for a missing one."""
+    generation parameters, and None stands for a missing one. In a replay
+    or record config, a response that the config's cache holds for that id
+    takes the place of the written one and is judged in its stead."""
+    gateway = Gateway(config.gateway_mode, config.generation, config.cache_dir)
     transcripts: list[Transcript | None] = []
     for stage in STAGES:
         count, at = len(_narrations(stage, state)), len(transcripts)
         kept = [{key: t.get(key) for key in ("transcript_id", "response", "mode", "latency_ms")} for t in written[at : at + count]]
-        transcripts.extend(
-            dataclasses.replace(t, transcript_id=transcript_id_for(t.template_id, t.rendered_prompt, config.generation))
-            for t in _rederived(state, {stage: kept})
-        )
+        for t, rederived in zip(kept, _rederived(state, {stage: kept})):
+            t["transcript_id"] = transcript_id_for(rederived.template_id, rederived.rendered_prompt, config.generation)
+            cached = gateway.recorded(t["transcript_id"]) if config.gateway_mode in (MODE_REPLAY, MODE_RECORD) else None
+            if cached is not None:
+                t["response"] = cached
+        transcripts.extend(_rederived(state, {stage: kept}))
         transcripts.extend([None] * (count - len(kept)))
     return transcripts

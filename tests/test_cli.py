@@ -1161,6 +1161,22 @@ def test_verify_against_another_config_names_the_config_digest(tmp_path, capsys)
     assert payload["detail"].startswith("config_digest ")
 
 
+def test_verify_judges_the_cached_response_of_a_replay_config(tmp_path, capsys):
+    # a response edited together with the text it narrates: verify takes
+    # the response that the config's cache holds for the re-derived id
+    config, report = review_a_copy(tmp_path, capsys)
+    doc = json.loads(report.read_text())
+    assert "6 failed" in doc["finding_summaries"][0]
+    for holder, key in ((doc["transcripts"][0], "response"), (doc["finding_summaries"], 0)):
+        holder[key] = holder[key].replace("6 failed", "600 failed")
+    report.write_text(canon_dumps(doc), encoding="utf-8")
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert payload["detail"] == "transcripts[0].response does not match what a review of the config's files gives"
+
+
 def test_verify_needs_no_model_cache(tmp_path, capsys):
     # the review that verify runs has the gateway disabled, so a replay
     # config whose cache is gone still verifies
