@@ -1,8 +1,11 @@
+import copy
 import csv
 import dataclasses
+import functools
 import io
 import json
 import logging
+import operator
 import os
 import re
 import shutil
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pir import canon, gap_analysis, log_ingest, orchestrator, policy_index, reporting
+from pir.attack_catalog import rule_rationale
 from pir.canon import format_instant, sha256_hex
 from pir.config import ReviewConfig
 from pir.errors import (
@@ -26,7 +30,8 @@ from pir.errors import (
     StageOrderViolationError,
     XmlSyntaxError,
 )
-from pir.gap_analysis import select_effective
+from pir.detection import fallback_summary
+from pir.gap_analysis import deterministic_rationale, select_effective
 from pir.log_ingest import (
     AUTH_EVENT_IDS,
     CSV_FIXED_COLUMNS,
@@ -1353,6 +1358,67 @@ def test_a_failed_gap_narration_leaves_the_gaps_before_it(tmp_path):
     assert transcript.template_id == "gap_rationale"
     assert transcript.rendered_prompt == gap_prompts[0]
     assert transcript.grounding.passed
+
+
+def test_a_failed_finding_narration_leaves_every_finding_a_text(tmp_path, monkeypatch):
+    # three findings in record mode; the model refuses the second summary,
+    # so the render of ProcessEvidence.json has one transcript for three
+    summaries = []
+
+    def fails_on_the_second_summary(request_body):
+        if "Summarise" in request_body["messages"][0]["content"]:
+            summaries.append(request_body)
+            if len(summaries) == 2:
+                raise ProviderError(400, "refused")
+        return workloads.scripted_transport(request_body)
+
+    config = many_incidents_config(tmp_path, monkeypatch, hosts=3)
+    with pytest.raises(StageFailureError) as err:
+        run_review(config, transport=fails_on_the_second_summary)
+    assert err.value.stage == "ProcessEvidence"
+    loaded = load_checkpoint(config.output_dir / "state" / "ProcessEvidence.json")
+    [transcript] = loaded.transcripts
+    json_path, md_path = write_report_files(loaded, tmp_path / "rendered")
+    doc = json.loads(json_path.read_bytes())
+    assert len(doc["findings"]) == 3
+    assert doc["finding_summaries"] == [transcript.response, *map(fallback_summary, loaded.findings[1:])]
+    assert md_path.read_text(encoding="utf-8").count("\n### finding-") == 3
+
+
+def narration_paths(state, transcript):
+    """The report paths of the text(s) that ``transcript`` of ``state``
+    narrates, each with its narration site's fallback."""
+    i = [t for t in state.transcripts if t.stage == transcript.stage].index(transcript)
+    if transcript.stage == "ProcessEvidence":
+        return {("finding_summaries", i): fallback_summary(state.findings[i])}
+    if transcript.stage == "MapAttack":
+        mapping = state.mappings[i]
+        return {("technique_section", i, "rationale"): rule_rationale(mapping, state.findings[mapping.finding_ref])}
+    if transcript.stage == "ValidatePolicies":
+        rationale, remediation = deterministic_rationale(state.gaps[i])
+        return {("gaps_section", i, "rationale"): rationale, ("gaps_section", i, "remediation"): remediation}
+    return {("incident_summary",): reporting.deterministic_incident_summary(state)}
+
+
+@pytest.mark.parametrize("review", sorted(FIXTURE_REVIEWS))
+def test_a_degraded_or_absent_transcript_gives_its_narrations_fallback_alone(review, tmp_path, monkeypatch):
+    config = review_fixture_copy(tmp_path, review, monkeypatch)
+    state = load_checkpoint(config.output_dir / "state" / "GenerateReport.json")
+    report = reporting.build_report(state, state.report_generated_at)
+    lasts = {t.stage: t for t in state.transcripts}.values()
+    changes = [("degraded", t) for t in state.transcripts] + [("dropped", t) for t in lasts]
+    assert changes or review == "disabled"
+    for change, transcript in changes:
+        if change == "degraded":
+            kept = tuple(dataclasses.replace(t, degraded=True) if t is transcript else t for t in state.transcripts)
+        else:
+            kept = tuple(t for t in state.transcripts if t is not transcript)
+        changed = dataclasses.replace(state, transcripts=kept)
+        expected = copy.deepcopy({**report, "transcripts": None})
+        for path, fallback in narration_paths(state, transcript).items():
+            holder = functools.reduce(operator.getitem, path[:-1], expected)
+            holder[path[-1]] = fallback
+        assert {**reporting.build_report(changed, state.report_generated_at), "transcripts": None} == expected
 
 
 HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
