@@ -11,24 +11,25 @@ run_review writes a canonical JSON checkpoint after every stage under
 <output>/state/, and each fact goes into one checkpoint only: <Stage>.json
 holds that stage's delta, its own fields and the items it appended to each
 shared list, plus previous_digest, the sha256 of the previous stage's
-checkpoint bytes, which run_review takes as it writes them. A checkpoint
-writes as null what a load reads from elsewhere in the checkpoints: a
-finding summary, mapping rationale or incident summary that is the
-response of its stage's transcript at the same position, a mapping's
-evidence that is its finding's, and a gap's evidence that is the union of
-the findings' in first-seen order. It writes each transcript without its
-stage, template id, rendered prompt and grounding report: a load knows the
-first two from the transcript's position, and each narration site makes
-its request from the state alone, so a load renders the prompt and judges
-the response as narrate does, refusing a transcript whose ``degraded`` is
-not what narration decides. Loading a checkpoint checks the chain back to
+checkpoint bytes, which run_review takes as it writes them. No state holds
+a narrated text: a report derives each from the transcripts when it is
+built (reporting.narrated_texts). A checkpoint writes as null what a load
+reads from elsewhere in the checkpoints: a mapping's evidence that is its
+finding's, and a gap's evidence that is the union of the findings' in
+first-seen order. It writes each transcript without its stage, template
+id, rendered prompt and grounding report: a load knows the first two from
+the transcript's position, and each narration site makes its request from
+the state alone, so a load renders the prompt and judges the response as
+narrate does, refusing a transcript whose ``degraded`` is not what
+narration decides. Loading a checkpoint checks the chain back to
 ProcessEvidence.json, folds the deltas into the state and restores what
 was written as null or left out.
 
 ProcessEvidence and ``pir detect`` read the evidence by one pass,
 read_evidence; ``pir verify`` runs the whole review with the gateway
-disabled and re-derives a report's transcripts from its state, as a load
-re-derives a checkpoint's (verify_report). Each
+disabled, re-derives a report's transcripts from its state, as a load
+re-derives a checkpoint's, and builds the report of that state with them
+(verify_report). Each
 record is encoded once as it is parsed (log_ingest.encode_record, with its
 parse's time text), and the bytes of records.json go in batches through a
 running sha256 to the caller's ``write``: into the file (write_records) or

@@ -3,8 +3,10 @@
 The JSON form is byte-deterministic for identical state (sorted keys, fixed
 float precision, defined array orders), so replay runs can be compared by
 digest. build_report builds the report once, as the plain dict that is its
-JSON document; render_json dumps exactly that dict and render_markdown reads
-it, so the document that passes the closure check is the one written.
+JSON document, with each narrated text derived from the state's transcripts
+by one rule (:func:`narrated_texts`); render_json dumps exactly that dict
+and render_markdown reads it, so the document that passes the closure check
+is the one written.
 Citation closure has one rule, :func:`collect_citations`: the reference keys
 below plus the citation markers in any string, outside the ``_EXEMPT_KEYS``
 sections. build_report applies it to that document, as any reader of a
@@ -296,8 +298,8 @@ _UNCOMPARED = frozenset({"evidence_appendix", "policy_appendix", "generated_at",
 def check_report(doc: dict, expected: dict) -> None:
     """Check a re-read report document against ``expected``, the report
     that a review of the same config builds afresh, with the transcripts
-    and narrated texts that the document's transcripts give
-    (``pir verify``): first its config digest and schema version; then its
+    that the document's transcripts give and the narrated texts that
+    follow from them (``pir verify``): first its config digest and schema version; then its
     closure against its own appendices, and each appendix row against
     ``expected``'s row for the same record or clause; then its transcripts;
     then every other field (_first_difference). Raises ReportMismatchError
