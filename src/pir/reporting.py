@@ -179,7 +179,8 @@ def build_report(state: "ReviewState", generated_at: datetime) -> dict:
         "finding_summaries": summaries,
         "technique_section": [{**m.to_dict(), "rationale": r} for m, r in zip(state.mappings, rationales)],
         "gaps_section": [
-            {**g.to_dict(), "rationale": r, "remediation": m} for g, (r, m) in zip(state.gaps, gap_texts)
+            {**g.to_dict(), "rationale": rationale, "remediation": remediation}
+            for g, (rationale, remediation) in zip(state.gaps, gap_texts)
         ],
         "trace_ledger": build_trace_ledger(state),
         "transcripts": [{key: getattr(t, key) for key in TRANSCRIPT_KEYS} for t in state.transcripts],
@@ -299,11 +300,11 @@ def check_report(doc: dict, expected: dict) -> None:
     """Check a re-read report document against ``expected``, the report
     that a review of the same config builds afresh, with the transcripts
     that the document's transcripts give and the narrated texts that
-    follow from them (``pir verify``): first its config digest and schema version; then its
-    closure against its own appendices, and each appendix row against
-    ``expected``'s row for the same record or clause; then its transcripts;
-    then every other field (_first_difference). Raises ReportMismatchError
-    naming the first difference, by section and index."""
+    follow from them (``pir verify``): first its config digest and schema
+    version; then its closure against its own appendices, and each appendix
+    row against ``expected``'s row for the same record or clause; then its
+    transcripts; then every other field (_first_difference). Raises
+    ReportMismatchError naming the first difference, by section and index."""
     if doc.get("config_digest") != expected["config_digest"]:
         raise ReportMismatchError(f"config_digest {doc.get('config_digest')!r} is not the config's")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
