@@ -140,4 +140,4 @@ class UnresolvedReferenceError(ReviewError):
 class ReportMismatchError(ReviewError):
     """A re-read report.json does not match the report a fresh review of the
     config's files builds: its config digest, a cited row, a conclusion, a
-    transcript or a narrated text."""
+    transcript, a narrated text or a degradation note."""

@@ -407,14 +407,6 @@ class Gateway:
             ) from exc
         return entry
 
-    def recorded(self, transcript_id: str) -> str | None:
-        """The response the cache holds for ``transcript_id``, or None when
-        it holds no entry; a corrupt entry is a ReplayMissError, as in
-        replay."""
-        if not self._cache_path(transcript_id).is_file():
-            return None
-        return self._read_cache(transcript_id)["response"]
-
     # -- live call with retries -------------------------------------------
 
     def _live_response(self, rendered_prompt: str) -> str:
@@ -450,6 +442,28 @@ class Gateway:
             f"{last_error}"
         )
 
+    def _answer(self, template: PromptTemplate, rendered: str, transcript_id: str) -> tuple[str, str, int]:
+        """The response to ``rendered``, its mode and latency in ms: read from
+        the cache in replay, else asked of the model, and cached in record."""
+        if self.mode == MODE_REPLAY:
+            return self._read_cache(transcript_id)["response"], "Replay", 0
+        start = time.monotonic()
+        response = self._live_response(rendered)
+        latency_ms = int((time.monotonic() - start) * 1000)
+        if self.mode == MODE_RECORD:
+            self._write_cache(
+                {
+                    "transcript_id": transcript_id,
+                    "template_id": template.template_id,
+                    "stage": template.stage,
+                    "model_id": self.params.model_id,
+                    "params": self.params.decoding(),
+                    "rendered_prompt": rendered,
+                    "response": response,
+                }
+            )
+        return response, "Live", latency_ms
+
     # -- public API ---------------------------------------------------------
 
     def complete(self, template_id: str, bindings: dict[str, str]) -> Transcript:
@@ -461,26 +475,7 @@ class Gateway:
             raise ConfigInvalidError(f"unknown prompt template {template_id!r}")
         rendered = render(template, bindings)
         tid = transcript_id_for(template_id, rendered, self.params)
-
-        if self.mode == MODE_REPLAY:
-            response = self._read_cache(tid)["response"]
-            mode, latency_ms = "Replay", 0
-        else:
-            start = time.monotonic()
-            response = self._live_response(rendered)
-            mode, latency_ms = "Live", int((time.monotonic() - start) * 1000)
-            if self.mode == MODE_RECORD:
-                self._write_cache(
-                    {
-                        "transcript_id": tid,
-                        "template_id": template_id,
-                        "stage": template.stage,
-                        "model_id": self.params.model_id,
-                        "params": self.params.decoding(),
-                        "rendered_prompt": rendered,
-                        "response": response,
-                    }
-                )
+        response, mode, latency_ms = self._answer(template, rendered, tid)
         return Transcript(
             transcript_id=tid,
             stage=template.stage,

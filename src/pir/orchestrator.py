@@ -26,10 +26,10 @@ ProcessEvidence.json, folds the deltas into the state and restores what
 was written as null or left out.
 
 ProcessEvidence and ``pir detect`` read the evidence by one pass,
-read_evidence; ``pir verify`` runs the whole review with the gateway
-disabled, re-derives a report's transcripts from its state, as a load
-re-derives a checkpoint's, and builds the report of that state with them
-(verify_report). Each
+read_evidence; ``pir verify`` runs the whole review with a gateway that
+answers each narration with the report's own response at its position,
+and compares the report that review writes with the given one, all but
+its time (verify_report). Each
 record is encoded once as it is parsed (log_ingest.encode_record, with its
 parse's time text), and the bytes of records.json go in batches through a
 running sha256 to the caller's ``write``: into the file (write_records) or
@@ -120,7 +120,6 @@ from .llm_gateway import (
     Transcript,
     render,
     scoped,
-    transcript_id_for,
     verdict,
 )
 from .log_ingest import (
@@ -715,10 +714,10 @@ def _read_back(doc: dict, findings: list[dict]) -> None:
 
 def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Transcript, ...]:
     """The transcripts that each stage holds in ``stored``, as its
-    checkpoint or a report's transcripts hold them, each completed by its
-    stage, its stage's template and its narration's request at its position
-    (_narrations) on ``state``: the prompt rendered and the response judged
-    as narrate renders and judges them (verdict), which gives ``degraded``.
+    checkpoint holds them, each completed by its stage, its stage's
+    template and its narration's request at its position (_narrations) on
+    ``state``: the prompt rendered and the response judged as narrate
+    renders and judges them (verdict), which gives ``degraded``.
     A transcript with no narration at its position is a ValueError. A
     marker resolves against its narration's scope alone, so a scope that
     names a record or clause the state does not hold is an
@@ -812,11 +811,14 @@ def load_checkpoint(path: Path) -> ReviewState:
         raise MalformedCheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def run_review(config: ReviewConfig, transport=None, checkpoints: bool = True) -> ReviewState:
+def run_review(config: ReviewConfig, transport=None, checkpoints: bool = True, gateway: Gateway | None = None) -> ReviewState:
     """Run the whole pipeline, checkpointing each stage if ``checkpoints``;
     GenerateReport writes the report files into the configured output
-    directory. Nothing is written before the deps and the config pass their checks."""
+    directory. ``gateway`` takes the place of the one build_deps makes.
+    Nothing is written before the deps and the config pass their checks."""
     deps = build_deps(config, transport=transport)
+    if gateway is not None:
+        deps.gateway = gateway
     config.validate()
     state = ReviewState(run_id=f"run-{config.digest[:12]}", config_digest=config.digest)
     previous_digest = None
@@ -852,46 +854,47 @@ def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path
 
 
 def verify_report(config: ReviewConfig, doc: dict) -> None:
-    """Check a re-read report document against the report that build_report
-    builds from the state of a review of the config's files, run with the
-    gateway disabled, no checkpoint and a temporary output directory, and,
-    unless the config disables the gateway, with the document's transcripts
-    re-derived into it (_as_narrated; reporting.check_report). A stage that
-    fails raises its cause; a document that lacks a section the check reads
-    is a ReportMismatchError."""
+    """Check a re-read report document, every field but its time
+    (reporting.check_report), against the report of a review of the
+    config's files, run into a temporary directory with no checkpoint, whose
+    model gives the document's responses (_ReportAnswers). A stage that
+    fails raises its cause, so a malformed transcript is a
+    ReportMismatchError, as is a document that lacks a section the check
+    reads."""
+    answers = _ReportAnswers(config, doc.get("transcripts", []) if isinstance(doc, dict) else [])
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            state = run_review(dataclasses.replace(config, output_dir=Path(tmp), gateway_mode=MODE_DISABLED), checkpoints=False)
+            run_review(dataclasses.replace(config, output_dir=Path(tmp), gateway_mode=MODE_DISABLED), checkpoints=False, gateway=answers)
         except StageFailureError as exc:
             raise exc.cause
+        expected = json.loads((Path(tmp) / "report.json").read_bytes())
     try:
-        transcripts = [] if config.gateway_mode == MODE_DISABLED else _as_narrated(state, doc["transcripts"], config)
-        narrated = dataclasses.replace(state, transcripts=tuple(t for t in transcripts if t is not None))
-        expected = json.loads(reporting.render_json(reporting.build_report(narrated, state.report_generated_at)))
-        expected["transcripts"] = [t and {key: getattr(t, key) for key in reporting.TRANSCRIPT_KEYS} for t in transcripts]
         reporting.check_report(doc, expected)
     except (LookupError, TypeError, AttributeError) as exc:
         raise ReportMismatchError(f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
-def _as_narrated(state: ReviewState, written: list[dict], config: ReviewConfig) -> list[Transcript | None]:
-    """The transcripts of a review of ``state`` whose model gave the
-    responses of ``written``, a report's transcripts: split by each
-    stage's narration count, each is re-derived at its position
-    (_rederived) under the id of its template, prompt and the config's
-    generation parameters, and None stands for a missing one. In a replay
-    or record config, a response that the config's cache holds for that id
-    takes the place of the written one and is judged in its stead."""
-    gateway = Gateway(config.gateway_mode, config.generation, config.cache_dir)
-    transcripts: list[Transcript | None] = []
-    for stage in STAGES:
-        count, at = len(_narrations(stage, state)), len(transcripts)
-        kept = [{key: t.get(key) for key in ("transcript_id", "response", "mode", "latency_ms")} for t in written[at : at + count]]
-        for t, rederived in zip(kept, _rederived(state, {stage: kept})):
-            t["transcript_id"] = transcript_id_for(rederived.template_id, rederived.rendered_prompt, config.generation)
-            cached = gateway.recorded(t["transcript_id"]) if config.gateway_mode in (MODE_REPLAY, MODE_RECORD) else None
-            if cached is not None:
-                t["response"] = cached
-        transcripts.extend(_rederived(state, {stage: kept}))
-        transcripts.extend([None] * (count - len(kept)))
-    return transcripts
+class _ReportAnswers(Gateway):
+    """A gateway of ``config``'s mode that answers the narration at each
+    position with the response, ``mode`` and ``latency_ms`` of a report's
+    transcript there, or "" past the last, which degrades. In a replay or
+    record config, a cache entry for the id takes the report's response's
+    place, read as replay reads it. It writes no cache and calls no model."""
+
+    def __init__(self, config: ReviewConfig, transcripts):
+        super().__init__(config.gateway_mode, config.generation, config.cache_dir)
+        self._transcripts = transcripts
+        self._at = 0
+
+    def _answer(self, template, rendered: str, transcript_id: str) -> tuple[str, str, int]:
+        at, written = self._at, self._transcripts
+        self._at += 1
+        if not isinstance(written, list):
+            raise ReportMismatchError("malformed report: transcripts is not a list")
+        t = written[at] if at < len(written) else {"response": ""}
+        if not isinstance(t, dict) or not isinstance(t.get("response"), str):
+            raise ReportMismatchError(f"malformed report: transcripts[{at}] is not an object with a string response")
+        response = t["response"]
+        if self.mode in (MODE_REPLAY, MODE_RECORD) and self._cache_path(transcript_id).is_file():
+            response = self._read_cache(transcript_id)["response"]
+        return response, t.get("mode"), t.get("latency_ms")

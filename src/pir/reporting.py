@@ -24,9 +24,9 @@ the sha256 of records.json, and ``record_count``; building a report reads no
 record. Each transcript keeps what the model said and how narration
 judged it (TRANSCRIPT_KEYS), not its prompt or grounding report, which
 ``pir verify`` re-derives. :func:`check_report` checks a re-read report
-against its own appendices and against the report a fresh review of the
-same config builds with the re-read transcripts, as ``pir verify`` does:
-every field but the report's time and its degradation notes.
+against its own appendices and against the report of a fresh review of
+the same config whose model answers with the re-read transcripts'
+responses, as ``pir verify`` does: every field but the report's time.
 """
 
 from __future__ import annotations
@@ -291,20 +291,19 @@ def appendix_closure(doc: dict) -> list[str]:
 
 
 # The fields that check_report compares apart, the appendices, or not at
-# all: the report's time, and the degradation notes, which quote the faults
-# that narration found and the transcripts already show.
-_UNCOMPARED = frozenset({"evidence_appendix", "policy_appendix", "generated_at", "degradation_notes"})
+# all: the report's time, which no re-run can reproduce.
+_UNCOMPARED = frozenset({"evidence_appendix", "policy_appendix", "generated_at"})
 
 
 def check_report(doc: dict, expected: dict) -> None:
-    """Check a re-read report document against ``expected``, the report
-    that a review of the same config builds afresh, with the transcripts
-    that the document's transcripts give and the narrated texts that
-    follow from them (``pir verify``): first its config digest and schema
-    version; then its closure against its own appendices, and each appendix
-    row against ``expected``'s row for the same record or clause; then its
-    transcripts; then every other field (_first_difference). Raises
-    ReportMismatchError naming the first difference, by section and index."""
+    """Check a re-read report document against ``expected``, the re-read
+    report of a review of the same config whose model gave the responses
+    of the document's transcripts (``pir verify``): first its config digest
+    and schema version; then its closure against its own appendices, and
+    each appendix row against ``expected``'s row for the same record or
+    clause; then its transcripts; then every other field but the report's
+    time (_first_difference). Raises ReportMismatchError naming the first
+    difference, by section and index."""
     if doc.get("config_digest") != expected["config_digest"]:
         raise ReportMismatchError(f"config_digest {doc.get('config_digest')!r} is not the config's")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:

@@ -1064,6 +1064,9 @@ def test_verify_names_the_evidence_digest_for_an_edited_uncited_record(tmp_path,
         ("dropped row", "org_policy:5-5 is cited but has no appendix row"),
         ("schema 1", "schema_version 1 is not 3"),
         ("not json", "is not JSON"),
+        ("transcripts not a list", "malformed report: transcripts is not a list"),
+        ("transcript not an object", "malformed report: transcripts[0] is not an object with a string response"),
+        ("response not a string", "malformed report: transcripts[2] is not an object with a string response"),
     ],
 )
 def test_verify_refuses_a_tampered_report(tmp_path, capsys, damage, detail):
@@ -1075,6 +1078,12 @@ def test_verify_refuses_a_tampered_report(tmp_path, capsys, damage, detail):
         del doc["policy_appendix"][0]
     elif damage == "schema 1":
         doc["schema_version"] = 1
+    elif damage == "transcripts not a list":
+        doc["transcripts"] = {"0": doc["transcripts"][0]}
+    elif damage == "transcript not an object":
+        doc["transcripts"][0] = [doc["transcripts"][0]]
+    elif damage == "response not a string":
+        doc["transcripts"][2]["response"] = 5
     report.write_text("{" if damage == "not json" else canon_dumps(doc), encoding="utf-8")
     code, _out, err = verify(capsys, config, report)
     assert code == 2
@@ -1175,6 +1184,35 @@ def test_verify_judges_the_cached_response_of_a_replay_config(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ReportMismatchError"
     assert payload["detail"] == "transcripts[0].response does not match what a review of the config's files gives"
+
+
+def test_verify_names_an_edited_degradation_note(tmp_path, capsys):
+    # the review narrates the note itself, from the same response
+    config, report = review_a_copy(tmp_path, capsys, "review_config_bad_citation.json")
+    doc = json.loads(report.read_text())
+    assert len(doc["degradation_notes"]) == 1
+    note = doc["degradation_notes"][0]
+    assert note.startswith("grounding failed")
+    doc["degradation_notes"][0] = note.replace("grounding failed", "model timed out")
+    report.write_text(canon_dumps(doc), encoding="utf-8")
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert payload["detail"] == "degradation_notes[0] does not match what a review of the config's files gives"
+
+
+def test_verify_names_a_corrupt_cache_entry(tmp_path, capsys):
+    # a replay config's cache entry for a transcript's id is read as replay
+    # reads it, so a corrupt one is a replay miss
+    config, report = review_a_copy(tmp_path, capsys)
+    first = json.loads(report.read_text())["transcripts"][0]["transcript_id"]
+    (tmp_path / "fixtures" / "llm_cache" / f"{first}.json").write_text("{not json", encoding="utf-8")
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReplayMissError"
+    assert first in payload["detail"] and "corrupt entry" in payload["detail"]
 
 
 def test_verify_needs_no_model_cache(tmp_path, capsys):

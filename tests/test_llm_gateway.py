@@ -164,16 +164,6 @@ def test_corrupt_cache_entry_is_a_replay_miss(tmp_path):
         )
 
 
-def test_recorded_is_the_cached_response_or_none(tmp_path):
-    gw = gateway(tmp_path, transport=echo_transport)
-    assert gw.recorded("0" * 64) is None
-    transcript = gw.complete("finding_summary", BINDINGS)
-    assert gateway(tmp_path, "replay").recorded(transcript.transcript_id) == "All quiet [EVT:src#1]."
-    (tmp_path / "cache" / f"{transcript.transcript_id}.json").write_text("{not json")
-    with pytest.raises(ReplayMissError, match="corrupt"):
-        gw.recorded(transcript.transcript_id)
-
-
 @pytest.mark.parametrize(
     "entry",
     [{"response": None}, {"response": ["text"]}, {"response": 5}, ["response"], "response"],

@@ -32,6 +32,7 @@ from pir.errors import (
 )
 from pir.detection import fallback_summary
 from pir.gap_analysis import deterministic_rationale, select_effective
+from pir.llm_gateway import Gateway
 from pir.log_ingest import (
     AUTH_EVENT_IDS,
     CSV_FIXED_COLUMNS,
@@ -1328,9 +1329,22 @@ def test_each_checkpoint_loads_the_state_the_review_held(review, tmp_path, monke
 @pytest.mark.parametrize("review", sorted(FIXTURE_REVIEWS))
 def test_verify_passes_on_each_fixture_review(review, tmp_path, monkeypatch):
     # degraded, absent and recorded transcripts alike re-derive to what the
-    # review wrote, and so do the texts they narrated
+    # review wrote, and so do the texts they narrated; verify builds one
+    # report, asks no model and leaves the cache as the review left it
     config = review_fixture_copy(tmp_path, review, monkeypatch)
+    cache = {path: path.read_bytes() for path in sorted(config.cache_dir.rglob("*")) if path.is_file()}
+    built = []
+    build = reporting.build_report
+    monkeypatch.setattr(reporting, "build_report", lambda *args, **kwargs: built.append(args) or build(*args, **kwargs))
+
+    def no_model(self, rendered_prompt):
+        raise AssertionError("verify asked the model")
+
+    monkeypatch.setattr(Gateway, "_live_response", no_model)
     orchestrator.verify_report(config, json.loads((config.output_dir / "report.json").read_bytes()))
+    assert len(built) == 1
+    assert cache
+    assert {path: path.read_bytes() for path in sorted(config.cache_dir.rglob("*")) if path.is_file()} == cache
 
 
 def test_a_failed_gap_narration_leaves_the_gaps_before_it(tmp_path):
