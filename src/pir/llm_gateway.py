@@ -255,8 +255,8 @@ def verdict(
 
 # What a narration renders and grounds against: the template's bindings, and
 # the record refs and clause ids its text may cite. Each narration site has
-# one function that makes it from the state alone, so a load re-renders the
-# prompt and re-grounds the response the review kept.
+# one function that makes it from the state alone, so a load re-grounds the
+# response the review kept.
 Request = tuple[dict[str, str], Sequence[str], Sequence[str]]
 
 
@@ -275,7 +275,6 @@ class Transcript(Canonical):
     transcript_id: str
     stage: str
     template_id: str
-    rendered_prompt: str
     response: str
     mode: str  # "Live" or "Replay"
     grounding: GroundingReport | None = None
@@ -444,7 +443,9 @@ class Gateway:
 
     def _answer(self, template: PromptTemplate, rendered: str, transcript_id: str) -> tuple[str, str, int]:
         """The response to ``rendered``, its mode and latency in ms: read from
-        the cache in replay, else asked of the model, and cached in record."""
+        the cache in replay, else asked of the model, and cached in record.
+        A record-mode cache entry is the one copy of the prompt that outlives
+        the call; no transcript holds it."""
         if self.mode == MODE_REPLAY:
             return self._read_cache(transcript_id)["response"], "Replay", 0
         start = time.monotonic()
@@ -480,7 +481,6 @@ class Gateway:
             transcript_id=tid,
             stage=template.stage,
             template_id=template_id,
-            rendered_prompt=rendered,
             response=response,
             mode=mode,
             latency_ms=latency_ms,

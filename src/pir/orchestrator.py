@@ -17,11 +17,11 @@ built (reporting.narrated_texts). A checkpoint writes as null what a load
 reads from elsewhere in the checkpoints: a mapping's evidence that is its
 finding's, and a gap's evidence that is the union of the findings' in
 first-seen order. It writes each transcript without its stage, template
-id, rendered prompt and grounding report: a load knows the first two from
-the transcript's position, and each narration site makes its request from
-the state alone, so a load renders the prompt and judges the response as
-narrate does, refusing a transcript whose ``degraded`` is not what
-narration decides. Loading a checkpoint checks the chain back to
+id and grounding report: a load knows the first two from the
+transcript's position, and each narration site makes its request from
+the state alone, so a load judges the response as narrate does, refusing
+a transcript whose ``degraded`` is not what narration decides. No
+transcript holds its prompt. Loading a checkpoint checks the chain back to
 ProcessEvidence.json, folds the deltas into the state and restores what
 was written as null or left out.
 
@@ -36,7 +36,8 @@ running sha256 to the caller's ``write``: into the file (write_records) or
 nowhere (detect). Only a logon record, the one kind a finding can cite,
 keeps a row and has its auth event projected from the record's parts; the
 auth events are then normalised and run through the detector. Only the
-cited pieces are hashed (digest_rows).
+cited pieces are read back, each checked and hashed as a load checks and
+hashes it (cited_rows).
 
 The state keeps only the record count and the rows of the records its
 findings cite; ProcessEvidence.json names the file's sha256 as its
@@ -60,7 +61,6 @@ import functools
 import hashlib
 import json
 import logging
-import mmap
 import tempfile
 import time
 from collections.abc import Iterable, Sequence
@@ -118,8 +118,6 @@ from .llm_gateway import (
     NarrativeResult,
     Request,
     Transcript,
-    render,
-    scoped,
     verdict,
 )
 from .log_ingest import (
@@ -150,7 +148,7 @@ STATUS_FAILED = "failed"
 RECORDS_FILE = "records.json"
 RecordRow = tuple[str, int, str, str, int, int]  # a cited row: see ReviewState.cited_records
 # A row without the piece's sha256: as encode_records makes it, before
-# digest_rows takes the sha256, and as a checkpoint stores a cited row.
+# cited_rows takes the sha256, and as a checkpoint stores a cited row.
 PieceRow = tuple[str, int, str, int, int]
 # encode_records hands records.json to its ``write`` in batches of about
 # this many bytes.
@@ -332,8 +330,8 @@ def _stage_process_evidence(state: ReviewState, deps: StageDeps, out: dict):
     if not findings:
         out["notes"].append("no qualifying behaviour detected in evidence")
     cited = {ref for finding in findings for ref in finding.cited_refs()}
-    with records_file.open("rb") as stream, mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ) as data:
-        out["cited_records"] = digest_rows(rows, cited, data)
+    with records_file.open("rb") as stream:
+        out["cited_records"] = cited_rows(stream, records_file, [row for row in rows if row[0] in cited])
 
     for finding in findings:
         _absorb(out, narrative_for_finding(finding, deps.gateway))
@@ -553,14 +551,6 @@ def encode_records(load, write) -> tuple[str, int, list[PieceRow], list[AuthEven
     return sha.hexdigest(), count, rows, auth_events
 
 
-def digest_rows(rows: Iterable[PieceRow], refs: Iterable[str], data) -> list[RecordRow]:
-    """The RecordRows of the rows whose ref is in ``refs``: each gains the
-    sha256 of its piece's bytes in ``data``, the bytes of records.json,
-    before their offsets. No other piece is hashed."""
-    cited = set(refs)
-    return [(ref, event_id, ts, sha256_hex(data[start:end]), start, end) for ref, event_id, ts, start, end in rows if ref in cited]
-
-
 def read_evidence(config: ReviewConfig, write) -> tuple[str, int, list[PieceRow], list[AuthEvent], int, list[BehaviorFinding]]:
     """The one pass over the config's evidence: encode_records over
     load_evidence, handing the bytes of records.json to ``write``, then
@@ -613,12 +603,9 @@ def read_records(path: Path, digest: str) -> tuple[list[str], list[AuthEvent]]:
 
 
 def check_records_file(path: Path, digest: str, rows: Iterable[PieceRow]) -> list[RecordRow]:
-    """The RecordRows of ``rows``, each with the sha256 of the bytes in its
-    range, once ``path`` is found to be a file whose sha256 is ``digest``
-    and the bytes in each row's range the piece of the record the row
-    names: they decode to a record of the row's ref, event id and time.
-    Raises RecordsFileError otherwise. The file is hashed in blocks and
-    never held whole; of the pieces, only the rows' are read.
+    """The RecordRows of ``rows`` (cited_rows), once ``path`` is found to be
+    a file whose sha256 is ``digest``; raises RecordsFileError otherwise.
+    The file is hashed in blocks and never held whole.
 
     A row's sha256 needs no stored copy: ``digest`` pins the file's bytes,
     and a range that decodes to a record holds exactly its piece, since a
@@ -626,33 +613,44 @@ def check_records_file(path: Path, digest: str, rows: Iterable[PieceRow]) -> lis
     if not path.is_file():
         raise RecordsFileError(f"records file not found: {path}")
     sha = hashlib.sha256()
-    checked: list[RecordRow] = []
     with path.open("rb") as stream:
         for block in iter(lambda: stream.read(1 << 16), b""):
             sha.update(block)
         if sha.hexdigest() != digest:
             raise RecordsFileError(f"{path} does not match the checkpoint's records_digest")
-        for ref, event_id, ts, start, end in rows:
-            piece = b""
-            if 0 <= start <= end:
-                stream.seek(start)
-                piece = stream.read(end - start)
-            try:
-                item = json.loads(piece)
-                named = item["record_ref"], item["event_id"], item["timestamp_utc"]
-            except (ValueError, LookupError, TypeError):
-                named = None
-            if named != (ref, event_id, ts):
-                raise RecordsFileError(f"{path}: bytes {start}-{end} are not the piece of cited record {ref}")
-            checked.append((ref, event_id, ts, sha256_hex(piece), start, end))
+        return cited_rows(stream, path, rows)
+
+
+def cited_rows(stream, path: Path, rows: Iterable[PieceRow]) -> list[RecordRow]:
+    """The RecordRows of ``rows``, each with the sha256 of the bytes in its
+    range of ``stream``, the bytes of records.json at ``path``, once those
+    bytes are found to be the piece of the record the row names: they
+    decode to a record of the row's ref, event id and time. Raises
+    RecordsFileError otherwise. Of the pieces, only the rows' are read;
+    a review applies this to the rows its findings cite, and a load to
+    the rows its checkpoint stores."""
+    checked: list[RecordRow] = []
+    for ref, event_id, ts, start, end in rows:
+        piece = b""
+        if 0 <= start <= end:
+            stream.seek(start)
+            piece = stream.read(end - start)
+        try:
+            item = json.loads(piece)
+            named = item["record_ref"], item["event_id"], item["timestamp_utc"]
+        except (ValueError, LookupError, TypeError):
+            named = None
+        if named != (ref, event_id, ts):
+            raise RecordsFileError(f"{path}: bytes {start}-{end} are not the piece of cited record {ref}")
+        checked.append((ref, event_id, ts, sha256_hex(piece), start, end))
     return checked
 
 
 # --- checkpoint codec ---------------------------------------------------------
 # A checkpoint writes as null what a load reads from elsewhere in the
 # checkpoints (_write_once), and a load restores it (_read_back). It leaves
-# out each transcript's stage, template id, prompt and grounding report,
-# which a load re-derives from its position and the state (_rederived).
+# out each transcript's stage, template id and grounding report, which a
+# load re-derives from its position and the state (_rederived).
 
 
 def _narrations(stage: str, state: ReviewState) -> list[Request]:
@@ -684,10 +682,9 @@ def _write_once(doc: dict, findings: Sequence[BehaviorFinding]) -> None:
     """Write as null, in a stage's checkpoint dict ``doc``, each mapping's
     evidence that is its finding's, of ``findings``, and each gap's
     evidence that is the union of theirs. Drop each transcript's stage,
-    template id, prompt and grounding report, and the sha256 from each
-    cited row."""
+    template id and grounding report, and the sha256 from each cited row."""
     for transcript in doc["transcripts"]:
-        del transcript["stage"], transcript["template_id"], transcript["rendered_prompt"], transcript["grounding"]
+        del transcript["stage"], transcript["template_id"], transcript["grounding"]
     for mapping in doc.get("mappings", ()):
         if tuple(mapping["evidence"]) == findings[mapping["finding_ref"]].evidence:
             mapping["evidence"] = None
@@ -716,8 +713,8 @@ def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Trans
     """The transcripts that each stage holds in ``stored``, as its
     checkpoint holds them, each completed by its stage, its stage's
     template and its narration's request at its position (_narrations) on
-    ``state``: the prompt rendered and the response judged as narrate
-    renders and judges them (verdict), which gives ``degraded``.
+    ``state``: the response judged as narrate judges it (verdict), which
+    gives ``degraded``.
     A transcript with no narration at its position is a ValueError. A
     marker resolves against its narration's scope alone, so a scope that
     names a record or clause the state does not hold is an
@@ -729,15 +726,13 @@ def _rederived(state: ReviewState, stored: dict[str, list[dict]]) -> tuple[Trans
         requests, template = _narrations(stage, state), _STAGE_TEMPLATES.get(stage)
         if len(docs) > len(requests):
             raise ValueError(f"{stage} holds {len(docs)} transcripts for {len(requests)} narrations")
-        for t, (bindings, record_refs, clause_ids) in zip(docs, requests):
+        for t, (_bindings, record_refs, clause_ids) in zip(docs, requests):
             unknown = sorted({*record_refs} - known_refs | {*clause_ids} - known_clauses)
             if unknown:
                 raise UnresolvedReferenceError(f"{stage} narration scope names unknown references: {', '.join(unknown)}")
             grounding, fault = verdict(template, t["response"], record_refs, clause_ids)
-            prompt = render(template, scoped(bindings, record_refs, clause_ids))
             transcripts.append(Transcript(
-                stage=stage, template_id=template.template_id, rendered_prompt=prompt, grounding=grounding,
-                **{**t, "degraded": fault is not None},
+                stage=stage, template_id=template.template_id, grounding=grounding, **{**t, "degraded": fault is not None},
             ))
     return tuple(transcripts)
 
@@ -770,7 +765,7 @@ def load_checkpoint(path: Path) -> ReviewState:
     """Load the state after the stage that ``path``'s own stage_log entry
     names, folding the checkpoints from ProcessEvidence's on, restoring
     what each wrote as null (_read_back) and re-deriving each transcript's
-    stage, template, prompt and grounding (_rederived). The earlier ones
+    stage, template and grounding (_rederived). The earlier ones
     must sit beside it, each matching the previous_digest after it, else
     MalformedCheckpointError names it; so must records.json, which must
     match the records_digest and hold the piece of each cited row in the

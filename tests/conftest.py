@@ -120,18 +120,19 @@ def make_auth(
     )
 
 
-def as_schema_2(doc: dict, checkpoint) -> dict:
+def as_schema_2(doc: dict, checkpoint, cache_dir: Path) -> dict:
     """A schema_version 3 report document as schema_version 2 wrote it: each
-    transcript with its rendered_prompt and grounding, from the state that
+    transcript with its rendered_prompt, from the model cache entry in
+    ``cache_dir`` for its id, and its grounding, from the state that
     ``checkpoint`` loads."""
     from pir.orchestrator import load_checkpoint
 
     loaded = load_checkpoint(checkpoint).transcripts
     assert len(loaded) == len(doc["transcripts"])
-    transcripts = [
-        {**written, "rendered_prompt": t.rendered_prompt, "grounding": t.to_dict()["grounding"]}
-        for written, t in zip(doc["transcripts"], loaded)
-    ]
+    transcripts = []
+    for written, t in zip(doc["transcripts"], loaded):
+        entry = json.loads((cache_dir / f"{t.transcript_id}.json").read_text(encoding="utf-8"))
+        transcripts.append({**written, "rendered_prompt": entry["rendered_prompt"], "grounding": t.to_dict()["grounding"]})
     return {**doc, "transcripts": transcripts, "schema_version": 2}
 
 

@@ -81,7 +81,7 @@ def test_small_bulk_replay_review_gives_pinned_results(tmp_path, monkeypatch):
         json_report_digest(canon_dumps(report)),
     )
     assert digests == SMOKE_DIGESTS
-    report = as_schema_2(report, config.output_dir / "state" / "GenerateReport.json")
+    report = as_schema_2(report, config.output_dir / "state" / "GenerateReport.json", config.cache_dir)
     assert json_report_digest(canon_dumps(report)) == SMOKE_SCHEMA_2_DIGEST
     unchanged = {key: value for key, value in report.items() if key not in SCHEMA_2_KEYS}
     assert json_report_digest(canon_dumps(unchanged)) == SMOKE_SCHEMA_1_SECTIONS

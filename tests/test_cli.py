@@ -879,7 +879,7 @@ def _break_checkpoint(checkpoint, damage):
         # the transcript's re-derived grounding passes, so narration used it
         doc["transcripts"][0]["degraded"] = True
     elif damage == "stored prompt":
-        # a load renders the prompt from the state and trusts no stored one
+        # no transcript holds its prompt, so a load refuses a stored one
         doc["transcripts"][0]["rendered_prompt"] = "Explain nothing."
     elif damage == "extra transcript":
         # a load takes each transcript's stage and template from its

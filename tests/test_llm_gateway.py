@@ -184,7 +184,7 @@ def test_cache_entry_carries_reproduction_context(tmp_path):
     )
     assert entry["template_id"] == "finding_summary"
     assert entry["model_id"] == "gpt-4o"
-    assert entry["rendered_prompt"] == transcript.rendered_prompt
+    assert transcript_id_for("finding_summary", entry["rendered_prompt"], gw.params) == transcript.transcript_id
     assert entry["response"] == transcript.response
     assert set(entry["params"]) == {"temperature", "max_tokens", "top_p"}
 

@@ -32,7 +32,7 @@ from pir.errors import (
 )
 from pir.detection import fallback_summary
 from pir.gap_analysis import deterministic_rationale, select_effective
-from pir.llm_gateway import Gateway
+from pir.llm_gateway import Gateway, transcript_id_for
 from pir.log_ingest import (
     AUTH_EVENT_IDS,
     CSV_FIXED_COLUMNS,
@@ -50,7 +50,7 @@ from pir.orchestrator import (
     ReviewState,
     build_deps,
     check_stage_order,
-    digest_rows,
+    cited_rows,
     encode_records,
     load_checkpoint,
     read_records,
@@ -278,7 +278,8 @@ def test_placeholder_text_in_evidence_is_narrated_as_text(tmp_path):
     state = run_review(config, transport=workloads.scripted_transport)
     assert [f.account for f in state.findings] == ["{{evil}}"]
     assert state.degradation_notes == ()
-    assert "Account: {{evil}}\n" in state.transcripts[0].rendered_prompt
+    entry = json.loads((config.cache_dir / f"{state.transcripts[0].transcript_id}.json").read_text(encoding="utf-8"))
+    assert "Account: {{evil}}\n" in entry["rendered_prompt"]
 
 
 # --- ordering ------------------------------------------------------------------------
@@ -919,7 +920,7 @@ def test_record_digests_agree_at_write_at_load_and_with_digest_of(records):
         assert data == b"[]\n"
     assert count == len(records)
     assert read == [r.record_ref for r in records]
-    assert digest_rows(written, read, data) == logon_rows(rows_of([r.to_dict() for r in records]))
+    assert cited_rows(io.BytesIO(data), path, written) == logon_rows(rows_of([r.to_dict() for r in records]))
     projected = [project(r) for r in records]
     assert auth_events == read_auth_events == [e for e in projected if e is not None]
 
@@ -1002,7 +1003,7 @@ def test_parsed_records_are_written_as_canon_dumps_writes_them(xml_events, csv_e
     assert len(records) == len(xml_events) + len(csv_events) == count
     assert data == (canon.canon_dumps([r.to_dict() for r in records]) + "\n").encode("utf-8")
     assert digest == sha256_hex(data)
-    assert digest_rows(rows, [r.record_ref for r in records], data) == logon_rows(rows_of([r.to_dict() for r in records]))
+    assert cited_rows(io.BytesIO(data), Path(RECORDS_FILE), rows) == logon_rows(rows_of([r.to_dict() for r in records]))
     assert auth_events == [e for e in map(project, records) if e is not None]
 
 
@@ -1017,7 +1018,7 @@ def test_records_json_is_handed_to_write_in_batches():
     pieces = [canon.canon_dumps(r.to_dict()).encode("utf-8") for r in records]
     assert data == b"[" + b",".join(pieces) + b"]\n"
     assert (digest, count) == (sha256_hex(data), len(records))
-    assert digest_rows(rows, [r.record_ref for r in records], data) == logon_rows(rows_of([r.to_dict() for r in records]))
+    assert cited_rows(io.BytesIO(data), Path(RECORDS_FILE), rows) == logon_rows(rows_of([r.to_dict() for r in records]))
     # each batch but the last ends with the piece that took it to the size
     assert len(writes) == len(data) // WRITE_BATCH_BYTES + 1
     longest = max(map(len, pieces)) + 1
@@ -1370,7 +1371,7 @@ def test_a_failed_gap_narration_leaves_the_gaps_before_it(tmp_path):
     assert gap.control == "LockoutThreshold"
     transcript = loaded.transcripts[-1]
     assert transcript.template_id == "gap_rationale"
-    assert transcript.rendered_prompt == gap_prompts[0]
+    assert transcript.transcript_id == transcript_id_for("gap_rationale", gap_prompts[0], config.generation)
     assert transcript.grounding.passed
 
 

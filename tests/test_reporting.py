@@ -142,7 +142,6 @@ def test_degraded_transcripts_are_exempt_from_closure(state):
         transcript_id="t" * 64,
         stage="GenerateReport",
         template_id="incident_summary",
-        rendered_prompt="prompt",
         response="Fabricated [EVT:ghost#1] [POL:fake:9-9].",
         mode="Replay",
         grounding=GroundingReport(
@@ -375,7 +374,7 @@ def test_fixture_reports_match_pinned_digests(config_name, tmp_path):
         config_name
     ]
 
-    doc = as_schema_2(json.loads(report_json), config.output_dir / "state" / "GenerateReport.json")
+    doc = as_schema_2(json.loads(report_json), config.output_dir / "state" / "GenerateReport.json", config.cache_dir)
     assert json_report_digest(canon_dumps(doc)) == PINNED_SCHEMA_2_REPORTS[config_name]
     changed = {key: doc.pop(key) for key in SCHEMA_2_KEYS}
     assert json_report_digest(canon_dumps(doc)) == PINNED_SCHEMA_1_SECTIONS[config_name]
