@@ -1226,21 +1226,24 @@ def test_fixture_state_files_match_pinned_digests(config_name, tmp_path):
 # Re-taken when the state lost finding_summaries and incident_summary, and
 # each mapping its rationale and each gap its rationale and remediation;
 # with those put back from report.json (the incident summary only after
-# GenerateReport), each state gives the pin taken before.
+# GenerateReport), each state gives the pin taken before. Re-taken when a
+# transcript lost its rendered_prompt; with each prompt put back, rendered
+# from its narration's request as the cache entry for its id holds it,
+# each state gives the pin taken before.
 PINNED_STAGE_STATES = {
     "review_config.json": {
-        "ProcessEvidence": "502bda90b8fc9ce0d59dde9582ab68c0231d7f9f879af6c9f2addd31835b0e8d",
-        "MapAttack": "1dced8b3d9af6ff24f2a04fb9d2d6ea9a2e8ce2a6e88d3a2462c0c22bf0e4abd",
-        "RetrievePolicies": "cd655db17f272f840798494b8c7677f86dc7d68687c2b628891352f432f91156",
-        "ValidatePolicies": "13bef4c34166417547494e4347cde31a2991c630a78bf5126137da8e92f950f4",
-        "GenerateReport": "989da79b6408dd04adf76facbb2778b4fafe0e67af509fddd77f3649fc38018d",
+        "ProcessEvidence": "1e480f972b5673ad91c8fe8140f30579380c98c1322d28017108671ca69ccce9",
+        "MapAttack": "973793805964695ef53c97d311853df2ed771e3c3ac902eacf5683a4b942f6c1",
+        "RetrievePolicies": "4a26bab16d9d28142637dfcbe684abe0ade8557cb42a7a535070f1e71588f5e2",
+        "ValidatePolicies": "cb0e9a14014216254379924ae027e615171b2c2b5f1354bd860a7a96b3b295ed",
+        "GenerateReport": "b3cb0e08897e8dadf2d9a5978018c5228ab367186e1c1e5c0bcba583b71ec930",
     },
     "review_config_nogap.json": {
-        "ProcessEvidence": "94ed0d5a624de92f40c9f43433df1016e81db46f0318eb37cf16bc3ee24c6e36",
-        "MapAttack": "84da1c8c550f073d9b58e881a2aa5ea7dc6f3be9ee113d8736bc0551d74787f8",
-        "RetrievePolicies": "1ee6ff4447ace0329eec2158a936d9b4a0cabe758054cf87d59569e313ba5db0",
-        "ValidatePolicies": "16b4beedbf1d46e17016b4a3902899a7fab42183cb85111b87b673f43ed23e37",
-        "GenerateReport": "770f352f5ad3bd4202c99c4a435dd1351b898117238608371efc392cd15d9df3",
+        "ProcessEvidence": "e0686afa7e9f5100d4ece9ac9fbc7dab47eb3b3b7b7dc5f16921b12868bd30e9",
+        "MapAttack": "65284362c2d5092bd9ecd4b251af476c39733ad1f808e80441212b2d90bc7d69",
+        "RetrievePolicies": "4c5e9f9f01ba13ec6f50a9c04f51b0f683cdcee9aeb969b7039a9cd7506f8b92",
+        "ValidatePolicies": "3e4002268be08d1cac906981e6c45f93d8e6758beb76bc20977564b35a9a09e9",
+        "GenerateReport": "c5063901dbc27adfcfc571e1f845edf1eb8f644f9b90c7b0d3cdf951e142565a",
     },
 }
 
