@@ -36,8 +36,8 @@ running sha256 to the caller's ``write``: into the file (write_records) or
 nowhere (detect). Only a logon record, the one kind a finding can cite,
 keeps a row and has its auth event projected from the record's parts; the
 auth events are then normalised and run through the detector. Only the
-cited pieces are read back, each checked and hashed as a load checks and
-hashes it (cited_rows).
+cited pieces are read back, each checked and hashed as a load does it
+(cited_rows).
 
 The state keeps only the record count and the rows of the records its
 findings cite; ProcessEvidence.json names the file's sha256 as its
@@ -622,13 +622,11 @@ def check_records_file(path: Path, digest: str, rows: Iterable[PieceRow]) -> lis
 
 
 def cited_rows(stream, path: Path, rows: Iterable[PieceRow]) -> list[RecordRow]:
-    """The RecordRows of ``rows``, each with the sha256 of the bytes in its
-    range of ``stream``, the bytes of records.json at ``path``, once those
-    bytes are found to be the piece of the record the row names: they
-    decode to a record of the row's ref, event id and time. Raises
-    RecordsFileError otherwise. Of the pieces, only the rows' are read;
-    a review applies this to the rows its findings cite, and a load to
-    the rows its checkpoint stores."""
+    """The RecordRows of ``rows``, each with the sha256 of its piece: the
+    bytes in its range of ``stream``, records.json at ``path``, which must
+    decode to a record of the row's ref, event id and time, else
+    RecordsFileError. Only the rows' pieces are read. A review and a load
+    check their cited rows by this one reader."""
     checked: list[RecordRow] = []
     for ref, event_id, ts, start, end in rows:
         piece = b""
@@ -849,14 +847,20 @@ def write_report_files(state: ReviewState, output_dir: Path) -> tuple[Path, Path
 
 
 def verify_report(config: ReviewConfig, doc: dict) -> None:
-    """Check a re-read report document, every field but its time
-    (reporting.check_report), against the report of a review of the
-    config's files, run into a temporary directory with no checkpoint, whose
-    model gives the document's responses (_ReportAnswers). A stage that
-    fails raises its cause, so a malformed transcript is a
-    ReportMismatchError, as is a document that lacks a section the check
-    reads."""
-    answers = _ReportAnswers(config, doc.get("transcripts", []) if isinstance(doc, dict) else [])
+    """Check a re-read report document's config digest and schema version,
+    then every other field but its time (reporting.check_report) against
+    the report of a review of the config's files, run into a temporary
+    directory with no checkpoint, whose model gives the document's
+    responses (_ReportAnswers). A stage that fails raises its cause, so a
+    malformed transcript is a ReportMismatchError, as is a document that
+    is not an object or lacks a section the check reads."""
+    if not isinstance(doc, dict):
+        raise ReportMismatchError(f"malformed report: a {type(doc).__name__}, not an object")
+    if doc.get("config_digest") != config.digest:
+        raise ReportMismatchError(f"config_digest {doc.get('config_digest')!r} is not the config's")
+    if doc.get("schema_version") != reporting.REPORT_SCHEMA_VERSION:
+        raise ReportMismatchError(f"schema_version {doc.get('schema_version')!r} is not {reporting.REPORT_SCHEMA_VERSION}")
+    answers = _ReportAnswers(config, doc.get("transcripts", []))
     with tempfile.TemporaryDirectory() as tmp:
         try:
             run_review(dataclasses.replace(config, output_dir=Path(tmp), gateway_mode=MODE_DISABLED), checkpoints=False, gateway=answers)

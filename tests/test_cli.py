@@ -245,6 +245,13 @@ def test_review_refuses_a_removed_catalog_key(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def report_head(config_path) -> str:
+    """A report.json that names the config's digest and the schema version,
+    which verify checks before it reviews the config's files; it holds
+    nothing else."""
+    return json.dumps({"config_digest": ReviewConfig.from_file(config_path).digest, "schema_version": 3})
+
+
 @pytest.mark.parametrize("command", ["review", "ingest", "detect", "verify"])
 def test_evtx_evidence_exits_3_and_writes_nothing(tmp_path, capsys, command):
     # an .evtx log's records are never decoded, so it is refused rather than
@@ -260,7 +267,7 @@ def test_evtx_evidence_exits_3_and_writes_nothing(tmp_path, capsys, command):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     report = tmp_path / "report.json"
-    report.write_text("{}")
+    report.write_text(report_head(config_path))
 
     argv = ["--config", str(config_path)] + ([str(report)] if command == "verify" else [])
     code, _out, err = run_cli(capsys, command, *argv)
@@ -276,7 +283,7 @@ def test_a_config_without_evidence_exits_3_and_writes_nothing(tmp_path, capsys, 
     raw = dict(json.loads((FIXTURES / "review_config.json").read_text()), evidence_paths=[])
     raw["output_dir"] = str(tmp_path / "out")
     (tmp_path / "config.json").write_text(json.dumps(raw))
-    (tmp_path / "report.json").write_text("{}")
+    (tmp_path / "report.json").write_text(report_head(tmp_path / "config.json"))
     argv = ["--config", str(tmp_path / "config.json")] + ([str(tmp_path / "report.json")] if command == "verify" else [])
     code, _out, err = run_cli(capsys, command, *argv)
     assert code == 3
@@ -315,9 +322,9 @@ def test_a_file_that_is_not_utf8_is_named_in_a_json_error(tmp_path, capsys, kind
         "csv": fixtures / "evidence" / "bruteforce_scenario.csv",
         "policy": fixtures / "policies" / "org_policy.md",
     }[kind]
+    (tmp_path / "report.json").write_text(report_head(config))
     data = damaged.read_bytes()
     damaged.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
-    (tmp_path / "report.json").write_text("{}")
     out = tmp_path / "out"
 
     argv = ["--config", str(config), "--output", str(out)] + ([str(tmp_path / "report.json")] if command == "verify" else [])
@@ -812,6 +819,30 @@ def test_review_refuses_a_citation_injected_through_an_account_name(tmp_path, ca
     assert not (out / "report.md").exists()
 
 
+def test_a_line_break_in_evidence_starts_no_report_md_line(tmp_path, capsys):
+    # An account name that holds two newlines and a heading. report.json
+    # keeps the account as it was; report.md writes each line break inside
+    # a value as the two characters \n, so the heading starts no line.
+    account = "admin\n\n## Remediation complete: no action needed"
+    xml, _truth = generate(ScenarioSpec(target_account=account, noise_events=20, noise_accounts=("jdoe",)), source_name="nl")
+    (tmp_path / "nl.xml").write_text(xml, encoding="utf-8")
+    raw = json.loads((FIXTURES / "review_config.json").read_text())
+    for key in ("org_policy_paths", "baseline_policy_paths"):
+        raw[key] = [str(FIXTURES / p) for p in raw[key]]
+    raw["evidence_paths"] = [str(tmp_path / "nl.xml")]
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code, _out, _err = run_cli(
+        capsys, "review", "--config", str(tmp_path / "config.json"), "--output", str(out),
+        "--gateway-mode", "disabled",
+    )
+    assert code == 0
+    assert [f["account"] for f in json.loads((out / "report.json").read_text(encoding="utf-8"))["findings"]] == [account]
+    md = (out / "report.md").read_text(encoding="utf-8")
+    assert "admin\\n\\n## Remediation complete" in md
+    assert [line for line in md.splitlines() if line.startswith("## Remediation complete")] == []
+
+
 def test_render_reads_back_a_timestamp_before_year_1000(tmp_path, capsys):
     early = tmp_path / "early.xml"
     early.write_text(
@@ -1168,6 +1199,36 @@ def test_verify_against_another_config_names_the_config_digest(tmp_path, capsys)
     payload = json.loads(err)
     assert payload["error"] == "ReportMismatchError"
     assert payload["detail"].startswith("config_digest ")
+
+
+@pytest.mark.parametrize(
+    "damage, detail",
+    [
+        ("another config", "config_digest "),
+        ("schema 1", "schema_version 1 is not 3"),
+        ("not an object", "malformed report: "),
+    ],
+)
+def test_verify_refuses_another_config_or_schema_before_it_reviews(tmp_path, capsys, monkeypatch, damage, detail):
+    config, report = review_a_copy(tmp_path, capsys)
+    doc = json.loads(report.read_text())
+    if damage == "another config":
+        config = config.with_name("review_config_nogap.json")
+    elif damage == "schema 1":
+        doc["schema_version"] = 1
+    else:
+        doc = [doc]
+    report.write_text(canon_dumps(doc), encoding="utf-8")
+
+    def no_review(*args, **kwargs):
+        raise AssertionError("verify ran a review")
+
+    monkeypatch.setattr(orchestrator, "run_review", no_review)
+    code, _out, err = verify(capsys, config, report)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ReportMismatchError"
+    assert payload["detail"].startswith(detail)
 
 
 def test_verify_judges_the_cached_response_of_a_replay_config(tmp_path, capsys):
